@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError, NodeUnavailableError, StaleNodeError
+from repro.gf.kernels import xor_into
 
 __all__ = [
     "DataRecord",
@@ -463,7 +464,7 @@ class StorageNode:
                 f"delta shape {delta.shape} != parity shape {rec.payload.shape}"
             )
         self.stats.deltas += 1
-        np.bitwise_xor(rec.payload, delta.astype(rec.payload.dtype), out=rec.payload)
+        xor_into(rec.payload, delta)
         rec.versions[contribution] = int(new_version)
 
     def read_parity(self, key) -> tuple[np.ndarray, np.ndarray]:

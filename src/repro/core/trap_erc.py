@@ -40,6 +40,7 @@ from repro.core.placement import TrapezoidPlacement
 from repro.core.results import ReadCase, ReadResult, WriteResult
 from repro.erasure.code import MDSCode
 from repro.erasure.stripe import StripeLayout
+from repro.erasure.update import plan_update
 from repro.errors import (
     ConfigurationError,
     NodeUnavailableError,
@@ -268,7 +269,9 @@ class TrapErcProtocol:
             raise ConfigurationError(
                 f"value shape {value.shape} != block shape {chunk.shape}"
             )
-        delta = self.code.delta(chunk, value)
+        # Lines 25-31 need alpha_ji * (x - chunk) for every parity node of
+        # the trapezoid: all n - k buffers come from one pass over the delta.
+        parity_deltas = plan_update(self.code, i, chunk, value).parity_deltas
         new_version = version + 1
         ni = self.layout.node_of_block(i)
         messages = pre.messages
@@ -290,12 +293,11 @@ class TrapErcProtocol:
                 else:
                     # Lines 25-31: guarded parity delta.
                     j = self.layout.block_of_node(node_id)
-                    buf = self.code.parity_delta(j, i, delta)
                     requests.append(
                         Request(
                             node_id,
                             "apply_delta",
-                            (self.parity_key(), i, buf),
+                            (self.parity_key(), i, parity_deltas[j]),
                             {"expected_version": version, "new_version": new_version},
                             catches=(NodeUnavailableError, StaleNodeError),
                         )
@@ -587,7 +589,7 @@ class TrapErcProtocol:
                 # reconstruct_block rides the decode-plan cache: trials and
                 # stripes that see the same survivor set skip Gauss-Jordan.
                 indices = [idx for idx, _ in rows[: self.code.k]]
-                frags = np.stack([buf for _, buf in rows[: self.code.k]])
+                frags = [buf for _, buf in rows[: self.code.k]]
                 return self.code.reconstruct_block(i, indices, frags), messages
             # Decode-then-verify: search k-subsets for one whose decode
             # matches the trusted cross-checksum. The first combination
@@ -598,7 +600,7 @@ class TrapErcProtocol:
                 if attempts > self.max_decode_attempts:
                     return None, messages
                 indices = [rows[c][0] for c in combo]
-                frags = np.stack([rows[c][1] for c in combo])
+                frags = [rows[c][1] for c in combo]
                 decoded = self.code.reconstruct_block(i, indices, frags)
                 if self.verifier.check_decoded(decoded, digest):
                     return decoded, messages

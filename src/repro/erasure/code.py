@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from repro.errors import ConfigurationError, DecodeError
+from repro.errors import ConfigurationError, DecodeError, FieldError
 from repro.gf.field import GF256, GF2m
 from repro.gf.kernels import gf_matmul
 from repro.gf.linalg import inverse
@@ -247,21 +247,26 @@ class MDSCode:
     # decode / repair
     # ------------------------------------------------------------------ #
 
-    def _gather(self, indices, fragments) -> tuple[list[int], np.ndarray]:
+    def _check_indices(self, indices) -> list[int]:
+        """Fragment indices as ints: distinct, in range, at least k."""
         indices = [int(i) for i in indices]
         if len(set(indices)) != len(indices):
             raise DecodeError(f"duplicate fragment indices: {indices}")
         for i in indices:
             if not 0 <= i < self.n:
                 raise DecodeError(f"fragment index {i} out of range [0, {self.n})")
+        if len(indices) < self.k:
+            raise DecodeError(
+                f"need at least k={self.k} fragments, got {len(indices)}"
+            )
+        return indices
+
+    def _gather(self, indices, fragments) -> tuple[list[int], np.ndarray]:
+        indices = self._check_indices(indices)
         fragments = np.asarray(fragments, dtype=self.field.dtype)
         if fragments.ndim != 2 or fragments.shape[0] != len(indices):
             raise DecodeError(
                 f"fragments must have shape ({len(indices)}, L), got {fragments.shape}"
-            )
-        if len(indices) < self.k:
-            raise DecodeError(
-                f"need at least k={self.k} fragments, got {len(indices)}"
             )
         return indices, fragments
 
@@ -374,15 +379,7 @@ class MDSCode:
         """
         idx_list = [int(i) for i in indices]
         fragments = self._coerce_batch(fragments, len(idx_list), "fragments")
-        if len(set(idx_list)) != len(idx_list):
-            raise DecodeError(f"duplicate fragment indices: {idx_list}")
-        for i in idx_list:
-            if not 0 <= i < self.n:
-                raise DecodeError(f"fragment index {i} out of range [0, {self.n})")
-        if len(idx_list) < self.k:
-            raise DecodeError(
-                f"need at least k={self.k} fragments, got {len(idx_list)}"
-            )
+        self._check_indices(idx_list)
         s, _, length = fragments.shape
         use = idx_list[: self.k]
         frag = fragments[:, : self.k]
@@ -413,26 +410,40 @@ class MDSCode:
     def reconstruct_block(self, index: int, indices, fragments) -> np.ndarray:
         """Reconstruct the single block with global ``index``.
 
+        ``fragments`` is a (>= k, L) array or a sequence of that many
+        equal-length row arrays, in the order of ``indices`` (any order).
         Uses the fragment directly when present; otherwise combines the
         cached plan with the target's generator row into one (1, k) x
-        (k, L) product — the full data matrix is never materialized.
+        (k, L) product over the rows as given — the plan's coefficients
+        are permuted to the fragments' order rather than the fragments
+        sorted (or a list of them stacked) to the plan's, and the full
+        data matrix is never materialized.
         This is the ``decode(i, id, V)`` step of Algorithm 2 (Case 2).
         """
         if not 0 <= index < self.n:
             raise ConfigurationError(f"block index must be in [0, {self.n}), got {index}")
         idx_list = [int(i) for i in indices]
         if index in idx_list:
-            fragments = np.asarray(fragments, dtype=self.field.dtype)
-            return fragments[idx_list.index(index)].copy()
-        indices, fragments = self._gather(idx_list, fragments)
-        use, frag = self._sort_rows(indices[: self.k], fragments[: self.k])
-        if use == list(range(self.k)):
-            if index < self.k:
-                return frag[index].copy()
-            row = self.generator[index][None, :]
+            return np.array(fragments[idx_list.index(index)], dtype=self.field.dtype)
+        self._check_indices(idx_list)
+        if len(fragments) != len(idx_list):
+            raise DecodeError(
+                f"fragments must have {len(idx_list)} rows, got {len(fragments)}"
+            )
+        use = idx_list[: self.k]
+        order = sorted(range(self.k), key=use.__getitem__)
+        key = sorted(use)
+        if key == list(range(self.k)):
+            row = self.generator[index]
         else:
-            row = self.decode_plan(use).recode_row(self, index)[None, :]
-        return gf_matmul(self.field, row, frag)[0]
+            row = self.decode_plan(key).recode_row(self, index)
+        # row[p] weighs the p-th smallest index, which arrived at order[p].
+        coeffs = np.empty((1, self.k), dtype=self.field.dtype)
+        coeffs[0, order] = row
+        try:
+            return gf_matmul(self.field, coeffs, fragments[: self.k])[0]
+        except FieldError as exc:
+            raise DecodeError(f"unusable fragments: {exc}") from exc
 
     def repair(self, lost, indices, fragments) -> np.ndarray:
         """Exact repair: recompute the rows in ``lost`` from >= k survivors.

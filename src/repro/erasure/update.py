@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.erasure.code import MDSCode
 from repro.errors import ConfigurationError
+from repro.gf.kernels import gf_scaled_rows
 
 __all__ = ["UpdatePlan", "plan_update", "update_io_cost"]
 
@@ -68,8 +69,13 @@ def plan_update(
     old_block = np.asarray(old_block, dtype=code.field.dtype)
     new_block = np.asarray(new_block, dtype=code.field.dtype)
     delta = code.delta(old_block, new_block)
+    # One byte image of the delta, scaled by column block_index of the
+    # parity matrix: all n - k buffers in a single kernel call.
+    rows = gf_scaled_rows(
+        code.field, code.parity_matrix[:, block_index], delta.reshape(-1)
+    )
     parity_deltas = {
-        j: code.parity_delta(j, block_index, delta) for j in range(code.k, code.n)
+        code.k + r: row.reshape(delta.shape) for r, row in enumerate(rows)
     }
     return UpdatePlan(
         block_index=block_index,

@@ -14,9 +14,12 @@ Design notes (hpc-parallel idioms):
 
 * All operations accept scalars or numpy arrays and broadcast like numpy
   ufuncs; hot paths never loop in Python over array elements.
-* For w <= 8 a full 256x256 multiplication table (64 KiB) is built lazily;
-  scalar-times-vector multiplication (the erasure-coding hot loop) is then a
-  single fancy-index gather, matching the strategy of production RS codecs.
+* For w <= 8 a full 256x256 multiplication table (64 KiB) is built lazily.
+  For w = 8 scalar-times-vector multiplication (the erasure-coding hot
+  loop) runs each table row as a ``bytes.translate`` table over the
+  block's byte image: a C loop with no index widening, several times the
+  rate of the fancy-index gather the narrower fields still use (see
+  docs/PERFORMANCE.md, "Row kernel").
 * Tables are cached per (width, polynomial) so repeated ``GF2m(8)``
   constructions are free.
 """
@@ -96,7 +99,17 @@ class GF2m:
     1
     """
 
-    __slots__ = ("width", "poly", "order", "q1", "dtype", "_exp", "_log", "_mul_table")
+    __slots__ = (
+        "width",
+        "poly",
+        "order",
+        "q1",
+        "dtype",
+        "_exp",
+        "_log",
+        "_mul_table",
+        "_row_tables",
+    )
 
     def __init__(self, width: int = 8, poly: int | None = None) -> None:
         if not MIN_WIDTH <= width <= MAX_WIDTH:
@@ -119,6 +132,7 @@ class GF2m:
         )
         self._exp, self._log = _build_tables(width, poly)
         self._mul_table: np.ndarray | None = None
+        self._row_tables: dict[int, bytes] = {}
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -149,13 +163,24 @@ class GF2m:
     def _coerce(self, a) -> np.ndarray:
         arr = np.asarray(a)
         if arr.dtype == self.dtype:
-            # Already carrying the field dtype: every representable value is
-            # a field element, so no range check (and no int64 copies).
+            # Already carrying the field dtype: no int64 copies, and for
+            # w = 8 / w = 16 every representable value is a field element.
+            self._check_range(arr)
             return arr
         as_int = np.asarray(arr, dtype=np.int64)
         if np.any((as_int < 0) | (as_int >= self.order)):
             raise FieldError(f"value out of range for GF(2^{self.width})")
         return as_int.astype(self.dtype)
+
+    def _check_range(self, arr: np.ndarray) -> None:
+        """Reject field-dtype arrays carrying values outside the field.
+
+        Only fields narrower than their dtype can hold such values (byte
+        200 in GF(2^4)); left alone they index past the tables and leak a
+        bare ``IndexError``.
+        """
+        if self.width not in (8, 16) and arr.size and arr.max() > self.q1:
+            raise FieldError(f"value out of range for GF(2^{self.width})")
 
     # ------------------------------------------------------------------ #
     # scalar / elementwise arithmetic
@@ -242,21 +267,43 @@ class GF2m:
             )
         return self._full_mul_table()
 
+    def _row_table(self, c: int) -> bytes:
+        """Row c of the GF(2^8) multiplication table as a translate table.
+
+        ``image.translate(row)`` maps every byte x of a block image to
+        ``c * x`` in one C loop. Rows are cut lazily from the full table
+        and cached on the field (256 B each, at most 256 of them). Only
+        defined for w = 8: translate needs all 256 entries, and a
+        narrower field has no product for the bytes above its order.
+        """
+        row = self._row_tables.get(c)
+        if row is None:
+            row = self._row_tables[c] = self._full_mul_table()[c].tobytes()
+        return row
+
     def scalar_mul(self, c: int, vec) -> np.ndarray:
         """``c * vec`` for a scalar c and an array vec.
 
-        This is the inner operation of erasure encode/decode/update; for
-        w <= 8 it compiles to a single table gather.
+        This is the inner operation of erasure encode/decode/update. For
+        w = 8 the block's byte image is translated through row c of the
+        multiplication table; for w < 8 it is one gather out of that
+        table, for w > 8 an exp/log gather. The result is always a fresh
+        writable C-contiguous array of ``vec``'s shape.
         """
         vec = self._coerce(vec)
         c = int(c)
         if not 0 <= c < self.order:
             raise FieldError(f"scalar {c} out of range for GF(2^{self.width})")
         if c == 0:
-            return np.zeros_like(vec)
+            return np.zeros(vec.shape, dtype=self.dtype)
         if c == 1:
             return vec.copy()
+        if self.width == 8 and vec.ndim:
+            # The memoryview is copied out in C order whatever the strides.
+            image = bytearray(vec.data).translate(self._row_table(c))
+            return np.frombuffer(image, dtype=self.dtype).reshape(vec.shape)
         if self.width <= 8:
+            # w < 8, and 0-d operands (a numpy scalar out, as from mul()).
             return self._full_mul_table()[c][vec]
         out = self._exp[self._log[vec] + self._log[c]]
         return np.where(vec == 0, self.dtype(0), out)
@@ -285,10 +332,9 @@ class GF2m:
         vectors = self._coerce(vectors)
         if vectors.ndim != 2 or coeffs.shape[0] != vectors.shape[0]:
             raise FieldError("dot expects coeffs (m,) and vectors (m, L)")
-        out = np.zeros(vectors.shape[1], dtype=self.dtype)
-        for i in range(coeffs.shape[0]):
-            self.addmul_into(out, int(coeffs[i]), vectors[i])
-        return out
+        from repro.gf.kernels import gf_matmul  # lazy: kernels imports field
+
+        return gf_matmul(self, coeffs[None, :], vectors)[0]
 
     def outer(self, a, b) -> np.ndarray:
         """GF outer product of vectors a (m,) and b (n,) -> (m, n)."""

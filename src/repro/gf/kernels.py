@@ -21,14 +21,19 @@ enforce that):
   (A single 3-D ``table[a[:, :, None], b[None, :, :]]`` gather +
   ``bitwise_xor.reduce`` computes the same thing in one expression but
   measures ~4x slower: broadcasting the index arrays dominates.) For
-  w > 8 the full table would be gigabytes, so the kernel falls back to a
-  per-inner-index exp/log gather that still avoids the elementwise
-  ``mul`` overhead where it can.
+  w = 8 and rows wide enough to pay for one Python iteration per
+  coefficient, the product is streamed instead: every ``a[i, t] * b[t]``
+  is one ``translate`` of row t's byte image through a 256-byte row of
+  the multiplication table (a C loop with no index widening), XOR-folded
+  as uint64 words. For w > 8 the full table would be gigabytes, so the
+  kernel falls back to a per-inner-index exp/log gather that still
+  avoids the elementwise ``mul`` overhead where it can.
 * :func:`xor_into` / :func:`xor_blocks` — the parity-delta fold
-  ``dst ^= src`` re-viewed as machine words (uint64) when alignment
-  allows, which is how production RS codecs fold deltas.
-* :func:`gf_scaled_rows` — row-wise scalar multiple gather used by the
-  batched encoders.
+  ``dst ^= src`` and the row fold of an (m, L) array; the latter
+  re-views bytes as machine words (uint64) when alignment allows.
+* :func:`gf_scaled_rows` — the parity-delta fan-out of Algorithm 1: one
+  block scaled by every coefficient of a generator column, from a single
+  byte image of the block (:func:`repro.erasure.update.plan_update`).
 
 All kernels take the field object explicitly (no global state), matching
 the conventions of :mod:`repro.gf.linalg`.
@@ -50,14 +55,45 @@ __all__ = [
 ]
 
 
+#: The w = 8 product streams through the row kernel once every output
+#: row has at least this many columns; below it the gather wins because
+#: one ``np.take`` serves all m output rows of an inner index while the
+#: row kernel pays a Python iteration per coefficient. Measured crossover:
+#: docs/PERFORMANCE.md, "Row kernel".
+_STREAM_MIN_COLS_PER_ROW = 256
+
+
 def _as_field_matrix(field: GF2m, a, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=field.dtype)
     if a.ndim != 2:
         raise FieldError(f"{name} must be 2-D, got shape {a.shape}")
+    field._check_range(a)
     return a
 
 
-def _matmul_small(field: GF2m, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _as_field_rows(field: GF2m, b) -> tuple[np.ndarray | list[np.ndarray], int]:
+    """A right operand as (rows, cols): a 2-D array, or a list of 1-D rows.
+
+    The kernels only ever index the right operand by row, so a list of
+    equal-length blocks (fragments gathered from different nodes) is
+    multiplied where it lies instead of being stacked first.
+    """
+    if isinstance(b, np.ndarray):
+        b = _as_field_matrix(field, b, "b")
+        return b, b.shape[1]
+    rows = [np.asarray(row, dtype=field.dtype) for row in b]
+    cols = rows[0].shape[0] if rows and rows[0].ndim == 1 else 0
+    for row in rows:
+        if row.shape != (cols,):
+            raise FieldError(
+                "b must be 2-D or a sequence of equal-length rows, "
+                f"got a row of shape {row.shape}"
+            )
+        field._check_range(row)
+    return rows, cols
+
+
+def _matmul_small(field: GF2m, a: np.ndarray, b, cols: int) -> np.ndarray:
     """w <= 8 kernel: one table-row gather per inner index, XOR-folded.
 
     ``table[a[:, t]]`` selects the m multiplication-table rows for inner
@@ -65,8 +101,11 @@ def _matmul_small(field: GF2m, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     then gathers all m partial-product rows in one call. No zero-masking
     is needed: the table already encodes ``0 * x = 0``. The Python loop
     length is only the shared dimension (k or n - k in the paper's
-    regime), never the block length.
+    regime), never the block length. Wide GF(2^8) rows take the row
+    kernel instead (:func:`_matmul_stream`).
     """
+    if field.width == 8 and cols >= _STREAM_MIN_COLS_PER_ROW * a.shape[0]:
+        return _matmul_stream(field, a, b, cols)
     table = field.mul_table()
     out = np.take(table[a[:, 0]], b[0], axis=1)
     for t in range(1, a.shape[1]):
@@ -75,7 +114,27 @@ def _matmul_small(field: GF2m, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _matmul_wide_field(field: GF2m, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _matmul_stream(field: GF2m, a: np.ndarray, b, cols: int) -> np.ndarray:
+    """GF(2^8) row kernel: translate each row image, fold as words.
+
+    Row t of ``b`` is imaged to bytes once; ``a[i, t] * b[t]`` is then
+    ``image.translate(row_table(a[i, t]))`` — no index array, no
+    widening — XORed into output row i eight bytes at a time. The row
+    tables encode ``0 * x = 0`` and ``1 * x = x``, so no coefficient is
+    special-cased.
+    """
+    word = np.uint64 if cols % 8 == 0 else np.uint8
+    images = [bytearray(row.data) for row in b]
+    out = np.empty((a.shape[0], cols), dtype=field.dtype)
+    for coeffs, acc in zip(a.tolist(), out.view(word)):
+        acc[:] = np.frombuffer(images[0].translate(field._row_table(coeffs[0])), word)
+        for c, image in zip(coeffs[1:], images[1:]):
+            term = np.frombuffer(image.translate(field._row_table(c)), word)
+            np.bitwise_xor(acc, term, out=acc)
+    return out
+
+
+def _matmul_wide_field(field: GF2m, a: np.ndarray, b, cols: int) -> np.ndarray:
     """w > 8 fallback: per-inner-index exp/log gather (no full table).
 
     The loop length is the shared dimension (k or n - k in the paper's
@@ -83,7 +142,6 @@ def _matmul_wide_field(field: GF2m, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     with the zero rows/columns handled up front instead of per element.
     """
     m, t = a.shape
-    cols = b.shape[1]
     out = np.zeros((m, cols), dtype=field.dtype)
     log = field._log
     exp = field._exp
@@ -105,19 +163,23 @@ def _matmul_wide_field(field: GF2m, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def gf_matmul(field: GF2m, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over GF(2^w), bit-identical to the reference matmul.
 
-    Fast path (w <= 8): fancy-index gather into the full multiplication
-    table + ``bitwise_xor.reduce`` over the shared dimension. Fallback
-    (w > 8): exp/log gathers per inner index.
+    ``b`` is a (t, L) array or a sequence of t equal-length 1-D rows; the
+    result is a fresh (m, L) array either way. Fast path (w <= 8): one
+    multiplication-table gather per inner index, or for wide GF(2^8)
+    rows one ``translate`` per coefficient, XOR-folded over the shared
+    dimension. Fallback (w > 8): exp/log gathers per inner index.
     """
     a = _as_field_matrix(field, a, "a")
-    b = _as_field_matrix(field, b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise FieldError(f"shape mismatch for matmul: {a.shape} x {b.shape}")
+    b, cols = _as_field_rows(field, b)
+    if a.shape[1] != len(b):
+        raise FieldError(
+            f"shape mismatch for matmul: {a.shape} x ({len(b)}, {cols})"
+        )
     if a.shape[1] == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=field.dtype)
+        return np.zeros((a.shape[0], cols), dtype=field.dtype)
     if field.width <= 8:
-        return _matmul_small(field, a, b)
-    return _matmul_wide_field(field, a, b)
+        return _matmul_small(field, a, b, cols)
+    return _matmul_wide_field(field, a, b, cols)
 
 
 def gf_matvec(field: GF2m, a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -132,22 +194,32 @@ def gf_matvec(field: GF2m, a: np.ndarray, x: np.ndarray) -> np.ndarray:
 def gf_scaled_rows(field: GF2m, coeffs, vec) -> np.ndarray:
     """Rows ``coeffs[i] * vec`` for a coefficient vector and one block.
 
-    Shape: coeffs (m,) x vec (L,) -> (m, L). For w <= 8 this is a single
-    2-D gather (each output row is one row-slice of the multiplication
-    table indexed by the block); the parity-delta fan-out of Algorithm 1
-    is exactly this shape.
+    Shape: coeffs (m,) x vec (L,) -> (m, L); the parity-delta fan-out of
+    Algorithm 1 is exactly this shape (one delta, the n - k coefficients
+    of a generator column). For w = 8 the block is imaged to bytes once
+    and each output row is one ``translate`` through that coefficient's
+    row table; for w < 8 it is a single 2-D gather out of the
+    multiplication table.
     """
     coeffs = np.asarray(coeffs, dtype=field.dtype)
     vec = np.asarray(vec, dtype=field.dtype)
     if coeffs.ndim != 1 or vec.ndim != 1:
         raise FieldError("gf_scaled_rows expects coeffs (m,) and vec (L,)")
-    if field.width <= 8:
+    if field.width == 8:
+        image = bytearray(vec.data)
+        out = np.empty((coeffs.shape[0], vec.shape[0]), dtype=field.dtype)
+        for c, row in zip(coeffs.tolist(), out):
+            row[:] = np.frombuffer(image.translate(field._row_table(c)), field.dtype)
+        return out
+    if field.width < 8:
+        field._check_range(coeffs)
+        field._check_range(vec)
         return field.mul_table()[coeffs[:, None], vec[None, :]]
     return field.mul(coeffs[:, None], vec[None, :])
 
 
 # --------------------------------------------------------------------- #
-# word-view XOR folds
+# XOR folds
 # --------------------------------------------------------------------- #
 
 
@@ -163,21 +235,19 @@ def _word_view(arr: np.ndarray) -> np.ndarray | None:
 
 
 def xor_into(dst: np.ndarray, src: np.ndarray) -> None:
-    """In-place ``dst ^= src`` folding 8 bytes per XOR when alignment allows.
+    """In-place ``dst ^= src``: the parity-delta fold of Algorithm 1.
 
-    This is the parity-delta fold of Algorithm 1 (``b_j ^= alpha_ji * delta``)
-    once the scaled delta buffer exists; for uint8 blocks whose length is a
-    multiple of 8 the fold runs over a uint64 word view.
+    ``b_j ^= alpha_ji * delta`` once the scaled delta buffer exists; a
+    ``src`` of another dtype is cast to ``dst``'s first. The fold is the
+    plain byte-wise ufunc: numpy's uint8 XOR loop is vectorized, so a
+    uint64 re-view of the operands buys nothing, and probing two arrays
+    for one (contiguity, size, pointer alignment) costs more than
+    XOR-ing a whole 64 KiB block — see docs/PERFORMANCE.md.
     """
     if dst.shape != src.shape:
         raise FieldError(f"xor_into shape mismatch: {dst.shape} vs {src.shape}")
     if dst.dtype != src.dtype:
         src = np.asarray(src, dtype=dst.dtype)
-    dw = _word_view(dst)
-    sw = _word_view(src)
-    if dw is not None and sw is not None:
-        np.bitwise_xor(dw, sw, out=dw)
-        return
     np.bitwise_xor(dst, src, out=dst)
 
 

@@ -88,6 +88,31 @@ class TestParityRecords:
         assert np.array_equal(got, buf ^ delta)
         assert versions.tolist() == [0, 0, 1, 0]
 
+    @pytest.mark.parametrize("length", [5, 16, 4096])
+    def test_apply_delta_folds_any_delta_layout(self, node, length):
+        # No astype copy for a matching uint8 delta; strided, read-only or
+        # wider-dtype deltas still land byte for byte and are not mutated.
+        buf = payload(30, length=length)
+        node.put_parity("p", buf, np.zeros(4, dtype=np.int64))
+        strided = np.zeros(2 * length, dtype=np.uint8)
+        strided[::2] = payload(31, length=length)
+        deltas = [
+            payload(32, length=length),
+            strided[::2],
+            payload(33, length=length).astype(np.int64),
+        ]
+        expect = buf.copy()
+        for version, delta in enumerate(deltas):
+            delta.setflags(write=False)
+            before = delta.copy()
+            node.apply_delta("p", 1, delta, expected_version=version, new_version=version + 1)
+            expect ^= delta.astype(np.uint8)
+            assert np.array_equal(delta, before)
+        got, versions = node.read_parity("p")
+        assert np.array_equal(got, expect) and got.dtype == np.uint8
+        assert versions.tolist() == [0, 3, 0, 0]
+        assert node.stats.deltas == 3
+
     def test_apply_delta_stale_guard(self, node):
         node.put_parity("p", payload(11), np.zeros(4, dtype=np.int64))
         with pytest.raises(StaleNodeError):

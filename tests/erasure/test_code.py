@@ -194,6 +194,62 @@ class TestReconstructRepair:
         out = code.reconstruct_block(target, idx, stripe[idx])
         assert np.array_equal(out, stripe[target])
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nk=st.sampled_from([(6, 4), (9, 6), (12, 8)]),
+        length=st.sampled_from([1, 16, 255, 256, 4096]),
+        width=st.sampled_from([4, 8, 12]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_reconstruct_from_unsorted_row_list_equals_stacked(
+        self, nk, length, width, seed
+    ):
+        n, k = nk
+        field = GF2m(width)
+        code = MDSCode(n, k, field=field)
+        rng = np.random.default_rng(seed)
+        stripe = code.encode(field.random_elements(rng, (k, length)))
+        target = int(rng.integers(0, n))
+        survivors = [int(i) for i in rng.permutation(n) if i != target][: k + 1]
+        stacked = code.reconstruct_block(target, sorted(survivors), stripe[sorted(survivors)])
+        assert np.array_equal(stacked, stripe[target])
+        # The same fragments as a node-by-node list: arrival order, each row
+        # an array of its own (read-only here), never stacked by the caller.
+        rows = [stripe[i].copy() for i in survivors]
+        for row in rows:
+            row.setflags(write=False)
+        out = code.reconstruct_block(target, survivors, rows)
+        assert np.array_equal(out, stacked)
+        assert out.shape == (length,) and out.dtype == field.dtype
+        assert out.flags.c_contiguous and out.flags.writeable
+        assert not any(np.shares_memory(out, row) for row in rows)
+        # Unsorted 2-D input takes the same no-sort path.
+        assert np.array_equal(
+            code.reconstruct_block(target, survivors, stripe[survivors]), stacked
+        )
+
+    def test_reconstruct_present_block_from_row_list_is_a_copy(self, code):
+        stripe = code.encode(make_data(code.k, seed=21))
+        idx = [8, 2, 7, 0, 1, 3]
+        rows = [stripe[i] for i in idx]
+        out = code.reconstruct_block(2, idx, rows)
+        assert np.array_equal(out, stripe[2]) and not np.shares_memory(out, stripe)
+
+    def test_reconstruct_rejects_malformed_fragments(self, code):
+        stripe = code.encode(make_data(code.k, seed=22))
+        idx = [8, 7, 6, 1, 2, 3]
+        rows = [stripe[i] for i in idx]
+        with pytest.raises(DecodeError):
+            code.reconstruct_block(0, idx, rows[:-1])  # one row short
+        with pytest.raises(DecodeError):
+            code.reconstruct_block(0, idx, rows[:-1] + [rows[-1][:5]])  # ragged
+        with pytest.raises(DecodeError):
+            code.reconstruct_block(0, idx, stripe[idx][:, :, None])  # 3-D
+        with pytest.raises(DecodeError):
+            code.reconstruct_block(0, idx[:-1], rows[:-1])  # fewer than k
+        with pytest.raises(DecodeError):
+            code.reconstruct_block(0, idx[:-1] + [idx[0]], rows)  # duplicate
+
     def test_repair_multiple_losses(self, code):
         data = make_data(code.k, seed=14)
         stripe = code.encode(data)

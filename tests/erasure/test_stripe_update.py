@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.gf import GF2m
 from repro.erasure import (
     MDSCode,
     StripeLayout,
@@ -126,6 +127,40 @@ class TestUpdatePlan:
             stripe[j] ^= buf
         data[2] = new_block
         assert np.array_equal(stripe, code.encode(data))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        width=st.sampled_from([4, 8, 12]),
+        shape=st.sampled_from([(0,), (1,), (7,), (8,), (255,), (4096,), (4, 16)]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_fan_out_equals_per_parity_delta(self, width, shape, seed):
+        # plan_update scales one byte image of the delta by a generator
+        # column; parity_delta is the one-coefficient path of Algorithm 1.
+        field = GF2m(width)
+        code = MDSCode(9, 6, field=field)
+        rng = np.random.default_rng(seed)
+        old = field.random_elements(rng, shape)
+        new = field.random_elements(rng, shape)
+        index = int(rng.integers(0, code.k))
+        plan = plan_update(code, index, old, new)
+        assert sorted(plan.parity_deltas) == [6, 7, 8]
+        for j, buf in plan.parity_deltas.items():
+            expect = field.mul(code.coefficient(j, index), old ^ new)
+            assert np.array_equal(buf, expect)
+            assert np.array_equal(buf, code.parity_delta(j, index, plan.delta))
+            assert buf.shape == shape and buf.dtype == field.dtype
+            assert buf.flags.c_contiguous and buf.flags.writeable
+            assert not np.shares_memory(buf, old) and not np.shares_memory(buf, new)
+
+    def test_parity_delta_64k_block(self):
+        code = MDSCode(12, 8)
+        rng = np.random.default_rng(5)
+        delta = rng.integers(0, 256, 65536, dtype=np.uint8)
+        delta.setflags(write=False)
+        out = code.parity_delta(9, 3, delta)
+        assert np.array_equal(out, code.field.mul(code.coefficient(9, 3), delta))
+        assert out.flags.writeable and not np.shares_memory(out, delta)
 
     def test_noop_plan(self):
         code = MDSCode(6, 4)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FieldError
-from repro.gf import GF256, GF2m
+from repro.gf import GF256, GF2m, gf_matmul, gf_scaled_rows
 
 
 class TestCoerce:
@@ -41,3 +41,34 @@ class TestCoerce:
         assert int(gf.add(4095, 0)) == 4095
         with pytest.raises(FieldError):
             gf.add(4096, 0)
+
+    @pytest.mark.parametrize("width,value", [(4, 200), (2, 4), (7, 128), (12, 5000)])
+    def test_field_dtype_arrays_out_of_field_fail_typed(self, width, value):
+        # Regression: arrays already in the field dtype skipped the range
+        # check and leaked a bare IndexError from the table gathers.
+        gf = GF2m(width)
+        bad = np.array([value], dtype=gf.dtype)
+        good = np.array([1], dtype=gf.dtype)
+        with pytest.raises(FieldError):
+            gf.scalar_mul(3, bad)
+        with pytest.raises(FieldError):
+            gf.mul(bad, good)
+        with pytest.raises(FieldError):
+            gf.mul(good, bad)
+        with pytest.raises(FieldError):
+            gf_matmul(gf, bad[None, :], good[None, :])
+        with pytest.raises(FieldError):
+            gf_matmul(gf, good[None, :], bad[None, :])
+        with pytest.raises(FieldError):
+            gf_matmul(gf, good[None, :], [bad])
+        with pytest.raises(FieldError):
+            gf_scaled_rows(gf, good, bad)
+        with pytest.raises(FieldError):
+            gf_scaled_rows(gf, bad, good)
+
+    def test_top_element_of_narrow_field_still_accepted(self):
+        gf = GF2m(4)
+        top = np.array([15], dtype=np.uint8)
+        assert gf.scalar_mul(3, top).tolist() == gf.mul(3, top).tolist()
+        assert gf_matmul(gf, top[None, :], top[None, :]).shape == (1, 1)
+        assert gf._coerce(np.empty(0, dtype=np.uint8)).size == 0
