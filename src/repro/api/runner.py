@@ -190,7 +190,7 @@ class ScenarioRunner:
     ``jobs`` fans the independent units of the parallelizable kinds
     (saturation points, sweep/availability MC columns, protocol_mc trial
     chunks, optimizer shape families, comparison sub-runs) across a
-    process pool; ``jobs <= 1`` runs the same task functions inline.
+    process pool; ``jobs <= 1`` runs the same units inline.
     ``jobs`` is an execution option: it never enters the spec, the
     result data, or any hash, and every worker count produces the byte
     stream ``jobs=0`` produces.
@@ -216,6 +216,7 @@ class ScenarioRunner:
         self._streams: list = []
         self._executor: ParallelExecutor | None = None
         self._shared_executor = executor
+        self._protocol_mc: ProtocolMonteCarlo | None = None
 
     # ------------------------------------------------------------------ #
 
@@ -343,19 +344,29 @@ class ScenarioRunner:
         num_chunks = min(trials, _PROTOCOL_MC_CHUNKS)
         base, extra = divmod(trials, num_chunks)
         sizes = [base + (1 if i < extra else 0) for i in range(num_chunks)]
-        spec_dict = self.spec.to_dict()
-        payloads = [
-            {
-                "spec": spec_dict,
-                "op": op,
-                "index": i,
-                "num_chunks": num_chunks,
-                "chunk_trials": sizes[i],
-            }
-            for op in ("read", "write")
-            for i in range(num_chunks)
-        ]
-        outs = self._map(protocol_mc_chunk_task, payloads)
+        if self._executor is not None and self._executor.parallel:
+            spec_dict = self.spec.to_dict()
+            payloads = [
+                {
+                    "spec": spec_dict,
+                    "op": op,
+                    "index": i,
+                    "num_chunks": num_chunks,
+                    "chunk_trials": sizes[i],
+                }
+                for op in ("read", "write")
+                for i in range(num_chunks)
+            ]
+            outs = self._map(protocol_mc_chunk_task, payloads)
+        else:
+            # Inline, the chunks run on this runner and so on its kept
+            # harness; a worker task builds a runner (and harness) of its
+            # own. Same numbers either way (see protocol_mc_chunk).
+            outs = [
+                self.protocol_mc_chunk(op, i, num_chunks, sizes[i])
+                for op in ("read", "write")
+                for i in range(num_chunks)
+            ]
         read = MCEstimate(
             sum(o[0] for o in outs[:num_chunks]),
             sum(o[1] for o in outs[:num_chunks]),
@@ -382,6 +393,14 @@ class ScenarioRunner:
         never on which worker runs the chunk, and the streams are
         respawned from ``spec.seed`` here so inline and worker execution
         see identical state.
+
+        The trapezoid harness is built on the first chunk and kept: child
+        0 does not depend on the chunk, and every
+        :class:`ProtocolMonteCarlo` call hands the cluster back synced at
+        version 0, so a chunk computes the same numbers on a kept harness
+        (inline execution) as on a fresh one (one runner per task in a
+        worker) while the encoded stripes, the engines and the
+        decode-plan cache survive from chunk to chunk.
         """
         self._streams = spawn_rngs(make_rng(self.spec.seed), _NUM_STREAMS)
         children = spawn_rngs(self._streams[3], 1 + 2 * num_chunks)
@@ -390,15 +409,16 @@ class ScenarioRunner:
         p = self.spec.cluster.p
         entry = protocol_entry(self.spec.protocol)
         if entry.needs_trapezoid:
-            quorum = self._require_trapezoid()
-            mc = ProtocolMonteCarlo(
-                self.spec.code.n,
-                self.spec.code.k,
-                quorum,
-                block_length=self.spec.workload.block_length,
-                rng=children[0],
-                stripes=self.spec.placement.stripes,
-            )
+            if self._protocol_mc is None:
+                self._protocol_mc = ProtocolMonteCarlo(
+                    self.spec.code.n,
+                    self.spec.code.k,
+                    self._require_trapezoid(),
+                    block_length=self.spec.workload.block_length,
+                    rng=children[0],
+                    stripes=self.spec.placement.stripes,
+                )
+            mc = self._protocol_mc
             variant = "erc" if self.spec.protocol == "trap-erc" else "fr"
             if op == "read":
                 est = mc.read_availability(

@@ -283,9 +283,13 @@ class NetworkStats:
 
 def _payload_bytes(args, kwargs) -> int:
     total = 0
-    for value in list(args) + list(kwargs.values()):
+    for value in args:
         if isinstance(value, np.ndarray):
             total += value.nbytes
+    if kwargs:
+        for value in kwargs.values():
+            if isinstance(value, np.ndarray):
+                total += value.nbytes
     return total
 
 
@@ -347,22 +351,23 @@ class Network:
         kept in ``last_rpc_delay`` so round coordinators can record the
         max-of-parallel round latency.
         """
-        self.stats.messages += 2  # request + response
-        self.stats.by_kind[method] += 1
-        self.stats.bytes_sent += _payload_bytes(args, kwargs)
+        stats = self.stats
+        stats.messages += 2  # request + response
+        stats.by_kind[method] += 1
+        stats.bytes_sent += _payload_bytes(args, kwargs)
         if self.latency is not None:
             delay = 2 * self.latency.sample(self.rng)
-            self.stats.total_message_delay += delay
+            stats.total_message_delay += delay
             self.last_rpc_delay = delay
         else:
             self.last_rpc_delay = 0.0
         if node.node_id in self._partitioned:
-            self.stats.rpc_failures += 1
+            stats.rpc_failures += 1
             raise NodeUnavailableError(node.node_id)
         try:
             value = getattr(node, method)(*args, **kwargs)
         except NodeUnavailableError:
-            self.stats.rpc_failures += 1
+            stats.rpc_failures += 1
             raise
         # Instant-path twin of the event runtime's delivery-time corruption
         # hook: a Byzantine node lies on the reply leg, after the RPC

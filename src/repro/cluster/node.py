@@ -4,7 +4,11 @@ A :class:`StorageNode` models one storage server of the paper's system:
 
 * it holds *data records* (payload + integer version) and *parity records*
   (payload + per-contribution version vector, the column V[:, j-k] of
-  Algorithm 1), keyed by arbitrary hashable keys;
+  Algorithm 1), keyed by arbitrary hashable keys. Records are immutable:
+  every mutation installs a new record whose payload is a fresh read-only
+  buffer, so the read RPCs hand out the stored payload itself (no copy)
+  and a reply still in flight keeps the bytes it was served with — callers
+  that want to modify a payload copy it first;
 * it is fail-stop (assumption 3 of section IV): when failed, every RPC
   raises :class:`NodeUnavailableError`; it never returns wrong data —
   unless a :class:`ByzantineBehavior` is armed on it, which flips the
@@ -40,7 +44,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError, NodeUnavailableError, StaleNodeError
-from repro.gf.kernels import xor_into
 
 __all__ = [
     "DataRecord",
@@ -122,20 +125,30 @@ class QueueStats:
         return self.total_service / duration if duration > 0 else 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class DataRecord:
-    """A data block replica: payload plus scalar version."""
+    """A data block replica: read-only payload plus scalar version.
+
+    Never modified once stored — a node replaces the whole record.
+    """
 
     payload: np.ndarray
     version: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ParityRecord:
-    """A parity block: payload plus contribution-version vector V[:, j-k]."""
+    """A parity block: read-only payload plus contribution-version vector
+    V[:, j-k]. Never modified once stored, like :class:`DataRecord`."""
 
     payload: np.ndarray
     versions: np.ndarray  # shape (k,), int64
+
+
+def _frozen(buf: np.ndarray) -> np.ndarray:
+    """Seal a buffer the node owns: nothing writes to a stored record."""
+    buf.setflags(write=False)
+    return buf
 
 
 @dataclass
@@ -280,9 +293,7 @@ class MetadataByzantineBehavior:
     def prime(self, node: "StorageNode") -> None:
         """Snapshot the node's authentic records as the rollback targets."""
         for key, rec in node._data.items():
-            self._snapshot.setdefault(
-                key, DataRecord(np.array(rec.payload, copy=True), rec.version)
-            )
+            self._snapshot.setdefault(key, rec)  # records are immutable
 
     def _garble(self, payload: np.ndarray) -> np.ndarray:
         mask = self.rng.integers(1, 256, size=payload.shape, dtype=np.int64)
@@ -312,7 +323,7 @@ class MetadataByzantineBehavior:
                 if method == "read_data":
                     payload, version = value
                     self._snapshot[key] = DataRecord(
-                        np.array(payload, copy=True), int(version)
+                        _frozen(np.array(payload)), int(version)
                     )
                 return value
             if method == "read_data":
@@ -321,7 +332,7 @@ class MetadataByzantineBehavior:
                     payload, rec.payload
                 ):
                     return value
-                result = (np.array(rec.payload, copy=True), rec.version)
+                result = (rec.payload, rec.version)
             else:  # data_version
                 if int(value) == rec.version:
                     return value
@@ -388,7 +399,7 @@ class StorageNode:
         """Store/overwrite a data record (used for initial load & repair)."""
         self._check_alive()
         self.stats.writes += 1
-        self._data[key] = DataRecord(np.array(payload, copy=True), int(version))
+        self._data[key] = DataRecord(_frozen(np.array(payload)), int(version))
 
     def write_data(self, key, payload: np.ndarray, version: int) -> None:
         """Versioned write: rejects non-monotonic versions (Alg. 1 data path)."""
@@ -400,14 +411,14 @@ class StorageNode:
                 f"node {self.node_id}: write version {version} <= stored {rec.version}"
             )
         self.stats.writes += 1
-        self._data[key] = DataRecord(np.array(payload, copy=True), int(version))
+        self._data[key] = DataRecord(_frozen(np.array(payload)), int(version))
 
     def read_data(self, key) -> tuple[np.ndarray, int]:
-        """Return (payload copy, version); KeyError if never stored."""
+        """Return (read-only stored payload, version); KeyError if never stored."""
         self._check_alive()
         self.stats.reads += 1
         rec = self._data[key]
-        return rec.payload.copy(), rec.version
+        return rec.payload, rec.version
 
     def data_version(self, key) -> int:
         """The stored version of a data record, -1 if absent.
@@ -429,7 +440,8 @@ class StorageNode:
         self._check_alive()
         self.stats.writes += 1
         self._parity[key] = ParityRecord(
-            np.array(payload, copy=True), np.array(versions, dtype=np.int64, copy=True)
+            _frozen(np.array(payload)),
+            np.array(versions, dtype=np.int64, copy=True),
         )
 
     def apply_delta(
@@ -439,7 +451,9 @@ class StorageNode:
 
         The delta is accepted only when the stored contribution version for
         ``contribution`` equals ``expected_version`` (line 26); on success
-        the contribution version advances to ``new_version``.
+        the contribution version advances to ``new_version``. The fold
+        installs ``b_j ^ delta`` as a new record rather than writing into
+        the stored buffer, which earlier readers may still hold.
         """
         self._check_alive()
         rec = self._parity.get(key)
@@ -463,16 +477,22 @@ class StorageNode:
             raise ConfigurationError(
                 f"delta shape {delta.shape} != parity shape {rec.payload.shape}"
             )
+        if delta.dtype != rec.payload.dtype:
+            delta = delta.astype(rec.payload.dtype)
         self.stats.deltas += 1
-        xor_into(rec.payload, delta)
-        rec.versions[contribution] = int(new_version)
+        versions = rec.versions.copy()
+        versions[contribution] = int(new_version)
+        self._parity[key] = ParityRecord(
+            _frozen(np.bitwise_xor(rec.payload, delta)), versions
+        )
 
     def read_parity(self, key) -> tuple[np.ndarray, np.ndarray]:
-        """Return (payload copy, version-vector copy); KeyError if absent."""
+        """Return (read-only stored payload, version-vector copy); KeyError
+        if absent."""
         self._check_alive()
         self.stats.reads += 1
         rec = self._parity[key]
-        return rec.payload.copy(), rec.versions.copy()
+        return rec.payload, rec.versions.copy()
 
     def parity_versions(self, key) -> np.ndarray | None:
         """The stored version vector V[:, j-k] (copy), or None if absent.

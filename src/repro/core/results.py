@@ -65,7 +65,9 @@ class ReadResult:
         True iff a version-check quorum was found and the block was
         retrieved (directly or by decoding).
     value:
-        The block payload (None on failure).
+        The block payload (None on failure). Read-only: in the
+        simulator a direct read hands out the serving node's stored
+        buffer (a write raises ``ValueError``), so copy before modifying.
     version:
         The latest version determined by the check (-1 on failure).
     case:

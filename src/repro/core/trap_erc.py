@@ -180,13 +180,28 @@ class TrapErcProtocol:
         encode_batch``) or reload a cached stripe (Monte-Carlo trial
         resets) skip the per-call encode entirely.
         """
+        self._load_records(stripe, range(self.code.k))
+
+    def reload_block(self, i: int, stripe: np.ndarray) -> None:
+        """Undo whatever writes of block i did to a loaded ``stripe``.
+
+        Algorithm 1 touches N_i and the parity nodes and nothing else, so
+        re-putting those n - k + 1 records (all of them must be up)
+        leaves the nodes exactly as :meth:`load_stripe` would, provided
+        no other block was written since the load.
+        """
+        self._check_block(i)
+        self._load_records(stripe, (i,))
+
+    def _load_records(self, stripe: np.ndarray, blocks) -> None:
+        """Put the data records of ``blocks`` and every parity record."""
         stripe = np.asarray(stripe, dtype=self.code.field.dtype)
         if stripe.ndim != 2 or stripe.shape[0] != self.code.n:
             raise ConfigurationError(
                 f"stripe must have shape (n={self.code.n}, L), got {stripe.shape}"
             )
         zero_versions = np.zeros(self.code.k, dtype=np.int64)
-        for i in range(self.code.k):
+        for i in blocks:
             node_id = self.layout.node_of_block(i)
             self.cluster.rpc(node_id, "put_data", self.data_key(i), stripe[i], 0)
         for j in range(self.code.k, self.code.n):
@@ -195,7 +210,7 @@ class TrapErcProtocol:
                 node_id, "put_parity", self.parity_key(), stripe[j], zero_versions
             )
         if self.verifier is not None:
-            for i in range(self.code.k):
+            for i in blocks:
                 self.verifier.bootstrap(i, stripe[i])
 
     # ------------------------------------------------------------------ #
@@ -472,6 +487,9 @@ class TrapErcProtocol:
                 messages=messages,
                 reason="decode failed: fewer than k version-consistent fragments",
             )
+        # One contract on both cases: the direct read hands out a node's
+        # read-only record, so the decoded block is sealed as well.
+        payload.setflags(write=False)
         if self.read_repair:
             messages += yield from self._write_back_plan(i, payload, target)
         return ReadResult(

@@ -29,8 +29,8 @@ enforce that):
   kernel falls back to a per-inner-index exp/log gather that still
   avoids the elementwise ``mul`` overhead where it can.
 * :func:`xor_into` / :func:`xor_blocks` — the parity-delta fold
-  ``dst ^= src`` and the row fold of an (m, L) array; the latter
-  re-views bytes as machine words (uint64) when alignment allows.
+  ``dst ^= src`` and the row fold of an (m, L) array, both the plain
+  byte-wise ufunc (numpy's uint8 XOR loop is already vectorized).
 * :func:`gf_scaled_rows` — the parity-delta fan-out of Algorithm 1: one
   block scaled by every coefficient of a generator column, from a single
   byte image of the block (:func:`repro.erasure.update.plan_update`).
@@ -223,17 +223,6 @@ def gf_scaled_rows(field: GF2m, coeffs, vec) -> np.ndarray:
 # --------------------------------------------------------------------- #
 
 
-def _word_view(arr: np.ndarray) -> np.ndarray | None:
-    """uint64 view of a byte-sized contiguous array, or None if not viewable."""
-    if arr.dtype.itemsize != 1 or not arr.flags.c_contiguous:
-        return None
-    if (arr.size % 8) or (arr.ctypes.data % 8):
-        return None
-    # Flatten first: viewing uint64 directly requires the *last axis* to be
-    # word-divisible, while a flat view only needs the total size to be.
-    return arr.reshape(-1).view(np.uint64)
-
-
 def xor_into(dst: np.ndarray, src: np.ndarray) -> None:
     """In-place ``dst ^= src``: the parity-delta fold of Algorithm 1.
 
@@ -254,16 +243,11 @@ def xor_into(dst: np.ndarray, src: np.ndarray) -> None:
 def xor_blocks(blocks: np.ndarray) -> np.ndarray:
     """XOR-fold the rows of a (m, L) array into one (L,) block.
 
-    Uses the uint64 word view when the row stride allows; the pure-XOR
-    aggregation path of flat (replication-style) parity and of the
-    coefficient-1 rows in batched encodes.
+    The pure-XOR aggregation path of flat (replication-style) parity and
+    of the coefficient-1 rows in batched encodes; like :func:`xor_into`,
+    one byte-wise reduce with no word re-view.
     """
-    blocks = np.ascontiguousarray(blocks)
+    blocks = np.asarray(blocks)
     if blocks.ndim != 2:
         raise FieldError(f"xor_blocks expects a 2-D array, got {blocks.shape}")
-    if blocks.dtype.itemsize == 1 and blocks.shape[1] % 8 == 0:
-        wide = _word_view(blocks.reshape(-1))
-        if wide is not None:
-            words = wide.reshape(blocks.shape[0], -1)
-            return np.bitwise_xor.reduce(words, axis=0).view(blocks.dtype)
     return np.bitwise_xor.reduce(blocks, axis=0)

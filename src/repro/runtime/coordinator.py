@@ -97,38 +97,52 @@ class InstantCoordinator:
     # ------------------------------------------------------------------ #
 
     def run_round(self, round_: Round) -> RoundOutcome:
+        # Whatever does not change inside a round is looked up once: the
+        # node table, the fabric, the counters and the round's policy.
         network = self.cluster.network
-        outcome = RoundOutcome(round=round_)
+        nodes = self.cluster.nodes
+        num_nodes = len(nodes)
+        rpc = network.rpc
+        stats = network.stats
+        accept = round_.accept
+        abort_on_reject = round_.abort_on_reject
+        # A read round stops issuing at this many accepted responses.
+        stop_at = None if round_.send_all else round_.need
+        responses: list[Response] = []
+        accepted: list[Response] = []
         max_delay = 0.0
+        # Only Network.rpc counts messages on this path, two per call,
+        # so one difference over the round equals the per-request sum.
+        messages_before = stats.messages
         for request in round_.requests:
-            before = network.stats.messages
+            node_id = request.node_id
+            if not 0 <= node_id < num_nodes:
+                self.cluster.node(node_id)  # raises ConfigurationError
             try:
-                value = self.cluster.rpc(
-                    request.node_id, request.method, *request.args, **request.kwargs
+                value = rpc(
+                    nodes[node_id], request.method, *request.args, **request.kwargs
                 )
-                response = Response(request=request, ok=True, value=value)
+                response = Response(request, True, value)
             except request.catches as exc:
-                response = Response(request=request, ok=False, error=exc)
-            outcome.messages += network.stats.messages - before
-            max_delay = max(max_delay, network.last_rpc_delay)
-            outcome.responses.append(response)
-            accepted = round_.accept(response)
-            if accepted:
-                outcome.accepted.append(response)
-            elif round_.abort_on_reject:
+                response = Response(request, False, None, exc)
+            if network.last_rpc_delay > max_delay:
+                max_delay = network.last_rpc_delay
+            responses.append(response)
+            if accept(response):
+                accepted.append(response)
+            elif abort_on_reject:
                 break
-            if (
-                round_.need is not None
-                and not round_.send_all
-                and len(outcome.accepted) == round_.need
-            ):
+            if len(accepted) == stop_at:
                 break
-        outcome.satisfied = (
-            round_.need is None or len(outcome.accepted) >= round_.need
-        ) and not (
-            round_.abort_on_reject and len(outcome.accepted) < len(outcome.responses)
+        outcome = RoundOutcome(
+            round=round_,
+            responses=responses,
+            accepted=accepted,
+            satisfied=(round_.need is None or len(accepted) >= round_.need)
+            and not (abort_on_reject and len(accepted) < len(responses)),
+            elapsed=max_delay,
+            messages=stats.messages - messages_before,
         )
-        outcome.elapsed = max_delay
         network.record_round(max_delay)
         self.rounds_run += 1
         self.round_messages[round_.kind] += outcome.messages

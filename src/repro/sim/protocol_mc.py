@@ -13,13 +13,20 @@ harness around it is not):
 
 * the (trials, n) alive matrix is sampled in one vectorized draw instead
   of one RNG dispatch per trial;
-* the version-0 stripes are encoded once (``MDSCode.encode_batch``) and
-  trial resets replay the cached codewords via ``load_stripe`` — the
-  seed implementation re-encoded the stripe after every write trial;
+* only the protocol a call asks for is built and loaded (first use), so
+  an ERC study never pays for the replication twin's records;
+* the version-0 stripes are encoded once (``MDSCode.encode_batch``) and a
+  write trial is undone by re-putting only the records a write of that
+  block can reach (``reload_block``: N_i and the parity nodes for ERC,
+  the replica group for FR) — the seed re-encoded, and later versions
+  re-loaded, every stripe of both protocols after every write trial;
 * with ``stripes > 1`` the harness drives several stripes under
   RAID-style rotated placements in the same trial, so one failure draw
   exercises many survivor sets and the decode-plan cache, the way a
   volume-level sweep does.
+
+A harness can be kept and called repeatedly: every call leaves all nodes
+up and every loaded stripe at version 0, also when a trial raises.
 """
 
 from __future__ import annotations
@@ -76,42 +83,101 @@ class ProtocolMonteCarlo:
         self.stripes = stripes
         self.cluster = Cluster(n)
         self.code = MDSCode(n, k)
-        self.ercs: list[TrapErcProtocol] = []
-        self.frs: list[TrapFrProtocol] = []
-        for s in range(stripes):
-            layout = StripeLayout(
-                n, k, tuple((b + s) % n for b in range(n))
-            )
-            self.ercs.append(
-                TrapErcProtocol(
-                    self.cluster, self.code, quorum,
-                    layout=layout, stripe_id=f"mc-erc-{s}",
-                )
-            )
-            self.frs.append(
-                TrapFrProtocol(
-                    self.cluster, n, k, quorum,
-                    layout=layout, stripe_id=f"mc-fr-{s}",
-                )
-            )
-        # Back-compat single-stripe handles (stripe 0).
-        self.erc = self.ercs[0]
-        self.fr = self.frs[0]
         self.data = (
             self.rng.integers(0, 256, size=(stripes, k, block_length), dtype=np.int64)
             .astype(np.uint8)
         )
         # Version-0 codewords, encoded once for every trial reset.
         self._stripe_cache = self.code.encode_batch(self.data)
-        self._load()
+        #: protocol name -> its per-stripe engines, built and loaded on
+        #: first use
+        self._built: dict[str, list] = {}
 
-    def _load(self) -> None:
+    # Engine handles; each builds and loads its protocol on first use.
+
+    @property
+    def ercs(self) -> list[TrapErcProtocol]:
+        return self._engines("erc")
+
+    @property
+    def frs(self) -> list[TrapFrProtocol]:
+        return self._engines("fr")
+
+    @property
+    def erc(self) -> TrapErcProtocol:
+        return self.ercs[0]
+
+    @property
+    def fr(self) -> TrapFrProtocol:
+        return self.frs[0]
+
+    def _engines(self, protocol: str) -> list:
+        if protocol not in self._built:
+            self._check_protocol(protocol)
+            self._built[protocol] = [
+                self._build_engine(protocol, s) for s in range(self.stripes)
+            ]
+            # First use may come after the caller failed or partitioned
+            # some nodes (``mc.cluster.fail(0); mc.erc.read_block(0)``):
+            # loading needs every node reachable but leaves that pattern
+            # as it found it.
+            network = self.cluster.network
+            down = self.cluster.failed_ids
+            cut = [i for i in range(self.n) if network.is_partitioned(i)]
+            self._load(protocol)
+            self.cluster.fail_many(down)
+            network.partition(cut)
+        return self._built[protocol]
+
+    def _build_engine(self, protocol: str, s: int):
+        layout = StripeLayout(
+            self.n, self.k, tuple((b + s) % self.n for b in range(self.n))
+        )
+        if protocol == "erc":
+            return TrapErcProtocol(
+                self.cluster, self.code, self.quorum,
+                layout=layout, stripe_id=f"mc-erc-{s}",
+            )
+        return TrapFrProtocol(
+            self.cluster, self.n, self.k, self.quorum,
+            layout=layout, stripe_id=f"mc-fr-{s}",
+        )
+
+    def _sources(self, protocol: str) -> np.ndarray:
+        """Per stripe, what the protocol's engines load: codewords or data."""
+        return self._stripe_cache if protocol == "erc" else self.data
+
+    def _load(self, protocol: str) -> None:
+        """All nodes up, and every stripe of ``protocol`` at version 0."""
         self.cluster.recover_all()
-        for erc, fr, stripe, data in zip(
-            self.ercs, self.frs, self._stripe_cache, self.data
-        ):
-            erc.load_stripe(stripe)
-            fr.initialize(data)
+        for engine, source in zip(self._built[protocol], self._sources(protocol)):
+            load = engine.load_stripe if protocol == "erc" else engine.initialize
+            load(source)
+
+    def _resync(self, protocol: str, block: int) -> None:
+        """What :meth:`_load` does, given only ``block`` was written since."""
+        self.cluster.recover_all()
+        for engine, source in zip(self._built[protocol], self._sources(protocol)):
+            engine.reload_block(block, source)
+
+    @staticmethod
+    def _check_protocol(protocol: str) -> None:
+        if protocol not in ("erc", "fr"):
+            raise ConfigurationError(
+                f"protocol must be 'erc' or 'fr', got {protocol!r}"
+            )
+
+    def _check_call(self, p: float, trials: int, protocol: str, block: int) -> None:
+        """Reject a bad call before it touches the cluster."""
+        if not 0.0 <= p <= 1.0:
+            raise ConfigurationError(f"p must be in [0, 1], got {p}")
+        if trials < 1:
+            raise ConfigurationError(f"trials must be >= 1, got {trials}")
+        self._check_protocol(protocol)
+        if not 0 <= block < self.k:
+            raise ConfigurationError(
+                f"data block index must be in [0, {self.k}), got {block}"
+            )
 
     def _sample_alive_matrix(self, p: float, trials: int, rng=None) -> np.ndarray:
         """(trials, n) Bernoulli(p) alive matrix in one vectorized draw."""
@@ -136,19 +202,19 @@ class ProtocolMonteCarlo:
         own pre-spawned child stream (default: the instance stream,
         the exact historical behavior).
         """
-        if not 0.0 <= p <= 1.0:
-            raise ConfigurationError(f"p must be in [0, 1], got {p}")
+        self._check_call(p, trials, protocol, block)
         engines = self._engines(protocol)
         rng = self.rng if rng is None else make_rng(rng)
         alive = self._sample_alive_matrix(p, trials, rng)
         successes = 0
-        for t in range(trials):
-            self.cluster.apply_alive_vector(alive[t])
-            for engine in engines:
-                result = engine.read_block(block)
-                if result.success:
-                    successes += 1
-        self.cluster.recover_all()
+        try:
+            for t in range(trials):
+                self.cluster.apply_alive_vector(alive[t])
+                for engine in engines:
+                    if engine.read_block(block).success:
+                        successes += 1
+        finally:
+            self.cluster.recover_all()
         return MCEstimate(successes, trials * len(engines))
 
     def write_availability(
@@ -161,14 +227,14 @@ class ProtocolMonteCarlo:
     ) -> MCEstimate:
         """Fraction of (trial, stripe) writes of ``block`` that succeed.
 
-        Writes mutate state (including partially-failed ones), so the
-        stripes are re-loaded from the cached version-0 codewords after
-        every trial to keep trials i.i.d. under the snapshot model.
-        ``rng`` (as in :meth:`read_availability`) drives both the alive
-        draw and the per-trial payloads when given.
+        Writes mutate state (including partially-failed ones), so after
+        every trial the records a write of ``block`` can reach are put
+        back from the cached version-0 stripes, which keeps trials i.i.d.
+        under the snapshot model. ``rng`` (as in
+        :meth:`read_availability`) drives both the alive draw and the
+        per-trial payloads when given.
         """
-        if not 0.0 <= p <= 1.0:
-            raise ConfigurationError(f"p must be in [0, 1], got {p}")
+        self._check_call(p, trials, protocol, block)
         engines = self._engines(protocol)
         rng = self.rng if rng is None else make_rng(rng)
         length = self.data.shape[2]
@@ -176,22 +242,16 @@ class ProtocolMonteCarlo:
         successes = 0
         for t in range(trials):
             self.cluster.apply_alive_vector(alive[t])
-            for engine in engines:
-                value = (
-                    rng.integers(0, 256, length, dtype=np.int64).astype(np.uint8)
-                )
-                result = engine.write_block(block, value)
-                if result.success:
-                    successes += 1
-            self._load()  # reset to synced version-0 stripes
+            try:
+                for engine in engines:
+                    value = (
+                        rng.integers(0, 256, length, dtype=np.int64).astype(np.uint8)
+                    )
+                    if engine.write_block(block, value).success:
+                        successes += 1
+            finally:
+                self._resync(protocol, block)
         return MCEstimate(successes, trials * len(engines))
-
-    def _engines(self, protocol: str) -> list:
-        if protocol == "erc":
-            return self.ercs
-        if protocol == "fr":
-            return self.frs
-        raise ConfigurationError(f"protocol must be 'erc' or 'fr', got {protocol!r}")
 
     def _engine(self, protocol: str):
         """Single-stripe engine accessor (stripe 0), kept for callers."""

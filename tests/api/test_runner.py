@@ -69,6 +69,37 @@ class TestScenarioKinds:
             assert 0.0 <= est["mean"] <= 1.0
             assert est["ci95"][0] <= est["mean"] <= est["ci95"][1]
 
+    @pytest.mark.parametrize("name", ["trap-erc", "trap-fr"])
+    def test_protocol_mc_chunk_on_kept_harness_equals_fresh(self, name):
+        # Inline execution keeps one harness per runner across chunks; a
+        # pool worker builds a fresh runner per task. Same numbers for
+        # every (op, index), in any order of arrival.
+        from repro.api import PlacementSpec
+
+        spec = _with_scenario(kind="protocol_mc", trials=72).replace(
+            protocol=name,
+            cluster=ClusterSpec(num_nodes=9, p=0.75),
+            placement=PlacementSpec(kind="rotating", stripes=3),
+            workload=WorkloadSpec(block_length=8),
+        )
+        kept = ScenarioRunner(spec)
+        units = [(op, i) for op in ("write", "read") for i in (5, 0, 7, 2, 0)]
+        units += [(op, i) for op in ("read", "write") for i in range(8)]
+        for op, index in units:
+            fresh = ScenarioRunner(spec).protocol_mc_chunk(op, index, 8, 9)
+            assert kept.protocol_mc_chunk(op, index, 8, 9) == fresh, (op, index)
+        harness = kept._protocol_mc
+        assert harness is not None
+        # An inline run() takes its chunks on that same harness ...
+        inline = kept.run().to_json()
+        assert kept._protocol_mc is harness
+        # ... a pool run hands every chunk to a worker's own runner ...
+        pooled = ScenarioRunner(spec, jobs=2)
+        assert pooled.run().to_json() == inline
+        assert pooled._protocol_mc is None
+        # ... and so does a runner whose harness is new
+        assert ScenarioRunner(spec).run().to_json() == inline
+
     def test_trace_runs_and_reports_tally(self):
         spec = _with_scenario(
             kind="trace", horizon=60.0, op_rate=1.0, repair_interval=10.0

@@ -26,13 +26,28 @@ class TestDataRecords:
         assert np.array_equal(got, buf)
         assert version == 0
 
-    def test_read_returns_copy(self, node):
+    def test_read_returns_read_only_payload(self, node):
+        # No copy on the read path: the reply is the stored buffer, sealed.
         buf = payload(2)
         node.put_data("k", buf, 0)
         got, _ = node.read_data("k")
-        got[0] ^= 0xFF
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] ^= 0xFF
         again, _ = node.read_data("k")
-        assert np.array_equal(again, buf)
+        assert again is got and np.array_equal(again, buf)
+
+    def test_reply_keeps_its_bytes_across_later_writes(self, node):
+        node.put_data("k", payload(2), 0)
+        first, v0 = node.read_data("k")
+        node.write_data("k", payload(40), 1)
+        second, v1 = node.read_data("k")
+        node.put_data("k", payload(41), 5)
+        third, v2 = node.read_data("k")
+        assert (v0, v1, v2) == (0, 1, 5)
+        assert np.array_equal(first, payload(2))
+        assert np.array_equal(second, payload(40))
+        assert np.array_equal(third, payload(41))
 
     def test_put_copies_input(self, node):
         buf = payload(3)
@@ -112,6 +127,28 @@ class TestParityRecords:
         assert np.array_equal(got, expect) and got.dtype == np.uint8
         assert versions.tolist() == [0, 3, 0, 0]
         assert node.stats.deltas == 3
+
+    def test_read_returns_read_only_payload(self, node):
+        node.put_parity("p", payload(8), np.zeros(4, dtype=np.int64))
+        got, _ = node.read_parity("p")
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] ^= 0xFF
+
+    def test_reply_keeps_its_bytes_across_later_deltas(self, node):
+        # apply_delta installs b ^ delta as a new buffer: a reply handed
+        # out earlier (possibly still in flight) is a snapshot for free.
+        buf, delta = payload(8), payload(10)
+        node.put_parity("p", buf, np.zeros(4, dtype=np.int64))
+        before, vv_before = node.read_parity("p")
+        node.apply_delta("p", 2, delta, expected_version=0, new_version=1)
+        after, vv_after = node.read_parity("p")
+        node.put_parity("p", payload(42), np.full(4, 7, dtype=np.int64))
+        assert np.array_equal(before, buf) and vv_before.tolist() == [0, 0, 0, 0]
+        assert np.array_equal(after, buf ^ delta) and vv_after.tolist() == [0, 0, 1, 0]
+        assert not after.flags.writeable
+        latest, vv_latest = node.read_parity("p")
+        assert np.array_equal(latest, payload(42)) and vv_latest.tolist() == [7] * 4
 
     def test_apply_delta_stale_guard(self, node):
         node.put_parity("p", payload(11), np.zeros(4, dtype=np.int64))

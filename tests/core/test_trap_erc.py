@@ -185,6 +185,24 @@ class TestReadDirect:
         assert r.case == ReadCase.DIRECT
         assert r.check_level == 0
 
+    def test_read_value_is_read_only_and_outlives_later_writes(self):
+        # Direct reads hand out N_i's stored buffer (no copy); the decode
+        # case seals its result so callers see one contract.
+        cluster, _, proto = make_protocol()
+        data = rand_data(seed=50)
+        proto.initialize(data)
+        direct = proto.read_block(1)
+        assert direct.case == ReadCase.DIRECT and not direct.value.flags.writeable
+        new = rand_block(seed=51)
+        assert proto.write_block(1, new).success
+        assert np.array_equal(direct.value, data[1])  # the earlier reply kept its bytes
+        cluster.fail(1)
+        decoded = proto.read_block(1)
+        assert decoded.case == ReadCase.DECODE and not decoded.value.flags.writeable
+        assert np.array_equal(decoded.value, new)
+        with pytest.raises(ValueError):
+            decoded.value[0] ^= 1
+
     def test_read_fails_without_check_quorum(self):
         cluster, _, proto = make_protocol()
         proto.initialize(rand_data(seed=18))

@@ -113,6 +113,35 @@ class TestDeliveryLifecycle:
         assert cluster.network.stats.timeouts == 2
         assert outcome.elapsed == pytest.approx(0.04)
 
+    def test_reply_in_flight_keeps_its_bytes_when_the_next_write_lands(self):
+        # Nodes hand out their stored (immutable) buffers, so a reply on
+        # the wire is a snapshot without a node-side copy.
+        cluster, sim, coordinator = make_world()
+        node = cluster.nodes[3]
+        node.put_parity("p", np.arange(4, dtype=np.uint8), np.zeros(2, dtype=np.int64))
+
+        def overwrite():  # served at DELAY, reply lands at RTT
+            node.write_data("k", np.full(4, 9, dtype=np.uint8), 1)
+            node.apply_delta(
+                "p", 0, np.full(4, 0xFF, dtype=np.uint8), expected_version=0, new_version=1
+            )
+
+        sim.schedule_at(1.5 * DELAY, overwrite)
+        outcome = run_plan(
+            coordinator,
+            Round([Request(3, "read_data", ("k",)), Request(3, "read_parity", ("p",))]),
+        )
+        (data, data_version), (parity, parity_versions) = (
+            r.value for r in outcome.responses
+        )
+        assert data_version == 0 and np.array_equal(data, np.zeros(4, dtype=np.uint8))
+        assert parity_versions.tolist() == [0, 0]
+        assert np.array_equal(parity, np.arange(4, dtype=np.uint8))
+        assert not data.flags.writeable and not parity.flags.writeable
+        # ... while the node itself has moved on.
+        assert node.read_data("k")[1] == 1
+        assert np.array_equal(node.read_parity("p")[0], np.arange(4, dtype=np.uint8) ^ 0xFF)
+
     def test_node_failing_mid_flight_refuses_at_delivery(self):
         cluster, sim, coordinator = make_world()
         # The node dies while the request is on the wire.

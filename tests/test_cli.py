@@ -269,6 +269,32 @@ class TestJobsFlag:
         ) == 0
         assert capsys.readouterr().out == serial
 
+    @pytest.mark.parametrize("protocol", ["trap-erc", "trap-fr"])
+    def test_protocol_mc_kept_and_fresh_harness_byte_identical(
+        self, protocol, tmp_path, capsys
+    ):
+        # --jobs 1 runs every chunk inline on the runner's one kept
+        # harness; --jobs 2 gives every chunk a fresh harness in a worker.
+        from repro.api import ClusterSpec, PlacementSpec, ScenarioSpec, SystemSpec, WorkloadSpec
+
+        spec = SystemSpec.trapezoid(
+            9, 6, 2, 1, 1, 2,
+            cluster=ClusterSpec(p=0.8),
+            placement=PlacementSpec(kind="rotating", stripes=3),
+            workload=WorkloadSpec(block_length=8),
+            scenario=ScenarioSpec(kind="protocol_mc", trials=40),
+            seed=6,
+        ).replace(protocol=protocol)
+        config = tmp_path / "mc.json"
+        config.write_text(spec.to_json())
+        outputs = []
+        for jobs in ("1", "1", "2"):
+            assert main(["run", "--config", str(config), "--quiet", "--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        data = json.loads(outputs[0])["data"]
+        assert 0.0 < data["read"]["mean"] <= 1.0 and 0.0 < data["write"]["mean"] <= 1.0
+
     def test_execution_block_is_advisory_only(self, tmp_path, capsys):
         # The block selects workers but never enters spec identity: the
         # output (result "spec" section included) is byte-identical to a
