@@ -503,15 +503,16 @@ class TransportSpec(_SpecBase):
     ``kind``
         ``inproc`` — asyncio queue pairs inside the driving process
         (zero network latency, full wire-protocol round trip); ``tcp`` —
-        one ``asyncio.start_server`` per node on ``host``.
+        one listening socket per node on ``host``.
     ``port_base``
         ``0`` asks the OS for ephemeral ports (self-contained runs;
         collision-free in CI); a non-zero base pins node *i* to
         ``port_base + i`` — the layout ``repro serve`` announces and
         ``repro wallclock --connect`` dials.
     ``serialization``
-        ``json`` (always available) or ``msgpack`` (only if the package
-        is installed — checked at run time, not spec time).
+        ``json`` — a JSON header followed by the raw payload bytes —
+        is the only wire format; the field stays so existing spec files
+        load.
     """
 
     kind: str = "inproc"
@@ -535,8 +536,8 @@ class TransportSpec(_SpecBase):
             f"got {self.port_base!r}",
         )
         _require(
-            self.serialization in ("json", "msgpack"),
-            f"serialization must be 'json' or 'msgpack', "
+            self.serialization == "json",
+            f"serialization must be 'json' (the only wire format), "
             f"got {self.serialization!r}",
         )
 

@@ -3,17 +3,20 @@
 :class:`AsyncCoordinator` is the third execution path for the engines'
 round plans. It mirrors the :class:`~repro.runtime.event.
 EventCoordinator` send/deliver/reply lifecycle in *real* time: each
-request becomes an RPC on a per-node transport (in-process queue pair
-or TCP — see :mod:`repro.services`), guarded by a per-attempt
-``asyncio.wait_for`` timeout and resent per :class:`~repro.runtime.
-rounds.RetryPolicy`; a transport that reports the node unreachable
-(refused connection, closed channel, a service replying
-``NodeUnavailableError``) fails the request immediately — the dead-node
-RST path. Round completion runs through the same
+request is one ``transport.submit(...)`` future (in-process queue pair
+or TCP — see :mod:`repro.services`) with one done-callback and one
+``loop.call_later`` deadline that cancels it; a cancelled request is
+resent per :class:`~repro.runtime.rounds.RetryPolicy` and, once the
+attempts are spent, resolves as a :class:`NodeUnavailableError`
+response. No task is created per request. A transport that reports the
+node unreachable (refused connection, closed channel, a service
+replying ``NodeUnavailableError``) fails the request immediately — the
+dead-node RST path. Round completion runs through the same
 :class:`~repro.runtime.rounds.QuorumWait` as the event path; stragglers
-keep running in the background and are awaited by :meth:`drain` or
-cancelled by :meth:`aclose` via the shared :class:`~repro.runtime.
-drain.DrainSet` discipline.
+stay registered in the shared :class:`~repro.runtime.drain.DrainSet`
+and are awaited by :meth:`drain` or cancelled by :meth:`aclose`. A
+reply that arrives after its deadline is ignored (the node may still
+have applied the request — at-least-once, as on the event path).
 
 Message accounting mirrors the simulated paths: 2 messages (request +
 reply) per resolved RPC, 1 for a send that times out unanswered.
@@ -25,9 +28,9 @@ in-process run issues exactly the requests
 equivalence property suite pins results *and* message counts).
 
 The class lives in :mod:`repro.runtime` but depends only on asyncio and
-the round primitives — transports are duck-typed (``await call(...)``,
-``await aclose()``), so the runtime layer never imports the services
-subsystem.
+the round primitives — transports are duck-typed (``submit(...) ->
+Future``, ``await aclose()``), so the runtime layer never imports the
+services subsystem.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 from collections import Counter
+from functools import partial
 from typing import Any, Callable
 
 from repro.errors import NodeUnavailableError, SimulationError
@@ -189,43 +193,72 @@ class AsyncCoordinator:
                 counted += 1
 
         lazy = round_.need is not None and not round_.send_all
+        policy = self.policy
+        outstanding = self.outstanding
         next_ix = 0
         live = 0
         done_future = loop.create_future()
 
-        def issue_next() -> None:
-            nonlocal next_ix, live
-            request = requests[next_ix]
-            next_ix += 1
-            live += 1
-            task = loop.create_task(self._attempt(request, count))
-            self.outstanding.add(task, task.cancel)
-            task.add_done_callback(resolved)
+        def fail(exc: BaseException) -> None:
+            if not done_future.done():
+                done_future.set_exception(exc)
 
-        def resolved(task: asyncio.Task) -> None:
+        def send(request: Request, attempt: int) -> None:
+            transport = self.transports.get(request.node_id)
+            if transport is None:
+                fail(SimulationError(f"no transport for node {request.node_id}"))
+                return
+            count()  # the request leaves
+            future = transport.submit(request.method, request.args, request.kwargs)
+            deadline = loop.call_later(policy.timeout, future.cancel)
+            outstanding.add(future, future.cancel)
+            future.add_done_callback(partial(settled, request, attempt, deadline))
+
+        def settled(request: Request, attempt: int, deadline, future) -> None:
             nonlocal live
+            deadline.cancel()
+            outstanding.discard(future)
+            if future.cancelled():
+                if self.closed:  # aclose(): the round ends with the coordinator
+                    done_future.cancel()
+                    return
+                self.timeouts += 1
+                if attempt < policy.retries:
+                    self.retries += 1
+                    send(request, attempt + 1)
+                    return
+                error = NodeUnavailableError(request.node_id)
+                response = Response(request=request, ok=False, error=error)
+            else:
+                error = future.exception()
+                if error is None:
+                    response = Response(request=request, ok=True, value=future.result())
+                elif isinstance(error, request.catches):
+                    response = Response(request=request, ok=False, error=error)
+                else:
+                    fail(error)
+                    return
+                count()  # the reply (or error reply, or refusal) arrives
             live -= 1
-            self.outstanding.discard(task)
-            if task.cancelled():
-                return
-            exc = task.exception()
-            if exc is not None:
-                if not done_future.done():
-                    done_future.set_exception(exc)
-                return
-            if wait.done:
+            if wait.done or done_future.done():
                 return  # straggler: background traffic only
-            if wait.offer(task.result()):
+            if wait.offer(response):
                 if not done_future.done():
                     done_future.set_result(None)
-                return
-            if lazy:
+            elif lazy:
                 # widen exactly as the instant path would keep issuing
                 while (
                     len(wait.accepted) + live < round_.need
                     and next_ix < len(requests)
                 ):
                     issue_next()
+
+        def issue_next() -> None:
+            nonlocal next_ix, live
+            request = requests[next_ix]
+            next_ix += 1
+            live += 1
+            send(request, 0)
 
         initial = len(requests) if not lazy else min(round_.need, len(requests))
         while next_ix < initial:
@@ -240,47 +273,26 @@ class AsyncCoordinator:
             messages=counted,
         )
 
-    async def _attempt(self, request: Request, count: Callable[[], None]) -> Response:
-        transport = self.transports.get(request.node_id)
-        if transport is None:
-            raise SimulationError(f"no transport for node {request.node_id}")
-        error: BaseException = NodeUnavailableError(request.node_id)
-        for number in range(self.policy.retries + 1):
-            if number > 0:
-                self.retries += 1
-            count()  # the request leaves
-            try:
-                value = await asyncio.wait_for(
-                    transport.call(request.method, request.args, request.kwargs),
-                    self.policy.timeout,
-                )
-            except asyncio.TimeoutError:
-                self.timeouts += 1
-                continue  # resend; exhausted attempts fall through below
-            except request.catches as exc:
-                count()  # the error reply (or refusal) arrives
-                return Response(request=request, ok=False, error=exc)
-            count()  # the reply arrives
-            return Response(request=request, ok=True, value=value)
-        return Response(request=request, ok=False, error=error)
-
     # ------------------------------------------------------------------ #
     # drain / shutdown
 
     async def drain(self) -> int:
-        """Await every outstanding straggler task; returns how many."""
-        tasks = [t for t in self.outstanding.items() if isinstance(t, asyncio.Task)]
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-        return len(tasks)
+        """Await every outstanding straggler, resends included; returns
+        how many requests (and ``submit`` runners) were waited for."""
+        waited = 0
+        while len(self.outstanding):
+            pending = self.outstanding.items()
+            waited += len(pending)
+            await asyncio.wait(pending)
+        return waited
 
     async def aclose(self) -> None:
         """Cancel outstanding work and close every transport."""
         self.closed = True
-        tasks = [t for t in self.outstanding.items() if isinstance(t, asyncio.Task)]
+        pending = self.outstanding.items()
         self.outstanding.cancel_all()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+        if pending:
+            await asyncio.wait(pending)  # their done-callbacks have run
         for transport in self.transports.values():
             closer = getattr(transport, "aclose", None)
             if closer is not None:

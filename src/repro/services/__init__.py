@@ -25,12 +25,12 @@ from repro.services.wire import (
     MAX_FRAME,
     SERIALIZATIONS,
     Codec,
+    FrameProtocol,
     RemoteCallError,
     WireError,
     decode_error,
     encode_error,
     frame,
-    read_frame,
 )
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "RPC_METHODS",
     "SERIALIZATIONS",
     "Codec",
+    "FrameProtocol",
     "InprocTransport",
     "RemoteCallError",
     "ServiceGroup",
@@ -49,7 +50,6 @@ __all__ = [
     "encode_error",
     "frame",
     "mirror_state",
-    "read_frame",
     "run_wallclock",
     "serve_forever",
 ]

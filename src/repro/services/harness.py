@@ -4,7 +4,7 @@
 StorageNodeService` per node. For the ``inproc`` kind there is nothing
 to start — transports call the services through queue pairs on the
 current loop. For the ``tcp`` kind :meth:`start` brings up one
-``asyncio.start_server`` per node; ``port_base=0`` asks the OS for
+``loop.create_server`` per node; ``port_base=0`` asks the OS for
 ephemeral ports (read back from the listening sockets, so parallel CI
 runs never collide), a non-zero base assigns ``port_base + node_id`` —
 the fixed layout ``repro serve`` / :func:`connect_transports` agree on.
@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+from functools import partial
 
 from repro.cluster.node import StorageNode
 from repro.errors import ConfigurationError
 
 from .service import StorageNodeService
 from .transport import InprocTransport, TcpTransport
+from .wire import FrameProtocol
 
 __all__ = ["ServiceGroup", "mirror_state", "serve_forever"]
 
@@ -54,6 +56,8 @@ class ServiceGroup:
             node.node_id: StorageNodeService(node, serialization) for node in nodes
         }
         self.servers: dict[int, asyncio.base_events.Server] = {}
+        #: accepted TCP connections still open (severed by :meth:`aclose`)
+        self.connections: set[FrameProtocol] = set()
         self.ports: dict[int, int] = {}
 
     @classmethod
@@ -76,14 +80,22 @@ class ServiceGroup:
         """Bring up the TCP servers (no-op for the inproc kind)."""
         if self.kind != "tcp":
             return self
+        loop = asyncio.get_running_loop()
         for node_id, service in self.services.items():
             port = 0 if self.port_base == 0 else self.port_base + node_id
-            server = await asyncio.start_server(
-                service.serve_connection, self.host, port
+            server = await loop.create_server(
+                partial(self._accept, service), self.host, port
             )
             self.servers[node_id] = server
             self.ports[node_id] = server.sockets[0].getsockname()[1]
         return self
+
+    def _accept(self, service: StorageNodeService) -> FrameProtocol:
+        connection = FrameProtocol(
+            service.handle_frame, serving=True, on_lost=self.connections.discard
+        )
+        self.connections.add(connection)
+        return connection
 
     def make_transports(self) -> dict[int, object]:
         """One fresh client transport per service."""
@@ -104,13 +116,17 @@ class ServiceGroup:
         }
 
     async def aclose(self) -> None:
-        """Stop every TCP server and forget the port map."""
+        """Stop every TCP server, sever its connections, forget the ports."""
         servers, self.servers = list(self.servers.values()), {}
         for server in servers:
             server.close()
+        for connection in list(self.connections):
+            if connection.transport is not None:
+                connection.transport.abort()
         for server in servers:
             with contextlib.suppress(Exception):
                 await server.wait_closed()
+        await asyncio.sleep(0)  # aborted sockets close on the next turn
         self.ports.clear()
 
 

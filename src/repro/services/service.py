@@ -5,8 +5,8 @@ StorageNode` — the *same* versioned data/parity stores the simulators
 use — and exposes its RPC surface (the eight methods the protocol
 engines issue, plus ``ping``) through :mod:`repro.services.wire`
 messages. The service is transport-agnostic: the in-process transport
-hands it decoded frames directly, ``asyncio.start_server`` plugs
-:meth:`serve_connection` in as the TCP connection callback.
+and a TCP connection's :class:`~repro.services.wire.FrameProtocol`
+both hand :meth:`~StorageNodeService.handle_frame` the bodies.
 
 Failure semantics mirror the simulated paths: a dead node's
 ``NodeUnavailableError`` (and any other :class:`~repro.errors.
@@ -20,12 +20,9 @@ replies exactly like ``Network.rpc`` does.
 
 from __future__ import annotations
 
-import contextlib
-
 from repro.cluster.node import StorageNode
-from repro.errors import ReproError
 
-from .wire import Codec, WireError, encode_error, frame, read_frame
+from .wire import Codec, WireError, encode_error
 
 __all__ = ["RPC_METHODS", "StorageNodeService"]
 
@@ -62,12 +59,14 @@ class StorageNodeService:
 
     def dispatch(self, message: dict) -> dict:
         """Execute one decoded request message; returns the reply dict."""
-        msg_id = message.get("id") if isinstance(message, dict) else None
-        method = message.get("method") if isinstance(message, dict) else None
+        if not isinstance(message, dict):
+            message = {}
+        msg_id = message.get("id")
+        method = message.get("method")
         if method == "ping":
             self.served += 1
             return {"id": msg_id, "ok": True, "value": self.node.node_id}
-        if method not in RPC_METHODS:
+        if not isinstance(method, str) or method not in RPC_METHODS:
             self.faults += 1
             return {
                 "id": msg_id,
@@ -84,10 +83,10 @@ class StorageNodeService:
             value = getattr(node, method)(*args, **kwargs)
             if node.byzantine is not None:
                 value = node.byzantine.apply(node, method, value, tuple(args))
-        except (ReproError, KeyError) as exc:
-            self.faults += 1
-            return {"id": msg_id, "ok": False, "error": encode_error(exc)}
-        except Exception as exc:  # server-side bug: loud, uncatchable reply
+        except Exception as exc:
+            # a ReproError/KeyError is rebuilt and caught by the client's
+            # plan; anything else is a server-side bug and surfaces there
+            # as an uncatchable RemoteCallError
             self.faults += 1
             return {"id": msg_id, "ok": False, "error": encode_error(exc)}
         self.served += 1
@@ -103,21 +102,3 @@ class StorageNodeService:
                 {"id": None, "ok": False, "error": encode_error(exc)}
             )
         return self.codec.encode(self.dispatch(message))
-
-    # ------------------------------------------------------------------ #
-
-    async def serve_connection(self, reader, writer) -> None:
-        """``asyncio.start_server`` callback: frame loop for one client."""
-        try:
-            while True:
-                body = await read_frame(reader)
-                if body is None:
-                    break
-                writer.write(frame(self.handle_frame(body)))
-                await writer.drain()
-        except (ConnectionError, WireError, OSError):
-            pass  # client vanished or sent garbage: drop the connection
-        finally:
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()

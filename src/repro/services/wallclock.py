@@ -9,7 +9,12 @@ fleet, mirroring the initialized state over the wire first), then
 replays the *same* seeded workload tape the simulator consumes —
 stream 1 of ``spec.seed`` — with closed-loop asyncio clients, recording
 real elapsed seconds per operation into a
-:class:`~repro.sim.metrics.LatencyTally`.
+:class:`~repro.sim.metrics.LatencyTally`. The report's ``wire`` block
+states the traffic the tape cost — frames and bytes per operation from
+the transports' counters — against the payload floor of the paper's
+protocol: a direct read moves one b-byte block, a decode read k of
+them, a TRAP-ERC write b·(2 + n − k) (the read-before-write, the new
+block, n − k parity deltas).
 
 Caveats that keep the comparison honest: simulated latencies are
 *virtual* seconds drawn from ``spec.latency``, measured ones are wall
@@ -24,6 +29,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -31,6 +37,7 @@ from repro.cluster.rng import make_rng, spawn_rngs
 from repro.runtime.async_coord import AsyncCoordinator
 from repro.runtime.rounds import RetryPolicy
 from repro.sim.metrics import LatencyTally
+from repro.core.results import ReadCase
 from repro.sim.workloads import OpKind, write_payload
 
 from .harness import ServiceGroup, mirror_state
@@ -47,9 +54,14 @@ async def _drive(
     think_time: float,
     block_length: int,
     horizon: float,
-) -> LatencyTally:
-    """Closed-loop clients pulling from one shared operation tape."""
+) -> tuple[LatencyTally, Counter]:
+    """Closed-loop clients pulling from one shared operation tape.
+
+    Also returns the successful operations counted by what they had to
+    move (reads by their :class:`ReadCase`, ``"write"``).
+    """
     tally = LatencyTally()
+    cases: Counter = Counter()
     loop = asyncio.get_running_loop()
     cursor = iter(list(ops))
 
@@ -63,6 +75,7 @@ async def _drive(
                 if result.success:
                     tally.reads_succeeded += 1
                     tally.read_latencies.append(elapsed)
+                    cases[result.case] += 1
                 else:
                     tally.failed_read_latencies.append(elapsed)
             else:
@@ -75,6 +88,7 @@ async def _drive(
                 if result.success:
                     tally.writes_succeeded += 1
                     tally.write_latencies.append(elapsed)
+                    cases["write"] += 1
                 else:
                     tally.failed_write_latencies.append(elapsed)
             if think_time:
@@ -87,7 +101,37 @@ async def _drive(
         for worker in workers:
             worker.cancel()
         await asyncio.gather(*workers, return_exceptions=True)
-    return tally
+    return tally, cases
+
+
+def _wire_totals(transports) -> tuple[int, int]:
+    """``(frames, bytes)`` the transports have sent and received so far."""
+    frames = nbytes = 0
+    for transport in transports:
+        frames += getattr(transport, "frames_sent", 0)
+        frames += getattr(transport, "frames_received", 0)
+        nbytes += getattr(transport, "bytes_sent", 0)
+        nbytes += getattr(transport, "bytes_received", 0)
+    return frames, nbytes
+
+
+def _wire_report(spec, before, after, ops: int, cases: Counter) -> dict:
+    """Traffic per operation, and against the TRAP-ERC payload floor."""
+    frames, nbytes = after[0] - before[0], after[1] - before[1]
+    floor = None
+    if spec.protocol == "trap-erc":
+        n, k = spec.code.n, spec.code.k
+        floor = spec.workload.block_length * (
+            cases[ReadCase.DIRECT]
+            + k * cases[ReadCase.DECODE]
+            + (2 + n - k) * cases["write"]
+        )
+    return {
+        "frames_per_op": frames / ops if ops else 0.0,
+        "bytes_per_op": nbytes / ops if ops else 0.0,
+        "payload_floor_bytes": floor,
+        "bytes_per_payload_byte": nbytes / floor if floor else None,
+    }
 
 
 def run_wallclock(spec, *, transports=None, ops=None) -> dict:
@@ -137,8 +181,9 @@ def run_wallclock(spec, *, transports=None, ops=None) -> dict:
         if ops is None:
             streams = spawn_rngs(make_rng(spec.seed), _NUM_STREAMS)
             ops = _make_workload(spec, built.num_blocks, streams[1])
+        wire_before = _wire_totals(transport_map.values())
         started = time.perf_counter()
-        tally = loop.run_until_complete(
+        tally, cases = loop.run_until_complete(
             _drive(
                 built.engine,
                 coordinator,
@@ -168,6 +213,13 @@ def run_wallclock(spec, *, transports=None, ops=None) -> dict:
             "throughput": attempted / duration if duration > 0 else 0.0,
             "summary": tally.summary(),
             "operation_latency": tally.operation_percentiles(),
+            "wire": _wire_report(
+                spec,
+                wire_before,
+                _wire_totals(transport_map.values()),
+                attempted,
+                cases,
+            ),
         }
     finally:
         coordinator = holder.get("coordinator")

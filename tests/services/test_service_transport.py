@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import struct
 
 import numpy as np
 import pytest
@@ -12,11 +13,15 @@ from repro.cluster.rng import make_rng
 from repro.errors import ConfigurationError, NodeUnavailableError
 from repro.services import (
     RPC_METHODS,
+    Codec,
+    FrameProtocol,
     InprocTransport,
     ServiceGroup,
     StorageNodeService,
     TcpTransport,
+    WireError,
     connect_transports,
+    frame,
     mirror_state,
 )
 
@@ -34,6 +39,15 @@ def run(coro):
                 asyncio.gather(*pending, return_exceptions=True)
             )
         loop.close()
+
+
+async def stop(server, connections) -> None:
+    """Close a hand-made test server and the connections it accepted."""
+    server.close()
+    for connection in connections:
+        connection.transport.abort()
+    await server.wait_closed()
+    await asyncio.sleep(0)  # aborted sockets close on the next turn
 
 
 def payload(seed: int = 0) -> np.ndarray:
@@ -179,6 +193,34 @@ class TestInprocTransport:
 
         run(go())
 
+    def test_submit_returns_a_future_and_never_raises(self):
+        transport = InprocTransport(StorageNodeService(StorageNode(0)))
+
+        async def go():
+            ok = transport.submit("ping")
+            bad = transport.submit("read_data", (object(),))  # unencodable
+            assert isinstance(ok, asyncio.Future) and not ok.done()
+            assert await ok == 0
+            with pytest.raises(WireError):
+                await bad
+            await transport.aclose()
+
+        run(go())
+
+    def test_abandoned_request_still_executes_and_counts_bytes(self):
+        node = StorageNode(0)
+        transport = InprocTransport(StorageNodeService(node))
+
+        async def go():
+            future = transport.submit("write_data", ("k", payload(), 1))
+            future.cancel()  # the caller's deadline passed
+            assert await transport.call("data_version", ("k",)) == 1
+            await transport.aclose()
+
+        run(go())
+        assert transport.frames_sent == 2 and transport.frames_received == 2
+        assert transport.bytes_sent > 16 and transport.bytes_received > 0
+
 
 class TestTcpTransport:
     def test_round_trip_over_real_sockets(self):
@@ -213,6 +255,191 @@ class TestTcpTransport:
 
         run(go())
         assert transport.refusals == 1
+
+    def test_hostile_frames_get_typed_replies_and_the_connection_survives(self):
+        group = ServiceGroup([StorageNode(0)], kind="tcp")
+        codec = Codec()
+        hostile = [
+            b"\xff garbage",
+            struct.pack(">I", 2) + b"{}" + b"trailing",
+            codec.encode({"__b__x": 1})[:-1],
+            struct.pack(">I", 30) + b'{"__nd__":["|O",[1],8]}'.ljust(30) + b"\0" * 8,
+        ]
+
+        async def read_reply(reader):
+            (length,) = struct.unpack(">I", await reader.readexactly(4))
+            return codec.decode(await reader.readexactly(length))
+
+        async def go():
+            await group.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", group.ports[0])
+            try:
+                for body in hostile:
+                    writer.write(frame(body))
+                    reply = await asyncio.wait_for(read_reply(reader), 5)
+                    assert reply["ok"] is False
+                    assert reply["error"]["type"] == "WireError"
+                writer.write(frame(codec.encode({"id": 9, "method": "ping"})))
+                assert await asyncio.wait_for(read_reply(reader), 5) == {
+                    "id": 9, "ok": True, "value": 0,
+                }
+                # an oversize length word is the one thing that ends it
+                writer.write(struct.pack(">I", 2**31))
+                assert await asyncio.wait_for(reader.read(), 5) == b""
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                await group.aclose()
+
+        run(go())
+        assert group.services[0].faults == len(hostile)
+
+    def test_client_drops_an_undecodable_reply_and_keeps_the_connection(self):
+        codec = Codec()
+
+        async def go():
+            loop = asyncio.get_running_loop()
+            connections = []
+
+            def noisy(body):  # two frames of noise, then the real reply
+                connections[-1].transport.write(frame(b"\xff not a body"))
+                connections[-1].transport.write(
+                    frame(codec.encode({"id": "no such id", "ok": True}))
+                )
+                request = codec.decode(body)
+                return codec.encode({"id": request["id"], "ok": True, "value": 7})
+
+            def accept():
+                connections.append(FrameProtocol(noisy))
+                return connections[-1]
+
+            server = await loop.create_server(accept, "127.0.0.1", 0)
+            transport = TcpTransport(0, "127.0.0.1", server.sockets[0].getsockname()[1])
+            try:
+                assert await asyncio.wait_for(transport.call("ping"), 5) == 7
+                conn = transport._conn
+                assert await asyncio.wait_for(transport.call("ping"), 5) == 7
+                assert transport._conn is conn  # never dropped
+                assert transport.frames_received == 6 and transport._pending == {}
+            finally:
+                await transport.aclose()
+                await stop(server, connections)
+
+        run(go())
+
+    def test_connection_lost_mid_call_fails_fast_and_the_next_call_reconnects(self):
+        service = StorageNodeService(StorageNode(0))
+
+        async def go():
+            loop = asyncio.get_running_loop()
+            connections = []
+
+            def hang_up_once(body):
+                if len(connections) == 1:
+                    connections[0].transport.abort()  # dies with the call in flight
+                    return None
+                return service.handle_frame(body)
+
+            def accept():
+                connections.append(FrameProtocol(hang_up_once))
+                return connections[-1]
+
+            server = await loop.create_server(accept, "127.0.0.1", 0)
+            transport = TcpTransport(0, "127.0.0.1", server.sockets[0].getsockname()[1])
+            try:
+                started = loop.time()
+                with pytest.raises(NodeUnavailableError):
+                    await transport.call("ping")
+                assert loop.time() - started < 5.0  # no timeout involved
+                assert transport._pending == {} and transport._conn is None
+                assert await transport.call("ping") == 0
+                assert len(connections) == 2
+            finally:
+                await transport.aclose()
+                await stop(server, connections)
+
+        run(go())
+
+    def test_peer_that_stops_reading_pauses_the_client_writer(self):
+        # the service accepts but does not read: frames beyond what the
+        # socket takes wait in the transport's backlog, not in an
+        # ever-growing write buffer, and one cancelled there never leaves
+        node = StorageNode(0)
+        service = StorageNodeService(node)
+        block = np.zeros(256 * 1024, dtype=np.uint8)
+        count = 128  # 32 MiB: far more than loopback socket buffers hold
+
+        async def go():
+            loop = asyncio.get_running_loop()
+            connections = []
+
+            class Deaf(FrameProtocol):
+                def connection_made(self, transport):
+                    super().connection_made(transport)
+                    transport.pause_reading()
+
+            def accept():
+                connections.append(Deaf(service.handle_frame, serving=True))
+                return connections[-1]
+
+            server = await loop.create_server(accept, "127.0.0.1", 0)
+            transport = TcpTransport(0, "127.0.0.1", server.sockets[0].getsockname()[1])
+            try:
+                futures = [
+                    transport.submit("put_data", (("k", i), block, i))
+                    for i in range(count)
+                ]
+                await asyncio.sleep(0.2)
+                conn = transport._conn
+                assert not conn.writable and transport._backlog
+                assert transport.frames_sent < count
+                high_water = conn.transport.get_write_buffer_limits()[1]
+                assert conn.transport.get_write_buffer_size() <= high_water + block.nbytes + 1024
+                futures[-1].cancel()  # still in the backlog: dropped, not sent
+                connections[0].transport.resume_reading()
+                await asyncio.wait_for(asyncio.gather(*futures[:-1]), 30)
+                assert transport.frames_sent == count - 1 and not transport._backlog
+            finally:
+                await transport.aclose()
+                await stop(server, connections)
+
+        run(go())
+        assert len(node._data) == count - 1 and ("k", count - 1) not in node._data
+
+    def test_client_that_stops_reading_pauses_the_serving_end(self):
+        node = StorageNode(0)
+        node.put_data("k", np.zeros(256 * 1024, dtype=np.uint8), 1)
+        group = ServiceGroup([node], kind="tcp")
+        codec = Codec()
+        count = 128  # 32 MiB of replies nobody reads
+
+        async def go():
+            await group.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", group.ports[0], limit=2**16
+            )
+            try:
+                for i in range(count):
+                    writer.write(
+                        frame(codec.encode({"id": i, "method": "read_data", "args": ["k"]}))
+                    )
+                await asyncio.sleep(0.3)
+                (conn,) = group.connections
+                assert not conn.writable and not conn.transport.is_reading()
+                assert 0 < group.services[0].served < count
+                high_water = conn.transport.get_write_buffer_limits()[1]
+                assert conn.transport.get_write_buffer_size() <= high_water + 300 * 1024
+                for i in range(count):  # the client catches up: all arrive, in order
+                    (length,) = struct.unpack(">I", await reader.readexactly(4))
+                    reply = codec.decode(await reader.readexactly(length))
+                    assert reply["id"] == i and reply["ok"]
+                assert group.services[0].served == count
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                await group.aclose()
+
+        run(go())
 
     def test_lost_connection_reconnects_then_fails_fast(self):
         node = StorageNode(0)

@@ -65,6 +65,14 @@ class TestTransportSpec:
         with pytest.raises(ConfigurationError):
             TransportSpec(**kwargs)
 
+    def test_msgpack_is_gone_and_the_error_names_json(self):
+        with pytest.raises(ConfigurationError, match="json"):
+            TransportSpec(serialization="msgpack")
+        with pytest.raises(ConfigurationError, match="json"):
+            SystemSpec.from_json(
+                wallclock_spec().to_json().replace('"json"', '"msgpack"')
+            )
+
     def test_wallclock_rejects_faultloads(self):
         from repro.api import FaultloadSpec
 
@@ -93,6 +101,46 @@ class TestRunWallclock:
         assert report["transport"]["kind"] == "tcp"
         assert report["ops_submitted"] == 24
         assert report["summary"]["read_latency"]["count"] > 0
+
+    @pytest.mark.parametrize("kind", ["inproc", "tcp"])
+    @pytest.mark.parametrize("block_length", [4096, 65536])
+    def test_wire_bytes_stay_within_a_tenth_of_the_payload_floor(
+        self, kind, block_length
+    ):
+        from repro.api import WorkloadSpec
+
+        spec = wallclock_spec(kind=kind).replace(
+            workload=WorkloadSpec(num_ops=40, block_length=block_length),
+            scenario=ScenarioSpec(kind="wallclock", clients=1, horizon=60.0),
+        )
+        report = run_wallclock(spec)
+        summary, wire = report["summary"], report["wire"]
+        reads = int(summary["read_latency"]["count"])
+        writes = int(summary["write_latency"]["count"])
+        assert reads and writes and reads + writes == 40  # healthy: all direct
+        # direct read: b; ERC write: read-before-write + block + n-k deltas
+        assert wire["payload_floor_bytes"] == block_length * (reads + (2 + 9 - 6) * writes)
+        assert wire["frames_per_op"] == summary["messages"] / 40  # a frame per message
+        assert 1.0 <= wire["bytes_per_payload_byte"] <= 1.10
+        assert wire["bytes_per_op"] == pytest.approx(
+            wire["bytes_per_payload_byte"] * wire["payload_floor_bytes"] / 40
+        )
+
+    def test_wire_floor_counts_decode_reads_as_k_blocks(self):
+        from collections import Counter
+
+        from repro.core.results import ReadCase
+        from repro.services.wallclock import _wire_report
+
+        cases = Counter({ReadCase.DIRECT: 3, ReadCase.DECODE: 2, "write": 1})
+        report = _wire_report(wallclock_spec(), (0, 0), (60, 6000), 6, cases)
+        assert report["payload_floor_bytes"] == 16 * (3 + 6 * 2 + (2 + 9 - 6) * 1)
+        assert report["frames_per_op"] == 10 and report["bytes_per_op"] == 1000
+        other = _wire_report(
+            wallclock_spec().replace(protocol="majority"), (0, 0), (60, 6000), 6, cases
+        )
+        assert other["payload_floor_bytes"] is None
+        assert other["bytes_per_payload_byte"] is None
 
     def test_scenario_runner_reports_both_columns(self):
         result = ScenarioRunner(wallclock_spec()).run()
