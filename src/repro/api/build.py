@@ -16,6 +16,7 @@ from typing import Callable, Protocol, runtime_checkable
 import numpy as np
 
 from repro.api.registry import (
+    DEFAULT_NAMESPACE,
     build_latency_model,
     build_quorum_system,
     build_service_model,
@@ -162,7 +163,7 @@ def _metadata_node_count(spec: SystemSpec) -> int:
 
 
 def _make_verifier(
-    spec: SystemSpec, cluster: Cluster, namespace: str = "api-stripe"
+    spec: SystemSpec, cluster: Cluster, namespace: str = DEFAULT_NAMESPACE
 ) -> BlockVerifier | None:
     """The :class:`BlockVerifier` a spec's metadata section describes.
 
@@ -229,9 +230,10 @@ def build_system(
 
     ``coordinator_factory`` injects an execution path: it receives the
     freshly built cluster and returns the coordinator handed to the
-    engine builder (the latency scenario passes an
-    :class:`~repro.runtime.event.EventCoordinator` factory here). Without
-    one, engines run on their default instant path.
+    engine builder (the wall-clock backend passes an
+    :class:`~repro.runtime.async_coord.AsyncCoordinator` factory here;
+    the latency scenario builds through :func:`build_sharded_system`).
+    Without one, engines run on their default instant path.
     """
     entry, quorum, system = _resolve_protocol(spec)
     cluster = Cluster(spec.cluster.num_nodes + _metadata_node_count(spec))
@@ -421,6 +423,14 @@ def build_sharded_system(
             "(its registered builder takes no 'verifier' keyword); drop "
             "the metadata section or register a verifier-aware builder"
         )
+    takes_namespace = _builder_accepts(entry.builder, "namespace")
+    if num_shards > 1 and not takes_namespace:
+        raise ConfigurationError(
+            f"protocol {spec.protocol!r} cannot run at shards = {num_shards} "
+            "(its registered builder takes no 'namespace' keyword, so every "
+            "shard would store under the same keys); use one shard or "
+            "register a namespace-aware builder"
+        )
     if rng is None or service_rng is None:
         seed_streams = spawn_rngs(make_rng(spec.seed), 11)
         if rng is None:
@@ -459,16 +469,19 @@ def build_sharded_system(
             queues=queues,
             site=_coordinator_site(latency_model, index, spec.cluster.num_nodes),
         )
-        # Shard 0 keeps the unsharded metadata namespace so a 1-shard
-        # system stays key-identical to build_system; further shards get
-        # their own (all shards share the one metadata tier).
-        namespace = "api-stripe" if index == 0 else f"api-stripe-{index}"
+        # Each shard stores — data, parity and metadata records alike —
+        # under its own namespace on the shared nodes; shard 0 keeps the
+        # build_system one, so a 1-shard system stays key-identical to it.
+        namespace = (
+            DEFAULT_NAMESPACE if index == 0 else f"{DEFAULT_NAMESPACE}-{index}"
+        )
+        keyed = {"namespace": namespace} if takes_namespace else {}
         verifier = _make_verifier(spec, cluster, namespace=namespace)
         extra = {} if verifier is None else {"verifier": verifier}
         if verifier is not None:
             verifiers.append(verifier)
         engine = entry.builder(
-            spec, cluster, code, layout, coordinator=coordinator, **extra
+            spec, cluster, code, layout, coordinator=coordinator, **keyed, **extra
         )
         shards.append(Shard(index, engine, coordinator, code.k))
         if entry.supports_repair:
@@ -478,7 +491,7 @@ def build_sharded_system(
             # candidates against this shard's metadata namespace).
             repairs.append(
                 RepairService(
-                    entry.builder(spec, cluster, code, layout),
+                    entry.builder(spec, cluster, code, layout, **keyed),
                     verifier=None
                     if verifier is None
                     else _make_verifier(spec, cluster, namespace=namespace),

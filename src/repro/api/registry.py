@@ -54,6 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "QuorumEntry",
     "ProtocolEntry",
+    "DEFAULT_NAMESPACE",
     "register_quorum",
     "register_protocol",
     "quorum_names",
@@ -197,7 +198,12 @@ class ProtocolEntry:
     """One registered protocol engine kind.
 
     ``builder(spec, cluster, code, layout)`` returns an initialized-free
-    engine (callers load data through ``engine.initialize``);
+    engine (callers load data through ``engine.initialize``); optional
+    keywords opt the engine into more of the runtime: ``coordinator``
+    (event-driven execution), ``verifier`` (verified reads) and
+    ``namespace`` (the storage-key prefix — every shard of a sharded
+    system gets its own, so a builder without it cannot run at
+    ``shards > 1``);
     ``needs_trapezoid`` marks engines that consume the trapezoid quorum
     geometry (validated against the paper's eq. 5 in ``build_system``);
     ``system_builder(spec)``, when given, supplies the
@@ -216,6 +222,9 @@ class ProtocolEntry:
 
 
 _PROTOCOLS: dict[str, ProtocolEntry] = {}
+
+#: storage-key prefix of a single-volume system (and of shard 0)
+DEFAULT_NAMESPACE = "api-stripe"
 
 
 def register_protocol(
@@ -259,11 +268,11 @@ def protocol_entry(name: str) -> ProtocolEntry:
 )
 def _build_trap_erc(
     spec: SystemSpec, cluster: "Cluster", code: "MDSCode", layout: "StripeLayout",
-    coordinator=None, verifier=None,
+    coordinator=None, verifier=None, namespace=DEFAULT_NAMESPACE,
 ) -> TrapErcProtocol:
     quorum = build_trapezoid_quorum(spec.quorum)
     return TrapErcProtocol(
-        cluster, code, quorum, layout=layout, stripe_id="api-stripe",
+        cluster, code, quorum, layout=layout, stripe_id=namespace,
         coordinator=coordinator, verifier=verifier,
     )
 
@@ -271,12 +280,12 @@ def _build_trap_erc(
 @register_protocol("trap-fr", TrapFrProtocol, needs_trapezoid=True)
 def _build_trap_fr(
     spec: SystemSpec, cluster: "Cluster", code: "MDSCode", layout: "StripeLayout",
-    coordinator=None, verifier=None,
+    coordinator=None, verifier=None, namespace=DEFAULT_NAMESPACE,
 ) -> TrapFrProtocol:
     quorum = build_trapezoid_quorum(spec.quorum)
     return TrapFrProtocol(
         cluster, spec.code.n, spec.code.k, quorum, layout=layout,
-        stripe_id="api-stripe", coordinator=coordinator, verifier=verifier,
+        stripe_id=namespace, coordinator=coordinator, verifier=verifier,
     )
 
 
@@ -316,13 +325,13 @@ def _flat_system_builder(kind: str, system_class: type):
 )
 def _build_rowa(
     spec: SystemSpec, cluster: "Cluster", code: "MDSCode", layout: "StripeLayout",
-    coordinator=None, verifier=None,
+    coordinator=None, verifier=None, namespace=DEFAULT_NAMESPACE,
 ) -> RowaProtocol:
     # Flat baselines replicate every block on block 0's consistency group:
     # the same n - k + 1 node budget the trapezoid defends (the setting of
     # examples/protocol_comparison.py).
     return RowaProtocol(
-        cluster, list(layout.consistency_group(0)), "api-stripe",
+        cluster, list(layout.consistency_group(0)), namespace,
         coordinator=coordinator, verifier=verifier,
     )
 
@@ -334,9 +343,9 @@ def _build_rowa(
 )
 def _build_majority(
     spec: SystemSpec, cluster: "Cluster", code: "MDSCode", layout: "StripeLayout",
-    coordinator=None, verifier=None,
+    coordinator=None, verifier=None, namespace=DEFAULT_NAMESPACE,
 ) -> MajorityProtocol:
     return MajorityProtocol(
-        cluster, list(layout.consistency_group(0)), "api-stripe",
+        cluster, list(layout.consistency_group(0)), namespace,
         coordinator=coordinator, verifier=verifier,
     )

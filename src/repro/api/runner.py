@@ -35,7 +35,6 @@ import numpy as np
 from repro.analysis.optimizer import ConfigPoint, optimize_config_sweep
 from repro.api.build import BuiltSystem, build_sharded_system, build_system
 from repro.api.registry import (
-    build_latency_model,
     build_trapezoid_quorum,
     protocol_entry,
     protocol_names,
@@ -46,7 +45,6 @@ from repro.api.spec import (
     ServiceTimeSpec,
     SystemSpec,
 )
-from repro.cluster.events import Simulator
 from repro.cluster.failures import exponential_trace
 from repro.cluster.node import ByzantineBehavior, MetadataByzantineBehavior
 from repro.cluster.rng import make_rng, spawn_rngs
@@ -58,8 +56,6 @@ from repro.parallel.tasks import (
     saturation_point_task,
 )
 from repro.quorum.trapezoid import TrapezoidQuorum
-from repro.runtime.event import EventCoordinator
-from repro.runtime.rounds import RetryPolicy
 from repro.sim.comparative import make_schedule, run_comparison
 from repro.sim.metrics import MCEstimate
 from repro.sim.protocol_mc import ProtocolMonteCarlo
@@ -72,7 +68,6 @@ from repro.sim.saturation import (
 from repro.sim.sweep import availability_sweep
 from repro.sim.trace_sim import (
     ClosedLoopConfig,
-    ClosedLoopSimulation,
     PartitionWindow,
     ShardedClosedLoopSimulation,
     TraceSimConfig,
@@ -800,108 +795,6 @@ class ScenarioRunner:
             report["repair"] = repair_totals
         return report
 
-    def _sharding_requested(self) -> bool:
-        """True when the spec opts into the sharded runtime.
-
-        Any ``sharding`` section (even one shard) or a non-zero service
-        model routes through the router path; specs without either keep
-        the historical unsharded code path untouched. The property tests
-        pin a 1-shard / zero-service sharded run bit-identical to it.
-        """
-        if self.spec.sharding is not None:
-            return True
-        return self.spec.service is not None and self.spec.service.kind != "none"
-
-    def _run_latency(self) -> dict:
-        """Event-driven closed-loop run: latency percentiles under faults.
-
-        The engine runs on an :class:`EventCoordinator`; ``clients``
-        closed-loop clients keep operations concurrently in flight while
-        the faultload (churn or partitions) interleaves mid-operation.
-        Stream 8 drives message-latency sampling, stream 9 the faultload,
-        so the same spec + seed reproduces the identical event trace
-        (``trace_hash`` digests it). Specs with a ``sharding`` or
-        ``service`` section run on the sharded router path instead
-        (stream 10 feeds the service queues) and additionally report
-        per-shard percentiles and queue summaries.
-        """
-        scenario = self.spec.scenario
-        latency_spec = self.spec.latency or LatencySpec()
-        faultload = scenario.faultload or FaultloadSpec()
-        if self._sharding_requested():
-            return self._run_sharded_latency(scenario, latency_spec, faultload)
-        simulator = Simulator()
-        policy = RetryPolicy(
-            timeout=latency_spec.timeout, retries=latency_spec.retries
-        )
-        model = build_latency_model(latency_spec)
-        coordinator: list[EventCoordinator] = []
-
-        def factory(cluster):
-            coordinator.append(
-                EventCoordinator(
-                    cluster,
-                    simulator,
-                    latency=model,
-                    rng=self._streams[8],
-                    policy=policy,
-                    record_trace=True,
-                )
-            )
-            return coordinator[0]
-
-        built = build_system(self.spec, coordinator_factory=factory)
-        built.initialize()
-        armed = self._arm_byzantine(built.cluster, faultload, self._streams[12])
-        meta_armed = self._arm_metadata_byzantine(
-            built.cluster, faultload, self._streams[13]
-        )
-        ops = _make_workload(self.spec, built.num_blocks, self._streams[1])
-        trace, partitions = self._faultload(
-            faultload, scenario.horizon, self._streams[9]
-        )
-        config = ClosedLoopConfig(
-            clients=scenario.clients,
-            think_time=scenario.think_time,
-            horizon=scenario.horizon,
-            block_length=self.spec.workload.block_length,
-            repair_interval=scenario.repair_interval,
-        )
-        sim = ClosedLoopSimulation(
-            built.cluster,
-            built.engine,
-            coordinator[0],
-            ops,
-            config=config,
-            trace=trace,
-            partitions=partitions,
-            repair=built.repair if scenario.repair_interval is not None else None,
-        )
-        tally = sim.run()
-        data = {
-            "clients": scenario.clients,
-            "think_time": scenario.think_time,
-            "horizon": scenario.horizon,
-            "faultload": faultload.to_dict(),
-            "latency_model": latency_spec.to_dict(),
-            "ops_submitted": tally.reads_attempted + tally.writes_attempted,
-            "virtual_duration": simulator.now,
-            "summary": tally.summary(),
-            "trace_hash": coordinator[0].trace_hash(),
-        }
-        verifiers = [built.verifier] if built.verifier is not None else []
-        report = self._byzantine_report(
-            faultload,
-            built.cluster,
-            armed,
-            verifiers,
-            meta_armed=meta_armed,
-            repairs=[built.repair] if built.repair is not None else (),
-        )
-        if report is not None:
-            data["byzantine"] = report
-        return data
-
     def _run_wallclock(self) -> dict:
         """Predicted vs measured: the simulator and live services, one spec.
 
@@ -988,15 +881,21 @@ class ScenarioRunner:
         )
         return sim, system
 
-    def _run_sharded_latency(self, scenario, latency_spec, faultload) -> dict:
-        """The latency scenario on the sharded router path.
+    def _run_latency(self) -> dict:
+        """Event-driven closed-loop run: latency percentiles under faults.
 
-        Streams match the unsharded path (8 = coordinator sampling, 9 =
-        faultload, 1 = workload) plus stream 10 for the service queues,
-        so a 1-shard / zero-service spec reproduces the unsharded
-        summary and trace hash byte for byte while shards >= 2 adds the
-        per-shard and queue views.
+        Every shard's engine runs on its own :class:`EventCoordinator`
+        behind one router (a spec without a ``sharding`` section is the
+        1-shard volume); ``clients`` closed-loop clients keep operations
+        concurrently in flight while the faultload (churn or partitions)
+        interleaves mid-operation. Stream 1 drives the workload, stream
+        8 message-latency sampling, stream 9 the faultload and stream 10
+        the per-node service queues, so the same spec + seed reproduces
+        the identical event trace (``trace_hash`` digests it).
         """
+        scenario = self.spec.scenario
+        latency_spec = self.spec.latency or LatencySpec()
+        faultload = scenario.faultload or FaultloadSpec()
         shards = self.spec.sharding.shards if self.spec.sharding else 1
         num_blocks = shards * self.spec.code.k
         ops = _make_workload(self.spec, num_blocks, self._streams[1])

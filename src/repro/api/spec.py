@@ -412,8 +412,8 @@ class ShardingSpec(_SpecBase):
     on one shared simulator/cluster; the front-end
     :class:`~repro.runtime.router.ShardRouter` maps the
     ``shards * k`` logical blocks onto them. ``routing`` is
-    ``interleave`` (round-robin; with one shard the identity map, pinned
-    bit-identical to the unsharded path) or ``hash`` (a fixed
+    ``interleave`` (round-robin; with one shard the identity map — the
+    run a spec without a ``sharding`` section gets) or ``hash`` (a fixed
     pseudorandom permutation seeded by ``route_seed`` — configuration,
     not experiment randomness — modelling hash placement of keys onto
     stripe families).

@@ -127,13 +127,10 @@ DEFAULT_SIZES = {
     "wc_clients": 4,
     "wc_block_length": 64,
     "wc_repeats": 2,
-    # event core: the vectorized session layer against the frozen
-    # per-object reference loop — one pinned quorum fan-out resubmitted
-    # by ec_clients concurrent closed-loop sessions, the regime where
-    # per-message heap/timer bookkeeping dominates. The reference runs
-    # ec_ref_ops rounds (it is ~10x slower); rates are compared.
+    # event core: the vectorized session layer — one pinned quorum
+    # fan-out resubmitted by ec_clients concurrent closed-loop sessions,
+    # the regime where per-message heap/timer bookkeeping dominates.
     "ec_ops": 100_000,
-    "ec_ref_ops": 10_000,
     "ec_nodes": 24,
     "ec_fanout": 24,
     "ec_need": 13,
@@ -196,7 +193,6 @@ TINY_SIZES = {
     "wc_block_length": 32,
     "wc_repeats": 1,
     "ec_ops": 2_000,
-    "ec_ref_ops": 400,
     "ec_nodes": 12,
     "ec_fanout": 12,
     "ec_need": 7,
@@ -788,25 +784,24 @@ def _section_wallclock(cfg: dict, rng_seed: int) -> dict:
 
 
 def _section_event_core(cfg: dict, rng_seed: int) -> dict:
+    from repro.cluster.cluster import Cluster
+    from repro.cluster.events import Simulator
+    from repro.cluster.network import FixedLatency, Network
     from repro.runtime.event import EventCoordinator
-    from repro.runtime.reference import ReferenceEventCoordinator
+    from repro.runtime.rounds import Request, RetryPolicy, Round
 
-    ec_events: dict[str, int] = {}
+    ec_ops = cfg["ec_ops"]
+    nodes = cfg["ec_nodes"]
+    fanout = cfg["ec_fanout"]
+    clients = min(cfg["ec_clients"], ec_ops)
+    events = [0]
 
-    def event_core_run(coordinator_cls, ops: int) -> int:
-        from repro.cluster.cluster import Cluster
-        from repro.cluster.events import Simulator
-        from repro.cluster.network import FixedLatency, Network
-        from repro.runtime.rounds import Request, RetryPolicy, Round
-
-        nodes = cfg["ec_nodes"]
-        fanout = cfg["ec_fanout"]
-        clients = min(cfg["ec_clients"], ops)
+    def event_core_run() -> None:
         sim = Simulator()
         cluster = Cluster(nodes, network=Network(latency=FixedLatency(0.001)))
         for i in range(nodes):
             cluster.nodes[i].put_data(i, np.zeros(8, dtype=np.uint8), 1)
-        coordinator = coordinator_cls(
+        coordinator = EventCoordinator(
             cluster, sim, rng=1, policy=RetryPolicy(timeout=0.05, retries=1)
         )
         # One pinned fan-out, reused every round: the section measures
@@ -826,55 +821,29 @@ def _section_event_core(cfg: dict, rng_seed: int) -> dict:
 
         def resubmit(_result) -> None:
             done[0] += 1
-            if done[0] + clients <= ops:
+            if done[0] + clients <= ec_ops:
                 coordinator.submit(plan(), resubmit)
 
         for _ in range(clients):
             coordinator.submit(plan(), resubmit)
         while sim.step():
             pass
-        return sim.processed
+        events[0] = sim.processed
 
-    ec_ops = cfg["ec_ops"]
-    ec_ref_ops = cfg["ec_ref_ops"]
-    t_ec = _time_call(
-        lambda: ec_events.__setitem__(
-            "vectorized", event_core_run(EventCoordinator, ec_ops)
-        ),
-        cfg["ec_repeats"],
-        "event_core",
-    )
-    t_ec_ref = _time_call(
-        lambda: ec_events.__setitem__(
-            "reference", event_core_run(ReferenceEventCoordinator, ec_ref_ops)
-        ),
-        cfg["ec_repeats"],
-        "event_core_reference",
-    )
+    t_ec = _time_call(event_core_run, cfg["ec_repeats"], "event_core")
     return {
         "results": {
             "event_core": {
                 "seconds_per_call": t_ec,
                 "ops": ec_ops,
-                "fanout": cfg["ec_fanout"],
+                "fanout": fanout,
                 "need": cfg["ec_need"],
-                "clients": min(cfg["ec_clients"], ec_ops),
-                "events_per_op": ec_events["vectorized"] / ec_ops,
+                "clients": clients,
+                "events_per_op": events[0] / ec_ops,
                 "ops_per_s": ec_ops / t_ec,
             },
-            "event_core_reference": {
-                "seconds_per_call": t_ec_ref,
-                "ops": ec_ref_ops,
-                "fanout": cfg["ec_fanout"],
-                "need": cfg["ec_need"],
-                "clients": min(cfg["ec_clients"], ec_ref_ops),
-                "events_per_op": ec_events["reference"] / ec_ref_ops,
-                "ops_per_s": ec_ref_ops / t_ec_ref,
-            },
         },
-        "speedups": {
-            "event_core_vs_reference": (ec_ops / t_ec) / (ec_ref_ops / t_ec_ref),
-        },
+        "speedups": {},
     }
 
 

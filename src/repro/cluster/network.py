@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cluster.node import StorageNode
+from repro.cluster.node import StorageNode, serve
 from repro.errors import ConfigurationError, NodeUnavailableError
 
 __all__ = [
@@ -365,13 +365,7 @@ class Network:
             stats.rpc_failures += 1
             raise NodeUnavailableError(node.node_id)
         try:
-            value = getattr(node, method)(*args, **kwargs)
+            return serve(node, method, args, kwargs)
         except NodeUnavailableError:
             stats.rpc_failures += 1
             raise
-        # Instant-path twin of the event runtime's delivery-time corruption
-        # hook: a Byzantine node lies on the reply leg, after the RPC
-        # itself succeeded, so both coordinators observe the same fault.
-        if node.byzantine is not None:
-            value = node.byzantine.apply(node, method, value, args)
-        return value

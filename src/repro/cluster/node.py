@@ -50,6 +50,7 @@ __all__ = [
     "ParityRecord",
     "NodeStats",
     "StorageNode",
+    "serve",
     "ByzantineBehavior",
     "MetadataByzantineBehavior",
     "ServiceTimeModel",
@@ -515,3 +516,19 @@ class StorageNode:
 
     def has_key(self, key) -> bool:
         return key in self._data or key in self._parity
+
+
+def serve(node: StorageNode, method: str, args, kwargs):
+    """Answer one RPC: the node side of Algorithms 1-2, defined once.
+
+    Invokes ``node.method(*args, **kwargs)`` — a failed node refuses
+    through its own ``_check_alive`` — and then lets an armed Byzantine
+    behavior lie on the reply leg, after the RPC itself succeeded, so
+    every execution path (``Network.rpc``, the event runtime's delivery,
+    a live ``StorageNodeService``) observes the same fault. Whatever the
+    node raises propagates; callers decide what they catch.
+    """
+    value = getattr(node, method)(*args, **kwargs)
+    if node.byzantine is not None:
+        value = node.byzantine.apply(node, method, value, args)
+    return value

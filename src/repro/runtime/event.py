@@ -35,12 +35,11 @@ The vectorized event core
 -------------------------
 
 This implementation is the struct-of-arrays rewrite of the original
-per-object session layer (kept verbatim as
-:class:`~repro.runtime.reference.ReferenceEventCoordinator`, the lockstep
-oracle and bench baseline — the ``event_core`` perf section measures one
-against the other). The observable behaviour — trace bytes, RNG stream,
-statistics, results — is bit-identical; only the bookkeeping shape
-changed:
+per-object session layer (kept verbatim as ``ReferenceEventCoordinator``
+in ``tests/runtime/reference_coordinator.py``, the oracle of the
+lockstep suite beside it). The observable behaviour — trace bytes, RNG
+stream, statistics, results — is bit-identical; only the bookkeeping
+shape changed:
 
 * **session slots** — per-round quorum bookkeeping lives in numpy arrays
   indexed by a pooled session slot (:class:`_SessionTable`): replies
@@ -108,7 +107,7 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.cluster.events import Simulator, Timer
 from repro.cluster.network import _payload_bytes
-from repro.cluster.node import QueueStats, ServiceTimeModel
+from repro.cluster.node import QueueStats, ServiceTimeModel, serve
 from repro.cluster.rng import make_rng, spawn_rngs
 from repro.errors import NodeUnavailableError, SimulationError
 from repro.runtime.coordinator import OpHandle, Plan
@@ -215,6 +214,30 @@ def make_service_queues(
         i: NodeServiceQueue(simulator, i, model, rngs[i])
         for i in range(num_nodes)
     }
+
+
+def _answer(nodes, stats, request: Request) -> Response:
+    """One delivered request, answered against the node's current state.
+
+    A failed node refuses: an error reply travels back immediately
+    (connection reset), distinct from the silent partition drop. A live
+    one answers through :func:`~repro.cluster.node.serve` as it serves
+    the request, so messages that were queued or in flight when a node
+    turned Byzantine are affected too.
+    """
+    node_id = request.node_id
+    node = nodes[node_id]
+    if not node.alive:
+        node.stats.failed_rpcs += 1
+        stats.rpc_failures += 1
+        return Response(request, False, None, NodeUnavailableError(node_id))
+    try:
+        return Response(
+            request, True, serve(node, request.method, request.args, request.kwargs)
+        )
+    except request.catches as exc:
+        stats.rpc_failures += 1
+        return Response(request, False, None, exc)
 
 
 class _SessionTable:
@@ -720,8 +743,8 @@ class EventCoordinator:
 
         Requests sharing a timestamp keep their relative order inside
         the group; the round's event allocation is atomic, so no foreign
-        event can order between members of one group (see the reference
-        module's ordering note).
+        event can order between members of one group (see the semantics
+        note in ``tests/runtime/reference_coordinator.py``).
         """
         sim = self.sim
         first = delays[0]
@@ -817,62 +840,12 @@ class EventCoordinator:
 
     # -- service -------------------------------------------------------- #
 
-    def _execute_rpc(self, request: Request) -> Response:
-        net = self.cluster.network
-        node = self.cluster.nodes[request.node_id]
-        if not node.alive:
-            # Fail-stop refusal: an error reply travels back immediately
-            # (connection reset), distinct from the silent partition drop.
-            node.stats.failed_rpcs += 1
-            net.stats.rpc_failures += 1
-            return Response(
-                request=request, ok=False, error=NodeUnavailableError(request.node_id)
-            )
-        try:
-            value = getattr(node, request.method)(*request.args, **request.kwargs)
-            # Delivery-time corruption: a Byzantine node lies as it
-            # serves the request, so messages that were queued or
-            # in-flight when the node turned are affected too.
-            if node.byzantine is not None:
-                value = node.byzantine.apply(node, request.method, value, request.args)
-            return Response(request=request, ok=True, value=value)
-        except request.catches as exc:
-            net.stats.rpc_failures += 1
-            return Response(request=request, ok=False, error=exc)
-
     def _serve_group(self, wave: _Wave, idxs: list[int]) -> None:
-        # _execute_rpc, inlined over the group: one attribute-lookup
-        # prologue per batch instead of per request.
         requests = wave.requests
         nodes = self.cluster.nodes
         stats = self.cluster.network.stats
-        responses: list[Response] = []
-        append = responses.append
-        peers: list[int] = []
-        for idx in idxs:
-            request = requests[idx]
-            node_id = request.node_id
-            peers.append(node_id)
-            node = nodes[node_id]
-            if not node.alive:
-                # Fail-stop refusal: an error reply travels back
-                # immediately (connection reset), distinct from the
-                # silent partition drop.
-                node.stats.failed_rpcs += 1
-                stats.rpc_failures += 1
-                append(Response(request, False, None, NodeUnavailableError(node_id)))
-                continue
-            try:
-                value = getattr(node, request.method)(*request.args, **request.kwargs)
-                # Delivery-time corruption: a Byzantine node lies as it
-                # serves the request, so messages that were queued or
-                # in-flight when the node turned are affected too.
-                if node.byzantine is not None:
-                    value = node.byzantine.apply(node, request.method, value, request.args)
-                append(Response(request, True, value))
-            except request.catches as exc:
-                stats.rpc_failures += 1
-                append(Response(request, False, None, exc))
+        responses = [_answer(nodes, stats, requests[idx]) for idx in idxs]
+        peers = [requests[idx].node_id for idx in idxs]
         delays = self.latency.sample_links(self.rng, self.site, peers)
         stats.total_message_delay = sum(delays, stats.total_message_delay)
         self._schedule_groups(
@@ -886,8 +859,8 @@ class EventCoordinator:
         # arrival by the resolved flag.
         wave.refs -= 1
         request = wave.requests[idx]
-        response = self._execute_rpc(request)
         net = self.cluster.network
+        response = _answer(self.cluster.nodes, net.stats, request)
         delay = self.latency.sample_link(self.rng, request.node_id, self.site)
         net.stats.total_message_delay += delay
         self.sim.schedule_batch(

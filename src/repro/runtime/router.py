@@ -15,8 +15,8 @@ The router owns the address map. The logical volume has
 ``(shard, local block)`` home:
 
 * ``interleave`` (default) — ``shard = block % num_shards``: round-robin
-  striping, and with one shard the identity map (the property tests pin
-  a 1-shard router bit-identical to an unsharded coordinator);
+  striping, and with one shard the identity map (a 1-shard router's
+  run is its lone coordinator's, event for event);
 * ``hash`` — a fixed pseudorandom permutation (seeded by ``route_seed``,
   part of the configuration, not of the experiment seed) is applied
   before interleaving, modelling hash-placement of keys onto stripe
@@ -30,8 +30,7 @@ Determinism: routing is pure arithmetic (no RNG draws at dispatch time),
 each shard coordinator samples from its own stream, and the shared event
 queue breaks ties by insertion order — one seed reproduces the exact
 interleaving. ``trace_hash`` digests every shard's message trace (a
-single-shard router reports that shard's hash unchanged, keeping the
-1-shard replay byte-identical to the unsharded path).
+single-shard router reports that shard's hash unchanged).
 """
 
 from __future__ import annotations

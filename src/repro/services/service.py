@@ -13,14 +13,16 @@ Failure semantics mirror the simulated paths: a dead node's
 ReproError` or ``KeyError`` the node raises) travels back as an error
 reply the client rebuilds and the round plans catch; anything else is a
 server-side programming error and is surfaced as an uncatchable
-:class:`~repro.services.wire.RemoteCallError` on the client. Nodes armed
-with a :class:`~repro.cluster.node.ByzantineBehavior` corrupt read-type
-replies exactly like ``Network.rpc`` does.
+:class:`~repro.services.wire.RemoteCallError` on the client. Requests
+are answered by :func:`~repro.cluster.node.serve`, the entry point
+``Network.rpc`` and the event runtime share, so a node armed with a
+:class:`~repro.cluster.node.ByzantineBehavior` lies here exactly as it
+does there.
 """
 
 from __future__ import annotations
 
-from repro.cluster.node import StorageNode
+from repro.cluster.node import StorageNode, serve
 
 from .wire import Codec, WireError, encode_error
 
@@ -76,13 +78,10 @@ class StorageNodeService:
                     "message": f"unknown RPC method {method!r}",
                 },
             }
-        node = self.node
         args = message.get("args") or []
         kwargs = message.get("kwargs") or {}
         try:
-            value = getattr(node, method)(*args, **kwargs)
-            if node.byzantine is not None:
-                value = node.byzantine.apply(node, method, value, tuple(args))
+            value = serve(self.node, method, tuple(args), kwargs)
         except Exception as exc:
             # a ReproError/KeyError is rebuilt and caught by the client's
             # plan; anything else is a server-side bug and surfaces there

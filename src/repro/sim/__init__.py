@@ -9,7 +9,7 @@ Three evaluation instruments of increasing fidelity:
 * :mod:`repro.sim.trace_sim` — discrete-event history-model runs with
   staleness and repair (quantifies what the paper's model idealizes away),
   in two flavours: the instant-path :class:`TraceSimulation` and the
-  event-driven :class:`ClosedLoopSimulation` (concurrent in-flight
+  event-driven :class:`ShardedClosedLoopSimulation` (concurrent in-flight
   operations, quorum-wait latency percentiles, faultloads mid-operation).
 """
 
@@ -41,7 +41,6 @@ from repro.sim.saturation import (
 from repro.sim.sweep import SweepRecord, availability_sweep, records_to_csv
 from repro.sim.trace_sim import (
     ClosedLoopConfig,
-    ClosedLoopSimulation,
     PartitionWindow,
     ShardedClosedLoopSimulation,
     TraceSimConfig,
@@ -79,7 +78,6 @@ __all__ = [
     "TraceSimConfig",
     "TraceSimulation",
     "ClosedLoopConfig",
-    "ClosedLoopSimulation",
     "ShardedClosedLoopSimulation",
     "PartitionWindow",
     "schedule_trace",

@@ -9,14 +9,16 @@ idealization in two stages:
   deltas until the optional anti-entropy service repairs them. Each
   operation executes atomically at its arrival instant (results are
   pinned across PRs).
-* :class:`ClosedLoopSimulation` — the event-driven driver built on
-  :mod:`repro.runtime`: a pool of closed-loop clients keeps several
+* :class:`ShardedClosedLoopSimulation` — the event-driven driver built
+  on :mod:`repro.runtime`: a pool of closed-loop clients keeps several
   operations genuinely *in flight* at once (each client issues its next
-  operation ``think_time`` after the previous one completes), every
-  message travels with sampled latency, and failures, repairs and
-  partitions from the faultload interleave *mid-operation*. It measures
-  what the instant path cannot: operation-latency percentiles
-  (quorum-wait tails under faults) and per-round message costs.
+  operation ``think_time`` after the previous one completes) across a
+  :class:`~repro.runtime.router.ShardRouter`'s volume — one shard is the
+  single-stripe case — every message travels with sampled latency, and
+  failures, repairs and partitions from the faultload interleave
+  *mid-operation*. It measures what the instant path cannot:
+  operation-latency percentiles (quorum-wait tails under faults) and
+  per-round message costs.
 
 Both tally consistency: a read must never return a version older than
 the last write *completed before the read began* (real-time order).
@@ -38,7 +40,6 @@ from repro.erasure.code import MDSCode
 from repro.erasure.stripe import StripeLayout
 from repro.errors import ConfigurationError
 from repro.quorum.trapezoid import TrapezoidQuorum
-from repro.runtime.event import EventCoordinator
 from repro.runtime.router import ShardRouter
 from repro.sim.metrics import LatencyTally, OperationTally
 from repro.sim.workloads import OpKind, Operation, uniform_workload, write_payload
@@ -48,7 +49,6 @@ __all__ = [
     "TraceSimulation",
     "PartitionWindow",
     "ClosedLoopConfig",
-    "ClosedLoopSimulation",
     "ShardedClosedLoopSimulation",
     "schedule_trace",
     "schedule_partitions",
@@ -321,159 +321,33 @@ class ClosedLoopConfig:
             raise ConfigurationError("repair_interval must be positive")
 
 
-class ClosedLoopSimulation:
-    """Closed-loop clients driving one plan-capable engine event-driven.
+class ShardedClosedLoopSimulation:
+    """Closed-loop clients driving a :class:`ShardRouter`'s whole volume.
 
-    ``engine`` must be bound to ``coordinator`` (an
-    :class:`~repro.runtime.event.EventCoordinator` on ``cluster`` and its
-    simulator) and expose ``read_plan(i)`` / ``write_plan(i, value)`` —
-    all four registry engines qualify. The ``clients`` loops pull
-    operations from the shared ``ops`` tape: each client submits its next
-    operation ``think_time`` after the previous one completes, so up to
-    ``clients`` operations are concurrently in flight while the optional
-    ``trace`` (fail/repair churn) and ``partitions`` interleave with
-    them mid-flight.
+    Every shard pairs a plan-capable engine (``read_plan(i)`` /
+    ``write_plan(i, value)`` — all four registry engines qualify) with
+    its own :class:`~repro.runtime.event.EventCoordinator`; all shards
+    share one simulator, one cluster and — when per-node service queues
+    are attached — the same contended servers. The ``clients`` loops
+    pull operations from the shared ``ops`` tape, which addresses the
+    router's ``num_shards * k`` logical blocks: each client submits its
+    next operation ``think_time`` after the previous one completes, so
+    up to ``clients`` operations are in flight across the volume at once
+    while the optional ``trace`` (fail/repair churn) and ``partitions``
+    interleave with them mid-flight.
 
-    Anti-entropy (``repair``) runs as instantaneous out-of-band
-    maintenance passes every ``config.repair_interval`` — the repair
-    traffic itself is not part of the latency experiment.
+    Anti-entropy (``repairs``: one instant-path service per shard) runs
+    as instantaneous out-of-band maintenance passes every
+    ``config.repair_interval`` — the repair traffic itself is not part
+    of the latency experiment.
 
     The consistency check is real-time safe under concurrency: a read
     only counts as a violation when it returns a version older than the
     newest write that *completed before the read started*.
-    """
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        engine,
-        coordinator: EventCoordinator,
-        ops: list[Operation],
-        config: ClosedLoopConfig | None = None,
-        trace: FailureTrace | None = None,
-        partitions: list[PartitionWindow] | None = None,
-        repair: RepairService | None = None,
-    ) -> None:
-        self.cluster = cluster
-        self.engine = engine
-        self.coordinator = coordinator
-        self.sim = coordinator.sim
-        self.ops = list(ops)
-        self.config = config if config is not None else ClosedLoopConfig()
-        self.trace = trace
-        self.partitions = partitions or []
-        self.repair = repair
-        self.tally = LatencyTally()
-        self._cursor = 0
-        #: highest version whose write completed, per block (safety floor)
-        self._committed: dict[int, int] = {}
-
-    # ------------------------------------------------------------------ #
-
-    def _next_op(self) -> None:
-        if self._cursor >= len(self.ops) or self.sim.now >= self.config.horizon:
-            return  # this client retires
-        op = self.ops[self._cursor]
-        self._cursor += 1
-        block = op.block
-        if op.kind is OpKind.READ:
-            self.tally.reads_attempted += 1
-            floor = self._committed.get(block, 0)
-            plan = self.engine.read_plan(block)
-            self.coordinator.submit(
-                plan, lambda result: self._read_done(result, floor)
-            )
-        else:
-            self.tally.writes_attempted += 1
-            value = write_payload(op.payload_seed, self.config.block_length)
-            plan = self.engine.write_plan(block, value)
-            self.coordinator.submit(
-                plan, lambda result: self._write_done(result, block)
-            )
-
-    def _reschedule(self) -> None:
-        self.sim.schedule_in(self.config.think_time, self._next_op)
-
-    def _read_done(self, result, floor: int) -> None:
-        if result.success:
-            self.tally.reads_succeeded += 1
-            self.tally.read_latencies.append(result.latency)
-            if result.version < floor:
-                self.tally.consistency_violations += 1
-        else:
-            self.tally.failed_read_latencies.append(result.latency)
-        self._reschedule()
-
-    def _write_done(self, result, block: int) -> None:
-        if result.success:
-            self.tally.writes_succeeded += 1
-            self.tally.write_latencies.append(result.latency)
-            self._committed[block] = max(
-                self._committed.get(block, 0), result.version
-            )
-        else:
-            self.tally.failed_write_latencies.append(result.latency)
-        self._reschedule()
-
-    def _repair_pass(self) -> None:
-        self.tally.repairs += self.repair.sync_all()
-
-    # ------------------------------------------------------------------ #
-
-    def run(self) -> LatencyTally:
-        """Run to completion (tape drained + in-flight ops resolved)."""
-        config = self.config
-        if self.trace is not None:
-            schedule_trace(
-                self.sim, self.cluster, self.trace, config.horizon,
-                wipe_on_repair=config.wipe_on_repair,
-            )
-        schedule_partitions(self.sim, self.cluster, self.partitions, config.horizon)
-        if self.repair is not None and config.repair_interval is not None:
-            t = config.repair_interval
-            while t < config.horizon:
-                self.sim.schedule_at(t, self._repair_pass)
-                t += config.repair_interval
-        for _ in range(config.clients):
-            self.sim.schedule_at(self.sim.now, self._next_op)
-        self.sim.run()
-        # Drain discipline: a fully-run queue leaves nothing outstanding,
-        # but an aborted/partial run must not retain dead sessions.
-        self.coordinator.shutdown()
-
-        stats = self.cluster.network.stats
-        self.tally.messages = stats.messages
-        self.tally.messages_dropped = stats.messages_dropped
-        self.tally.timeouts = stats.timeouts
-        self.tally.retries = stats.retries
-        self.tally.max_in_flight = self.coordinator.max_in_flight
-        self.tally.round_messages = self.coordinator.round_messages.copy()
-        return self.tally
-
-
-class ShardedClosedLoopSimulation:
-    """Closed-loop clients driving a :class:`ShardRouter`'s whole volume.
-
-    The multi-shard counterpart of :class:`ClosedLoopSimulation`: the
-    shared ``ops`` tape addresses the router's ``num_shards * k`` logical
-    blocks, every operation is dispatched to its owning shard's
-    coordinator, and all shards share one simulator, one cluster and —
-    when per-node service queues are attached — the same contended
-    servers. Up to ``clients`` operations are in flight across the
-    volume at once; faultloads (churn / partitions) interleave
-    mid-operation exactly as in the single-shard driver.
-
-    The client loop issues the very same simulator calls in the very
-    same order as :class:`ClosedLoopSimulation`, so a 1-shard router
-    with no service queues replays the unsharded run bit-identically
-    (results, message counts, trace hash — pinned by the property tests
-    in ``tests/runtime/test_sharded_runtime.py``).
 
     ``run`` returns the aggregate :class:`LatencyTally`; per-shard
     tallies stay available as ``shard_tallies`` and pre-digested
-    per-shard percentile rows via :meth:`shard_summaries`. Anti-entropy
-    (``repairs``: one instant-path service per shard) runs as
-    out-of-band maintenance passes, as in the single-shard driver.
+    per-shard percentile rows via :meth:`shard_summaries`.
     """
 
     def __init__(

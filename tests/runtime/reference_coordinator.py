@@ -6,16 +6,13 @@ replaced when the hot loop moved to struct-of-arrays form (see
 docs/PERFORMANCE.md, "The event core"). It is kept verbatim — one heap
 entry and one closure per message leg, one :class:`_Attempt` object per
 attempt, one :class:`~repro.runtime.rounds.QuorumWait` per round, eager
-trace formatting — for two jobs:
-
-* **lockstep oracle** — the hypothesis equivalence suite runs identical
-  workloads through both coordinators and asserts values, versions,
-  message counts and ``trace_hash()`` match bit-for-bit (same
-  precedent as ``matmul_reference`` for the GF kernels and the seed
-  decode/optimize paths);
-* **bench baseline** — the ``event_core`` perf section measures the
-  vectorized path's sim-ops/s against this loop on the same pinned
-  config.
+trace formatting — as the **lockstep oracle**: ``test_event_lockstep.py``
+runs identical workloads through both coordinators and asserts values,
+versions, message counts and ``trace_hash()`` match bit-for-bit (same
+precedent as ``matmul_reference`` for the GF kernels and the seed
+decode/optimize paths). It lives beside that suite, not in the
+installed package; its last timing against the vectorized path (11.9x)
+is recorded in docs/PERFORMANCE.md.
 
 Semantics note: the two paths are event-for-event identical except on a
 measure-zero edge — a message whose sampled one-way delay *exactly*
@@ -25,7 +22,7 @@ where this path arms per-attempt timers with interleaved sequence
 numbers). No continuous latency model hits it, and a fixed model would
 need ``delay == timeout``, which configs reject in practice.
 
-Do not modify this module for performance; it is the yardstick.
+Do not modify this module for performance; it is the oracle.
 """
 
 from __future__ import annotations
@@ -37,6 +34,7 @@ from typing import Any, Callable, Mapping
 from repro.cluster.cluster import Cluster
 from repro.cluster.events import Simulator, Timer
 from repro.cluster.network import _payload_bytes
+from repro.cluster.node import serve
 from repro.cluster.rng import make_rng
 from repro.errors import NodeUnavailableError, SimulationError
 from repro.runtime.coordinator import OpHandle, Plan
@@ -285,11 +283,7 @@ class ReferenceEventCoordinator:
             )
         else:
             try:
-                value = getattr(node, request.method)(*request.args, **request.kwargs)
-                if node.byzantine is not None:
-                    value = node.byzantine.apply(
-                        node, request.method, value, request.args
-                    )
+                value = serve(node, request.method, request.args, request.kwargs)
                 response = Response(request=request, ok=True, value=value)
             except request.catches as exc:
                 net.stats.rpc_failures += 1

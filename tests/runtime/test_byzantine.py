@@ -4,8 +4,8 @@ Covers the three tentpole layers end to end:
 
 * :class:`ByzantineBehavior` — the node-side corruption model (payload /
   stale / mixed modes, rate coin, read-methods-only scope);
-* injection points — delivery time on the event path (queued messages
-  corrupt too) and the instant-path twin in ``Network.rpc``;
+* injection points — one ``serve`` behind every execution path; their
+  parity is pinned in ``test_dispatch_parity.py``;
 * the verified read path — rate-0 equivalence with the fail-stop path
   (digest bookkeeping only), and the headline safety property: with f
   corrupt nodes under the tolerance bound, every successful read returns
@@ -30,12 +30,7 @@ from repro.cluster import Cluster, Simulator, make_rng, spawn_rngs
 from repro.cluster.network import FixedLatency
 from repro.cluster.node import ByzantineBehavior
 from repro.errors import ConfigurationError
-from repro.runtime import (
-    EventCoordinator,
-    Request,
-    RetryPolicy,
-    Round,
-)
+from repro.runtime import EventCoordinator, RetryPolicy
 
 N, K = 9, 6
 BLOCK = 8
@@ -118,56 +113,6 @@ class TestByzantineBehavior:
             payload, _ = behavior.apply(node, "read_data", clean)
             corrupted += not np.array_equal(payload, clean[0])
         assert abs(corrupted / trials - 0.25) < 0.05
-
-
-# --------------------------------------------------------------------- #
-# injection points: instant Network.rpc and event-path delivery
-# --------------------------------------------------------------------- #
-
-
-def arm(cluster, node_id, mode="payload", rate=1.0, seed=0):
-    behavior = ByzantineBehavior(mode, rate, make_rng(seed))
-    cluster.node(node_id).set_byzantine(behavior)
-    return behavior
-
-
-class TestInjectionPoints:
-    def test_instant_rpc_applies_corruption(self):
-        cluster = Cluster(2)
-        cluster.node(0).put_data("k", np.arange(BLOCK, dtype=np.uint8), 1)
-        arm(cluster, 0)
-        payload, version = cluster.rpc(0, "read_data", "k")
-        assert version == 1
-        assert not np.array_equal(payload, np.arange(BLOCK, dtype=np.uint8))
-        cluster.node(0).clear_byzantine()
-        payload, _ = cluster.rpc(0, "read_data", "k")
-        assert np.array_equal(payload, np.arange(BLOCK, dtype=np.uint8))
-
-    def test_event_delivery_applies_corruption(self):
-        # Corruption is injected when the reply is *served*, so messages
-        # already queued when the node turns Byzantine corrupt too.
-        cluster = Cluster(3)
-        cluster.network.latency = FixedLatency(0.001)
-        sim = Simulator()
-        coordinator = EventCoordinator(
-            cluster, sim, rng=0, policy=RetryPolicy(timeout=0.05)
-        )
-        for node in cluster.nodes:
-            node.put_data("k", np.arange(BLOCK, dtype=np.uint8), 1)
-        arm(cluster, 1)
-
-        def plan():
-            outcome = yield Round(
-                [Request(i, "read_data", ("k",)) for i in range(3)],
-                need=3,
-            )
-            return outcome
-
-        outcome = coordinator.execute(plan())
-        by_node = {r.request.node_id: r.value for r in outcome.accepted}
-        assert np.array_equal(by_node[0][0], np.arange(BLOCK, dtype=np.uint8))
-        assert np.array_equal(by_node[2][0], np.arange(BLOCK, dtype=np.uint8))
-        assert not np.array_equal(by_node[1][0], np.arange(BLOCK, dtype=np.uint8))
 
 
 # --------------------------------------------------------------------- #

@@ -2,8 +2,8 @@
 
 :class:`~repro.runtime.event.EventCoordinator` (struct-of-arrays session
 table, batched deliveries, pooled waves) must replay
-:class:`~repro.runtime.reference.ReferenceEventCoordinator` (the
-per-object pre-vectorization loop, kept verbatim as the oracle)
+:class:`~tests.runtime.reference_coordinator.ReferenceEventCoordinator`
+(the per-object pre-vectorization loop, kept verbatim as the oracle)
 bit-for-bit: same values and versions, same message/timeout/drop
 counters, same ``trace_hash``. Pinned here across all four protocols,
 churn/partition/byzantine faultloads, and shards in {1, 4} — both as an
@@ -14,44 +14,26 @@ counts and latency models.
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Cluster, FixedLatency, Network, Simulator
+from repro.cluster import FixedLatency, FixedServiceTime
 from repro.cluster.failures import exponential_trace
 from repro.cluster.network import LognormalLatency, TwoTierLatency
 from repro.cluster.node import ByzantineBehavior
-from repro.cluster.rng import make_rng, spawn_rngs
+from repro.cluster.rng import make_rng
 from repro.core.replication import MajorityProtocol, RowaProtocol
 from repro.core.trap_erc import TrapErcProtocol
 from repro.core.trap_fr import TrapFrProtocol
-from repro.erasure import MDSCode
-from repro.erasure.stripe import StripeLayout
-from repro.quorum import TrapezoidQuorum, TrapezoidShape
-from repro.runtime import (
-    EventCoordinator,
-    RetryPolicy,
-    Shard,
-    ShardRouter,
-    make_service_queues,
-)
-from repro.runtime.reference import ReferenceEventCoordinator
-from repro.sim import (
-    ClosedLoopConfig,
-    ClosedLoopSimulation,
-    PartitionWindow,
-    ShardedClosedLoopSimulation,
-    schedule_partitions,
-    schedule_trace,
-    uniform_workload,
-)
-from repro.cluster import FixedServiceTime
+from repro.runtime import EventCoordinator
+from repro.sim import PartitionWindow, schedule_partitions, schedule_trace
+from tests.runtime.closed_loop import K, N, build_closed_loop, quorum, shard_layout
+from tests.runtime.reference_coordinator import ReferenceEventCoordinator
 
-N, K = 9, 6
-BLOCK = 8
 HORIZON = 60.0
 
 PROTOCOLS = ("trap-erc", "trap-fr", "rowa", "majority")
@@ -66,21 +48,17 @@ LATENCIES = {
 }
 
 
-def _quorum():
-    return TrapezoidQuorum.uniform(TrapezoidShape(2, 1, 1), 2)
-
-
 def _make_engine(protocol, cluster, code, coordinator, shard_index):
-    layout = StripeLayout(N, K, tuple((b + shard_index) % N for b in range(N)))
+    layout = shard_layout(shard_index)
     stripe_id = f"lockstep-{shard_index}"
     if protocol == "trap-erc":
         return TrapErcProtocol(
-            cluster, code, _quorum(), layout=layout,
+            cluster, code, quorum(), layout=layout,
             stripe_id=stripe_id, coordinator=coordinator,
         )
     if protocol == "trap-fr":
         return TrapFrProtocol(
-            cluster, N, K, _quorum(), layout=layout,
+            cluster, N, K, quorum(), layout=layout,
             stripe_id=stripe_id, coordinator=coordinator,
         )
     cls = RowaProtocol if protocol == "rowa" else MajorityProtocol
@@ -135,52 +113,19 @@ def _node_digest(cluster):
 def _run(coordinator_cls, protocol, faultload, shards, seed, clients,
          read_fraction, latency="fixed", service=False, retries=1):
     """One closed-loop run; returns the full observable fingerprint."""
-    network = Network(latency=LATENCIES[latency]())
-    cluster = Cluster(N, network=network)
-    sim = Simulator()
-    queues = (
-        make_service_queues(sim, N, FixedServiceTime(0.0004), rng=99)
-        if service else None
+    driver, router = build_closed_loop(
+        seed, 30, clients, 0.0, read_fraction,
+        shards=shards, horizon=HORIZON, retries=retries,
+        latency=LATENCIES[latency](),
+        service=FixedServiceTime(0.0004) if service else None,
+        coordinator_cls=coordinator_cls,
+        make_engine=partial(_make_engine, protocol),
     )
-    policy = RetryPolicy(timeout=0.05, retries=retries)
-    code = MDSCode(N, K)
-    init_rng = make_rng(1)
-    rngs = [make_rng(seed)] if shards == 1 else spawn_rngs(make_rng(seed), shards)
-    shard_objs = []
-    for s in range(shards):
-        coordinator = coordinator_cls(
-            cluster, sim, rng=rngs[s], policy=policy,
-            record_trace=True, queues=queues,
-        )
-        engine = _make_engine(protocol, cluster, code, coordinator, s)
-        engine.initialize(
-            init_rng.integers(0, 256, size=(K, BLOCK), dtype=np.int64)
-            .astype(np.uint8)
-        )
-        shard_objs.append(Shard(s, engine, coordinator, K))
-    cluster.reset_stats()
+    cluster, sim, shard_objs = driver.cluster, driver.sim, router.shards
     _apply_faultload(faultload, sim, cluster)
-    ops = 30
-    config = ClosedLoopConfig(clients=clients, think_time=0.0, horizon=HORIZON)
-    if shards == 1:
-        shard = shard_objs[0]
-        workload = uniform_workload(ops, K, read_fraction, rng=make_rng(2))
-        driver = ClosedLoopSimulation(
-            cluster, shard.engine, shard.coordinator, workload, config=config
-        )
-        tally = driver.run()
-        trace = shard.coordinator.trace_hash()
-    else:
-        router = ShardRouter(shard_objs)
-        workload = uniform_workload(
-            ops, router.num_blocks, read_fraction, rng=make_rng(2)
-        )
-        driver = ShardedClosedLoopSimulation(
-            cluster, router, workload, config=config
-        )
-        tally = driver.run()
-        trace = router.trace_hash()
-    stats = network.stats
+    tally = driver.run()
+    trace = router.trace_hash()
+    stats = cluster.network.stats
     round_messages = sum(
         (shard.coordinator.round_messages for shard in shard_objs), start=type(
             shard_objs[0].coordinator.round_messages

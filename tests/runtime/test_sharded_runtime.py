@@ -1,31 +1,25 @@
-"""Sharded multi-volume runtime: router, service queues, bit-identity.
+"""Sharded multi-volume runtime: router, service queues, per-shard keys.
 
-The acceptance contract of the sharding refactor: a 1-shard router with
-zero service time is *transparent* — the sharded closed-loop driver
-replays the unsharded :class:`ClosedLoopSimulation` byte for byte
-(results, message counts, trace hash), pinned here property-style over
-seeds/clients/workloads. Everything the refactor adds (hash routing,
-FIFO service queues, shared-substrate contention, per-link latency)
-is tested on top of that floor.
+Hash routing, FIFO service queues, shared-substrate contention and
+per-link latency on top of the closed-loop driver; the 1-shard run
+itself is pinned by the goldens in ``tests/sim/test_latency_sim.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.api import (
     LatencySpec,
-    ScenarioRunner,
-    ScenarioSpec,
     ServiceTimeSpec,
     ShardingSpec,
     SystemSpec,
     WorkloadSpec,
     build_sharded_system,
+    register_protocol,
 )
+from repro.api.registry import _PROTOCOLS
 from repro.cluster import (
     Cluster,
     ExponentialServiceTime,
@@ -35,151 +29,116 @@ from repro.cluster import (
     Simulator,
     TwoTierLatency,
 )
-from repro.cluster.rng import make_rng, spawn_rngs
+from repro.cluster.rng import make_rng
 from repro.core.trap_erc import TrapErcProtocol
 from repro.erasure import MDSCode
-from repro.erasure.stripe import StripeLayout
 from repro.errors import ConfigurationError
-from repro.quorum import TrapezoidQuorum, TrapezoidShape
 from repro.runtime import (
     EventCoordinator,
     NodeServiceQueue,
     RetryPolicy,
-    Shard,
     ShardRouter,
     make_service_queues,
 )
-from repro.sim import (
-    ClosedLoopConfig,
-    ClosedLoopSimulation,
-    ShardedClosedLoopSimulation,
-    uniform_workload,
-)
-
-N, K = 9, 6
-BLOCK = 8
+from repro.sim.workloads import write_payload
+from tests.runtime.closed_loop import BLOCK, K, N, build_closed_loop, quorum
 
 
-def _quorum():
-    return TrapezoidQuorum.uniform(TrapezoidShape(2, 1, 1), 2)
+class TestShardsOwnTheirStorageKeys:
+    """Shards share nodes, never records (ROADMAP 1(a))."""
 
-
-def build_unsharded(seed, ops, clients, think, read_fraction):
-    network = Network(latency=FixedLatency(0.001))
-    cluster = Cluster(N, network=network)
-    sim = Simulator()
-    coordinator = EventCoordinator(
-        cluster, sim, rng=seed, policy=RetryPolicy(timeout=0.05),
-        record_trace=True,
-    )
-    engine = TrapErcProtocol(
-        cluster, MDSCode(N, K), _quorum(), coordinator=coordinator
-    )
-    engine.initialize(
-        make_rng(1).integers(0, 256, size=(K, BLOCK), dtype=np.int64).astype(np.uint8)
-    )
-    cluster.reset_stats()
-    workload = uniform_workload(ops, K, read_fraction, rng=make_rng(2))
-    return (
-        ClosedLoopSimulation(
-            cluster, engine, coordinator, workload,
-            config=ClosedLoopConfig(clients=clients, think_time=think, horizon=100.0),
-        ),
-        coordinator,
+    SHARDS = 4
+    SPEC = SystemSpec.trapezoid(
+        N, K, 2, 1, 1, 2,
+        latency=LatencySpec(kind="lognormal"),
+        sharding=ShardingSpec(shards=SHARDS),
+        workload=WorkloadSpec(block_length=32),
+        seed=3,
     )
 
+    @pytest.mark.parametrize("protocol", ["trap-erc", "trap-fr", "rowa", "majority"])
+    def test_reads_return_the_last_bytes_written_to_that_block(self, protocol):
+        system = build_sharded_system(self.SPEC.replace(protocol=protocol))
+        initial = system.initialize()
+        router, sim = system.router, system.simulator
+        shadow = {
+            block: initial[router.locate(block)[0].index, router.locate(block)[1]]
+            for block in range(router.num_blocks)
+        }
+        failed, wrong, reads = [], [], [0]
 
-def build_sharded(
-    seed, ops, clients, think, read_fraction,
-    shards=1, service=None, routing="interleave",
-):
-    network = Network(latency=FixedLatency(0.001))
-    cluster = Cluster(N, network=network)
-    sim = Simulator()
-    queues = (
-        make_service_queues(sim, N, service, rng=99) if service is not None else None
-    )
-    rngs = [make_rng(seed)] if shards == 1 else spawn_rngs(make_rng(seed), shards)
-    code = MDSCode(N, K)
-    init_rng = make_rng(1)
-    shard_objs = []
-    for s in range(shards):
-        coordinator = EventCoordinator(
-            cluster, sim, rng=rngs[s], policy=RetryPolicy(timeout=0.05),
-            record_trace=True, queues=queues,
-        )
-        layout = StripeLayout(N, K, tuple((b + s) % N for b in range(N)))
-        engine = TrapErcProtocol(
-            cluster, code, _quorum(), layout=layout,
-            stripe_id=f"shard-{s}", coordinator=coordinator,
-        )
-        engine.initialize(
-            init_rng.integers(0, 256, size=(K, BLOCK), dtype=np.int64)
-            .astype(np.uint8)
-        )
-        shard_objs.append(Shard(s, engine, coordinator, K))
-    cluster.reset_stats()
-    router = ShardRouter(shard_objs, routing=routing)
-    workload = uniform_workload(ops, router.num_blocks, read_fraction, rng=make_rng(2))
-    return (
-        ShardedClosedLoopSimulation(
-            cluster, router, workload,
-            config=ClosedLoopConfig(clients=clients, think_time=think, horizon=100.0),
-        ),
-        router,
-    )
+        def client(shard: int) -> None:
+            # One client per shard, on that shard's blocks only: no two
+            # writers ever race, so every read has exactly one right answer.
+            tape = iter(range(60))
 
+            def next_op() -> None:
+                step = next(tape, None)
+                if step is None:
+                    return
+                block = (step % K) * self.SHARDS + shard
+                if step % 3 == 2:
+                    reads[0] += 1
+                    router.submit_read(block, lambda r: read_done(block, r))
+                else:
+                    value = write_payload(shard * 1000 + step, 32)
+                    router.submit_write(
+                        block, value, lambda r: write_done(block, value, r)
+                    )
 
-class TestOneShardBitIdentity:
-    """A 1-shard, zero-service router replays the unsharded path exactly."""
+            def read_done(block, result) -> None:
+                if not result.success:
+                    failed.append(("read", block))
+                elif not np.array_equal(result.value, shadow[block]):
+                    wrong.append(block)
+                sim.schedule_in(0.001, next_op)
 
-    @given(
-        seed=st.integers(0, 2**16),
-        clients=st.integers(1, 6),
-        ops=st.integers(20, 80),
-        think=st.sampled_from([0.0, 0.01, 0.1]),
-        read_fraction=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_summary_messages_and_trace_identical(
-        self, seed, clients, ops, think, read_fraction
-    ):
-        unsharded, coordinator = build_unsharded(
-            seed, ops, clients, think, read_fraction
-        )
-        sharded, router = build_sharded(seed, ops, clients, think, read_fraction)
-        tally_u = unsharded.run()
-        tally_s = sharded.run()
-        assert tally_u.summary() == tally_s.summary()
-        assert tally_u.messages == tally_s.messages
-        assert tally_u.max_in_flight == tally_s.max_in_flight
-        assert coordinator.trace_hash() == router.trace_hash()
+            def write_done(block, value, result) -> None:
+                if result.success:
+                    shadow[block] = value
+                else:
+                    failed.append(("write", block))
+                sim.schedule_in(0.001, next_op)
 
-    def test_runner_level_identity(self):
-        """ShardingSpec(shards=1) reproduces the legacy latency scenario."""
-        base = SystemSpec.trapezoid(
-            N, K, 2, 1, 1, 2,
-            latency=LatencySpec(kind="lognormal"),
-            workload=WorkloadSpec(num_ops=80, block_length=16),
-            scenario=ScenarioSpec(kind="latency", clients=3, think_time=0.05,
-                                  horizon=30.0),
-            seed=11,
-        )
-        legacy = ScenarioRunner(base).run().data
-        sharded = ScenarioRunner(
-            base.replace(sharding=ShardingSpec(shards=1))
-        ).run().data
-        assert legacy["summary"] == sharded["summary"]
-        assert legacy["trace_hash"] == sharded["trace_hash"]
-        assert legacy["virtual_duration"] == sharded["virtual_duration"]
-        # The sharded path adds the per-shard/queue views on top.
-        assert sharded["shards"] == 1
-        assert len(sharded["per_shard"]) == 1
+            sim.schedule_at(sim.now, next_op)
+
+        for shard in range(self.SHARDS):
+            client(shard)
+        sim.run()
+        assert reads[0] == 20 * self.SHARDS
+        assert failed == []
+        assert wrong == []
+
+    def test_stripe_ids_are_per_shard_and_shard_zero_keeps_the_legacy_one(self):
+        system = build_sharded_system(self.SPEC)
+        assert [shard.engine.stripe_id for shard in system.shards] == [
+            "api-stripe", "api-stripe-1", "api-stripe-2", "api-stripe-3",
+        ]
+        assert [repair.protocol.stripe_id for repair in system.repairs] == [
+            shard.engine.stripe_id for shard in system.shards
+        ]
+
+    def test_builder_without_namespace_refused_above_one_shard(self):
+        entry = _PROTOCOLS["trap-erc"]
+
+        @register_protocol("no-namespace", entry.engine_class, needs_trapezoid=True)
+        def _build(spec, cluster, code, layout, coordinator=None):
+            return entry.builder(spec, cluster, code, layout, coordinator=coordinator)
+
+        try:
+            spec = self.SPEC.replace(protocol="no-namespace")
+            with pytest.raises(ConfigurationError, match="namespace"):
+                build_sharded_system(spec)
+            one = build_sharded_system(spec.replace(sharding=ShardingSpec(shards=1)))
+            one.initialize()
+            assert one.router.execute_read(0).success
+        finally:
+            _PROTOCOLS.pop("no-namespace")
 
 
 class TestShardRouter:
     def test_interleave_locate_is_a_bijection(self):
-        _, router = build_sharded(0, 10, 1, 0.0, 0.5, shards=4)
+        _, router = build_closed_loop(0, 10, 1, 0.0, 0.5, shards=4)
         homes = {router.locate(b)[0].index * K + router.locate(b)[1]
                  for b in range(router.num_blocks)}
         assert len(homes) == router.num_blocks
@@ -187,37 +146,37 @@ class TestShardRouter:
         assert [router.locate(b)[0].index for b in range(4)] == [0, 1, 2, 3]
 
     def test_hash_routing_is_a_seeded_bijection(self):
-        _, router = build_sharded(0, 10, 1, 0.0, 0.5, shards=4, routing="hash")
+        _, router = build_closed_loop(0, 10, 1, 0.0, 0.5, shards=4, routing="hash")
         homes = {(router.locate(b)[0].index, router.locate(b)[1])
                  for b in range(router.num_blocks)}
         assert len(homes) == router.num_blocks
-        _, router2 = build_sharded(0, 10, 1, 0.0, 0.5, shards=4, routing="hash")
+        _, router2 = build_closed_loop(0, 10, 1, 0.0, 0.5, shards=4, routing="hash")
         assert all(
             router.locate(b)[0].index == router2.locate(b)[0].index
             for b in range(router.num_blocks)
         )
 
     def test_route_key_stable_and_in_range(self):
-        _, router = build_sharded(0, 10, 1, 0.0, 0.5, shards=4)
+        _, router = build_closed_loop(0, 10, 1, 0.0, 0.5, shards=4)
         blocks = [router.route_key(("volume", i)) for i in range(100)]
         assert blocks == [router.route_key(("volume", i)) for i in range(100)]
         assert all(0 <= b < router.num_blocks for b in blocks)
         assert len(set(blocks)) > 1  # keys spread over the volume
 
     def test_locate_range_checked(self):
-        _, router = build_sharded(0, 10, 1, 0.0, 0.5, shards=2)
+        _, router = build_closed_loop(0, 10, 1, 0.0, 0.5, shards=2)
         with pytest.raises(ConfigurationError, match="logical block"):
             router.locate(router.num_blocks)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError, match="at least one"):
             ShardRouter([])
-        _, router = build_sharded(0, 10, 1, 0.0, 0.5)
+        _, router = build_closed_loop(0, 10, 1, 0.0, 0.5)
         with pytest.raises(ConfigurationError, match="routing"):
             ShardRouter(router.shards, routing="modulo")
 
     def test_multi_shard_run_spreads_and_stays_consistent(self):
-        sharded, router = build_sharded(3, 160, 6, 0.0, 0.5, shards=4)
+        sharded, router = build_closed_loop(3, 160, 6, 0.0, 0.5, shards=4)
         tally = sharded.run()
         assert tally.reads_attempted + tally.writes_attempted == 160
         assert tally.consistency_violations == 0
@@ -271,14 +230,14 @@ class TestNodeServiceQueue:
 
 class TestQueueAwareDelivery:
     def test_service_time_adds_to_operation_latency(self):
-        fast, _ = build_sharded(0, 40, 1, 0.0, 1.0)
-        slow, _ = build_sharded(0, 40, 1, 0.0, 1.0, service=FixedServiceTime(0.01))
+        fast, _ = build_closed_loop(0, 40, 1, 0.0, 1.0)
+        slow, _ = build_closed_loop(0, 40, 1, 0.0, 1.0, service=FixedServiceTime(0.01))
         p50_fast = fast.run().read_percentiles()["p50"]
         p50_slow = slow.run().read_percentiles()["p50"]
         assert p50_slow >= p50_fast + 0.01
 
     def test_contention_queues_requests(self):
-        sharded, router = build_sharded(
+        sharded, router = build_closed_loop(
             1, 200, 8, 0.0, 0.5, shards=4, service=FixedServiceTime(0.002)
         )
         tally = sharded.run()
@@ -297,7 +256,7 @@ class TestQueueAwareDelivery:
             cluster, sim, rng=0, policy=RetryPolicy(timeout=10.0), queues=queues,
         )
         engine = TrapErcProtocol(
-            cluster, MDSCode(N, K), _quorum(), coordinator=coordinator
+            cluster, MDSCode(N, K), quorum(), coordinator=coordinator
         )
         engine.initialize(
             make_rng(1).integers(0, 256, size=(K, BLOCK), dtype=np.int64)
@@ -348,7 +307,7 @@ class TestPerLinkLatency:
                 policy=RetryPolicy(timeout=10.0), site=site,
             )
             engine = TrapErcProtocol(
-                cluster, MDSCode(N, K), _quorum(), coordinator=coordinator
+                cluster, MDSCode(N, K), quorum(), coordinator=coordinator
             )
             engine.initialize(
                 make_rng(1).integers(0, 256, size=(K, BLOCK), dtype=np.int64)

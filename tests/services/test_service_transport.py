@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.cluster.node import ByzantineBehavior, StorageNode
+from repro.cluster.node import StorageNode
 from repro.cluster.rng import make_rng
 from repro.errors import ConfigurationError, NodeUnavailableError
 from repro.services import (
@@ -92,18 +92,6 @@ class TestServiceDispatch:
         assert not reply["ok"]
         assert reply["error"]["type"] == "NodeUnavailableError"
         assert reply["error"]["node_id"] == 5
-
-    def test_byzantine_node_corrupts_read_replies(self):
-        node = StorageNode(0)
-        node.put_data("k", payload(), 1)
-        node.byzantine = ByzantineBehavior(
-            mode="payload", rate=1.0, rng=make_rng(3)
-        )
-        service = StorageNodeService(node)
-        reply = service.dispatch({"id": 1, "method": "read_data", "args": ["k"]})
-        got, version = reply["value"]
-        assert reply["ok"] and version == 1
-        assert not np.array_equal(got, payload())  # the lie, as Network.rpc
 
     def test_malformed_frame_becomes_error_reply(self):
         service = StorageNodeService(StorageNode(0))

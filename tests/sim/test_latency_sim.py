@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.api import (
@@ -10,25 +12,19 @@ from repro.api import (
     LatencySpec,
     ScenarioRunner,
     ScenarioSpec,
+    ShardingSpec,
     SystemSpec,
     WorkloadSpec,
 )
-from repro.cluster import Cluster, Simulator
 from repro.cluster.failures import exponential_trace
-from repro.cluster.network import FixedLatency, Network
 from repro.cluster.rng import make_rng
-from repro.core.trap_erc import TrapErcProtocol
-from repro.erasure import MDSCode
-from repro.quorum import TrapezoidQuorum, TrapezoidShape
-from repro.runtime import EventCoordinator, RetryPolicy
-from repro.sim import (
-    ClosedLoopConfig,
-    ClosedLoopSimulation,
-    PartitionWindow,
-    percentile_summary,
-    uniform_workload,
-)
+from repro.sim import ClosedLoopConfig, PartitionWindow, percentile_summary
 from repro.errors import ConfigurationError
+from tests.runtime.closed_loop import build_closed_loop
+
+GOLDENS = json.loads(
+    (Path(__file__).parent / "closed_loop_goldens.json").read_text()
+)
 
 
 class TestPercentileSummary:
@@ -45,25 +41,10 @@ class TestPercentileSummary:
 
 
 def build_sim(seed=0, clients=5, ops=120, think=0.02, trace=None, partitions=None):
-    network = Network(latency=FixedLatency(0.001))
-    cluster = Cluster(9, network=network)
-    simulator = Simulator()
-    coordinator = EventCoordinator(
-        cluster, simulator, rng=seed, policy=RetryPolicy(timeout=0.05),
-        record_trace=True,
+    sim, router = build_closed_loop(
+        seed, ops, clients, think, trace=trace, partitions=partitions
     )
-    quorum = TrapezoidQuorum.uniform(TrapezoidShape(2, 1, 1), 2)
-    engine = TrapErcProtocol(cluster, MDSCode(9, 6), quorum, coordinator=coordinator)
-    engine.initialize(
-        make_rng(1).integers(0, 256, size=(6, 8), dtype=np.int64).astype(np.uint8)
-    )
-    cluster.reset_stats()  # drop the instant-path bootstrap traffic
-    workload = uniform_workload(ops, 6, 0.5, rng=make_rng(2))
-    return ClosedLoopSimulation(
-        cluster, engine, coordinator, workload,
-        config=ClosedLoopConfig(clients=clients, think_time=think, horizon=100.0),
-        trace=trace, partitions=partitions,
-    ), coordinator
+    return sim, router.shards[0].coordinator
 
 
 class TestClosedLoopSimulation:
@@ -97,6 +78,28 @@ class TestClosedLoopSimulation:
         sim2, coord2 = build_sim(seed=5)
         assert sim1.run().summary() == sim2.run().summary()
         assert coord1.trace_hash() == coord2.trace_hash()
+
+    @pytest.mark.parametrize("case", sorted(GOLDENS))
+    def test_goldens_of_the_deleted_single_shard_driver(self, case):
+        """``(seed -> trace_hash, summary)`` recorded from the unsharded
+        ``ClosedLoopSimulation`` at the commit that deleted it: the
+        1-shard router run replays that driver bit for bit."""
+        kwargs = {
+            "healthy": dict(seed=5),
+            "churn": dict(
+                seed=7, ops=200, think=0.05,
+                trace=exponential_trace(
+                    9, mtbf=0.5, mttr=0.5, horizon=100.0, rng=make_rng(3)
+                ),
+            ),
+            "partition": dict(
+                seed=9, ops=100, partitions=[PartitionWindow(0.0, 1.0, (6, 7))]
+            ),
+        }[case]
+        sim, coordinator = build_sim(**kwargs)
+        summary = sim.run().summary()
+        assert coordinator.trace_hash() == GOLDENS[case]["trace_hash"]
+        assert json.loads(json.dumps(summary)) == GOLDENS[case]["summary"]
 
     def test_churn_faultload_costs_availability(self):
         trace = exponential_trace(9, mtbf=0.5, mttr=0.5, horizon=100.0, rng=make_rng(3))
@@ -188,6 +191,15 @@ class TestLatencyScenarioKind:
         # repairs may legitimately be zero on a lucky trace, but the
         # scenario must run and stay consistent under churn + repair.
         assert result.data["summary"]["consistency_violations"] == 0
+
+    def test_no_sharding_section_is_the_one_shard_volume(self):
+        spec = self.make_spec(
+            faultload=FaultloadSpec(kind="churn", mtbf=3.0, mttr=0.5)
+        )
+        bare = ScenarioRunner(spec).run().data
+        one = ScenarioRunner(spec.replace(sharding=ShardingSpec(shards=1))).run().data
+        assert bare == one
+        assert bare["shards"] == 1 and len(bare["per_shard"]) == 1
 
     def test_different_seeds_different_traces(self):
         h1 = ScenarioRunner(self.make_spec()).run().data["trace_hash"]

@@ -27,13 +27,13 @@ from repro.sim import (
     queue_summary,
     saturation_sweep,
 )
-from tests.runtime.test_sharded_runtime import build_sharded
+from tests.runtime.closed_loop import build_closed_loop
 
 from repro.cluster import FixedServiceTime
 
 
 def _make_run(clients, service=0.002, ops=240, shards=4):
-    sim, _ = build_sharded(
+    sim, _ = build_closed_loop(
         7, ops, clients, 0.0, 0.5, shards=shards,
         service=FixedServiceTime(service),
     )
