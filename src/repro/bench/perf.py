@@ -127,7 +127,7 @@ DEFAULT_SIZES = {
     "wc_clients": 4,
     "wc_block_length": 64,
     "wc_repeats": 2,
-    # event core: the vectorized session layer — one pinned quorum
+    # event core: the event session layer — one pinned quorum
     # fan-out resubmitted by ec_clients concurrent closed-loop sessions,
     # the regime where per-message heap/timer bookkeeping dominates.
     "ec_ops": 100_000,

@@ -7,8 +7,14 @@ arrivals) and the event-driven protocol runtime in :mod:`repro.runtime`,
 whose message timeouts need the cancellable :class:`Timer` handles that
 ``schedule_at``/``schedule_in`` return.
 
-Three mechanisms keep the engine fast at million-event scale:
+Four mechanisms keep the engine fast at million-event scale:
 
+* **One drain loop** — :meth:`Simulator.step`, :meth:`Simulator.run` and
+  :meth:`Simulator.run_until` are one loop body (``_drain``) with a
+  horizon and an event budget. It picks the next event by comparing
+  ``time`` then ``seq`` field by field (no key tuples), prunes cancelled
+  heads of the heap and of every lane where they sit, and calls the
+  event without another Python frame in between.
 * **Heap compaction** — cancellation is lazy (a cancelled entry stays
   queued until it surfaces), but the engine counts housed-dead entries
   and rebuilds the heap once more than half of it is cancelled timers,
@@ -17,17 +23,19 @@ Three mechanisms keep the engine fast at million-event scale:
 * **Monotone lanes** (:meth:`Simulator.monotone_lane`) — a deque-backed
   side channel for callers whose deadlines are scheduled in
   non-decreasing order (constant-delay timeout timers). Push and cancel
-  are O(1) with no heap traffic; the main loop merges lane heads with
-  the heap by the same ``(time, seq)`` key, so ordering is exactly as
+  are O(1) with no heap traffic; the drain loop merges lane heads with
+  the heap by the same ``(time, seq)`` order, so ordering is exactly as
   if every entry had gone through the heap.
-* **Batch drain** (:meth:`Simulator.register_batch_handler` /
+* **Batch entries** (:meth:`Simulator.register_batch_handler` /
   :meth:`Simulator.schedule_batch`) — events that share one timestamp
-  and one registered vectorized handler are popped as a group and
-  handed over in a single call, instead of one Python callback per
+  and one registered handler are popped as a group and handed over in a
+  single ``handler(payloads)`` call, instead of one Python callback per
   event. Grouping only spans *globally consecutive* events: a foreign
   event (heap or lane) ordered between two batch entries breaks the
   group, so handlers observe the same interleaving a per-event loop
-  would.
+  would. A batch entry allocates no :class:`Timer` and cannot be
+  cancelled: the message layer that schedules them deadens a message by
+  a flag its handler checks, never by cancelling the entry.
 """
 
 from __future__ import annotations
@@ -43,6 +51,8 @@ __all__ = ["Timer", "Simulator", "MonotoneLane"]
 #: compaction triggers only past this many dead entries (tiny queues are
 #: cheaper to prune lazily than to rebuild)
 _COMPACT_MIN = 64
+
+_INF = float("inf")
 
 
 class Timer:
@@ -97,9 +107,9 @@ class MonotoneLane:
         """Schedule ``callback(*args)`` at absolute time ``time`` (>= tail)."""
         sim = self._sim
         entries = self._entries
-        if time < sim._now:
+        if time < sim.now:
             raise SimulationError(
-                f"cannot schedule in the past: {time} < now {sim._now}"
+                f"cannot schedule in the past: {time} < now {sim.now}"
             )
         if entries and time < entries[-1][0]:
             raise SimulationError(
@@ -119,21 +129,28 @@ class MonotoneLane:
         )
         self._dead = 0
 
-    def _prune(self) -> None:
+    def _head(self):
+        """The first live entry (cancelled heads dropped), or None."""
         entries = self._entries
-        while entries and entries[0][4].cancelled:
-            entry = entries.popleft()
-            entry[4]._home = None
+        while entries:
+            head = entries[0]
+            if not head[4].cancelled:
+                return head
+            entries.popleft()
+            head[4]._home = None
             self._dead -= 1
+        return None
 
 
 class Simulator:
     """Discrete-event loop with virtual time."""
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: current virtual time; only the drain loop advances it
+        self.now = 0.0
         self._seq = 0
-        #: heap entries: (time, seq, callback-or-handler-id, args, timer)
+        #: heap entries ``(time, seq, callback, args, timer)``; a batch
+        #: entry is ``(time, seq, handler id, payload, None)``
         self._queue: list[tuple] = []
         self._dead = 0
         self._lanes: list[MonotoneLane] = []
@@ -143,11 +160,6 @@ class Simulator:
         #: high-water mark of raw heap entries (live + not-yet-pruned
         #: cancelled) — the compaction regression tests bound this
         self.peak_queue_depth = 0
-
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self._now
 
     @property
     def queue_depth(self) -> int:
@@ -168,9 +180,9 @@ class Simulator:
 
     def schedule_call(self, time: float, callback, *args) -> Timer:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule in the past: {time} < now {self._now}"
+                f"cannot schedule in the past: {time} < now {self.now}"
             )
         timer = Timer(time, self)
         queue = self._queue
@@ -191,7 +203,7 @@ class Simulator:
         """Schedule ``callback`` after ``delay`` virtual seconds."""
         if delay < 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
-        return self.schedule_call(self._now + delay, callback)
+        return self.schedule_call(self.now + delay, callback)
 
     def monotone_lane(self, key=None) -> MonotoneLane:
         """A :class:`MonotoneLane` merged into this simulator's loop.
@@ -218,138 +230,140 @@ class Simulator:
         self._handlers.append(handler)
         return len(self._handlers) - 1
 
-    def schedule_batch(self, time: float, handler_id: int, payload: Any) -> Timer:
+    def schedule_batch(self, time: float, handler_id: int, payload: Any) -> None:
         """Schedule ``payload`` for the batch handler ``handler_id``.
 
         Consecutive pending events sharing ``(time, handler_id)`` are
         drained as one ``handler(payloads)`` call; an unrelated event
-        ordered between them splits the group.
+        ordered between them splits the group. Returns nothing: a batch
+        entry cannot be cancelled (see the module docstring).
         """
-        if time < self._now:
+        # schedule_call's body with no Timer (the two hottest entry
+        # points of the engine; a shared helper costs a frame per event)
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule in the past: {time} < now {self._now}"
+                f"cannot schedule in the past: {time} < now {self.now}"
             )
-        timer = Timer(time, self)
         queue = self._queue
-        heapq.heappush(queue, (time, self._seq, handler_id, payload, timer))
+        heapq.heappush(queue, (time, self._seq, handler_id, payload, None))
         self._seq += 1
         depth = len(queue)
         if depth > self.peak_queue_depth:
             self.peak_queue_depth = depth
         if self._dead > _COMPACT_MIN and self._dead * 2 > depth:
             self._compact()
-        return timer
 
     # ------------------------------------------------------------------ #
     # draining
     # ------------------------------------------------------------------ #
 
     def _compact(self) -> None:
-        """Rebuild the heap without cancelled entries."""
-        self._queue = [
-            entry for entry in self._queue if not entry[4].cancelled
+        """Rebuild the heap, in place, without cancelled entries."""
+        queue = self._queue
+        queue[:] = [
+            entry for entry in queue if entry[4] is None or not entry[4].cancelled
         ]
-        heapq.heapify(self._queue)
+        heapq.heapify(queue)
         self._dead = 0
 
-    def _prune(self) -> None:
-        """Drop cancelled entries sitting at the head of the heap."""
-        queue = self._queue
-        while queue and queue[0][4].cancelled:
-            entry = heapq.heappop(queue)
-            entry[4]._home = None
-            self._dead -= 1
-
-    def _next_source(self):
-        """Prune dead heads; return the container holding the next event.
-
-        ``self`` means the heap, a :class:`MonotoneLane` means that lane,
-        ``None`` means nothing is pending anywhere.
-        """
-        self._prune()
-        queue = self._queue
-        best = self if queue else None
-        best_key = (queue[0][0], queue[0][1]) if queue else None
-        for lane in self._lanes:
-            lane._prune()
-            entries = lane._entries
-            if entries:
-                key = (entries[0][0], entries[0][1])
-                if best_key is None or key < best_key:
-                    best = lane
-                    best_key = key
-        return best
-
-    def _lane_head_before(self, time: float, seq: int) -> bool:
+    def _lane_before(self, time: float, seq: int) -> bool:
         """Is any live lane entry ordered before ``(time, seq)``?"""
         for lane in self._lanes:
-            lane._prune()
-            entries = lane._entries
-            if entries and (entries[0][0], entries[0][1]) < (time, seq):
+            head = lane._head()
+            if head is not None and (
+                head[0] < time or (head[0] == time and head[1] < seq)
+            ):
                 return True
         return False
 
-    def step(self) -> bool:
-        """Run the next live event; returns False when the queue is empty."""
-        source = self._next_source()
-        if source is None:
-            return False
-        if source is self:
-            entry = heapq.heappop(self._queue)
-        else:
-            entry = source._entries.popleft()
-        time, _seq, callback, args, timer = entry
-        timer._home = None
-        self._now = time
-        self.processed += 1
-        if type(callback) is int:
-            # Batch entry: drain the run of same-(time, handler) events
+    def _drain(self, horizon: float, budget: float) -> int:
+        """Run events up to ``horizon``, at most ``budget`` of them.
+
+        The one loop behind ``step``/``run``/``run_until``. A run of
+        batch entries dispatched in one handler call counts once against
+        the budget (and once per heap entry in ``processed``).
+        """
+        queue = self._queue
+        lanes = self._lanes
+        handlers = self._handlers
+        pop = heapq.heappop
+        done = 0
+        while done < budget:
+            while queue:
+                head = queue[0]
+                timer = head[4]
+                if timer is None or not timer.cancelled:
+                    break
+                pop(queue)
+                timer._home = None
+                self._dead -= 1
+            else:
+                head = None
+            source = None
+            for lane in lanes:
+                entries = lane._entries
+                if not entries:
+                    continue
+                first = entries[0]
+                if first[4].cancelled:
+                    first = lane._head()
+                    if first is None:
+                        continue
+                if (
+                    head is None
+                    or first[0] < head[0]
+                    or (first[0] == head[0] and first[1] < head[1])
+                ):
+                    head, source = first, lane
+            if head is None or head[0] > horizon:
+                break
+            if source is None:
+                pop(queue)
+            else:
+                source._entries.popleft()
+            time, _, callback, args, timer = head
+            self.now = time
+            self.processed += 1
+            done += 1
+            if timer is not None:
+                timer._home = None
+                if args:
+                    callback(*args)
+                else:
+                    callback()
+                continue
+            # Batch entry: absorb the run of same-(time, handler) entries
             # that are globally next, then dispatch once.
             payloads = [args]
-            queue = self._queue
-            while True:
-                self._prune()
-                if not queue:
-                    break
+            while queue:
                 head = queue[0]
-                if (
-                    head[0] != time
-                    or type(head[2]) is not int
-                    or head[2] != callback
-                    or self._lane_head_before(time, head[1])
-                ):
+                if head[0] != time:
                     break
-                grouped = heapq.heappop(queue)
-                grouped[4]._home = None
-                payloads.append(grouped[3])
-                self.processed += 1
-            self._handlers[callback](payloads)
-        elif args:
-            callback(*args)
-        else:
-            callback()
-        return True
+                timer = head[4]
+                if timer is not None:
+                    if not timer.cancelled:
+                        break
+                    pop(queue)
+                    timer._home = None
+                    self._dead -= 1
+                elif head[2] != callback or self._lane_before(time, head[1]):
+                    break
+                else:
+                    pop(queue)
+                    payloads.append(head[3])
+                    self.processed += 1
+            handlers[callback](payloads)
+        return done
+
+    def step(self) -> bool:
+        """Run the next live event; returns False when the queue is empty."""
+        return self._drain(_INF, 1) == 1
 
     def run_until(self, horizon: float) -> None:
         """Process events with time <= horizon, then advance to horizon."""
-        while True:
-            source = self._next_source()
-            if source is None:
-                break
-            head = (
-                self._queue[0] if source is self else source._entries[0]
-            )
-            if head[0] > horizon:
-                break
-            self.step()
-        self._now = max(self._now, horizon)
+        self._drain(horizon, _INF)
+        self.now = max(self.now, horizon)
 
     def run(self, max_events: int | None = None) -> None:
         """Drain the queue (bounded by ``max_events`` if given)."""
-        count = 0
-        while True:
-            if max_events is not None and count >= max_events:
-                return
-            if not self.step():
-                return
-            count += 1
+        self._drain(_INF, _INF if max_events is None else max_events)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -55,12 +56,13 @@ class LatencyModel:
     """Base latency model: per-message delay in virtual seconds.
 
     ``sample`` is the single-distribution interface every model provides.
-    ``sample_link`` adds per-link awareness: the event runtime calls it
-    with the endpoints of each message leg (``None`` marks an off-cluster
-    endpoint, e.g. an external client), and the default implementation
-    delegates to ``sample`` so existing models behave identically and
-    consume the same RNG draws. Topology-aware models like
-    :class:`TwoTierLatency` override it.
+    ``sample_link`` adds per-link awareness: it takes the endpoints of a
+    message leg (``None`` marks an off-cluster endpoint, e.g. an external
+    client), and the default implementation delegates to ``sample`` so a
+    model defining only ``sample`` works everywhere and consumes one RNG
+    draw per leg. Topology-aware models like :class:`TwoTierLatency`
+    override it. The event runtime draws through :meth:`stream`, whose
+    delays equal sequential ``sample_link`` calls.
     """
 
     def sample(self, rng: np.random.Generator) -> float:  # pragma: no cover
@@ -83,18 +85,61 @@ class LatencyModel:
     ) -> list[float]:
         """Delays of one message leg between ``site`` and each peer.
 
-        The batched twin of :meth:`sample_link`, used by the vectorized
-        event core to draw a whole fan-out wave at once. The contract is
-        **stream identity**: the returned list must equal ``len(peers)``
-        sequential ``sample_link`` calls on the same generator (numpy's
-        sized draws satisfy this for the uniform/lognormal families).
-        Links are treated as direction-symmetric — every built-in model
-        is (rack membership does not depend on leg direction) — so the
-        same method serves request legs (coordinator -> peer) and reply
-        legs (peer -> coordinator). Asymmetric custom models must
-        override it.
+        The batched twin of :meth:`sample_link`: a whole fan-out wave
+        drawn at once. The contract is **stream identity**: the returned
+        list must equal ``len(peers)`` sequential ``sample_link`` calls
+        on the same generator (numpy's sized draws satisfy this for the
+        uniform/lognormal families). Links are treated as
+        direction-symmetric — every built-in model is (rack membership
+        does not depend on leg direction) — so the same method serves
+        request legs (coordinator -> peer) and reply legs (peer ->
+        coordinator). Asymmetric custom models must override it.
         """
         return [self.sample_link(rng, site, peer) for peer in peers]
+
+    def stream(self, rng: np.random.Generator, site: int | None):
+        """``draw(peers) -> delays`` bound to one coordinator's generator.
+
+        What the event runtime actually calls, once per message wave.
+        Same stream-identity contract as :meth:`sample_links`, which is
+        the default. A model whose delays do not depend on the link
+        (:class:`LognormalLatency`, :class:`UniformLatency`) may draw
+        ahead in blocks, so a stream must be the **only** consumer of
+        ``rng``: every :class:`~repro.runtime.event.EventCoordinator`
+        owns its generator (``coordinator_rngs[index]`` in
+        ``api/build.py``) and nothing else draws from it.
+        """
+        return partial(self.sample_links, rng, site)
+
+
+#: draws per refill of a block-backed stream (4 KiB of floats per
+#: coordinator; one sized numpy call costs about as much as one scalar)
+_BLOCK = 512
+
+
+def _block_stream(refill):
+    """A ``draw(peers)`` serving link-independent delays from blocks.
+
+    ``refill()`` returns the next ``_BLOCK`` draws as a list; numpy's
+    sized draws equal that many sequential scalar draws, and a request
+    that straddles a refill takes the old block's tail first, so the
+    delays come out in generator order whatever the request sizes.
+    """
+    block: list[float] = []
+    pos = 0
+
+    def draw(peers) -> list[float]:
+        nonlocal block, pos
+        end = pos + len(peers)
+        delays = block[pos:end]
+        while end > len(block):
+            end -= len(block)
+            block = refill()
+            delays += block[:end]
+        pos = end
+        return delays
+
+    return draw
 
 
 @dataclass(frozen=True)
@@ -125,15 +170,10 @@ class UniformLatency(LatencyModel):
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.uniform(self.low, self.high))
 
-    def sample_links(
-        self,
-        rng: np.random.Generator,
-        site: int | None,
-        peers,
-    ) -> list[float]:
-        # Sized draws are bit-identical to sequential scalar draws for
-        # the uniform family, so traces are unchanged.
-        return rng.uniform(self.low, self.high, len(peers)).tolist()
+    def stream(self, rng: np.random.Generator, site: int | None):
+        return _block_stream(
+            lambda: rng.uniform(self.low, self.high, _BLOCK).tolist()
+        )
 
 
 @dataclass(frozen=True)
@@ -151,15 +191,10 @@ class LognormalLatency(LatencyModel):
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.lognormal(self.mu, self.sigma))
 
-    def sample_links(
-        self,
-        rng: np.random.Generator,
-        site: int | None,
-        peers,
-    ) -> list[float]:
-        # Sized draws are bit-identical to sequential scalar draws for
-        # the lognormal family, so traces are unchanged.
-        return rng.lognormal(self.mu, self.sigma, len(peers)).tolist()
+    def stream(self, rng: np.random.Generator, site: int | None):
+        return _block_stream(
+            lambda: rng.lognormal(self.mu, self.sigma, _BLOCK).tolist()
+        )
 
 
 @dataclass(frozen=True)

@@ -31,44 +31,51 @@ stream and every tie in the event queue breaks by insertion order, so one
 seed reproduces the exact event sequence; ``trace_hash()`` digests the
 recorded message trace to assert that end to end.
 
-The vectorized event core
--------------------------
+The event core
+--------------
 
-This implementation is the struct-of-arrays rewrite of the original
-per-object session layer (kept verbatim as ``ReferenceEventCoordinator``
-in ``tests/runtime/reference_coordinator.py``, the oracle of the
-lockstep suite beside it). The observable behaviour — trace bytes, RNG
-stream, statistics, results — is bit-identical; only the bookkeeping
-shape changed:
+The observable behaviour — trace bytes, RNG stream, statistics, results
+— is pinned bit for bit by the per-object reference loop kept verbatim
+as ``ReferenceEventCoordinator`` in
+``tests/runtime/reference_coordinator.py`` (the oracle of the lockstep
+suite beside it). The bookkeeping is shaped so that one simulated
+message costs a heap pop, a node call, a :class:`Response` and a heap
+push, in plain Python objects:
 
-* **session slots** — per-round quorum bookkeeping lives in numpy arrays
-  indexed by a pooled session slot (:class:`_SessionTable`): replies
-  needed/seen/accepted, per-round message and outstanding-attempt
-  counts. Slots recycle through a free-list instead of allocating a
-  ``QuorumWait`` + round-state object pair per round. (For the trapezoid
-  protocol a round *is* one level, so the accepted counter doubles as
-  the per-level occupancy threshold check.)
+* **one object per round** — :class:`_RoundState` is the
+  :class:`~repro.runtime.rounds.QuorumWait` every backend completes
+  rounds with (plain ints and lists; the quorum arithmetic exists once)
+  plus the round's start time, message count and the operation it
+  belongs to. It is reachable only from its waves, so a finished or
+  abandoned round is freed by reference counting — no slot table, no
+  free-list, no straggler count. (An earlier struct-of-arrays table kept
+  these counters in numpy arrays; they were only ever read and written
+  one scalar at a time, and a numpy scalar read-modify-write costs
+  several times a Python int's.)
 * **waves, not attempts** — one :class:`_Wave` covers every attempt of a
-  fan-out that was sent at the same instant, with one pooled flags list
-  and *one* timeout timer on a :class:`~repro.cluster.events.MonotoneLane`
+  fan-out that was sent at the same instant, with one flags list and
+  *one* timeout timer on a :class:`~repro.cluster.events.MonotoneLane`
   (constant timeout delay ⇒ non-decreasing deadlines ⇒ O(1) deque
-  push/cancel instead of heap traffic). Wave objects recycle through a
-  free-list once no scheduled event references them.
-* **batched legs** — all request legs of a wave draw their latencies in
-  one sized RNG call (``LatencyModel.sample_links``, bit-identical to
-  sequential scalar draws), and deliveries/replies sharing a timestamp
-  are scheduled as one batch event (``Simulator.schedule_batch``) and
-  handed to the coordinator in a single call. Same-timestamp deliveries
-  to one queued node enter its :class:`NodeServiceQueue` through one
-  ``push_many`` call. The engine only groups *globally consecutive*
-  events, so foreign events (failures, other coordinators) interleave
-  exactly as they would in the per-event loop.
+  push/cancel instead of heap traffic).
+* **one body per leg** — ``_deliver`` and ``_reply`` are the batch
+  handlers of the two message legs; an event carries ``(wave, indices,
+  requests)`` out and ``(wave, indices, responses)`` back. How many
+  legs ride in one event is decided by the input alone (``_launch``):
+  legs that all take the same time (a fan-out under a constant latency)
+  travel as *one* heap entry per wave, legs with distinct arrival times
+  — every leg under a continuous model — as one entry each, from the
+  heap to ``_answer`` to the next heap push with no grouping dict in
+  between. The engine only groups *globally consecutive* events, so
+  foreign events (failures, other coordinators) interleave exactly as
+  they would in a per-event loop.
+* **block-drawn latencies** — every wave draws through the bound stream
+  ``latency.stream(rng, site)``; distribution-only models serve it from
+  512-draw blocks, stream-identical to scalar draws because the
+  coordinator owns ``rng`` (see ``LatencyModel.stream``).
 * **lazy traces** — the trace records ``(now, kind, node, method,
-  attempt)`` tuples and formats them only inside ``trace_hash()``;
-  ``Request``/``Response`` carry ``__slots__``. Response objects escape
-  into plan-visible ``RoundOutcome``s, so they are slot-compressed but
-  deliberately *not* pooled (recycling them would alias state the
-  protocol engines still hold).
+  attempt)`` tuples and formats them only inside ``trace_hash()``. The
+  ``trace.append`` calls are the only difference between a traced and
+  an untraced run: there is one path.
 
 Known measure-zero edge vs the reference path: a sampled one-way delay
 *exactly* equal to ``policy.timeout`` can order differently against
@@ -102,22 +109,22 @@ import hashlib
 from collections import Counter, deque
 from typing import Any, Callable, Mapping
 
-import numpy as np
+from numpy import ndarray
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.events import Simulator, Timer
-from repro.cluster.network import _payload_bytes
+from repro.cluster.network import FixedLatency
 from repro.cluster.node import QueueStats, ServiceTimeModel, serve
 from repro.cluster.rng import make_rng, spawn_rngs
 from repro.errors import NodeUnavailableError, SimulationError
 from repro.runtime.coordinator import OpHandle, Plan
 from repro.runtime.rounds import (
+    QuorumWait,
     Request,
     Response,
     RetryPolicy,
     Round,
     RoundOutcome,
-    _default_accept,
 )
 
 __all__ = ["EventCoordinator", "NodeServiceQueue", "make_service_queues"]
@@ -126,7 +133,7 @@ __all__ = ["EventCoordinator", "NodeServiceQueue", "make_service_queues"]
 class NodeServiceQueue:
     """One node's FIFO service station on the discrete-event engine.
 
-    Jobs (zero-argument callables — the coordinator's execute-and-reply
+    Jobs (``callback(*args)`` — the coordinator's execute-and-reply
     continuations) are served one at a time in arrival order; each
     occupies the server for ``model.sample(rng)`` virtual seconds before
     it runs. The queue is owned by the shared substrate, not by any one
@@ -148,50 +155,35 @@ class NodeServiceQueue:
         self.rng = make_rng(rng)
         self.busy = False
         self.stats = QueueStats()
-        self._pending: deque[tuple[float, Callable[[], None]]] = deque()
+        self._pending: deque[tuple[float, Callable[..., None], tuple]] = deque()
 
     def __len__(self) -> int:
         """Backlog including the job in service."""
         return len(self._pending) + (1 if self.busy else 0)
 
-    def push(self, job: Callable[[], None]) -> None:
+    def push(self, callback: Callable[..., None], *args) -> None:
         """Enqueue one delivered request; serve immediately if idle."""
-        self.stats.arrivals += 1
-        self._pending.append((self.sim.now, job))
-        self.stats.max_queue_len = max(self.stats.max_queue_len, len(self))
+        stats = self.stats
+        stats.arrivals += 1
+        self._pending.append((self.sim.now, callback, args))
+        stats.max_queue_len = max(stats.max_queue_len, len(self))
         if not self.busy:
             self._start_next()
 
-    def push_many(self, jobs) -> None:
-        """Enqueue a batch of same-timestamp deliveries in one call.
-
-        Stat-identical to ``push`` per job: arrivals count each job, the
-        backlog high-water mark is taken after the whole batch lands
-        (identical, since the backlog only grows within the batch), and
-        service starts — drawing the same RNG sequence — iff the server
-        was idle.
-        """
-        now = self.sim.now
-        pending = self._pending
-        self.stats.arrivals += len(jobs)
-        for job in jobs:
-            pending.append((now, job))
-        self.stats.max_queue_len = max(self.stats.max_queue_len, len(self))
-        if not self.busy and pending:
-            self._start_next()
-
     def _start_next(self) -> None:
-        arrived, job = self._pending.popleft()
+        arrived, callback, args = self._pending.popleft()
+        sim = self.sim
+        stats = self.stats
         self.busy = True
-        self.stats.started += 1
-        self.stats.total_wait += self.sim.now - arrived
+        stats.started += 1
+        stats.total_wait += sim.now - arrived
         service = float(self.model.sample(self.rng))
-        self.stats.total_service += service
-        self.sim.schedule_in(service, lambda: self._finish(job))
+        stats.total_service += service
+        sim.schedule_call(sim.now + service, self._finish, callback, args)
 
-    def _finish(self, job: Callable[[], None]) -> None:
+    def _finish(self, callback: Callable[..., None], args: tuple) -> None:
         self.stats.served += 1
-        job()
+        callback(*args)
         self.busy = False
         if self._pending:
             self._start_next()
@@ -240,135 +232,47 @@ def _answer(nodes, stats, request: Request) -> Response:
         return Response(request, False, None, exc)
 
 
-class _SessionTable:
-    """Struct-of-arrays bookkeeping for in-flight rounds.
+class _RoundState(QuorumWait):
+    """One in-flight round: its quorum wait plus the session's own facts.
 
-    One *slot* per in-flight round, recycled through ``free``. The numpy
-    int arrays hold the quorum counters the per-object path kept in
-    ``QuorumWait`` instances: replies needed (−1 encodes the gather-all
-    ``need=None``), requests total, replies resolved/accepted (the
-    per-level occupancy for trapezoid thresholds), messages attributed to
-    the round, and unresolved attempts (the slot cannot recycle while a
-    straggler attempt still points at it).
+    ``op`` is the ``(plan, handle, on_done)`` of the operation waiting on
+    the round, dropped when the round completes or is abandoned so that
+    straggler messages still in flight pin nothing but the state itself.
     """
 
-    __slots__ = (
-        "capacity",
-        "need",
-        "total",
-        "resolved",
-        "accepted",
-        "messages",
-        "attempts",
-        "done",
-        "started",
-        "rounds",
-        "responses",
-        "accepted_of",
-        "on_complete",
-        "free",
-    )
-
-    def __init__(self, capacity: int = 64) -> None:
-        self.capacity = capacity
-        self.need = np.zeros(capacity, dtype=np.int64)
-        self.total = np.zeros(capacity, dtype=np.int64)
-        self.resolved = np.zeros(capacity, dtype=np.int64)
-        self.accepted = np.zeros(capacity, dtype=np.int64)
-        self.messages = np.zeros(capacity, dtype=np.int64)
-        self.attempts = np.zeros(capacity, dtype=np.int64)
-        self.done = np.zeros(capacity, dtype=bool)
-        self.started = np.zeros(capacity, dtype=np.float64)
-        self.rounds: list[Round | None] = [None] * capacity
-        self.responses: list[list | None] = [None] * capacity
-        self.accepted_of: list[list | None] = [None] * capacity
-        self.on_complete: list = [None] * capacity
-        self.free = list(range(capacity - 1, -1, -1))
-
-    def _grow(self) -> None:
-        old = self.capacity
-        new = old * 2
-        for name in (
-            "need",
-            "total",
-            "resolved",
-            "accepted",
-            "messages",
-            "attempts",
-        ):
-            grown = np.zeros(new, dtype=np.int64)
-            grown[:old] = getattr(self, name)
-            setattr(self, name, grown)
-        done = np.zeros(new, dtype=bool)
-        done[:old] = self.done
-        self.done = done
-        started = np.zeros(new, dtype=np.float64)
-        started[:old] = self.started
+    def __init__(self, round_: Round, op: tuple, started: float) -> None:
+        super().__init__(round_)
+        self.op = op
         self.started = started
-        self.rounds.extend([None] * old)
-        self.responses.extend([None] * old)
-        self.accepted_of.extend([None] * old)
-        self.on_complete.extend([None] * old)
-        self.free.extend(range(new - 1, old - 1, -1))
-        self.capacity = new
-
-    def alloc(self, round_: Round, now: float, on_complete) -> int:
-        if not self.free:
-            self._grow()
-        slot = self.free.pop()
-        need = round_.need
-        self.need[slot] = -1 if need is None else need
-        self.total[slot] = len(round_.requests)
-        self.resolved[slot] = 0
-        self.accepted[slot] = 0
-        self.messages[slot] = 0
-        self.attempts[slot] = 0
-        self.done[slot] = False
-        self.started[slot] = now
-        self.rounds[slot] = round_
-        self.responses[slot] = []
-        self.accepted_of[slot] = []
-        self.on_complete[slot] = on_complete
-        return slot
-
-    def release(self, slot: int) -> None:
-        self.rounds[slot] = None
-        self.responses[slot] = None
-        self.accepted_of[slot] = None
-        self.on_complete[slot] = None
-        self.free.append(slot)
+        #: traffic attributed to the round up to its completion
+        self.messages = 0
 
 
 class _Wave:
     """All attempts of one fan-out sent at the same instant.
 
-    Replaces the per-attempt ``_Attempt`` objects: one shared flags list,
-    one live-count, one timeout timer for the whole wave. ``refs`` counts
-    scheduled events (delivery/reply groups, queued serve jobs, the armed
-    timer) still referencing the wave — it recycles through the
-    coordinator's free-list only once ``live`` and ``refs`` both hit 0.
-    A resend is its own single-request wave at ``number + 1``.
+    One shared flags list, one live-count, one timeout timer for the
+    whole wave. A resend is its own single-request wave at
+    ``number + 1``.
     """
 
-    __slots__ = ("slot", "requests", "number", "resolved", "live", "refs", "timer")
+    __slots__ = ("state", "requests", "number", "resolved", "live", "timer")
 
-    def __init__(self) -> None:
-        self.slot = -1
-        self.requests: list[Request] | None = None
-        self.number = 0
-        self.resolved: list[bool] = []
-        self.live = 0
-        self.refs = 0
+    def __init__(self, state: _RoundState, requests: list[Request], number: int) -> None:
+        self.state = state
+        self.requests = requests
+        self.number = number
+        self.resolved = [False] * len(requests)
+        self.live = len(requests)
         self.timer: Timer | None = None
 
 
 class _WaveSet:
-    """Drain set over waves, reporting per-attempt counts.
+    """The waves that still have unresolved attempts.
 
-    API twin of :class:`~repro.runtime.drain.DrainSet` as the old
-    per-attempt path used it: ``len`` is the number of unresolved
-    *attempts* (summed over member waves), and ``cancel_all`` deadens
-    them all, returning that count.
+    ``len`` is the number of unresolved *attempts* (summed over member
+    waves), as :class:`~repro.runtime.drain.DrainSet` reports it for the
+    async backend.
     """
 
     __slots__ = ("_waves",)
@@ -385,27 +289,11 @@ class _WaveSet:
     def __len__(self) -> int:
         return sum(wave.live for wave in self._waves)
 
-    def __contains__(self, wave: _Wave) -> bool:
-        return wave in self._waves
-
-    def cancel_all(self) -> int:
-        count = 0
-        for wave in list(self._waves):
-            count += wave.live
-            resolved = wave.resolved
-            for i in range(len(resolved)):
-                resolved[i] = True
-            wave.live = 0
-            timer = wave.timer
-            if timer is not None:
-                timer.cancel()
-                wave.timer = None
-                wave.refs -= 1
-            # No recycling here: in-flight delivery/reply groups may
-            # still reference the wave; they drain via the resolved
-            # flags and release it when their refs reach zero.
+    def drain(self) -> list[_Wave]:
+        """Empty the set; returns the waves it held."""
+        waves = list(self._waves)
         self._waves.clear()
-        return count
+        return waves
 
 
 class EventCoordinator:
@@ -424,6 +312,9 @@ class EventCoordinator:
         model, falling back to :class:`~repro.cluster.network.FixedLatency`.
     rng:
         Seed or Generator for latency sampling (determinism boundary).
+        The coordinator **owns** it: latencies are drawn ahead in blocks
+        (``LatencyModel.stream``), so a Generator passed here must not be
+        drawn from by anything else.
     policy:
         Timeout/retry policy applied to every request.
     record_trace:
@@ -462,8 +353,6 @@ class EventCoordinator:
         if latency is None:
             latency = cluster.network.latency
         if latency is None:
-            from repro.cluster.network import FixedLatency
-
             latency = FixedLatency()
         self.latency = latency
         self.rng = make_rng(rng)
@@ -483,13 +372,12 @@ class EventCoordinator:
         #: tuples; ``trace_hash`` formats them
         self._trace: list[tuple] | None = [] if record_trace else None
         self._draining = False
-        self._table = _SessionTable()
-        self._wave_pool: list[_Wave] = []
+        self._draw = latency.stream(self.rng, site)
         #: constant timeout delay ⇒ deadlines arm in non-decreasing
         #: order ⇒ one shared deque lane per distinct timeout value
         self._lane = simulator.monotone_lane(key=("timeout", self.policy.timeout))
-        self._deliver_id = simulator.register_batch_handler(self._deliver_batch)
-        self._reply_id = simulator.register_batch_handler(self._reply_batch)
+        self._deliver_id = simulator.register_batch_handler(self._deliver)
+        self._reply_id = simulator.register_batch_handler(self._reply)
 
     # ------------------------------------------------------------------ #
     # public API
@@ -500,7 +388,7 @@ class EventCoordinator:
         handle = OpHandle(started_at=self.sim.now)
         self.in_flight += 1
         self.max_in_flight = max(self.max_in_flight, self.in_flight)
-        self._advance(plan, handle, on_done, None)
+        self._advance((plan, handle, on_done), None)
         return handle
 
     def execute(self, plan: Plan) -> Any:
@@ -545,22 +433,41 @@ class EventCoordinator:
         return len(self._trace) if self._trace is not None else 0
 
     def shutdown(self) -> int:
-        """Cancel every outstanding attempt's timeout timer.
+        """Abandon every operation still in flight; returns live attempts.
 
         Call when a coordinator is discarded mid-simulation (a finished
-        sweep point, an aborted run): pending attempts are marked
-        resolved and their armed timers cancelled, so the shared
-        simulator's queues stop retaining dead sessions. Returns how
-        many attempts were live. The coordinator stays usable —
-        shutdown drains, it does not poison.
+        sweep point, an aborted run). Every outstanding attempt is marked
+        resolved and its armed timer cancelled, so the shared simulator
+        fires nothing more on their behalf (messages already on the wire
+        still arrive, count as traffic and are ignored). An operation
+        whose round was still waiting is *abandoned*: its plan is closed,
+        its ``on_done`` never fires, its handle stays ``done == False``,
+        and it no longer counts in ``in_flight``. The coordinator stays
+        usable — shutdown drains, it does not poison.
         """
-        return self.outstanding.cancel_all()
+        cancelled = 0
+        for wave in self.outstanding.drain():
+            cancelled += wave.live
+            wave.resolved[:] = [True] * len(wave.requests)
+            wave.live = 0
+            if wave.timer is not None:  # None: shut down from its own timeout
+                wave.timer.cancel()
+                wave.timer = None
+            state = wave.state
+            if not state.done:
+                state.done = True
+                plan = state.op[0]
+                state.op = None
+                self.in_flight -= 1
+                plan.close()
+        return cancelled
 
     # ------------------------------------------------------------------ #
     # plan driving
     # ------------------------------------------------------------------ #
 
-    def _advance(self, plan: Plan, handle: OpHandle, on_done, outcome) -> None:
+    def _advance(self, op: tuple, outcome: RoundOutcome | None) -> None:
+        plan, handle, on_done = op
         try:
             round_ = plan.send(outcome)
         except StopIteration as stop:
@@ -574,399 +481,177 @@ class EventCoordinator:
             if on_done is not None:
                 on_done(handle.result)
             return
-        self._start_round(
-            round_,
-            lambda outcome: self._advance(plan, handle, on_done, outcome),
-        )
-
-    def _start_round(self, round_: Round, on_complete) -> None:
         self.rounds_run += 1
-        if not round_.requests:
-            # Empty fan-out: complete on the spot (need=None is satisfied
-            # vacuously, a threshold is not).
-            outcome = RoundOutcome(
-                round=round_,
-                responses=[],
-                accepted=[],
-                satisfied=round_.need is None,
-                elapsed=0.0,
-                messages=0,
+        if round_.requests:
+            self._send_wave(
+                _RoundState(round_, op, self.sim.now), round_.requests, 0
             )
-            self.cluster.network.record_round(0.0)
-            on_complete(outcome)
             return
-        slot = self._table.alloc(round_, self.sim.now, on_complete)
-        self._send_wave(slot, round_.requests, 0)
+        # Empty fan-out: complete on the spot (need=None is satisfied
+        # vacuously, a threshold is not).
+        self.cluster.network.record_round(0.0)
+        self._advance(op, RoundOutcome(round=round_, satisfied=round_.need is None))
 
-    def _complete(self, slot: int, satisfied: bool) -> None:
-        table = self._table
-        table.done[slot] = True
-        round_ = table.rounds[slot]
-        elapsed = self.sim.now - float(table.started[slot])
-        outcome = RoundOutcome(
-            round=round_,
-            responses=list(table.responses[slot]),
-            accepted=list(table.accepted_of[slot]),
-            satisfied=satisfied,
-            elapsed=elapsed,
-            messages=int(table.messages[slot]),
-        )
+    def _complete(self, state: _RoundState) -> None:
+        """Hand a round whose wait just finished back to its plan."""
+        op, state.op = state.op, None
+        elapsed = self.sim.now - state.started
         self.cluster.network.record_round(elapsed)
-        table.on_complete[slot](outcome)
+        self._advance(
+            op,
+            RoundOutcome(
+                round=state.round,
+                responses=state.responses,
+                accepted=state.accepted,
+                satisfied=state.satisfied,
+                elapsed=elapsed,
+                messages=state.messages,
+            ),
+        )
 
     # ------------------------------------------------------------------ #
-    # quorum bookkeeping (SoA mirror of rounds.QuorumWait.offer)
+    # message session layer
     # ------------------------------------------------------------------ #
 
-    def _offer(self, slot: int, response: Response) -> bool:
-        """Record one resolved response; True when the round completed."""
-        table = self._table
-        round_ = table.rounds[slot]
-        table.responses[slot].append(response)
-        table.resolved[slot] += 1
-        accept = round_.accept
-        ok = response.ok if accept is _default_accept else accept(response)
-        if ok:
-            table.accepted_of[slot].append(response)
-            table.accepted[slot] += 1
-        if not ok and round_.abort_on_reject:
-            self._complete(slot, False)
-            return True
-        need = round_.need
-        accepted = table.accepted[slot]
-        if need is not None:
-            if accepted >= need:
-                self._complete(slot, True)
-                return True
-            if accepted + (table.total[slot] - table.resolved[slot]) < need:
-                self._complete(slot, False)
-                return True
-        if table.resolved[slot] == table.total[slot]:
-            self._complete(slot, need is None or accepted >= need)
-            return True
-        return False
-
-    # ------------------------------------------------------------------ #
-    # message session layer (wave-batched)
-    # ------------------------------------------------------------------ #
-
-    def _new_wave(self, slot: int, requests: list[Request], number: int) -> _Wave:
-        pool = self._wave_pool
-        wave = pool.pop() if pool else _Wave()
-        wave.slot = slot
-        wave.requests = requests
-        wave.number = number
-        wave.resolved = [False] * len(requests)
-        wave.live = len(requests)
-        wave.refs = 0
-        wave.timer = None
-        return wave
-
-    def _maybe_recycle(self, wave: _Wave) -> None:
-        if wave.live == 0 and wave.refs == 0:
-            wave.requests = None
-            wave.timer = None
-            self._wave_pool.append(wave)
-
-    def _send_wave(self, slot: int, requests: list[Request], number: int) -> None:
-        sim = self.sim
-        now = sim.now
+    def _send_wave(self, state: _RoundState, requests: list[Request], number: int) -> None:
+        now = self.sim.now
         net = self.cluster.network
         stats = net.stats
-        table = self._table
         trace = self._trace
         partitioned = net._partitioned
         by_kind = stats.by_kind
+        wave = _Wave(state, requests, number)
         n = len(requests)
-        wave = self._new_wave(slot, requests, number)
+        idxs = list(range(n))
         bytes_sent = 0
-        if trace is None and not partitioned:
-            # Hot path: no trace formatting, no partition filtering. The
-            # inlined payload scan skips the per-request list allocation
-            # of ``_payload_bytes``.
-            for request in requests:
-                by_kind[request.method] += 1
-                for value in request.args:
-                    if isinstance(value, np.ndarray):
-                        bytes_sent += value.nbytes
-                if request.kwargs:
-                    for value in request.kwargs.values():
-                        if isinstance(value, np.ndarray):
-                            bytes_sent += value.nbytes
-            send_ids = range(n)
-        else:
-            send_ids = []
-            for idx, request in enumerate(requests):
-                node_id = request.node_id
-                if trace is not None:
-                    trace.append((now, "send", node_id, request.method, number))
-                by_kind[request.method] += 1
-                bytes_sent += _payload_bytes(request.args, request.kwargs)
-                if node_id in partitioned:
-                    # Silent drop: only the timeout resolves this attempt.
-                    stats.messages_dropped += 1
-                    if trace is not None:
-                        trace.append((now, "drop", node_id, request.method, number))
-                else:
-                    send_ids.append(idx)
-        stats.messages += n
-        stats.bytes_sent += bytes_sent
-        self.round_messages[table.rounds[slot].kind] += n
-        table.messages[slot] += n
-        table.attempts[slot] += n
-        wave.timer = self._lane.schedule_call(
-            now + self.policy.timeout, self._timeout_wave, wave
-        )
-        wave.refs += 1
-        self.outstanding.add(wave)
-        if send_ids:
-            if len(send_ids) == n:
-                peers = [request.node_id for request in requests]
-            else:
-                peers = [requests[i].node_id for i in send_ids]
-            delays = self.latency.sample_links(self.rng, self.site, peers)
-            # sum() with a start value performs the same left-to-right
-            # float adds as the per-message reference path.
-            stats.total_message_delay = sum(delays, stats.total_message_delay)
-            self._schedule_groups(wave, self._deliver_id, send_ids, None, delays, now)
-
-    def _schedule_groups(
-        self,
-        wave: _Wave,
-        handler_id: int,
-        idxs: list[int],
-        responses: list[Response] | None,
-        delays: list[float],
-        now: float,
-    ) -> None:
-        """Schedule one batch event per distinct arrival time.
-
-        Requests sharing a timestamp keep their relative order inside
-        the group; the round's event allocation is atomic, so no foreign
-        event can order between members of one group (see the semantics
-        note in ``tests/runtime/reference_coordinator.py``).
-        """
-        sim = self.sim
-        first = delays[0]
-        if delays.count(first) == len(delays):
-            # Uniform arrival time (fixed latency, or a single request):
-            # one batch event, no grouping dict. The caller's lists are
-            # consumed here, never reused, so they ride along as-is.
-            at = now + first
-            if responses is None:
-                sim.schedule_batch(at, handler_id, (wave, idxs))
-            else:
-                sim.schedule_batch(at, handler_id, (wave, idxs, responses))
-            wave.refs += 1
-            return
-        groups: dict[float, list] = {}
-        for pos, idx in enumerate(idxs):
-            at = now + delays[pos]
-            group = groups.get(at)
-            if group is None:
-                groups[at] = group = ([], [] if responses is not None else None)
-            group[0].append(idx)
-            if responses is not None:
-                group[1].append(responses[pos])
-        for at, (gidxs, gresps) in groups.items():
-            if gresps is None:
-                sim.schedule_batch(at, handler_id, (wave, gidxs))
-            else:
-                sim.schedule_batch(at, handler_id, (wave, gidxs, gresps))
-            wave.refs += 1
-
-    # -- delivery ------------------------------------------------------- #
-
-    def _deliver_batch(self, payloads: list) -> None:
-        for payload in payloads:
-            self._deliver_group(payload[0], payload[1])
-
-    def _deliver_group(self, wave: _Wave, idxs) -> None:
-        wave.refs -= 1
-        net = self.cluster.network
-        stats = net.stats
-        trace = self._trace
-        resolved = wave.resolved
-        queues = self.queues
-        if trace is None and not net._partitioned and queues is None:
-            # Hot path: every delivery lands and serves instantly.
-            serve_now = [idx for idx in idxs if not resolved[idx]]
-            if serve_now:
-                self._serve_group(wave, serve_now)
-            self._maybe_recycle(wave)
-            return
-        now = self.sim.now
-        requests = wave.requests
-        number = wave.number
-        partitioned = net._partitioned
-        serve_now: list[int] = []
-        queued: dict[NodeServiceQueue, list] | None = None
-        for idx in idxs:
-            if resolved[idx]:
-                continue  # timed out (and possibly resent) before arriving
-            request = requests[idx]
+        for idx, request in enumerate(requests):
             node_id = request.node_id
+            if trace is not None:
+                trace.append((now, "send", node_id, request.method, number))
+            by_kind[request.method] += 1
+            # network._payload_bytes, inlined: one call per message adds
+            # up under wide fan-outs
+            for value in request.args:
+                if isinstance(value, ndarray):
+                    bytes_sent += value.nbytes
+            if request.kwargs:
+                for value in request.kwargs.values():
+                    if isinstance(value, ndarray):
+                        bytes_sent += value.nbytes
             if node_id in partitioned:
-                # Partition raced the message: dropped on the wire.
+                # Silent drop: only the timeout resolves this attempt.
                 stats.messages_dropped += 1
                 if trace is not None:
                     trace.append((now, "drop", node_id, request.method, number))
-                continue
-            if trace is not None:
-                trace.append((now, "deliver", node_id, request.method, number))
-            queue = None if queues is None else queues.get(node_id)
-            if queue is None:
-                serve_now.append(idx)
-            else:
-                # The request joins the node's FIFO backlog; it executes
-                # once the server reaches it (queue wait + sampled
-                # service time), against the node's then-current state.
-                if queued is None:
-                    queued = {}
-                jobs = queued.get(queue)
-                if jobs is None:
-                    queued[queue] = jobs = []
-                wave.refs += 1
-                jobs.append(self._queued_job(wave, idx))
-        if queued is not None:
-            for queue, jobs in queued.items():
-                queue.push_many(jobs)
-        if serve_now:
-            self._serve_group(wave, serve_now)
-        self._maybe_recycle(wave)
-
-    def _queued_job(self, wave: _Wave, idx: int) -> Callable[[], None]:
-        return lambda: self._serve_queued(wave, idx)
-
-    # -- service -------------------------------------------------------- #
-
-    def _serve_group(self, wave: _Wave, idxs: list[int]) -> None:
-        requests = wave.requests
-        nodes = self.cluster.nodes
-        stats = self.cluster.network.stats
-        responses = [_answer(nodes, stats, requests[idx]) for idx in idxs]
-        peers = [requests[idx].node_id for idx in idxs]
-        delays = self.latency.sample_links(self.rng, self.site, peers)
-        stats.total_message_delay = sum(delays, stats.total_message_delay)
-        self._schedule_groups(
-            wave, self._reply_id, idxs, responses, delays, self.sim.now
+                idxs.remove(idx)
+        stats.messages += n
+        stats.bytes_sent += bytes_sent
+        self.round_messages[state.round.kind] += n
+        state.messages += n
+        wave.timer = self._lane.schedule_call(
+            now + self.policy.timeout, self._timeout_wave, wave
         )
+        self.outstanding.add(wave)
+        if idxs:
+            sent = [requests[idx] for idx in idxs]
+            self._launch(
+                self._deliver_id, wave, idxs, sent, [request.node_id for request in sent]
+            )
+
+    def _launch(
+        self, handler_id: int, wave: _Wave, idxs: list[int], items: list, peers: list[int]
+    ) -> None:
+        """Put the message legs ``idxs`` of ``wave`` on the wire.
+
+        ``items`` are what the legs carry (requests out, responses back),
+        ``peers`` the node at the far end of each. Legs that all take
+        the same time (a lone message, or a fan-out under a constant
+        latency) arrive as one event carrying the lists; otherwise each
+        leg is its own event. Either way the legs keep their order and
+        the allocation of their events is atomic, so no foreign event
+        can order between two legs that arrive at the same instant (see
+        the semantics note in ``tests/runtime/reference_coordinator.py``).
+        """
+        sim = self.sim
+        now = sim.now
+        stats = self.cluster.network.stats
+        delays = self._draw(peers)
+        # sum() with a start value performs the same left-to-right
+        # float adds as the per-message reference path.
+        stats.total_message_delay = sum(delays, stats.total_message_delay)
+        first = delays[0]
+        if delays.count(first) == len(delays):
+            sim.schedule_batch(now + first, handler_id, (wave, idxs, items))
+        else:
+            schedule = sim.schedule_batch
+            for idx, item, delay in zip(idxs, items, delays):
+                schedule(now + delay, handler_id, (wave, (idx,), (item,)))
+
+    def _deliver(self, payloads: list[tuple]) -> None:
+        """Request legs ``(wave, idxs, requests)`` arriving at their nodes."""
+        cluster = self.cluster
+        nodes = cluster.nodes
+        net = cluster.network
+        stats = net.stats
+        partitioned = net._partitioned
+        trace = self._trace
+        queues = self.queues
+        now = self.sim.now
+        for wave, idxs, requests in payloads:
+            resolved = wave.resolved
+            served = []
+            responses = []
+            peers = []
+            for idx, request in zip(idxs, requests):
+                if resolved[idx]:
+                    continue  # timed out (and possibly resent) before arriving
+                node_id = request.node_id
+                if node_id in partitioned:
+                    # Partition raced the message: dropped on the wire.
+                    stats.messages_dropped += 1
+                    if trace is not None:
+                        trace.append((now, "drop", node_id, request.method, wave.number))
+                    continue
+                if trace is not None:
+                    trace.append((now, "deliver", node_id, request.method, wave.number))
+                if queues is not None and (queue := queues.get(node_id)) is not None:
+                    # The request joins the node's FIFO backlog; it
+                    # executes once the server reaches it (queue wait +
+                    # sampled service time), against the node's
+                    # then-current state.
+                    queue.push(self._serve_queued, wave, idx)
+                else:
+                    served.append(idx)
+                    responses.append(_answer(nodes, stats, request))
+                    peers.append(node_id)
+            if served:
+                self._launch(self._reply_id, wave, served, responses, peers)
 
     def _serve_queued(self, wave: _Wave, idx: int) -> None:
         # Runs when the node's FIFO server reaches the job. The RPC
         # executes even if the attempt has timed out meanwhile
         # (at-least-once delivery); the reply leg is then discarded on
         # arrival by the resolved flag.
-        wave.refs -= 1
         request = wave.requests[idx]
-        net = self.cluster.network
-        response = _answer(self.cluster.nodes, net.stats, request)
-        delay = self.latency.sample_link(self.rng, request.node_id, self.site)
-        net.stats.total_message_delay += delay
-        self.sim.schedule_batch(
-            self.sim.now + delay, self._reply_id, (wave, (idx,), (response,))
-        )
-        wave.refs += 1
+        cluster = self.cluster
+        response = _answer(cluster.nodes, cluster.network.stats, request)
+        self._launch(self._reply_id, wave, [idx], [response], [request.node_id])
 
-    # -- replies -------------------------------------------------------- #
-
-    def _reply_batch(self, payloads: list) -> None:
-        for payload in payloads:
-            self._reply_group(payload[0], payload[1], payload[2])
-
-    def _reply_group(self, wave: _Wave, idxs, responses) -> None:
-        wave.refs -= 1
-        table = self._table
-        slot = wave.slot
+    def _reply(self, payloads: list[tuple]) -> None:
+        """Reply legs ``(wave, idxs, responses)`` arriving back."""
         net = self.cluster.network
         stats = net.stats
-        trace = self._trace
-        resolved = wave.resolved
         partitioned = net._partitioned
-        round_messages = self.round_messages
-        done = bool(table.done[slot])
-        if trace is None and not partitioned:
-            # Hot path: every reply lands (no trace, no partitions). The
-            # quorum counters are mirrored into plain-int locals for the
-            # duration of the group — one numpy scalar read/write per
-            # *group* instead of several per reply — and flushed back
-            # before any completion callback can observe the table.
-            fresh = 0    # unresolved attempts this group resolves
-            offered = 0  # replies fed to the quorum wait (pre-done)
-            loaded = flushed = abort = False
-            need = acc = res = total = 0
-            accept = resp_list = acc_list = None
-            for pos, idx in enumerate(idxs):
+        trace = self._trace
+        now = self.sim.now
+        for wave, idxs, responses in payloads:
+            resolved = wave.resolved
+            state = wave.state
+            heard = 0
+            for idx, response in zip(idxs, responses):
                 if resolved[idx]:
                     continue
-                resolved[idx] = True
-                fresh += 1
-                if done:
-                    continue  # straggler: traffic only
-                if not loaded:
-                    loaded = True
-                    round_ = table.rounds[slot]
-                    need = round_.need
-                    accept = round_.accept
-                    abort = round_.abort_on_reject
-                    resp_list = table.responses[slot]
-                    acc_list = table.accepted_of[slot]
-                    res = int(table.resolved[slot])
-                    acc = int(table.accepted[slot])
-                    total = int(table.total[slot])
-                response = responses[pos]
-                offered += 1
-                resp_list.append(response)
-                res += 1
-                ok = response.ok if accept is _default_accept else accept(response)
-                if ok:
-                    acc_list.append(response)
-                    acc += 1
-                # Completion logic of _offer over the mirrored locals.
-                satisfied = None
-                if not ok and abort:
-                    satisfied = False
-                elif need is not None:
-                    if acc >= need:
-                        satisfied = True
-                    elif acc + (total - res) < need:
-                        satisfied = False
-                elif res == total:
-                    satisfied = True
-                if satisfied is not None:
-                    table.resolved[slot] = res
-                    table.accepted[slot] = acc
-                    table.messages[slot] += offered
-                    flushed = True
-                    self._complete(slot, satisfied)
-                    done = True
-            if fresh:
-                stats.messages += fresh
-                # fresh > 0 ⇒ attempts[slot] > 0 ⇒ the slot is still
-                # live, so the kind lookup is safe even post-completion.
-                round_messages[table.rounds[slot].kind] += fresh
-                wave.live -= fresh
-                table.attempts[slot] -= fresh
-                if loaded and not flushed:
-                    table.resolved[slot] = res
-                    table.accepted[slot] = acc
-                    table.messages[slot] += offered
-                if done and table.attempts[slot] == 0:
-                    table.release(slot)
-        else:
-            now = self.sim.now
-            requests = wave.requests
-            number = wave.number
-            # The slot is guaranteed live (and still this wave's round)
-            # while any of the wave's attempts is unresolved, so look the
-            # kind up lazily at the first unresolved reply instead of
-            # upfront — a fully-resolved straggler group may arrive after
-            # slot release.
-            kind: str | None = None
-            for pos, idx in enumerate(idxs):
-                if resolved[idx]:
-                    continue
-                request = requests[idx]
+                request = response.request
                 node_id = request.node_id
                 if node_id in partitioned:
                     # The reply leg is cut too: the coordinator hears
@@ -974,81 +659,62 @@ class EventCoordinator:
                     stats.messages_dropped += 1
                     if trace is not None:
                         trace.append(
-                            (now, "drop-reply", node_id, request.method, number)
+                            (now, "drop-reply", node_id, request.method, wave.number)
                         )
                     continue
                 if trace is not None:
-                    trace.append((now, "reply", node_id, request.method, number))
-                stats.messages += 1
-                if kind is None:
-                    kind = table.rounds[slot].kind
-                round_messages[kind] += 1
+                    trace.append((now, "reply", node_id, request.method, wave.number))
                 resolved[idx] = True
-                wave.live -= 1
-                table.attempts[slot] -= 1
-                if not done:
-                    table.messages[slot] += 1
-                    done = self._offer(slot, responses[pos])
+                heard += 1
+                if not state.done:
+                    state.messages += 1
+                    if state.offer(response):
+                        # counters are exact before the plan runs again
+                        self._count_replies(wave, heard)
+                        heard = 0
+                        self._complete(state)
                 # else: straggler — traffic only, the round completed
-                if done and table.attempts[slot] == 0:
-                    table.release(slot)
+            if heard:
+                self._count_replies(wave, heard)
+
+    def _count_replies(self, wave: _Wave, heard: int) -> None:
+        """Book ``heard`` replies of ``wave``; retire it with its last one."""
+        self.cluster.network.stats.messages += heard
+        self.round_messages[wave.state.round.kind] += heard
+        wave.live -= heard
         if wave.live == 0:
             self.outstanding.discard(wave)
-            timer = wave.timer
-            if timer is not None:
-                timer.cancel()
-                wave.timer = None
-                wave.refs -= 1
-        self._maybe_recycle(wave)
-
-    # -- timeouts ------------------------------------------------------- #
+            wave.timer.cancel()
+            wave.timer = None
 
     def _timeout_wave(self, wave: _Wave) -> None:
-        wave.refs -= 1
         wave.timer = None
-        if wave.live == 0:
-            self._maybe_recycle(wave)
-            return
-        table = self._table
-        slot = wave.slot
-        net = self.cluster.network
-        stats = net.stats
+        state = wave.state
+        stats = self.cluster.network.stats
         trace = self._trace
-        now = self.sim.now
-        requests = wave.requests
         resolved = wave.resolved
         number = wave.number
-        retries = self.policy.retries
-        done = bool(table.done[slot])
-        for idx in range(len(requests)):
+        for idx, request in enumerate(wave.requests):
             if resolved[idx]:
                 continue
-            request = requests[idx]
             resolved[idx] = True
             wave.live -= 1
-            table.attempts[slot] -= 1
-            if done:
+            if state.done:
                 # The round completed without this attempt: drop it
                 # quietly. Straggler *responses* keep flowing (they are
                 # real traffic), but nothing retransmits on behalf of a
                 # finished operation.
-                if table.attempts[slot] == 0:
-                    table.release(slot)
                 continue
             stats.timeouts += 1
             if trace is not None:
-                trace.append((now, "timeout", request.node_id, request.method, number))
-            if number < retries:
+                trace.append(
+                    (self.sim.now, "timeout", request.node_id, request.method, number)
+                )
+            if number < self.policy.retries:
                 stats.retries += 1
-                self._send_wave(slot, [request], number + 1)
-                continue
-            response = Response(
-                request=request,
-                ok=False,
-                error=NodeUnavailableError(request.node_id),
-            )
-            done = self._offer(slot, response)
-            if done and table.attempts[slot] == 0:
-                table.release(slot)
+                self._send_wave(state, [request], number + 1)
+            elif state.offer(
+                Response(request, False, None, NodeUnavailableError(request.node_id))
+            ):
+                self._complete(state)
         self.outstanding.discard(wave)
-        self._maybe_recycle(wave)

@@ -197,29 +197,32 @@ class QuorumWait:
         self.done = False
         self.satisfied = False
 
-    def _finish(self, satisfied: bool) -> bool:
-        self.done = True
-        self.satisfied = satisfied
-        return True
-
     def offer(self, response: Response) -> bool:
         """Record one resolved response; True when the wait completes."""
         if self.done:
             return False
+        round_ = self.round
         self.responses.append(response)
         self.resolved += 1
-        accepted = self.round.accept(response)
-        if accepted:
+        accept = round_.accept
+        if response.ok if accept is _default_accept else accept(response):
             self.accepted.append(response)
-        need = self.round.need
-        if not accepted and self.round.abort_on_reject:
-            return self._finish(False)
-        if need is not None:
-            if len(self.accepted) >= need:
-                return self._finish(True)
-            outstanding = self.total - self.resolved
-            if len(self.accepted) + outstanding < need:
-                return self._finish(False)
-        if self.resolved == self.total:
-            return self._finish(need is None or len(self.accepted) >= need)
-        return False
+        elif round_.abort_on_reject:
+            self.done = True
+            return True
+        need = round_.need
+        accepted = len(self.accepted)
+        outstanding = self.total - self.resolved
+        if need is None:
+            if outstanding:
+                return False
+            satisfied = True
+        elif accepted >= need:
+            satisfied = True
+        elif accepted + outstanding < need:
+            satisfied = False
+        else:
+            return False
+        self.done = True
+        self.satisfied = satisfied
+        return True

@@ -1,15 +1,19 @@
 """Event-engine mechanics: compaction, monotone lanes, batch drain.
 
-The vectorized event core leans on three :class:`Simulator` mechanisms
-(heap compaction of cancelled timers, deque-backed monotone lanes, and
+The event core leans on three :class:`Simulator` mechanisms (heap
+compaction of cancelled timers, deque-backed monotone lanes, and
 same-timestamp batch grouping); each is pinned here in isolation,
 including the regression bound on peak heap depth under cancel-heavy
-churn that motivated compaction.
+churn that motivated compaction, and together as a property: whatever
+mix is scheduled, ``run``, ``run_until`` and a ``step`` loop fire it in
+``(time, seq)`` order with the same batch grouping.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.events import MonotoneLane, Simulator, Timer
 from repro.errors import SimulationError
@@ -203,16 +207,21 @@ class TestBatchDrain:
         sim.run()
         assert calls == [(1.0, ["a"]), (2.0, ["b"])]
 
-    def test_cancelled_batch_entry_skipped(self):
+    def test_batch_entries_have_no_timer_and_cancelled_timers_do_not_split(self):
+        """A batch entry allocates no Timer (nothing to cancel: the
+        message layer deadens a message by a flag), and a *cancelled*
+        plain timer sequenced between two batch entries is pruned, not
+        treated as a foreign event."""
         sim = Simulator()
         calls = []
         handler = sim.register_batch_handler(lambda p: calls.append(p))
-        sim.schedule_batch(1.0, handler, "a")
-        timer = sim.schedule_batch(1.0, handler, "b")
-        sim.schedule_batch(1.0, handler, "c")
+        assert sim.schedule_batch(1.0, handler, "a") is None
+        timer = sim.schedule_at(1.0, lambda: calls.append("timer"))
+        assert sim.schedule_batch(1.0, handler, "c") is None
         timer.cancel()
         sim.run()
         assert calls == [["a", "c"]]
+        assert sim.processed == 2
 
 
 class TestTimerHandle:
@@ -229,3 +238,154 @@ class TestTimerHandle:
         timer = Timer(1.0)
         timer.cancel()
         assert timer.cancelled
+
+
+# --------------------------------------------------------------------- #
+# the drain loop as a property
+# --------------------------------------------------------------------- #
+
+_TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])
+_ENTRY = st.one_of(
+    # plain callback; may cancel another entry's timer when it fires
+    st.tuples(st.just("call"), _TIMES, st.none() | st.integers(0, 40)),
+    st.tuples(st.just("lane"), _TIMES, st.integers(0, 1)),
+    st.tuples(st.just("batch"), _TIMES, st.integers(0, 1)),
+)
+
+
+def _schedule(entries, precancelled):
+    """Build a simulator holding ``entries``; returns it with the model.
+
+    Lane deadlines must not decrease, so a lane entry fires at the
+    running maximum of the times drawn for its lane.
+    """
+    sim = Simulator()
+    log = []
+    handlers = [
+        sim.register_batch_handler(lambda p, h=h: log.append(("batch", h, list(p))))
+        for h in range(2)
+    ]
+    lanes = [sim.monotone_lane() for _ in range(2)]
+    tails = [0.0, 0.0]
+    timers: dict[int, Timer] = {}
+    model = []  # (time, seq, kind, ident, extra)
+
+    def fire(ident, target):
+        log.append(("call", ident))
+        if target in timers:
+            timers[target].cancel()
+
+    for ident, (kind, time, extra) in enumerate(entries):
+        if kind == "call":
+            timers[ident] = sim.schedule_call(time, fire, ident, extra)
+        elif kind == "lane":
+            time = tails[extra] = max(tails[extra], time)
+            timers[ident] = lanes[extra].schedule_call(
+                time, lambda i=ident: log.append(("lane", i))
+            )
+        else:
+            assert sim.schedule_batch(time, handlers[extra], ident) is None
+        model.append((time, ident, kind, extra))
+    cancelled = set()
+    for ident in precancelled:
+        if ident in timers:
+            timers[ident].cancel()
+            cancelled.add(ident)
+    return sim, log, model, cancelled
+
+
+def _expected(model, cancelled):
+    """Reference drain: sort, skip the cancelled, merge adjacent batches."""
+    cancelled = set(cancelled)
+    events = sorted(model)  # ident doubles as seq: scheduled in order
+    timered = {ident for _, ident, kind, _ in model if kind != "batch"}
+    out = []
+    i = 0
+    while i < len(events):
+        time, ident, kind, extra = events[i]
+        i += 1
+        if ident in cancelled:
+            continue
+        if kind == "call":
+            out.append(("call", ident))
+            if extra in timered:
+                cancelled.add(extra)
+        elif kind == "lane":
+            out.append(("lane", ident))
+        else:
+            group = [ident]
+            while i < len(events):
+                ntime, nident, nkind, nextra = events[i]
+                if nident in cancelled:
+                    i += 1  # a dead timer is pruned, it splits nothing
+                elif (ntime, nkind, nextra) == (time, "batch", extra):
+                    group.append(nident)
+                    i += 1
+                else:
+                    break
+            out.append(("batch", extra, group))
+    return out
+
+
+class TestDrainProperty:
+    @given(
+        entries=st.lists(_ENTRY, max_size=40),
+        precancelled=st.sets(st.integers(0, 40), max_size=10),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_run_run_until_and_step_agree_with_the_model(self, entries, precancelled):
+        expected = _expected(*_schedule(entries, precancelled)[2:])
+        fired = sum(len(e[2]) if e[0] == "batch" else 1 for e in expected)
+
+        sim, log, _, _ = _schedule(entries, precancelled)
+        live_before = len(sim)
+        sim.run()
+        assert log == expected
+        assert sim.processed == fired and len(sim) == 0
+        assert live_before >= fired  # in-run cancellations only shrink it
+
+        sim, log, _, _ = _schedule(entries, precancelled)
+        for horizon in (0.0, 0.25, 0.5, 1.0, 1.75, 2.0):
+            sim.run_until(horizon)
+            assert sim.now == horizon
+        assert log == expected and sim.processed == fired
+
+        sim, log, _, _ = _schedule(entries, precancelled)
+        steps = 0
+        while sim.step():
+            steps += 1
+            assert len(log) == steps  # one step, one dispatch
+        assert log == expected and sim.processed == fired
+
+        sim, log, _, _ = _schedule(entries, precancelled)
+        sim.run(max_events=1)
+        assert log == expected[:1]
+
+    @given(rounds=st.integers(1, 6), burst=st.integers(70, 200))
+    @settings(max_examples=20, deadline=None)
+    def test_cancel_churn_keeps_heap_and_lane_compact(self, rounds, burst):
+        """Dead entries never outnumber the live ones by more than the
+        compaction floor, in the heap or in a lane, whatever else (here:
+        batch entries, which carry no timer) shares the heap."""
+        sim = Simulator()
+        lane = sim.monotone_lane()
+        handler = sim.register_batch_handler(lambda payloads: None)
+        for r in range(rounds):
+            base = float(r * burst)
+            timers = [
+                sim.schedule_at(base + i + 1, lambda: None) for i in range(burst)
+            ] + [
+                lane.schedule_call(base + i + 1, lambda: None) for i in range(burst)
+            ]
+            for i in range(burst):
+                sim.schedule_batch(base + i + 1, handler, i)
+            for timer in timers[1:]:
+                timer.cancel()
+            sim.schedule_at(base + 1, lambda: None)  # a push after the cancels
+            lane.schedule_call(base + burst, lambda: None)
+            live_heap = len(sim) - len(lane)
+            assert sim.queue_depth - live_heap <= max(64, sim.queue_depth // 2)
+            assert len(lane._entries) - len(lane) <= max(64, len(lane._entries) // 2)
+            sim.run_until(base + burst)
+            assert len(sim) == 0
+        assert sim.peak_queue_depth <= 2 * burst + 2 + 64

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     BernoulliSnapshot,
@@ -20,6 +22,7 @@ from repro.cluster import (
     make_rng,
     spawn_rngs,
 )
+from repro.cluster.network import LatencyModel, LognormalLatency
 from repro.errors import ConfigurationError, NodeUnavailableError, SimulationError
 
 
@@ -142,6 +145,64 @@ class TestTwoTierLatency:
             remote = model.sample_link(rng, 0, 2)
             assert 0.0005 <= local <= 0.0015
             assert 0.005 <= remote <= 0.015
+
+
+class _OnlySample(LatencyModel):
+    """A user model that defines nothing but ``sample``."""
+
+    def sample(self, rng):
+        return float(rng.exponential(0.002))
+
+
+class TestLatencyStream:
+    """``model.stream(rng, site)`` — what the event runtime draws through
+    — is stream-identical to sequential ``sample_link`` calls, whatever
+    the request sizes: block-backed models refill mid-request, 1-peer
+    and n-peer draws interleave."""
+
+    MODELS = {
+        "fixed": FixedLatency(0.003),
+        "uniform": UniformLatency(0.001, 0.004),
+        "lognormal": LognormalLatency(),
+        "two_tier": TwoTierLatency(local=0.0005, remote=0.004, rack_size=3),
+        "two_tier_jitter": TwoTierLatency(
+            local=0.0005, remote=0.004, rack_size=3, jitter=0.3
+        ),
+        "only_sample": _OnlySample(),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @given(
+        sizes=st.lists(
+            st.sampled_from([1, 1, 1, 2, 3, 9, 200, 511, 512, 513, 1100]),
+            min_size=1,
+            max_size=12,
+        ),
+        site=st.sampled_from([None, 0, 4]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_equals_sequential_sample_link(self, name, sizes, site, seed):
+        model = self.MODELS[name]
+        draw = model.stream(make_rng(seed), site)
+        reference = make_rng(seed)
+        peer = 0
+        for size in sizes:
+            peers = [(peer + i) % 9 for i in range(size)]
+            peer += size
+            assert draw(peers) == [
+                model.sample_link(reference, site, p) for p in peers
+            ]
+
+    def test_block_backed_models_draw_ahead_of_their_generator(self):
+        """Why a coordinator must own its generator: the stream's state
+        runs ahead of the delays handed out."""
+        rng = make_rng(3)
+        LognormalLatency().stream(rng, None)([0])
+        assert rng.bit_generator.state != make_rng(3).bit_generator.state
+        one = make_rng(3)
+        one.lognormal(-6.5, 0.5)
+        assert rng.bit_generator.state != one.bit_generator.state
 
 
 class TestCluster:

@@ -10,6 +10,9 @@ from one seed.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -282,6 +285,38 @@ class TestShutdownHygiene:
         # shutdown drains, it does not poison: a fresh plan completes
         outcome = run_plan(coordinator, version_round(cluster, need=3))
         assert outcome.satisfied
+
+    def test_shutdown_releases_abandoned_rounds(self):
+        """Mid-operation shutdown: once the simulator has drained, the
+        abandoned rounds pin nothing (round, plan, on_done), ``in_flight``
+        is settled, ``on_done`` never fired, and the coordinator works."""
+
+        class Probe:
+            """Weakly referenceable stand-in for a round's private state."""
+
+        cluster, sim, coordinator = make_world(timeout=0.05)
+        cluster.network.partition([0])  # need=5 can only end by timeout
+        fired, refs = [], []
+        for _ in range(4):
+            probe = Probe()
+            round_ = version_round(
+                cluster, need=5, accept=lambda response, _pin=probe: response.ok
+            )
+            plan = (lambda r: (yield r))(round_)
+            refs += [weakref.ref(probe), weakref.ref(plan)]
+            coordinator.submit(plan, fired.append)
+            del probe, round_, plan
+        assert sim.step() and sim.step()  # requests delivered, 4 of 5 replies in
+        assert coordinator.in_flight == 4
+        assert coordinator.shutdown() == 4  # one silent attempt per round
+        assert coordinator.in_flight == 0
+        sim.run()
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 8
+        assert fired == [] and coordinator.in_flight == 0
+        cluster.network.heal()
+        outcome = run_plan(coordinator, version_round(cluster, need=3))
+        assert outcome.satisfied and coordinator.in_flight == 0
 
     def test_closed_loop_sim_shuts_coordinator_down(self):
         # the trace-sim driver calls shutdown() after run(): no attempt
