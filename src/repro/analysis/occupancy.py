@@ -246,8 +246,8 @@ def erc_level_counts_family(
 
 
 def occupancy_cache_clear() -> None:
-    """Drop every cached grid and count table (used by the perf harness
-    to time cold-path engine runs)."""
+    """Drop every cached grid and count table (used by the end-to-end
+    benchmark to time cold-path engine runs)."""
     _choice_grid.cache_clear()
     predicate_counts.cache_clear()
     erc_level_counts.cache_clear()

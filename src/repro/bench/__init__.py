@@ -1,13 +1,13 @@
-"""Figure-regeneration harness (DESIGN.md S9).
+"""Figure-regeneration harness: the data behind the paper's Figures 1-5.
 
 ``repro.bench.figures`` holds one series generator per paper figure;
 ``repro.bench.calibrate`` documents how the canonical configuration was
 matched to the paper's quoted anchor numbers; ``repro.bench.runner``
-renders and persists everything (also exposed as ``python -m repro.bench``).
+renders and persists everything (also exposed as ``python -m repro.bench``,
+an alias of ``repro figures``).
 """
 
 from repro.bench.calibrate import CalibrationResult, scan_fig3_configs
-from repro.bench.perf import DEFAULT_SIZES, TINY_SIZES, run_perf, write_perf_json
 from repro.bench.figures import (
     FIG_K,
     FIG_N,
@@ -44,12 +44,4 @@ __all__ = [
     "all_series",
     "run_all",
     "results_dir",
-    "DEFAULT_SIZES",
-    "TINY_SIZES",
-    "run_perf",
-    "write_perf_json",
 ]
-
-# NOTE: repro.bench.compare (the CI regression gate) is deliberately not
-# re-exported here so `python -m repro.bench.compare` runs without the
-# found-in-sys.modules RuntimeWarning.

@@ -1,80 +1,20 @@
-"""CLI entry point: ``python -m repro.bench``.
+"""CLI entry point: ``python -m repro.bench`` is ``repro figures``.
 
-Without arguments, regenerates every paper figure (tables + CSVs).
-With ``--json PATH``, runs the perf harness instead and writes the
-machine-readable throughput document (see ``docs/PERFORMANCE.md``):
+Regenerates every paper figure (tables to stdout, CSVs to ``--out`` or
+``results/`` in the working directory); it shares that verb's parser:
 
-    python -m repro.bench --json BENCH_perf.json
-    python -m repro.bench --json BENCH_perf.json --tiny   # smoke sizes
+    python -m repro.bench --out figs --quiet
 """
 
 from __future__ import annotations
 
-import argparse
+import sys
 
-from repro.bench.perf import TINY_SIZES, section_names, write_perf_json
-from repro.bench.runner import run_all
+from repro.cli import main as cli_main
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
-        description="Regenerate paper figures, or run the perf harness.",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="run the perf harness and write its JSON document to PATH",
-    )
-    parser.add_argument(
-        "--tiny",
-        action="store_true",
-        help="perf harness only: tiny sizes (sub-second smoke run)",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress table output"
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="perf harness only: cProfile each section's warmup call and "
-        "print its top-15 cumulative functions",
-    )
-    parser.add_argument(
-        "--sections",
-        nargs="+",
-        metavar="NAME",
-        default=None,
-        help="perf harness only: run just these sections "
-        f"(valid: {', '.join(section_names())})",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        help="perf harness only: fan sections across N worker processes "
-        "(0 = serial)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.json is not None:
-        path = write_perf_json(
-            args.json,
-            sizes=TINY_SIZES if args.tiny else None,
-            quiet=args.quiet,
-            profile=args.profile,
-            sections=args.sections,
-            jobs=args.jobs,
-        )
-        print(f"Wrote: {path}")
-        return 0
-
-    paths = run_all(quiet=args.quiet)
-    print("Wrote:")
-    for path in paths:
-        print(f"  {path}")
-    return 0
+    return cli_main(["figures", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ Each ``figN_series`` function regenerates the data behind the paper's
 Figure N, returning a :class:`FigureSeries` (x grid + named columns) that
 the benchmark harness renders as text and CSV. The canonical configuration
 was calibrated against the figure anchors quoted in the paper's prose (see
-``repro.bench.calibrate`` and EXPERIMENTS.md):
+``repro.bench.calibrate``):
 
 * n = 15, k = 8  =>  Nbnode = n - k + 1 = 8,
 * trapezoid shape (a=2, b=3, h=1): levels (3, 5),
@@ -213,8 +213,9 @@ def fig4_series(
     so each curve has Nbnode = 16 - k trapezoid nodes and a per-level
     majority write quorum. The paper's claim: "the greater this difference
     is ... the better is the read availability"; it holds everywhere for
-    p >= 0.3, with sub-0.5% inversions at very small p caused by the
-    discrete shape changes (recorded in EXPERIMENTS.md).
+    p >= 0.3. At p <= 0.2 the discrete shape changes cause sub-0.5 %
+    inversions: n-k = 7 falls below n-k = 5 by at most 0.004, and at
+    p = 0.05 n-k = 9 falls below n-k = 7 by 1.2e-5.
     """
     p = default_p_grid() if p is None else np.asarray(p, dtype=np.float64)
     columns: dict[str, np.ndarray] = {}
@@ -244,8 +245,8 @@ def fig5_series(n: int = FIG_N, ks=None) -> FigureSeries:
         x=karr.astype(np.float64),
         columns={"TRAP-ERC (n/k)": erc, "TRAP-FR (n-k+1)": fr},
         notes=(
-            "Eq. 14 vs eq. 15. At k=8: FR = 8, ERC = 1.875 (the prose's "
-            "'4 blocks / 50%' example is inconsistent with eq. 15; see "
-            "EXPERIMENTS.md)."
+            "Eq. 14 vs eq. 15. At k=8: FR = 8, ERC = 1.875, so ERC saves "
+            "1 - 1.875/8 = 77% (the prose's '4 blocks / 50%' example is "
+            "inconsistent with eq. 15)."
         ),
     )

@@ -1,9 +1,9 @@
 """Rendering and persistence for the figure harness.
 
-``python -m repro.bench`` (see ``__main__``) regenerates every figure's
-series, prints the tables, and writes CSVs under ``results/``. The pytest
-benchmarks call the same entry points, so the printed rows and the CSV
-artifacts always agree.
+``repro figures`` (alias ``python -m repro.bench``) regenerates every
+figure's series, prints the tables, and writes CSVs under ``results/``
+(or ``--out``). The pytest benchmarks call the same entry points, so the
+printed rows and the CSV artifacts always agree.
 """
 
 from __future__ import annotations
@@ -24,7 +24,11 @@ __all__ = ["all_series", "run_all", "results_dir"]
 
 
 def results_dir(base: str | os.PathLike | None = None) -> Path:
-    """``results/`` next to the repository root (created on demand)."""
+    """The output directory, created on demand.
+
+    ``base`` if given, else ``$REPRO_RESULTS_DIR``, else ``results/`` in
+    the current working directory.
+    """
     if base is None:
         base = os.environ.get("REPRO_RESULTS_DIR", Path.cwd() / "results")
     path = Path(base)

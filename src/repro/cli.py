@@ -5,7 +5,8 @@ Commands
 ``run``
     Execute a JSON scenario file through the ``repro.api`` facade.
 ``figures``
-    Regenerate every paper figure (tables to stdout, CSVs to results/).
+    Regenerate every paper figure (tables to stdout, CSVs to results/);
+    ``python -m repro.bench`` is an alias.
 ``calibrate``
     Show the top configurations matching the paper's Figure-3 anchors.
 ``availability``
@@ -14,8 +15,6 @@ Commands
     Search the (shape, w) space for a deployment target.
 ``layout``
     Render a trapezoid layout.
-``perf``
-    Run the perf harness and write BENCH_perf.json.
 ``saturate``
     Sweep closed-loop client counts over the sharded runtime and print
     the ops/s saturation curve (and its knee).
@@ -116,24 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     lay.add_argument("--a", type=int, required=True)
     lay.add_argument("--b", type=int, required=True)
     lay.add_argument("--height", type=int, required=True)
-
-    perf = sub.add_parser("perf", help="run the perf harness (BENCH_perf.json)")
-    perf.add_argument("--json", default="BENCH_perf.json", help="output path")
-    perf.add_argument("--tiny", action="store_true", help="sub-second smoke sizes")
-    perf.add_argument("--quiet", action="store_true", help="suppress the table")
-    perf.add_argument(
-        "--profile",
-        action="store_true",
-        help="cProfile each section's warmup call (top-15 cumulative)",
-    )
-    perf.add_argument(
-        "--sections", nargs="+", default=None, metavar="NAME",
-        help="run only these sections (unknown names fail with the valid list)",
-    )
-    perf.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
-        help="worker processes fanning the sections out (0/1 = inline)",
-    )
 
     sat = sub.add_parser(
         "saturate", help="ops/s-vs-clients sweep on the sharded runtime"
@@ -336,21 +317,6 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _cmd_perf(args) -> int:
-    from repro.bench.perf import TINY_SIZES, write_perf_json
-
-    path = write_perf_json(
-        args.json,
-        sizes=TINY_SIZES if args.tiny else None,
-        quiet=args.quiet,
-        profile=args.profile,
-        sections=args.sections,
-        jobs=args.jobs,
-    )
-    print(f"Wrote: {path}")
-    return 0
-
-
 def _cmd_saturate(args) -> int:
     from repro.api import (
         ScenarioRunner,
@@ -476,7 +442,6 @@ _COMMANDS = {
     "availability": _cmd_availability,
     "optimize": _cmd_optimize,
     "layout": _cmd_layout,
-    "perf": _cmd_perf,
     "saturate": _cmd_saturate,
     "serve": _cmd_serve,
     "wallclock": _cmd_wallclock,

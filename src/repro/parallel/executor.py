@@ -2,7 +2,7 @@
 
 :class:`ParallelExecutor` is the one execution primitive every study
 layer shares (saturation sweeps, MC columns, ``protocol_mc`` trial
-chunks, optimizer shape families, comparison sub-runs, bench sections).
+chunks, optimizer shape families, comparison sub-runs).
 The contract that keeps parallel runs byte-identical to serial ones:
 
 * **jobs = 0 or 1 is the serial path.** :meth:`ParallelExecutor.map`

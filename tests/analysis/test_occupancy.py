@@ -42,6 +42,7 @@ from repro.quorum import (
     TrapezoidSystem,
     TreeSystem,
     WeightedVotingSystem,
+    default_shape_for_nbnode,
     shapes_for_nbnode,
 )
 from repro.quorum.base import CountPredicate
@@ -279,6 +280,16 @@ class TestErcSplitCounts:
             total, abs=1e-12
         )
 
+    @pytest.mark.parametrize("n, k", [(12, 4), (20, 8), (22, 8)])
+    def test_default_shapes_bit_identical_over_p(self, n, k):
+        # The default trapezoid per Nbnode up to the paper's Fig-1 size
+        # (Nbnode = 15, 2^15 subsets on the enumeration path), cold tables.
+        occupancy_cache_clear()
+        quorum = TrapezoidQuorum.uniform(default_shape_for_nbnode(n - k + 1))
+        occupancy = exact_read_erc(quorum, n, k, P)
+        enumeration = exact_read_erc(quorum, n, k, P, method="enumeration")
+        assert np.array_equal(occupancy, enumeration)
+
     def test_tables_cached_across_p(self):
         occupancy_cache_clear()
         quorum = TrapezoidQuorum.uniform(TrapezoidShape(2, 3, 2), 3)
@@ -326,6 +337,16 @@ class TestOptimizerEquivalence:
         assert fast.best_balanced == reference.best_balanced
         assert fast.pareto == reference.pareto
         assert fast.evaluated == reference.evaluated
+
+    @pytest.mark.parametrize("n, k, p", [(10, 6, 0.8), (20, 8, 0.9)])
+    def test_two_level_cap_identical_to_reference(self, n, k, p):
+        # max_h = 2 prunes the shape space; the cold engine must still
+        # evaluate exactly the reference's points and agree on the result.
+        occupancy_cache_clear()
+        fast = optimize_config(n, k, p, max_h=2)
+        reference = _reference_optimize(n, k, p, max_h=2)
+        assert fast == reference
+        assert fast.evaluated == reference.evaluated >= 1
 
     def test_sweep_matches_single_p_calls(self):
         ps = (0.4, 0.6, 0.8)

@@ -112,6 +112,78 @@ class TestRunner:
         for p in paths:
             assert p.exists() and p.stat().st_size > 0
 
+    def test_module_entry_is_figures_verb(self, tmp_path, capsys):
+        from repro.bench.__main__ import main
+
+        assert main(["--quiet", "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fig1_layout.txt",
+            "fig2.csv",
+            "fig3.csv",
+            "fig4.csv",
+            "fig5.csv",
+        ]
+        assert "Wrote:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--json", "x"],
+            ["--tiny"],
+            ["--profile"],
+            ["--sections", "mc"],
+            ["--jobs", "2"],
+        ],
+        ids=lambda argv: argv[0].lstrip("-"),
+    )
+    def test_module_entry_rejects_retired_perf_flags(self, argv, tmp_path):
+        from repro.bench.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--quiet", "--out", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert not any(tmp_path.iterdir())  # usage error before any figure
+
+    def test_csvs_carry_the_paper_anchors(self, tmp_path):
+        import csv
+
+        from repro.bench.__main__ import main
+
+        def row(name, col, x):
+            with open(tmp_path / name, newline="") as fh:
+                for r in csv.DictReader(fh):
+                    if abs(float(r[col]) - x) < 1e-9:
+                        return r
+            raise AssertionError(f"{name}: no row with {col} = {x}")
+
+        assert main(["--quiet", "--out", str(tmp_path)]) == 0
+        fig3 = row("fig3.csv", "p", 0.5)
+        assert float(fig3["TRAP-FR (eq.10)"]) == pytest.approx(0.75, abs=1e-4)
+        assert float(fig3["TRAP-ERC (eq.13)"]) == pytest.approx(0.635, abs=1e-3)
+        fig5 = row("fig5.csv", "k", 8)
+        assert float(fig5["TRAP-ERC (n/k)"]) == 1.875
+        assert float(fig5["TRAP-FR (n-k+1)"]) == 8
+
+    @pytest.mark.parametrize(
+        "make",
+        [fig2_series, fig3_series, fig4_series, fig5_series],
+        ids=["fig2", "fig3", "fig4", "fig5"],
+    )
+    def test_rendered_tables_cite_no_document(self, make):
+        assert ".md" not in make().render_text()
+
+    def test_layout_cites_no_document(self):
+        assert ".md" not in fig1_layout()
+
+    def test_results_dir_defaults_to_working_directory(self, tmp_path, monkeypatch):
+        from repro.bench import results_dir
+
+        monkeypatch.delenv("REPRO_RESULTS_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        out = results_dir()
+        assert out == tmp_path / "results"
+        assert out.is_dir()
+
     def test_results_dir_env(self, tmp_path, monkeypatch):
         from repro.bench import results_dir
 

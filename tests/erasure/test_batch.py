@@ -153,6 +153,18 @@ class TestDecodePlanCache:
         info = code.plan_cache_info()
         assert info["misses"] == 1 and info["hits"] == 1
 
+    def test_decode_and_decode_batch_share_one_plan(self):
+        # One inversion serves the single-stripe and the batched path.
+        code = MDSCode(12, 8)
+        batch = make_batch(3, 8, seed=10)
+        stripes = code.encode_batch(batch)
+        keep = [1, 2, 4, 5, 7, 8, 10, 11]
+        for _ in range(3):
+            assert np.array_equal(code.decode(keep, stripes[0][keep]), batch[0])
+        assert np.array_equal(code.decode_batch(keep, stripes[:, keep]), batch)
+        info = code.plan_cache_info()
+        assert info["misses"] == 1 and info["hits"] == 3 and info["size"] == 1
+
     def test_lru_eviction(self):
         code = MDSCode(8, 4, plan_cache_size=2)
         data = make_batch(1, 4, seed=9)[0]
@@ -241,6 +253,93 @@ class TestDecodePlanCache:
         expect = seed_decode(code, idx, stripe[idx])
         assert np.array_equal(first, expect)
         assert np.array_equal(again, expect)
+
+
+#: (n, k, block length) across every kernel regime: the w = 8 gather
+#: path, the streamed row kernel (>= 256 columns per output row), the
+#: largest fused batch (L == FUSE_MAX_BLOCK) and the per-stripe loop
+#: above it, at the paper's k = 8 and at a wide-parity n = 22.
+SEED_PATH_CASES = [
+    pytest.param(6, 4, 64, id="6-4-L64"),
+    pytest.param(6, 4, 256, id="6-4-L256"),
+    pytest.param(12, 8, 1 << 10, id="12-8-L1KiB"),
+    pytest.param(12, 8, code_mod.FUSE_MAX_BLOCK, id="12-8-Lfuse"),
+    pytest.param(12, 8, 1 << 16, id="12-8-L64KiB"),
+    pytest.param(22, 8, 512, id="22-8-L512"),
+]
+
+
+class TestSeedPathEquivalence:
+    """The kernels against the pre-kernel reference paths, byte for byte.
+
+    ``matmul_reference`` (outer-product accumulation) and a fresh
+    Gauss-Jordan ``inverse`` per decode are the ground truth every
+    encode/decode/update kernel must reproduce at any block length.
+    """
+
+    STRIPES = 3
+
+    def _setup(self, n, k, length):
+        code = MDSCode(n, k)
+        batch = make_batch(self.STRIPES, k, length=length, seed=n * k + length)
+        return code, batch
+
+    @staticmethod
+    def _survivors(code):
+        # Lose m blocks spread over data and parity, keep the first k left.
+        lost = {(3 * t) % code.n for t in range(code.m)}
+        return [i for i in range(code.n) if i not in lost][: code.k]
+
+    @pytest.mark.parametrize("n, k, length", SEED_PATH_CASES)
+    def test_encode_matches_reference_matmul(self, n, k, length):
+        code, batch = self._setup(n, k, length)
+        stripe = code.encode(batch[0])
+        assert np.array_equal(stripe[:k], batch[0])
+        assert np.array_equal(
+            stripe[k:], matmul_reference(code.field, code.parity_matrix, batch[0])
+        )
+
+    @pytest.mark.parametrize("n, k, length", SEED_PATH_CASES)
+    def test_encode_batch_matches_per_stripe_encode(self, n, k, length):
+        code, batch = self._setup(n, k, length)
+        stripes = code.encode_batch(batch)
+        for i in range(self.STRIPES):
+            assert np.array_equal(stripes[i], code.encode(batch[i]))
+
+    @pytest.mark.parametrize("n, k, length", SEED_PATH_CASES)
+    def test_repeated_decode_matches_seed_with_one_inversion(self, n, k, length):
+        code, batch = self._setup(n, k, length)
+        stripe = code.encode(batch[0])
+        keep = self._survivors(code)
+        frag = np.ascontiguousarray(stripe[keep])
+        expect = seed_decode(code, keep, frag)
+        assert np.array_equal(expect, batch[0])
+        for _ in range(3):
+            assert np.array_equal(code.decode(keep, frag), expect)
+        info = code.plan_cache_info()
+        assert info["misses"] == 1 and info["hits"] == 2
+
+    @pytest.mark.parametrize("n, k, length", SEED_PATH_CASES)
+    def test_decode_batch_matches_seed_per_stripe(self, n, k, length):
+        code, batch = self._setup(n, k, length)
+        stripes = code.encode_batch(batch)
+        keep = self._survivors(code)
+        out = code.decode_batch(keep, np.ascontiguousarray(stripes[:, keep]))
+        for i in range(self.STRIPES):
+            assert np.array_equal(out[i], seed_decode(code, keep, stripes[i][keep]))
+        assert np.array_equal(out, batch)
+
+    @pytest.mark.parametrize("n, k, length", SEED_PATH_CASES)
+    def test_parity_deltas_land_on_reencode(self, n, k, length):
+        code, batch = self._setup(n, k, length)
+        data = batch[0].copy()
+        stripe = code.encode(data)
+        new_block = batch[1][0]
+        delta = code.delta(data[0], new_block)
+        for j in range(k, n):
+            code.apply_parity_delta(stripe[j], j, 0, delta)
+        stripe[0] = data[0] = new_block
+        assert np.array_equal(stripe, code.encode(data))
 
 
 class TestPayloadBatch:

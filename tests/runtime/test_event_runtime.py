@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster, Simulator
-from repro.cluster.network import FixedLatency, Network
+from repro.cluster.network import FixedLatency, LognormalLatency, Network
 from repro.errors import SimulationError
 from repro.runtime import (
     EventCoordinator,
@@ -223,6 +223,54 @@ class TestOperationBookkeeping:
         sim.run()
         # 5 sends + 5 replies, all attributed to the version-query kind.
         assert coordinator.round_messages["version-query"] == 2 * len(cluster)
+
+
+class TestWavePacking:
+    """Simulator events per operation: the cost signature of ``_launch``.
+
+    Closed-loop sessions resubmit one pinned fan-out to every node (24
+    requests with need 13, and 12 with need 7). Under a fixed latency
+    every message of a wave arrives at the same instant, so the whole
+    wave is one heap entry each way; under a continuous latency each leg
+    is its own entry. Cancelled timers never count.
+    """
+
+    SHAPES = [pytest.param(24, 13, id="fanout24"), pytest.param(12, 7, id="fanout12")]
+
+    def _events_per_op(self, fanout, need, latency, ops=400, clients=16):
+        cluster = Cluster(fanout, network=Network(latency=latency))
+        for node in cluster.nodes:
+            node.put_data(node.node_id, np.zeros(8, dtype=np.uint8), 1)
+        sim = Simulator()
+        coordinator = EventCoordinator(
+            cluster, sim, rng=1, policy=RetryPolicy(timeout=0.05, retries=1)
+        )
+        requests = [Request(i, "data_version", (i,)) for i in range(fanout)]
+        done = [0]
+
+        def plan():
+            return (yield Round(requests, need=need, kind="version-query"))
+
+        def resubmit(_outcome):
+            done[0] += 1
+            if done[0] + clients <= ops:
+                coordinator.submit(plan(), resubmit)
+
+        for _ in range(clients):
+            coordinator.submit(plan(), resubmit)
+        sim.run()
+        assert done[0] == ops
+        assert cluster.network.stats.timeouts == 0
+        return sim.processed / ops
+
+    @pytest.mark.parametrize("fanout, need", SHAPES)
+    def test_fixed_latency_wave_is_one_event_each_way(self, fanout, need):
+        assert self._events_per_op(fanout, need, FixedLatency(DELAY)) == 2.0
+
+    @pytest.mark.parametrize("fanout, need", SHAPES)
+    def test_lognormal_latency_is_one_event_per_leg_each_way(self, fanout, need):
+        events = self._events_per_op(fanout, need, LognormalLatency())
+        assert events == 2.0 * fanout
 
 
 class TestDeterminism:

@@ -18,6 +18,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    def test_perf_verb_is_retired(self, capsys):
+        # Performance is measured by the benchmarks/e2e workloads only.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["perf", "--tiny"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'perf'" in capsys.readouterr().err
+
 
 class TestLayoutCommand:
     def test_renders_paper_shape(self, capsys):
