@@ -1,10 +1,10 @@
 """Figure-regeneration harness: the data behind the paper's Figures 1-5.
 
-``repro.bench.figures`` holds one series generator per paper figure;
-``repro.bench.calibrate`` documents how the canonical configuration was
-matched to the paper's quoted anchor numbers; ``repro.bench.runner``
-renders and persists everything (also exposed as ``python -m repro.bench``,
-an alias of ``repro figures``).
+``repro.bench.figures`` holds one series generator per paper figure plus
+the classical-quorum baselines; ``repro.bench.calibrate`` documents how
+the canonical configuration was matched to the paper's quoted anchor
+numbers; ``repro.bench.runner`` renders and persists everything (also
+exposed as ``python -m repro.bench``, an alias of ``repro figures``).
 """
 
 from repro.bench.calibrate import CalibrationResult, scan_fig3_configs
@@ -14,6 +14,7 @@ from repro.bench.figures import (
     FIG_SHAPE,
     FIG_W_ANCHOR,
     FigureSeries,
+    baselines_series,
     default_p_grid,
     fig1_layout,
     fig2_series,
@@ -23,7 +24,7 @@ from repro.bench.figures import (
     fig5_series,
     fig_quorum,
 )
-from repro.bench.runner import all_series, results_dir, run_all
+from repro.bench.runner import all_series, run_all
 
 __all__ = [
     "FIG_N",
@@ -39,9 +40,9 @@ __all__ = [
     "fig4_quorum",
     "fig4_series",
     "fig5_series",
+    "baselines_series",
     "CalibrationResult",
     "scan_fig3_configs",
     "all_series",
     "run_all",
-    "results_dir",
 ]

@@ -2,7 +2,8 @@
 
 Each ``figN_series`` function regenerates the data behind the paper's
 Figure N, returning a :class:`FigureSeries` (x grid + named columns) that
-the benchmark harness renders as text and CSV. The canonical configuration
+``repro figures`` renders as text and CSV; ``baselines_series`` sets the
+trapezoid beside the classical quorum systems. The canonical configuration
 was calibrated against the figure anchors quoted in the paper's prose (see
 ``repro.bench.calibrate``):
 
@@ -28,7 +29,15 @@ from repro.analysis.availability import (
 from repro.analysis.exact import exact_read_erc
 from repro.analysis.storage import storage_series
 from repro.errors import ConfigurationError
-from repro.quorum.trapezoid import TrapezoidQuorum, TrapezoidShape
+from repro.quorum import (
+    GridSystem,
+    MajoritySystem,
+    RowaSystem,
+    TrapezoidQuorum,
+    TrapezoidShape,
+    TrapezoidSystem,
+    TreeSystem,
+)
 
 __all__ = [
     "FIG_N",
@@ -43,6 +52,7 @@ __all__ = [
     "fig4_quorum",
     "fig4_series",
     "fig5_series",
+    "baselines_series",
     "default_p_grid",
 ]
 
@@ -113,8 +123,7 @@ class FigureSeries:
 def fig1_layout() -> str:
     """Figure 1: the Nbnode = 15 trapezoid with s_l = 2l + 3.
 
-    Returns the ASCII rendering; the level sizes (3, 5, 7) are asserted by
-    the bench and tests.
+    Returns the ASCII rendering of the three levels, sizes (3, 5, 7).
     """
     shape = TrapezoidShape(2, 3, 2)
     art = shape.ascii_art()
@@ -249,4 +258,36 @@ def fig5_series(n: int = FIG_N, ks=None) -> FigureSeries:
             "1 - 1.875/8 = 77% (the prose's '4 blocks / 50%' example is "
             "inconsistent with eq. 15)."
         ),
+    )
+
+
+# --------------------------------------------------------------------- #
+# Baselines — the trapezoid vs the classical quorum systems
+# --------------------------------------------------------------------- #
+
+def baselines_series(p: np.ndarray | None = None) -> FigureSeries:
+    """Write/read availability of the trapezoid vs ROWA, Majority, Grid, Tree.
+
+    The paper's related-work quorum systems on the canonical trapezoid's
+    8-node budget. ROWA dominates reads and collapses on writes, Majority
+    is symmetric, and the trapezoid buys reads at a moderate write cost.
+    """
+    p = default_p_grid() if p is None else np.asarray(p, dtype=np.float64)
+    systems = {
+        "trapezoid": TrapezoidSystem(fig_quorum()),
+        "majority-8": MajoritySystem(8),
+        "rowa-8": RowaSystem(8),
+        "grid-2x4": GridSystem(2, 4),
+        "tree-h2": TreeSystem(2),
+    }
+    columns = {}
+    for label, system in systems.items():
+        columns[f"{label}_write"] = system.write_availability(p)
+        columns[f"{label}_read"] = system.read_availability(p)
+    return FigureSeries(
+        name="Baselines: trapezoid vs classical quorum systems, 8-node budget",
+        xlabel="p",
+        x=p,
+        columns=columns,
+        notes="tree-h2 has 7 nodes; every other system has 8.",
     )

@@ -1,9 +1,8 @@
 """Rendering and persistence for the figure harness.
 
 ``repro figures`` (alias ``python -m repro.bench``) regenerates every
-figure's series, prints the tables, and writes CSVs under ``results/``
-(or ``--out``). The pytest benchmarks call the same entry points, so the
-printed rows and the CSV artifacts always agree.
+figure's series, prints the tables, and writes one file per series under
+``--out`` (default ``results/`` in the working directory).
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from pathlib import Path
 
 from repro.bench.figures import (
     FigureSeries,
+    baselines_series,
     fig1_layout,
     fig2_series,
     fig3_series,
@@ -20,31 +20,24 @@ from repro.bench.figures import (
     fig5_series,
 )
 
-__all__ = ["all_series", "run_all", "results_dir"]
+__all__ = ["all_series", "run_all"]
 
 
-def results_dir(base: str | os.PathLike | None = None) -> Path:
-    """The output directory, created on demand.
-
-    ``base`` if given, else ``$REPRO_RESULTS_DIR``, else ``results/`` in
-    the current working directory.
-    """
-    if base is None:
-        base = os.environ.get("REPRO_RESULTS_DIR", Path.cwd() / "results")
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def all_series() -> list[FigureSeries]:
-    """Every figure's regenerated data series (Figures 2-5)."""
-    return [fig2_series(), fig3_series(), fig4_series(), fig5_series()]
+def all_series() -> dict[str, FigureSeries]:
+    """Every regenerated data series (Figures 2-5, baselines), by file stem."""
+    return {
+        "fig2": fig2_series(),
+        "fig3": fig3_series(),
+        "fig4": fig4_series(),
+        "fig5": fig5_series(),
+        "baselines": baselines_series(),
+    }
 
 
 def run_all(base: str | os.PathLike | None = None, quiet: bool = False) -> list[Path]:
     """Regenerate all figures; print tables; write CSVs. Returns paths."""
-    out_dir = results_dir(base)
-    written: list[Path] = []
+    out_dir = Path("results" if base is None else base)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     layout = fig1_layout()
     if not quiet:
@@ -52,13 +45,13 @@ def run_all(base: str | os.PathLike | None = None, quiet: bool = False) -> list[
         print()
     fig1_path = out_dir / "fig1_layout.txt"
     fig1_path.write_text(layout + "\n")
-    written.append(fig1_path)
+    written = [fig1_path]
 
-    for idx, series in enumerate(all_series(), start=2):
+    for stem, series in all_series().items():
         if not quiet:
             print(series.render_text())
             print()
-        path = out_dir / f"fig{idx}.csv"
+        path = out_dir / f"{stem}.csv"
         series.to_csv(path)
         written.append(path)
     return written

@@ -5,8 +5,8 @@ Commands
 ``run``
     Execute a JSON scenario file through the ``repro.api`` facade.
 ``figures``
-    Regenerate every paper figure (tables to stdout, CSVs to results/);
-    ``python -m repro.bench`` is an alias.
+    Regenerate every paper figure and the baselines (tables to stdout,
+    CSVs to results/); ``python -m repro.bench`` is an alias.
 ``calibrate``
     Show the top configurations matching the paper's Figure-3 anchors.
 ``availability``

@@ -22,6 +22,7 @@ class TestPerBlockStorage:
 
     def test_eq15_erc(self):
         assert storage_erc(15, 8) == pytest.approx(15 / 8)
+        assert storage_erc(15, 14) == pytest.approx(15 / 14)  # -> 1 as k -> n
 
     def test_blocksize_scaling(self):
         assert storage_fr(9, 6, blocksize=4096) == 4 * 4096

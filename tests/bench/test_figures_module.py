@@ -11,6 +11,7 @@ from repro.bench import (
     FIG_SHAPE,
     FigureSeries,
     all_series,
+    baselines_series,
     default_p_grid,
     fig1_layout,
     fig2_series,
@@ -72,7 +73,9 @@ class TestFigureSeries:
 
 class TestSeriesContents:
     def test_fig1_mentions_shape(self):
-        assert "s_l = 2l + 3" in fig1_layout()
+        art = fig1_layout()
+        assert "s_l = 2l + 3" in art
+        assert "l=0" in art and "l=1" in art and "l=2" in art
 
     def test_fig2_five_curves(self):
         series = fig2_series()
@@ -94,21 +97,24 @@ class TestSeriesContents:
         series = fig5_series(ks=[3, 5])
         assert series.x.tolist() == [3.0, 5.0]
 
-    def test_all_series_returns_four(self):
-        assert len(all_series()) == 4
+    def test_all_series_keyed_by_file_stem(self):
+        assert list(all_series()) == ["fig2", "fig3", "fig4", "fig5", "baselines"]
+
+
+ARTIFACTS = [
+    "baselines.csv",
+    "fig1_layout.txt",
+    "fig2.csv",
+    "fig3.csv",
+    "fig4.csv",
+    "fig5.csv",
+]
 
 
 class TestRunner:
     def test_run_all_writes_artifacts(self, tmp_path):
         paths = run_all(tmp_path, quiet=True)
-        names = {p.name for p in paths}
-        assert names == {
-            "fig1_layout.txt",
-            "fig2.csv",
-            "fig3.csv",
-            "fig4.csv",
-            "fig5.csv",
-        }
+        assert sorted(p.name for p in paths) == ARTIFACTS
         for p in paths:
             assert p.exists() and p.stat().st_size > 0
 
@@ -116,13 +122,7 @@ class TestRunner:
         from repro.bench.__main__ import main
 
         assert main(["--quiet", "--out", str(tmp_path)]) == 0
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "fig1_layout.txt",
-            "fig2.csv",
-            "fig3.csv",
-            "fig4.csv",
-            "fig5.csv",
-        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ARTIFACTS
         assert "Wrote:" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
@@ -163,11 +163,19 @@ class TestRunner:
         fig5 = row("fig5.csv", "k", 8)
         assert float(fig5["TRAP-ERC (n/k)"]) == 1.875
         assert float(fig5["TRAP-FR (n-k+1)"]) == 8
+        # Baselines at p = 0.7: ROWA has the best reads and the worst
+        # writes; the trapezoid's version check beats majority on reads.
+        base = {k: float(v) for k, v in row("baselines.csv", "p", 0.7).items()}
+        reads = [v for k, v in base.items() if k.endswith("_read")]
+        writes = [v for k, v in base.items() if k.endswith("_write")]
+        assert base["rowa-8_read"] == max(reads)
+        assert base["rowa-8_write"] == min(writes)
+        assert base["trapezoid_read"] > base["majority-8_read"]
 
     @pytest.mark.parametrize(
         "make",
-        [fig2_series, fig3_series, fig4_series, fig5_series],
-        ids=["fig2", "fig3", "fig4", "fig5"],
+        [fig2_series, fig3_series, fig4_series, fig5_series, baselines_series],
+        ids=["fig2", "fig3", "fig4", "fig5", "baselines"],
     )
     def test_rendered_tables_cite_no_document(self, make):
         assert ".md" not in make().render_text()
@@ -175,22 +183,10 @@ class TestRunner:
     def test_layout_cites_no_document(self):
         assert ".md" not in fig1_layout()
 
-    def test_results_dir_defaults_to_working_directory(self, tmp_path, monkeypatch):
-        from repro.bench import results_dir
-
-        monkeypatch.delenv("REPRO_RESULTS_DIR", raising=False)
+    def test_run_all_defaults_to_working_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        out = results_dir()
-        assert out == tmp_path / "results"
-        assert out.is_dir()
-
-    def test_results_dir_env(self, tmp_path, monkeypatch):
-        from repro.bench import results_dir
-
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "custom"))
-        out = results_dir()
-        assert out == tmp_path / "custom"
-        assert out.exists()
+        run_all(quiet=True)
+        assert sorted(p.name for p in (tmp_path / "results").iterdir()) == ARTIFACTS
 
 
 class TestCalibration:
@@ -200,7 +196,9 @@ class TestCalibration:
         assert scores == sorted(scores)
 
     def test_winner_hits_anchors(self):
-        best = scan_fig3_configs(top=1)[0]
+        best = scan_fig3_configs(n=FIG_N, top=1)[0]
+        assert (best.k, best.a, best.b, best.h, best.w) == (FIG_K, 2, 3, 1, 3)
+        assert best.score < 0.01
         assert best.fr_at_anchor == pytest.approx(0.75, abs=1e-6)
         assert best.erc_at_anchor == pytest.approx(0.635, abs=1e-3)
 

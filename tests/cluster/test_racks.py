@@ -114,6 +114,43 @@ class TestCorrelationHurtsAvailability:
         assert abs(correlated.mean() - independent.mean()) < 0.01  # same marginal
         assert write_rate(correlated) < write_rate(independent) - 0.02
 
+    def test_fig3_stripe_under_rack_failures(self):
+        """Block 0 of the calibrated (15, 8) stripe at marginal p = 0.85:
+        reads always lose under rack correlation, writes lose only when
+        the racks are large."""
+        from repro.analysis import write_availability
+        from repro.bench import FIG_K, FIG_N, fig_quorum
+        from repro.sim import level_membership_matrix
+
+        quorum = fig_quorum(3)
+        group = [0] + list(range(FIG_K, FIG_N))  # N_0, then the n - k parities
+        membership = level_membership_matrix(quorum).T
+
+        def measure(rack_q: float, racks: int) -> dict[str, float]:
+            topo = RackTopology.uniform(FIG_N, racks)
+            node_q = topo.node_failure_for_marginal(rack_q, 0.85)
+            alive = topo.sample_alive(80_000, rack_q, node_q, rng=make_rng(17))
+            counts = alive[:, group] @ membership
+            check_ok = np.any(counts >= np.asarray(quorum.read_thresholds), axis=1)
+            decodable = alive[:, 0] | (alive[:, 1:].sum(axis=1) >= FIG_K)
+            return {
+                "marginal_p": float(alive.mean()),
+                "write": float(np.all(counts >= np.asarray(quorum.w), axis=1).mean()),
+                "read": float((check_ok & decodable).mean()),
+            }
+
+        base = measure(0.0, 3)
+        assert abs(base["write"] - float(write_availability(quorum, 0.85))) < 0.01
+        table = {(q, r): measure(q, r) for q in (0.05, 0.10) for r in (3, 5)}
+        for scenario, row in [("independent", base), *table.items()]:
+            assert abs(row["marginal_p"] - 0.85) < 0.01, scenario
+        for scenario, row in table.items():
+            assert row["read"] < base["read"] - 0.003, scenario
+        # Few large racks (5 nodes each) hurt writes; many small racks
+        # concentrate the failure mass into fewer trials.
+        assert table[0.10, 3]["write"] < base["write"] - 0.02
+        assert table[0.10, 5]["write"] > base["write"] - 0.01
+
 
 class TestRackAwareAssignment:
     def test_spreads_across_racks(self):

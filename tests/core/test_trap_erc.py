@@ -7,7 +7,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.core import ReadCase, TrapErcProtocol
-from repro.erasure import MDSCode, StripeLayout
+from repro.erasure import MDSCode, StripeLayout, update_io_cost
 from repro.errors import ConfigurationError
 from repro.quorum import TrapezoidQuorum, TrapezoidShape
 
@@ -173,7 +173,10 @@ class TestWrite:
         _, _, proto = make_protocol()
         proto.initialize(rand_data(seed=15))
         result = proto.write_block(0, rand_block(seed=16))
-        assert result.messages > 0
+        # Algorithm 1: an embedded read plus one RPC per group node, and
+        # the group has n - k + 1 = 4 nodes (update_io_cost's writes).
+        assert result.success
+        assert result.messages >= 2 * update_io_cost(9, 6)["writes"]
 
 
 class TestReadDirect:

@@ -122,8 +122,9 @@ class TestDecode:
         idx = list(range(code.k))[::-1]
         assert np.array_equal(code.decode(idx, stripe[idx]), data)
 
-    def test_every_k_subset_decodes(self):
-        code = MDSCode(8, 4)
+    @pytest.mark.parametrize("construction", ["vandermonde", "cauchy"])
+    def test_every_k_subset_decodes(self, construction):
+        code = MDSCode(8, 4, construction=construction)
         data = make_data(4, seed=6)
         stripe = code.encode(data)
         for subset in combinations(range(8), 4):

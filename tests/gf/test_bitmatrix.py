@@ -141,3 +141,23 @@ class TestXorCount:
         cc = xor_count(GF256, MDSCode(9, 6, construction="cauchy").parity_matrix)
         assert cv > 0 and cc > 0
         assert cv != cc  # distinct schedules (which is cheaper is config-specific)
+
+    @pytest.mark.parametrize(
+        "n, k, construction, xors",
+        [
+            (6, 4, "vandermonde", 216),
+            (6, 4, "cauchy", 248),
+            (9, 6, "vandermonde", 432),
+            (9, 6, "cauchy", 549),
+            (12, 8, "vandermonde", 1008),
+            (12, 8, "cauchy", 1028),
+            (15, 8, "vandermonde", 1764),
+            (15, 8, "cauchy", 1799),
+        ],
+    )
+    def test_parity_schedule_cost_golden(self, n, k, construction, xors):
+        """The XOR-schedule yardstick each construction starts from."""
+        from repro.erasure import MDSCode
+
+        code = MDSCode(n, k, construction=construction)
+        assert xor_count(GF256, code.parity_matrix) == xors

@@ -12,6 +12,9 @@ from repro.quorum import (
     GridSystem,
     MajoritySystem,
     RowaSystem,
+    TrapezoidQuorum,
+    TrapezoidShape,
+    TrapezoidSystem,
     TreeSystem,
     verify_intersection,
 )
@@ -213,8 +216,17 @@ class TestTree:
 class TestCrossSystemMonotonicity:
     @pytest.mark.parametrize(
         "system",
-        [MajoritySystem(5), RowaSystem(4), GridSystem(2, 3), TreeSystem(2)],
-        ids=["majority", "rowa", "grid", "tree"],
+        [
+            MajoritySystem(5),
+            RowaSystem(4),
+            GridSystem(2, 3),
+            TreeSystem(2),
+            MajoritySystem(8),
+            RowaSystem(8),
+            GridSystem(2, 4),
+            TrapezoidSystem(TrapezoidQuorum.uniform(TrapezoidShape(2, 3, 1), 3)),
+        ],
+        ids=["majority", "rowa", "grid", "tree", "majority8", "rowa8", "grid2x4", "trapezoid8"],
     )
     def test_availability_monotone_in_p(self, system):
         p = np.linspace(0.01, 0.99, 50)

@@ -116,22 +116,32 @@ class TestTraceSimulation:
         assert tally.consistency_violations == 0
         assert tally.reads_succeeded < tally.reads_attempted  # some failures
 
-    def test_repair_improves_over_no_repair(self):
+    @pytest.mark.parametrize(
+        "seeds, horizon, read_fraction, interval",
+        [((10, 11), 600.0, 0.4, 25.0), ((3, 4), 400.0, 0.5, 20.0)],
+        ids=["reads40", "reads50"],
+    )
+    def test_repair_improves_over_no_repair(self, seeds, horizon, read_fraction, interval):
         # Same trace and workload, with and without anti-entropy: the
         # repaired run must succeed at least as often (staleness shrinks
         # the usable quorum pool without repair).
-        trace = exponential_trace(7, mtbf=30.0, mttr=10.0, horizon=600.0, rng=10)
-        base_cfg = dict(horizon=600.0, op_rate=1.5, read_fraction=0.4)
+        trace_seed, sim_seed = seeds
+        trace = exponential_trace(7, mtbf=30.0, mttr=10.0, horizon=horizon, rng=trace_seed)
+        base_cfg = dict(horizon=horizon, op_rate=1.5, read_fraction=read_fraction)
         no_repair = TraceSimulation(
-            7, 4, QUORUM, trace, TraceSimConfig(**base_cfg), rng=11
+            7, 4, QUORUM, trace, TraceSimConfig(**base_cfg), rng=sim_seed
         ).run()
         with_repair = TraceSimulation(
-            7, 4, QUORUM, trace, TraceSimConfig(**base_cfg, repair_interval=25.0), rng=11
+            7, 4, QUORUM, trace, TraceSimConfig(**base_cfg, repair_interval=interval),
+            rng=sim_seed,
         ).run()
         assert with_repair.repairs > 0
         total_no = no_repair.reads_succeeded + no_repair.writes_succeeded
         total_yes = with_repair.reads_succeeded + with_repair.writes_succeeded
         assert total_yes >= total_no
+        before, after = no_repair.summary(), with_repair.summary()
+        for kind in ("read_availability", "write_availability"):
+            assert after[kind] >= before[kind] - 0.02, kind
         assert with_repair.consistency_violations == 0
         assert no_repair.consistency_violations == 0
 
