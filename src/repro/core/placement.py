@@ -26,28 +26,17 @@ class TrapezoidPlacement:
                 f"(n={layout.n}, k={layout.k}) group needs n - k + 1 = {expected}"
             )
         self.layout = layout
-        self.quorum = quorum
-        self.shape = quorum.shape
+        shape = quorum.shape
+        #: ``levels[i][level]``: the node ids occupying ``level`` of block
+        #: i's trapezoid, fixed here once for every operation
+        self.levels = tuple(
+            tuple(
+                tuple(group[pos] for pos in shape.positions(level))
+                for level in shape.levels
+            )
+            for group in map(layout.consistency_group, range(layout.k))
+        )
 
     def group_nodes(self, i: int) -> list[int]:
         """Node ids of block i's trapezoid in position order (pos 0 = N_i)."""
         return list(self.layout.consistency_group(i))
-
-    def level_nodes(self, i: int, level: int) -> list[int]:
-        """Node ids occupying ``level`` of block i's trapezoid."""
-        group = self.group_nodes(i)
-        return [group[pos] for pos in self.shape.positions(level)]
-
-    def position_of_node(self, i: int, node_id: int) -> int:
-        """Trapezoid position of ``node_id`` in block i's group."""
-        group = self.group_nodes(i)
-        try:
-            return group.index(node_id)
-        except ValueError:
-            raise ConfigurationError(
-                f"node {node_id} is not in block {i}'s consistency group"
-            ) from None
-
-    def level_of_node(self, i: int, node_id: int) -> int:
-        """Trapezoid level of ``node_id`` in block i's group."""
-        return self.shape.level_of(self.position_of_node(i, node_id))

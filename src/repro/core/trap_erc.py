@@ -61,6 +61,9 @@ from repro.runtime.verify import block_digest
 
 __all__ = ["TrapErcProtocol"]
 
+_WRITE_CATCHES = (NodeUnavailableError, StaleNodeError)
+_READ_CATCHES = (NodeUnavailableError, KeyError)
+
 
 class TrapErcProtocol:
     """Coordinator-side engine of the TRAP-ERC protocol for one stripe.
@@ -148,6 +151,7 @@ class TrapErcProtocol:
         #: over candidate rows; 32 covers C(8, 6) = 28, i.e. exhaustive
         #: for the paper's default (9, 6) geometry)
         self.max_decode_attempts = 32
+        self._build_rounds()
 
     # ------------------------------------------------------------------ #
     # keys
@@ -223,22 +227,67 @@ class TrapErcProtocol:
                 f"data block index must be in [0, {self.code.k}), got {i}"
             )
 
-    def _version_requests(self, i: int, level: int) -> list[Request]:
-        """The ``u.version(id)`` polls of one trapezoid level (Alg. 2)."""
-        ni = self.layout.node_of_block(i)
-        requests = []
-        for node_id in self.placement.level_nodes(i, level):
-            if node_id == ni:
-                requests.append(
-                    Request(node_id, "data_version", (self.data_key(i),), tag="data")
+    def _build_rounds(self) -> None:
+        """Build every block's fixed rounds once, indexed by block then level."""
+        layout, k, pkey = self.layout, self.code.k, self.parity_key()
+        parity_gather = Round(
+            [
+                Request(node_id, "read_parity", (pkey,), tag=j, catches=_READ_CATCHES)
+                for j, node_id in enumerate(layout.parity_nodes, start=k)
+            ],
+            kind=PAYLOAD_ROUND,
+        )
+        #: per block, per level: ((node_id, parity index j | None), ...)
+        self._members = []
+        #: per block: the h + 1 ``u.version(id)`` polls of Algorithm 2
+        self._polls = []
+        #: per block: Case 1's (data_version, read_data) rounds on N_i
+        self._direct = []
+        #: per block: Case 2's gathers (parity round, other-data round)
+        self._gathers = []
+        for i, levels in enumerate(self.placement.levels):
+            key, ni = self.data_key(i), layout.node_of_block(i)
+            members = tuple(
+                tuple(
+                    (node_id, None if node_id == ni else layout.block_of_node(node_id))
+                    for node_id in nodes
                 )
-            else:
-                requests.append(
-                    Request(
-                        node_id, "parity_versions", (self.parity_key(),), tag="parity"
-                    )
+                for nodes in levels
+            )
+            self._members.append(members)
+            self._polls.append(tuple(
+                Round(
+                    [
+                        Request(node_id, "data_version", (key,), tag="data")
+                        if j is None
+                        else Request(node_id, "parity_versions", (pkey,), tag="parity")
+                        for node_id, j in level_members
+                    ],
+                    need=self.quorum.r(level),
+                    accept=self._version_valid,
+                    kind=VERSION_ROUND,
                 )
-        return requests
+                for level, level_members in enumerate(members)
+            ))
+            probe = Request(ni, "data_version", (key,), catches=_READ_CATCHES)
+            fetch = Request(ni, "read_data", (key,), catches=_READ_CATCHES)
+            self._direct.append(
+                (Round([probe], kind=VERSION_ROUND), Round([fetch], kind=PAYLOAD_ROUND))
+            )
+            self._gathers.append((
+                parity_gather,
+                Round(
+                    [
+                        Request(
+                            layout.node_of_block(m), "read_data", (self.data_key(m),),
+                            tag=m, catches=_READ_CATCHES,
+                        )
+                        for m in range(k)
+                        if m != i  # N_i is stale or down here (Case 2)
+                    ],
+                    kind=PAYLOAD_ROUND,
+                ),
+            ))
 
     @staticmethod
     def _version_valid(response: Response) -> bool:
@@ -288,37 +337,25 @@ class TrapErcProtocol:
         # the trapezoid: all n - k buffers come from one pass over the delta.
         parity_deltas = plan_update(self.code, i, chunk, value).parity_deltas
         new_version = version + 1
-        ni = self.layout.node_of_block(i)
         messages = pre.messages
+        # Line 20 writes x in node N_i; lines 25-31 ship each parity node
+        # its delta under the version guard.
+        data_args = (self.data_key(i), value, new_version)
+        pkey = self.parity_key()
+        guard = {"expected_version": version, "new_version": new_version}
 
         acks: list[int] = []
-        for level in self.quorum.shape.levels:
-            requests = []
-            for node_id in self.placement.level_nodes(i, level):
-                if node_id == ni:
-                    # Line 20: write x in node N_i.
-                    requests.append(
-                        Request(
-                            node_id,
-                            "write_data",
-                            (self.data_key(i), value, new_version),
-                            catches=(NodeUnavailableError, StaleNodeError),
-                        )
-                    )
-                else:
-                    # Lines 25-31: guarded parity delta.
-                    j = self.layout.block_of_node(node_id)
-                    requests.append(
-                        Request(
-                            node_id,
-                            "apply_delta",
-                            (self.parity_key(), i, parity_deltas[j]),
-                            {"expected_version": version, "new_version": new_version},
-                            catches=(NodeUnavailableError, StaleNodeError),
-                        )
-                    )
+        for level, members in enumerate(self._members[i]):
             outcome = yield Round(
-                requests,
+                [
+                    Request(node_id, "write_data", data_args, catches=_WRITE_CATCHES)
+                    if j is None
+                    else Request(
+                        node_id, "apply_delta", (pkey, i, parity_deltas[j]), guard,
+                        catches=_WRITE_CATCHES,
+                    )
+                    for node_id, j in members
+                ],
                 need=self.quorum.w[level],
                 send_all=True,
                 kind=WRITE_ROUND,
@@ -395,13 +432,8 @@ class TrapErcProtocol:
                     messages=messages,
                     reason="metadata quorum unreachable",
                 )
-        for level in self.quorum.shape.levels:
-            outcome = yield Round(
-                self._version_requests(i, level),
-                need=self.quorum.r(level),
-                accept=self._version_valid,
-                kind=VERSION_ROUND,
-            )
+        for level, poll in enumerate(self._polls[i]):
+            outcome = yield poll
             messages += outcome.messages
             if not outcome.satisfied:
                 continue  # try the next level (Alg. 2 outer loop)
@@ -432,38 +464,19 @@ class TrapErcProtocol:
         (counted on the verifier) and the read widens into Case 2, the
         substitute-fragment path.
         """
-        ni = self.layout.node_of_block(i)
-        messages = 0
+        probe, fetch = self._direct[i]
         # Case 1: N_i holds the latest version -> direct read.
-        outcome = yield Round(
-            [
-                Request(
-                    ni,
-                    "data_version",
-                    (self.data_key(i),),
-                    catches=(NodeUnavailableError, KeyError),
-                )
-            ],
-            kind=VERSION_ROUND,
-        )
-        messages += outcome.messages
+        outcome = yield probe
+        messages = outcome.messages
         if outcome.accepted and outcome.accepted[0].value == target:
-            payload_accept = (
-                None
+            payload_outcome = yield (
+                fetch
                 if digest is None
-                else self.verifier.payload_accept(target, digest)
-            )
-            payload_outcome = yield Round(
-                [
-                    Request(
-                        ni,
-                        "read_data",
-                        (self.data_key(i),),
-                        catches=(NodeUnavailableError, KeyError),
-                    )
-                ],
-                accept=payload_accept,
-                kind=PAYLOAD_ROUND,
+                else Round(
+                    fetch.requests,
+                    accept=self.verifier.payload_accept(target, digest),
+                    kind=PAYLOAD_ROUND,
+                )
             )
             messages += payload_outcome.messages
             if payload_outcome.accepted:
@@ -505,28 +518,17 @@ class TrapErcProtocol:
         """Read repair: freshen a reachable stale N_i with the decoded
         value. ``put_data`` is version-exact (no bump), so the repair is
         idempotent and never races ahead of real writes."""
-        ni = self.layout.node_of_block(i)
-        outcome = yield Round(
-            [
-                Request(
-                    ni,
-                    "data_version",
-                    (self.data_key(i),),
-                    catches=(NodeUnavailableError, KeyError),
-                )
-            ],
-            kind=VERSION_ROUND,
-        )
+        outcome = yield self._direct[i][0]
         messages = outcome.messages
         if not outcome.accepted or outcome.accepted[0].value >= version:
             return messages
         write_outcome = yield Round(
             [
                 Request(
-                    ni,
+                    self.layout.node_of_block(i),
                     "put_data",
                     (self.data_key(i), payload, version),
-                    catches=(NodeUnavailableError, KeyError),
+                    catches=_READ_CATCHES,
                 )
             ],
             kind=WRITEBACK_ROUND,
@@ -553,18 +555,9 @@ class TrapErcProtocol:
         mismatches and the search moves to the next subset, up to
         ``max_decode_attempts`` decodes.
         """
+        parity_gather, data_gather = self._gathers[i]
         # Gather parity fragments fresh for block i, grouped by full vector.
-        parity_requests = [
-            Request(
-                node_id,
-                "read_parity",
-                (self.parity_key(),),
-                tag=self.layout.block_of_node(node_id),
-                catches=(NodeUnavailableError, KeyError),
-            )
-            for node_id in self.layout.parity_nodes
-        ]
-        outcome = yield Round(parity_requests, kind=PAYLOAD_ROUND)
+        outcome = yield parity_gather
         messages = outcome.messages
         groups: dict[tuple, list[tuple[int, np.ndarray]]] = {}
         for response in outcome.accepted:
@@ -577,18 +570,7 @@ class TrapErcProtocol:
         if not groups:
             return None, messages
         # Gather data fragments (other blocks) once.
-        data_requests = [
-            Request(
-                self.layout.node_of_block(m),
-                "read_data",
-                (self.data_key(m),),
-                tag=m,
-                catches=(NodeUnavailableError, KeyError),
-            )
-            for m in range(self.code.k)
-            if m != i  # N_i is stale or down here (Case 2)
-        ]
-        data_outcome = yield Round(data_requests, kind=PAYLOAD_ROUND)
+        data_outcome = yield data_gather
         messages += data_outcome.messages
         data_rows: dict[int, tuple[np.ndarray, int]] = {
             response.request.tag: (response.value[0], response.value[1])
@@ -633,13 +615,8 @@ class TrapErcProtocol:
         return self.coordinator.execute(self.latest_version_plan(i))
 
     def latest_version_plan(self, i: int):
-        for level in self.quorum.shape.levels:
-            outcome = yield Round(
-                self._version_requests(i, level),
-                need=self.quorum.r(level),
-                accept=self._version_valid,
-                kind=VERSION_ROUND,
-            )
+        for poll in self._polls[i]:
+            outcome = yield poll
             if outcome.satisfied:
                 return self._best_version(i, outcome.accepted)
         return None

@@ -76,6 +76,22 @@ class TrapFrProtocol:
             coordinator if coordinator is not None else InstantCoordinator(cluster)
         )
         self.verifier = verifier
+        #: per block: the h + 1 version polls, shared by every operation
+        self._polls = [
+            tuple(
+                Round(
+                    [
+                        Request(node_id, "data_version", (self.replica_key(i),))
+                        for node_id in nodes
+                    ],
+                    need=quorum.r(level),
+                    accept=_version_valid,
+                    kind=VERSION_ROUND,
+                )
+                for level, nodes in enumerate(levels)
+            )
+            for i, levels in enumerate(self.placement.levels)
+        ]
 
     def replica_key(self, i: int):
         """Key of block i's replica (same key on every group node)."""
@@ -117,18 +133,6 @@ class TrapFrProtocol:
 
     # ------------------------------------------------------------------ #
 
-    def _version_round(self, i: int, level: int) -> Round:
-        requests = [
-            Request(node_id, "data_version", (self.replica_key(i),))
-            for node_id in self.placement.level_nodes(i, level)
-        ]
-        return Round(
-            requests,
-            need=self.quorum.r(level),
-            accept=_version_valid,
-            kind=VERSION_ROUND,
-        )
-
     def write_block(self, i: int, value: np.ndarray) -> WriteResult:
         """Full-replication trapezoid write."""
         return self.coordinator.execute(self.write_plan(i, value))
@@ -158,19 +162,19 @@ class TrapFrProtocol:
                 )
             current = max(current, meta[0])
         new_version = current + 1
+        args = (self.replica_key(i), value, new_version)
         acks: list[int] = []
-        for level in self.quorum.shape.levels:
-            requests = [
-                Request(
-                    node_id,
-                    "write_data",
-                    (self.replica_key(i), value, new_version),
-                    catches=(NodeUnavailableError, StaleNodeError),
-                )
-                for node_id in self.placement.level_nodes(i, level)
-            ]
+        for level, nodes in enumerate(self.placement.levels[i]):
             outcome = yield Round(
-                requests,
+                [
+                    Request(
+                        node_id,
+                        "write_data",
+                        args,
+                        catches=(NodeUnavailableError, StaleNodeError),
+                    )
+                    for node_id in nodes
+                ],
                 need=self.quorum.w[level],
                 send_all=True,
                 kind=WRITE_ROUND,
@@ -234,16 +238,8 @@ class TrapFrProtocol:
                     messages=messages,
                     reason="metadata quorum unreachable",
                 )
-        for level in self.quorum.shape.levels:
-            outcome = yield Round(
-                [
-                    Request(node_id, "data_version", (self.replica_key(i),))
-                    for node_id in self.placement.level_nodes(i, level)
-                ],
-                need=self.quorum.r(level),
-                accept=_version_valid,
-                kind=VERSION_ROUND,
-            )
+        for level, poll in enumerate(self._polls[i]):
+            outcome = yield poll
             messages += outcome.messages
             if not outcome.satisfied:
                 continue
@@ -318,8 +314,8 @@ class TrapFrProtocol:
     def _latest_version_plan(self, i: int):
         """Yields the version rounds; returns ``(version | None, messages)``."""
         messages = 0
-        for level in self.quorum.shape.levels:
-            outcome = yield self._version_round(i, level)
+        for poll in self._polls[i]:
+            outcome = yield poll
             messages += outcome.messages
             if outcome.satisfied:
                 best = max(int(response.value) for response in outcome.accepted)

@@ -22,7 +22,7 @@ message accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.errors import ConfigurationError, NodeUnavailableError
 
@@ -81,11 +81,15 @@ def _default_accept(response: Response) -> bool:
 class Round:
     """A fan-out of requests plus its completion policy.
 
+    A read-only value, with its requests and their args and kwargs, that
+    concurrent operations may share (docs/RUNTIME.md, "Plans and rounds").
+
     Parameters
     ----------
     requests:
         The node requests, in the engine's canonical order (the instant
-        path issues them sequentially in exactly this order).
+        path issues them sequentially in exactly this order); kept as a
+        tuple, so a tuple is stored without a copy.
     need:
         Quorum threshold: the round is *satisfied* once ``need``
         responses are accepted. ``None`` means "gather every response"
@@ -113,7 +117,7 @@ class Round:
 
     def __init__(
         self,
-        requests: list[Request],
+        requests: Iterable[Request],
         *,
         need: int | None = None,
         accept: Callable[[Response], bool] | None = None,
@@ -121,7 +125,7 @@ class Round:
         abort_on_reject: bool = False,
         kind: str = PAYLOAD_ROUND,
     ) -> None:
-        self.requests = list(requests)
+        self.requests = tuple(requests)
         if need is not None and need < 1:
             raise ConfigurationError(f"round need must be >= 1, got {need}")
         self.need = need
