@@ -52,6 +52,7 @@ __all__ = [
     "build_system",
     "ShardedSystem",
     "build_sharded_system",
+    "group_trapezoid",
 ]
 
 
@@ -186,6 +187,19 @@ def _make_verifier(
     )
 
 
+def group_trapezoid(spec: SystemSpec) -> TrapezoidQuorum:
+    """The spec's trapezoid, checked to span the code's consistency group."""
+    quorum = build_trapezoid_quorum(spec.quorum)
+    group = spec.code.group_size
+    if quorum.shape.total_nodes != group:
+        raise ConfigurationError(
+            f"trapezoid holds {quorum.shape.total_nodes} nodes but "
+            f"(n={spec.code.n}, k={spec.code.k}) requires "
+            f"Nbnode = n - k + 1 = {group}"
+        )
+    return quorum
+
+
 def _resolve_protocol(spec: SystemSpec):
     """Registry entry, trapezoid quorum (or None) and availability geometry.
 
@@ -197,17 +211,7 @@ def _resolve_protocol(spec: SystemSpec):
     the spec's quorum section.
     """
     entry = protocol_entry(spec.protocol)
-    group = spec.code.group_size
-    if entry.needs_trapezoid:
-        quorum = build_trapezoid_quorum(spec.quorum)
-        if quorum.shape.total_nodes != group:
-            raise ConfigurationError(
-                f"trapezoid holds {quorum.shape.total_nodes} nodes but "
-                f"(n={spec.code.n}, k={spec.code.k}) requires "
-                f"Nbnode = n - k + 1 = {group}"
-            )
-    else:
-        quorum = None
+    quorum = group_trapezoid(spec) if entry.needs_trapezoid else None
     if entry.system_builder is not None:
         system = entry.system_builder(spec)
     else:

@@ -3,8 +3,8 @@
 :class:`ScenarioRunner` is the facade's execution engine: it takes one
 :class:`~repro.api.spec.SystemSpec`, dispatches on ``spec.scenario.kind``
 (smoke / availability / protocol_mc / trace / comparison / sweep /
-optimize / latency) and
-returns a :class:`ScenarioResult` whose ``to_json()`` output embeds the
+optimize / latency / saturation / wallclock) and returns a
+:class:`ScenarioResult` whose ``to_json()`` output embeds the
 originating spec — a results file is therefore a reproducible artifact:
 ``SystemSpec.from_dict(result["spec"])`` re-runs the exact experiment.
 
@@ -20,8 +20,9 @@ of the saturation / sweep / availability / protocol_mc / comparison /
 optimize kinds across a :class:`~repro.parallel.ParallelExecutor`
 process pool. ``jobs`` is an *execution* option, never part of the spec:
 every unit re-derives its child streams positionally from ``spec.seed``
-(tasks cross the process boundary as spec JSON plus a task index), so
-the same spec + seed produces byte-identical results at any parallelism.
+(a unit crosses the process boundary as spec JSON plus the unit method's
+name and arguments), so the same spec + seed produces byte-identical
+results at any parallelism.
 """
 
 from __future__ import annotations
@@ -33,16 +34,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro.analysis.optimizer import ConfigPoint, optimize_config_sweep
-from repro.api.build import BuiltSystem, build_sharded_system, build_system
-from repro.api.registry import (
-    build_trapezoid_quorum,
-    protocol_entry,
-    protocol_names,
-)
+from repro.api.build import build_sharded_system, build_system, group_trapezoid
+from repro.api.registry import protocol_entry, protocol_names
 from repro.api.spec import (
     FaultloadSpec,
     LatencySpec,
     ServiceTimeSpec,
+    ShardingSpec,
     SystemSpec,
 )
 from repro.cluster.failures import exponential_trace
@@ -50,21 +48,11 @@ from repro.cluster.node import ByzantineBehavior, MetadataByzantineBehavior
 from repro.cluster.rng import make_rng, spawn_rngs
 from repro.errors import ConfigurationError
 from repro.parallel import ParallelExecutor
-from repro.parallel.tasks import (
-    comparison_protocol_task,
-    protocol_mc_chunk_task,
-    saturation_point_task,
-)
 from repro.quorum.trapezoid import TrapezoidQuorum
 from repro.sim.comparative import make_schedule, run_comparison
 from repro.sim.metrics import MCEstimate
 from repro.sim.protocol_mc import ProtocolMonteCarlo
-from repro.sim.saturation import (
-    SaturationPoint,
-    knee_clients,
-    queue_summary,
-    run_saturation_point,
-)
+from repro.sim.saturation import SaturationPoint, knee_clients, run_saturation_point
 from repro.sim.sweep import availability_sweep
 from repro.sim.trace_sim import (
     ClosedLoopConfig,
@@ -222,7 +210,7 @@ class ScenarioRunner:
         call, so ``run()`` twice on one runner returns identical results.
         Stream 0 belongs to build_system; see the module docstring.
         """
-        self._streams = spawn_rngs(make_rng(self.spec.seed), _NUM_STREAMS)
+        self._streams = self._seed_streams()
         runners = {
             "smoke": self._run_smoke,
             "availability": self._run_availability,
@@ -252,31 +240,30 @@ class ScenarioRunner:
             data=data,
         )
 
-    def _map(self, fn, payloads: list) -> list:
-        """Run the scenario's fan-out units through the active executor.
+    def _seed_streams(self) -> list:
+        """The :data:`_NUM_STREAMS` child streams of ``spec.seed``, fresh."""
+        return spawn_rngs(make_rng(self.spec.seed), _NUM_STREAMS)
 
-        Falls back to a plain inline loop when called outside
-        :meth:`run` (no executor open) — the same code path
-        ``jobs=0`` takes, so results never depend on how we got here.
+    def _fan_out(self, unit: str, calls: list[tuple]) -> list:
+        """``[getattr(self, unit)(*args) for args in calls]``, maybe pooled.
+
+        Without a parallel executor (``jobs <= 1``, or called outside
+        :meth:`run`) the unit method runs here, on this runner. In a
+        pool each call travels as spec JSON plus ``(unit, args)`` to
+        :func:`_run_unit`, which rebuilds a runner in the worker and
+        calls the same method. A unit derives its streams from
+        ``spec.seed`` and its arguments alone, so both roads give the
+        same bytes.
         """
-        if self._executor is None:
-            return [fn(payload) for payload in payloads]
-        return self._executor.map(fn, payloads)
+        if self._executor is None or not self._executor.parallel:
+            method = getattr(self, unit)
+            return [method(*args) for args in calls]
+        spec = self.spec.to_dict()
+        return self._executor.map(_run_unit, [(spec, unit, args) for args in calls])
 
     # ------------------------------------------------------------------ #
     # scenario kinds
     # ------------------------------------------------------------------ #
-
-    def _require_trapezoid(self) -> TrapezoidQuorum:
-        quorum = build_trapezoid_quorum(self.spec.quorum)
-        expected = self.spec.code.group_size
-        if quorum.shape.total_nodes != expected:
-            raise ConfigurationError(
-                f"trapezoid holds {quorum.shape.total_nodes} nodes but "
-                f"(n={self.spec.code.n}, k={self.spec.code.k}) requires "
-                f"Nbnode = n - k + 1 = {expected}"
-            )
-        return quorum
 
     def _run_smoke(self) -> dict:
         """Run the workload through the engine on a healthy cluster."""
@@ -304,7 +291,7 @@ class ScenarioRunner:
 
     def _run_availability(self) -> dict:
         """Closed-form / exact / Monte-Carlo sweep over ``scenario.ps``."""
-        quorum = self._require_trapezoid()
+        quorum = group_trapezoid(self.spec)
         records = availability_sweep(
             quorum,
             self.spec.code.n,
@@ -333,35 +320,21 @@ class ScenarioRunner:
                 "(trials = 0 only disables the optional MC column of "
                 "availability/sweep scenarios)"
             )
-        entry = protocol_entry(self.spec.protocol)
-        if entry.needs_trapezoid:
-            self._require_trapezoid()  # surface config errors pre-dispatch
+        if protocol_entry(self.spec.protocol).needs_trapezoid:
+            group_trapezoid(self.spec)  # surface config errors pre-dispatch
         num_chunks = min(trials, _PROTOCOL_MC_CHUNKS)
         base, extra = divmod(trials, num_chunks)
-        sizes = [base + (1 if i < extra else 0) for i in range(num_chunks)]
-        if self._executor is not None and self._executor.parallel:
-            spec_dict = self.spec.to_dict()
-            payloads = [
-                {
-                    "spec": spec_dict,
-                    "op": op,
-                    "index": i,
-                    "num_chunks": num_chunks,
-                    "chunk_trials": sizes[i],
-                }
+        # Inline, every chunk runs on this runner's kept harness; in a
+        # pool each worker's runner builds its own. Same numbers either
+        # way (see protocol_mc_chunk).
+        outs = self._fan_out(
+            "protocol_mc_chunk",
+            [
+                (op, i, num_chunks, base + (1 if i < extra else 0))
                 for op in ("read", "write")
                 for i in range(num_chunks)
-            ]
-            outs = self._map(protocol_mc_chunk_task, payloads)
-        else:
-            # Inline, the chunks run on this runner and so on its kept
-            # harness; a worker task builds a runner (and harness) of its
-            # own. Same numbers either way (see protocol_mc_chunk).
-            outs = [
-                self.protocol_mc_chunk(op, i, num_chunks, sizes[i])
-                for op in ("read", "write")
-                for i in range(num_chunks)
-            ]
+            ],
+        )
         read = MCEstimate(
             sum(o[0] for o in outs[:num_chunks]),
             sum(o[1] for o in outs[:num_chunks]),
@@ -397,8 +370,7 @@ class ScenarioRunner:
         worker) while the encoded stripes, the engines and the
         decode-plan cache survive from chunk to chunk.
         """
-        self._streams = spawn_rngs(make_rng(self.spec.seed), _NUM_STREAMS)
-        children = spawn_rngs(self._streams[3], 1 + 2 * num_chunks)
+        children = spawn_rngs(self._seed_streams()[3], 1 + 2 * num_chunks)
         offset = 1 + (num_chunks if op == "write" else 0)
         chunk_rng = children[offset + index]
         p = self.spec.cluster.p
@@ -408,7 +380,7 @@ class ScenarioRunner:
                 self._protocol_mc = ProtocolMonteCarlo(
                     self.spec.code.n,
                     self.spec.code.k,
-                    self._require_trapezoid(),
+                    group_trapezoid(self.spec),
                     block_length=self.spec.workload.block_length,
                     rng=children[0],
                     stripes=self.spec.placement.stripes,
@@ -470,7 +442,7 @@ class ScenarioRunner:
                 "trace scenarios need cluster.failure = 'exponential' "
                 "with mtbf and mttr"
             )
-        quorum = self._require_trapezoid()
+        quorum = group_trapezoid(self.spec)
         scenario = self.spec.scenario
         trace = exponential_trace(
             self.spec.code.n,
@@ -520,9 +492,7 @@ class ScenarioRunner:
             raise ConfigurationError(
                 f"num_blocks must be <= k = {self.spec.code.k}, got {num_blocks}"
             )
-        spec_dict = self.spec.to_dict()
-        payloads = [{"spec": spec_dict, "name": name} for name in names]
-        outs = self._map(comparison_protocol_task, payloads)
+        outs = self._fan_out("comparison_single", [(name,) for name in names])
         return dict(zip(names, outs))
 
     def comparison_single(self, name: str) -> dict:
@@ -533,11 +503,11 @@ class ScenarioRunner:
         so every protocol replays the *same* schedule against its own
         cluster whether it runs inline or on a worker.
         """
-        self._streams = spawn_rngs(make_rng(self.spec.seed), _NUM_STREAMS)
+        streams = self._seed_streams()
         scenario = self.spec.scenario
         num_blocks = scenario.num_blocks or self.spec.code.k
         shared_data = (
-            self._streams[1]
+            streams[1]
             .integers(
                 0,
                 256,
@@ -555,7 +525,7 @@ class ScenarioRunner:
             num_blocks,
             max_down=scenario.max_down,
             read_fraction=self.spec.workload.read_fraction,
-            rng=self._streams[2],
+            rng=streams[2],
         )
         results = run_comparison(
             {name: (built.cluster, built.engine)},
@@ -574,7 +544,7 @@ class ScenarioRunner:
 
     def _run_sweep(self) -> dict:
         """The availability sweep across trapezoid ``w_values``."""
-        base = self._require_trapezoid()
+        base = group_trapezoid(self.spec)
         shape = base.shape
         if shape.h == 0:
             # A single-level trapezoid has no free w (w_0 is mandatory):
@@ -745,16 +715,12 @@ class ScenarioRunner:
             node.set_byzantine(behavior)
         return chosen
 
+    @staticmethod
     def _byzantine_report(
-        self,
-        faultload: FaultloadSpec,
-        cluster,
-        armed,
-        verifiers,
-        meta_armed=(),
-        repairs=(),
+        faultload: FaultloadSpec, system, armed, meta_armed
     ) -> dict | None:
         """The ``byzantine`` result block (None when nothing to report)."""
+        cluster, verifiers, repairs = system.cluster, system.verifiers, system.repairs
         if faultload.kind != "byzantine" and not verifiers:
             return None
         detected = {
@@ -842,44 +808,51 @@ class ScenarioRunner:
             },
         }
 
-    def _sharded_closed_loop(
-        self,
-        clients: int,
-        ops,
-        trace,
-        partitions,
-        rng,
-        service_rng,
-    ):
-        """One fresh sharded closed-loop run (own simulator and cluster).
+    def _closed_loop(
+        self, clients: int, streams, rng, service_rng, byz_rng, meta_rng
+    ) -> tuple[SaturationPoint, dict | None]:
+        """One fresh sharded closed-loop run: a ``latency`` run or one
+        saturation point.
 
-        Returns ``(simulation, system)`` so callers can arm Byzantine
-        nodes before running and harvest detection counters after.
+        The workload tape (stream 1) and the faultload (stream 9) come
+        from ``streams``; the generators for coordinator latencies,
+        service queues, Byzantine data nodes and metadata liars are handed
+        in — streams 8, 10, 12 and 13 for ``latency``, per-point children
+        of streams 11, 12 and 13 for a saturation point. Liars are armed
+        after the version-0 bootstrap (see
+        :meth:`_arm_metadata_byzantine`). Returns the run's point and its
+        ``byzantine`` report (None when there is nothing to report).
         """
         scenario = self.spec.scenario
+        faultload = scenario.faultload or FaultloadSpec()
+        shards = (self.spec.sharding or ShardingSpec()).shards
+        ops = _make_workload(self.spec, shards * self.spec.code.k, streams[1])
+        trace, partitions = self._faultload(faultload, scenario.horizon, streams[9])
         system = build_sharded_system(
             self.spec, rng=rng, service_rng=service_rng, record_trace=True
         )
         system.initialize()
-        config = ClosedLoopConfig(
-            clients=clients,
-            think_time=scenario.think_time,
-            horizon=scenario.horizon,
-            block_length=self.spec.workload.block_length,
-            repair_interval=scenario.repair_interval,
-        )
         sim = ShardedClosedLoopSimulation(
             system.cluster,
             system.router,
-            list(ops),
-            config=config,
+            ops,
+            config=ClosedLoopConfig(
+                clients=clients,
+                think_time=scenario.think_time,
+                horizon=scenario.horizon,
+                block_length=self.spec.workload.block_length,
+                repair_interval=scenario.repair_interval,
+            ),
             trace=trace,
             partitions=partitions,
             repairs=(
                 system.repairs if scenario.repair_interval is not None else None
             ),
         )
-        return sim, system
+        armed = self._arm_byzantine(system.cluster, faultload, byz_rng)
+        meta_armed = self._arm_metadata_byzantine(system.cluster, faultload, meta_rng)
+        point = run_saturation_point(clients, sim)
+        return point, self._byzantine_report(faultload, system, armed, meta_armed)
 
     def _run_latency(self) -> dict:
         """Event-driven closed-loop run: latency percentiles under faults.
@@ -894,51 +867,30 @@ class ScenarioRunner:
         the identical event trace (``trace_hash`` digests it).
         """
         scenario = self.spec.scenario
-        latency_spec = self.spec.latency or LatencySpec()
-        faultload = scenario.faultload or FaultloadSpec()
-        shards = self.spec.sharding.shards if self.spec.sharding else 1
-        num_blocks = shards * self.spec.code.k
-        ops = _make_workload(self.spec, num_blocks, self._streams[1])
-        trace, partitions = self._faultload(
-            faultload, scenario.horizon, self._streams[9]
+        sharding = self.spec.sharding or ShardingSpec()
+        streams = self._streams
+        point, report = self._closed_loop(
+            scenario.clients, streams, streams[8], streams[10], streams[12], streams[13]
         )
-        sim, system = self._sharded_closed_loop(
-            scenario.clients, ops, trace, partitions,
-            self._streams[8], self._streams[10],
-        )
-        armed = self._arm_byzantine(system.cluster, faultload, self._streams[12])
-        meta_armed = self._arm_metadata_byzantine(
-            system.cluster, faultload, self._streams[13]
-        )
-        tally = sim.run()
-        service_spec = self.spec.service or ServiceTimeSpec()
+        summary = dict(point.aggregate)
+        operation_latency = summary.pop("operation_latency")
         data = {
             "clients": scenario.clients,
             "think_time": scenario.think_time,
             "horizon": scenario.horizon,
-            "shards": shards,
-            "routing": sim.router.routing,
-            "faultload": faultload.to_dict(),
-            "latency_model": latency_spec.to_dict(),
-            "service": service_spec.to_dict(),
-            "ops_submitted": tally.reads_attempted + tally.writes_attempted,
-            "virtual_duration": sim.sim.now,
-            "summary": tally.summary(),
-            "operation_latency": tally.operation_percentiles(),
-            "per_shard": sim.shard_summaries(),
-            "queues": queue_summary(
-                sim.router.shards[0].coordinator.queues, sim.sim.now
-            ),
-            "trace_hash": sim.router.trace_hash(),
+            "shards": sharding.shards,
+            "routing": sharding.routing,
+            "faultload": (scenario.faultload or FaultloadSpec()).to_dict(),
+            "latency_model": (self.spec.latency or LatencySpec()).to_dict(),
+            "service": (self.spec.service or ServiceTimeSpec()).to_dict(),
+            "ops_submitted": point.ops_completed + point.ops_failed,
+            "virtual_duration": point.virtual_duration,
+            "summary": summary,
+            "operation_latency": operation_latency,
+            "per_shard": point.per_shard,
+            "queues": point.queues,
+            "trace_hash": point.trace_hash,
         }
-        report = self._byzantine_report(
-            faultload,
-            system.cluster,
-            armed,
-            system.verifiers,
-            meta_armed=meta_armed,
-            repairs=system.repairs,
-        )
         if report is not None:
             data["byzantine"] = report
         return data
@@ -946,105 +898,72 @@ class ScenarioRunner:
     def _run_saturation(self) -> dict:
         """The ops/s-vs-clients saturation sweep over the sharded runtime.
 
-        One fresh sharded closed-loop run per entry of
-        ``scenario.client_counts`` against the *same* workload tape and
-        faultload (streams 1 and 9, regenerated per point); each point
-        draws its coordinator and service-queue streams from per-point
-        children of stream 11, so points are independent — the fan-out
-        unit of the saturation kind (:meth:`saturation_point`) — yet one
-        seed reproduces the whole curve, point hashes included.
+        One :meth:`saturation_point` — the ``latency`` run at that client
+        count — per entry of ``scenario.client_counts``; the point is the
+        fan-out unit of the saturation kind, and one seed reproduces the
+        whole curve, point hashes included.
         """
         scenario = self.spec.scenario
-        latency_spec = self.spec.latency or LatencySpec()
-        faultload = scenario.faultload or FaultloadSpec()
+        sharding = self.spec.sharding or ShardingSpec()
         counts = scenario.client_counts or (1, 2, 4, 8, 16)
-        shards = self.spec.sharding.shards if self.spec.sharding else 1
-        for clients in counts:
-            if int(clients) < 1:
-                raise ConfigurationError(
-                    f"client counts must be >= 1, got {int(clients)}"
-                )
-        spec_dict = self.spec.to_dict()
-        payloads = [
-            {
-                "spec": spec_dict,
-                "index": i,
-                "clients": int(clients),
-                "num_points": len(counts),
-            }
-            for i, clients in enumerate(counts)
-        ]
-        outs = self._map(saturation_point_task, payloads)
-        points = [SaturationPoint(**out["point"]) for out in outs]
+        outs = self._fan_out(
+            "saturation_point",
+            [(i, clients, len(counts)) for i, clients in enumerate(counts)],
+        )
+        points = [point for point, _ in outs]
         digest = hashlib.sha256()
         for point in points:
             digest.update(point.trace_hash.encode("ascii"))
             digest.update(b"\n")
-        service_spec = self.spec.service or ServiceTimeSpec()
         data = {
-            "shards": shards,
-            "routing": (
-                self.spec.sharding.routing if self.spec.sharding else "interleave"
-            ),
+            "shards": sharding.shards,
+            "routing": sharding.routing,
             "client_counts": [p.clients for p in points],
             "think_time": scenario.think_time,
             "horizon": scenario.horizon,
-            "faultload": faultload.to_dict(),
-            "latency_model": latency_spec.to_dict(),
-            "service": service_spec.to_dict(),
+            "faultload": (scenario.faultload or FaultloadSpec()).to_dict(),
+            "latency_model": (self.spec.latency or LatencySpec()).to_dict(),
+            "service": (self.spec.service or ServiceTimeSpec()).to_dict(),
             "points": [p.to_dict() for p in points],
             "knee_clients": knee_clients(points),
             "trace_hash": digest.hexdigest(),
         }
-        reports = [out["report"] for out in outs]
+        reports = [report for _, report in outs]
         if any(report is not None for report in reports):
             data["byzantine"] = {"points": reports}
         return data
 
-    def saturation_point(self, index: int, clients: int, num_points: int) -> dict:
+    def saturation_point(
+        self, index: int, clients: int, num_points: int
+    ) -> tuple[SaturationPoint, dict | None]:
         """One saturation curve point — the saturation fan-out unit.
 
-        Regenerates the shared workload tape (stream 1) and faultload
-        (stream 9) from freshly respawned seed streams, then draws this
-        point's coordinator/service/Byzantine streams from child
-        ``index`` of streams 11/12/13 — the same assignment the serial
-        sweep makes, keyed by grid position so any worker count (and the
-        inline path) produces the identical point.
+        The same workload tape and faultload as every other point
+        (streams 1 and 9, respawned from ``spec.seed``); the coordinator,
+        service-queue, Byzantine and metadata-liar streams are child
+        ``index`` of streams 11 (split in two), 12 and 13, keyed by grid
+        position so any worker count produces the identical point.
         """
-        self._streams = spawn_rngs(make_rng(self.spec.seed), _NUM_STREAMS)
-        scenario = self.spec.scenario
-        faultload = scenario.faultload or FaultloadSpec()
-        shards = self.spec.sharding.shards if self.spec.sharding else 1
-        num_blocks = shards * self.spec.code.k
-        ops = _make_workload(self.spec, num_blocks, self._streams[1])
-        trace, partitions = self._faultload(
-            faultload, scenario.horizon, self._streams[9]
+        streams = self._seed_streams()
+        rng, service_rng = spawn_rngs(spawn_rngs(streams[11], num_points)[index], 2)
+        return self._closed_loop(
+            clients,
+            streams,
+            rng,
+            service_rng,
+            spawn_rngs(streams[12], num_points)[index],
+            spawn_rngs(streams[13], num_points)[index],
         )
-        rng, service_rng = spawn_rngs(
-            spawn_rngs(self._streams[11], num_points)[index], 2
-        )
-        byz_rng = spawn_rngs(self._streams[12], num_points)[index]
-        meta_rng = spawn_rngs(self._streams[13], num_points)[index]
-        sim, system = self._sharded_closed_loop(
-            clients, ops, trace, partitions, rng, service_rng
-        )
-        # Per-point arming from stream-12/13 children: every point gets
-        # its own corrupt set and coin streams, yet one seed still
-        # reproduces the whole curve.
-        armed = self._arm_byzantine(system.cluster, faultload, byz_rng)
-        meta_armed = self._arm_metadata_byzantine(
-            system.cluster, faultload, meta_rng
-        )
-        point = run_saturation_point(clients, sim)
-        report = self._byzantine_report(
-            faultload,
-            system.cluster,
-            armed,
-            system.verifiers,
-            meta_armed=meta_armed,
-            repairs=system.repairs,
-        )
-        return {"point": point.to_dict(), "report": report}
+
+
+def _run_unit(task: tuple):
+    """Process-pool entry point of :meth:`ScenarioRunner._fan_out`.
+
+    ``task`` is ``(spec dict, unit method name, args)``; the worker
+    rebuilds the runner from the spec and calls the unit on it.
+    """
+    spec, unit, args = task
+    return getattr(ScenarioRunner(SystemSpec.from_dict(spec)), unit)(*args)
 
 
 def run_spec(spec: SystemSpec, *, jobs: int = 0) -> ScenarioResult:

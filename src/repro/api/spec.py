@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from repro.errors import ConfigurationError
+from repro.parallel.executor import resolve_jobs
 
 __all__ = [
     "CodeSpec",
@@ -904,7 +905,9 @@ def execution_options(block) -> dict:
     :class:`SystemSpec`: ``SystemSpec.from_dict`` strips the block and
     ``to_dict`` never emits it — spec hashing, equality and result
     embedding are all jobs-blind. ``None`` (block absent) means
-    ``jobs = 0``, the inline serial path.
+    ``jobs = 0``, the inline serial path; a ``jobs`` value follows
+    :func:`~repro.parallel.executor.resolve_jobs`, the rule of the
+    ``--jobs`` flag (``-1`` / ``"auto"`` = one worker per CPU).
     """
     if block is None:
         return {"jobs": 0}
@@ -917,9 +920,4 @@ def execution_options(block) -> dict:
         raise ConfigurationError(
             f"unknown execution keys: {sorted(unknown)} (known: ['jobs'])"
         )
-    jobs = block.get("jobs", 0)
-    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 0:
-        raise ConfigurationError(
-            f"execution.jobs must be an int >= 0, got {jobs!r}"
-        )
-    return {"jobs": jobs}
+    return {"jobs": resolve_jobs(block.get("jobs", 0))}

@@ -27,10 +27,10 @@ Commands
     targets an already-running ``repro serve`` fleet instead of
     spawning services in-process.
 
-``availability``, ``optimize`` and ``saturate`` accept ``--dump-config
-PATH``: they write the equivalent declarative
-:class:`repro.api.SystemSpec` JSON so the run can be reproduced (and
-extended) with ``repro run --config``.
+``availability``, ``optimize`` and ``saturate`` build a
+:class:`repro.api.SystemSpec` from their flags and print what
+``ScenarioRunner`` returns for it; ``--dump-config PATH`` writes that
+spec, so ``repro run --config PATH`` replays the printed numbers.
 """
 
 from __future__ import annotations
@@ -40,6 +40,21 @@ import sys
 
 
 __all__ = ["main", "build_parser"]
+
+
+def _add_spec_flags(verb: argparse.ArgumentParser, units: str) -> None:
+    """``--jobs`` and ``--dump-config``, shared by the spec-building verbs."""
+    verb.add_argument(
+        "--jobs", type=int, default=0, metavar="N",
+        help=f"worker processes for the {units} (0/1 = inline)",
+    )
+    verb.add_argument(
+        "--dump-config",
+        metavar="PATH",
+        default=None,
+        help="also write the SystemSpec JSON these numbers come from, "
+        "for `repro run --config`",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,20 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     av.add_argument("--w", type=int, default=None, help="eq.16 uniform parameter")
     av.add_argument("--p", type=float, nargs="+", default=[0.5, 0.7, 0.9])
     av.add_argument("--mc-trials", type=int, default=0)
-    av.add_argument(
-        "--seed", type=int, default=None,
-        help="MC column seed (default: fresh OS entropy per run)",
-    )
-    av.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
-        help="worker processes for the MC columns (0/1 = inline)",
-    )
-    av.add_argument(
-        "--dump-config",
-        metavar="PATH",
-        default=None,
-        help="also write the equivalent SystemSpec JSON for `repro run`",
-    )
+    av.add_argument("--seed", type=int, default=0, help="the spec's seed (drives MC)")
+    _add_spec_flags(av, "MC columns")
 
     opt = sub.add_parser("optimize", help="search shapes and quorum vectors")
     opt.add_argument("--n", type=int, required=True)
@@ -100,16 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="one or more availabilities (occupancy tables are shared)",
     )
     opt.add_argument("--max-h", type=int, default=3)
-    opt.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
-        help="worker processes for the shape families (0/1 = inline)",
-    )
-    opt.add_argument(
-        "--dump-config",
-        metavar="PATH",
-        default=None,
-        help="write the search as an 'optimize' SystemSpec JSON for `repro run`",
-    )
+    _add_spec_flags(opt, "shape families")
 
     lay = sub.add_parser("layout", help="render a trapezoid layout")
     lay.add_argument("--a", type=int, required=True)
@@ -140,16 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     sat.add_argument("--ops", type=int, default=400, help="workload operations")
     sat.add_argument("--horizon", type=float, default=1000.0)
     sat.add_argument("--seed", type=int, default=0)
-    sat.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
-        help="worker processes for the saturation points (0/1 = inline)",
-    )
-    sat.add_argument(
-        "--dump-config",
-        metavar="PATH",
-        default=None,
-        help="also write the equivalent SystemSpec JSON for `repro run`",
-    )
+    _add_spec_flags(sat, "saturation points")
 
     srv = sub.add_parser(
         "serve", help="run TCP storage node services until interrupted"
@@ -219,11 +204,16 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _dump_spec(spec, path: str) -> None:
+def _run_verb(spec, args) -> dict:
+    """Run a verb's spec; ``--dump-config`` first writes that same spec."""
     from pathlib import Path
 
-    Path(path).write_text(spec.to_json() + "\n")
-    print(f"Wrote config: {path}")
+    from repro.api import ScenarioRunner
+
+    if args.dump_config:
+        Path(args.dump_config).write_text(spec.to_json() + "\n")
+        print(f"Wrote config: {args.dump_config}")
+    return ScenarioRunner(spec, jobs=args.jobs).run().data
 
 
 def _cmd_figures(args) -> int:
@@ -250,76 +240,55 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_availability(args) -> int:
-    from repro.quorum import TrapezoidQuorum, TrapezoidShape
-    from repro.sim import availability_sweep, records_to_csv
+    from repro.api import ScenarioSpec, SystemSpec, build_trapezoid_quorum
+    from repro.sim import SweepRecord, records_to_csv
 
-    shape = TrapezoidShape(args.a, args.b, args.height)
-    quorum = TrapezoidQuorum.uniform(shape, args.w)
-    if args.dump_config:
-        from repro.api import ScenarioSpec, SystemSpec
-
-        _dump_spec(
-            SystemSpec.trapezoid(
-                args.n, args.k, args.a, args.b, args.height, quorum.w,
-                scenario=ScenarioSpec(
-                    kind="availability", ps=tuple(args.p), trials=args.mc_trials
-                ),
-            ),
-            args.dump_config,
-        )
+    spec = SystemSpec.trapezoid(
+        args.n, args.k, args.a, args.b, args.height, args.w,
+        scenario=ScenarioSpec(
+            kind="availability", ps=tuple(args.p), trials=args.mc_trials
+        ),
+        seed=args.seed,
+    )
+    data = _run_verb(spec, args)
+    quorum = build_trapezoid_quorum(spec.quorum)
     print(
-        f"(n={args.n}, k={args.k}), levels {shape.level_sizes}, w={quorum.w}, "
-        f"r={quorum.read_thresholds}"
+        f"(n={args.n}, k={args.k}), levels {quorum.shape.level_sizes}, "
+        f"w={quorum.w}, r={quorum.read_thresholds}"
     )
-    records = availability_sweep(
-        quorum, args.n, args.k, args.p,
-        mc_trials=args.mc_trials, rng=args.seed, jobs=args.jobs,
-    )
-    sys.stdout.write(records_to_csv(records))
+    sys.stdout.write(records_to_csv(SweepRecord(**r) for r in data["records"]))
     return 0
 
 
 def _cmd_optimize(args) -> int:
-    from repro.analysis import optimize_config_sweep
+    from repro.api import CodeSpec, ScenarioSpec, SystemSpec
 
-    ps = tuple(args.p)
-    results = optimize_config_sweep(
-        args.n, args.k, ps, max_h=args.max_h, jobs=args.jobs
+    spec = SystemSpec(
+        code=CodeSpec(n=args.n, k=args.k),
+        scenario=ScenarioSpec(kind="optimize", ps=tuple(args.p), max_h=args.max_h),
     )
+    data = _run_verb(spec, args)
 
-    def fmt(pt) -> str:
+    def fmt(pt: dict) -> str:
+        shape = pt["shape"]
         return (
-            f"shape=(a={pt.shape.a},b={pt.shape.b},h={pt.shape.h}) w={pt.w} "
-            f"write={pt.write:.4f} read={pt.read:.4f}"
+            f"shape=(a={shape['a']},b={shape['b']},h={shape['h']}) "
+            f"w={tuple(pt['w'])} write={pt['write']:.4f} read={pt['read']:.4f}"
         )
 
-    for p, result in zip(ps, results):
-        print(f"p={p}: {result.evaluated} configurations evaluated")
-        print("best for writes :", fmt(result.best_for_writes))
-        print("best for reads  :", fmt(result.best_for_reads))
-        print("best balanced   :", fmt(result.best_balanced))
-        print(f"Pareto front ({len(result.pareto)}):")
-        for pt in result.pareto:
+    for result in data["results"]:
+        print(f"p={result['p']}: {result['evaluated']} configurations evaluated")
+        print("best for writes :", fmt(result["best_for_writes"]))
+        print("best for reads  :", fmt(result["best_for_reads"]))
+        print("best balanced   :", fmt(result["best_balanced"]))
+        print(f"Pareto front ({len(result['pareto'])}):")
+        for pt in result["pareto"]:
             print("  ", fmt(pt))
-    if args.dump_config:
-        from repro.api import ScenarioSpec, SystemSpec
-
-        # The dumped spec records the winning geometry and replays the
-        # whole search through the vectorized 'optimize' scenario kind.
-        best = results[0].best_balanced
-        _dump_spec(
-            SystemSpec.trapezoid(
-                args.n, args.k, best.shape.a, best.shape.b, best.shape.h, best.w,
-                scenario=ScenarioSpec(kind="optimize", ps=ps, max_h=args.max_h),
-            ),
-            args.dump_config,
-        )
     return 0
 
 
 def _cmd_saturate(args) -> int:
     from repro.api import (
-        ScenarioRunner,
         ScenarioSpec,
         ServiceTimeSpec,
         ShardingSpec,
@@ -339,9 +308,7 @@ def _cmd_saturate(args) -> int:
         ),
         seed=args.seed,
     )
-    if args.dump_config:
-        _dump_spec(spec, args.dump_config)
-    data = ScenarioRunner(spec, jobs=args.jobs).run().data
+    data = _run_verb(spec, args)
     print(
         f"saturation: shards={data['shards']} routing={data['routing']} "
         f"service={data['service']['kind']}({data['service']['time']})"

@@ -11,7 +11,8 @@ the marginal per-node availability is
 
 The sampler plugs into the Monte-Carlo estimators, letting experiments
 quantify how much the paper's independence assumption overstates
-availability at equal marginal p (see bench_rack_correlation).
+availability at equal marginal p (``tests/cluster/test_racks.py``,
+``TestCorrelationHurtsAvailability``).
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ recovery unspecified ("the blocks it owned have to be reconstructed").
   through the protocol and re-encoding its row, stamping the version
   vector with the versions those reads returned.
 
-The history-model experiments (EXPERIMENTS.md) quantify how much read
-availability this recovers.
+The ``trace`` scenario kind (``repair_interval``) measures how much read
+availability this recovers under a failure trace.
 
 Verified anti-entropy
 ---------------------

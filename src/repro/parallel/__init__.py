@@ -4,8 +4,8 @@
 spawn-context process pool without changing a single output byte:
 ``jobs=0/1`` runs the identical task functions inline, streams are
 pre-assigned by task index, and results assemble in task order.
-:mod:`repro.parallel.tasks` holds the importable worker entry points
-the :class:`~repro.api.runner.ScenarioRunner` dispatches.
+The :class:`~repro.api.runner.ScenarioRunner` fans its scenario units
+through it (``ScenarioRunner._fan_out``).
 """
 
 from repro.parallel.executor import ParallelExecutor, resolve_jobs

@@ -1,9 +1,9 @@
-"""Fan-out round primitives shared by both protocol execution paths.
+"""Fan-out round primitives shared by the three protocol coordinators.
 
 A protocol engine expresses one read/write operation as a *plan*: a
 generator yielding :class:`Round` objects (a fan-out of node requests
 plus a completion policy) and receiving :class:`RoundOutcome` objects
-back. The same plan runs on two coordinators:
+back. The same plan runs on three coordinators:
 
 * :class:`~repro.runtime.coordinator.InstantCoordinator` replays the
   round as the legacy synchronous RPC loop — identical RPC sequence,
@@ -12,7 +12,10 @@ back. The same plan runs on two coordinators:
   as a real message on the discrete-event engine and completes the round
   through :class:`QuorumWait` — the q-th fastest healthy response ends
   the wait (max-of-parallel latency), stragglers keep flowing in the
-  background.
+  background;
+* :class:`~repro.runtime.async_coord.AsyncCoordinator` sends the same
+  requests to live node services (in-process or TCP) and completes the
+  round the same way, in wall-clock time.
 
 Round kinds (``version-query`` / ``payload`` / ``write`` /
 ``write-back``) label the protocol's round structure for per-round

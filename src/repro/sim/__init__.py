@@ -36,7 +36,7 @@ from repro.sim.saturation import (
     SaturationPoint,
     knee_clients,
     queue_summary,
-    saturation_sweep,
+    run_saturation_point,
 )
 from repro.sim.sweep import SweepRecord, availability_sweep, records_to_csv
 from repro.sim.trace_sim import (
@@ -83,7 +83,7 @@ __all__ = [
     "schedule_trace",
     "schedule_partitions",
     "SaturationPoint",
-    "saturation_sweep",
+    "run_saturation_point",
     "knee_clients",
     "queue_summary",
     "OpKind",

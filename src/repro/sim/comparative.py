@@ -118,7 +118,7 @@ def run_comparison(
     anti-entropy callables, invoked between failure epochs while the
     whole cluster is healthy. Without one, TRAP-ERC's write availability
     collapses under repeated failures (stale parities reject deltas —
-    see EXPERIMENTS.md), so comparative studies should either provide it
+    see :mod:`repro.core.repair`), so comparative studies should either provide it
     or interpret the collapse as part of the result.
     """
     if block_length < 1:

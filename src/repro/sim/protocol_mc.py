@@ -38,10 +38,10 @@ from repro.cluster.rng import make_rng
 from repro.core.trap_erc import TrapErcProtocol
 from repro.core.trap_fr import TrapFrProtocol
 from repro.erasure.code import MDSCode
-from repro.erasure.stripe import StripeLayout
 from repro.errors import ConfigurationError
 from repro.quorum.trapezoid import TrapezoidQuorum
 from repro.sim.metrics import MCEstimate
+from repro.storage.placement import RotatingPlacement
 
 __all__ = ["ProtocolMonteCarlo"]
 
@@ -130,9 +130,7 @@ class ProtocolMonteCarlo:
         return self._built[protocol]
 
     def _build_engine(self, protocol: str, s: int):
-        layout = StripeLayout(
-            self.n, self.k, tuple((b + s) % self.n for b in range(self.n))
-        )
+        layout = RotatingPlacement(self.n, self.k, self.n).layout_for(s)
         if protocol == "erc":
             return TrapErcProtocol(
                 self.cluster, self.code, self.quorum,

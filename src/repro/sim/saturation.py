@@ -4,10 +4,11 @@ With per-node service queues attached, the closed-loop runtime is a
 closed queueing network: each of ``clients`` clients keeps one operation
 in flight (plus think time), every request occupies its node for a
 sampled service time, and aggregate throughput rises with the client
-count until the busiest server saturates. :func:`saturation_sweep` runs
-one :class:`~repro.sim.trace_sim.ShardedClosedLoopSimulation` per client
-count and packages the ops/s-vs-clients curve — the headline scaling
-question the paper's single-instance snapshot model cannot ask.
+count until the busiest server saturates. :func:`run_saturation_point`
+distils one :class:`~repro.sim.trace_sim.ShardedClosedLoopSimulation`
+into one point of the ops/s-vs-clients curve; the runner's
+``saturation`` scenario kind repeats it per client count — the headline
+scaling question the paper's single-instance snapshot model cannot ask.
 
 Throughput here is *goodput* in virtual time: successful operations per
 virtual second (failed operations — timeouts under overload — complete
@@ -20,7 +21,7 @@ queueing delay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
 from repro.errors import ConfigurationError
 from repro.runtime.event import NodeServiceQueue
@@ -29,7 +30,6 @@ from repro.sim.trace_sim import ShardedClosedLoopSimulation
 __all__ = [
     "SaturationPoint",
     "run_saturation_point",
-    "saturation_sweep",
     "knee_clients",
     "queue_summary",
 ]
@@ -107,10 +107,10 @@ def run_saturation_point(
 ) -> SaturationPoint:
     """Run one fresh closed-loop simulation and distil its curve point.
 
-    The per-client-count unit of both the serial sweep below and the
-    runner's process-pool fan-out: everything a point reports (tally
-    summary, per-shard views, queue stats, trace hash) is derived from
-    the one ``run``, so a point computes identically wherever it runs.
+    The unit of the runner's ``latency`` and ``saturation`` kinds:
+    everything a point reports (tally summary, per-shard views, queue
+    stats, trace hash) is derived from the one ``run``, so a point
+    computes identically wherever it runs.
     """
     tally = run.run()
     duration = run.sim.now
@@ -135,28 +135,6 @@ def run_saturation_point(
         queues=queue_summary(queues, duration),
         trace_hash=run.router.trace_hash(),
     )
-
-
-def saturation_sweep(
-    make_run: Callable[[int], ShardedClosedLoopSimulation],
-    client_counts: Iterable[int],
-) -> list[SaturationPoint]:
-    """Run one fresh closed-loop simulation per client count.
-
-    ``make_run(clients)`` must return a *fresh*
-    :class:`ShardedClosedLoopSimulation` (own simulator, cluster and
-    router — points must not share mutable state); the sweep runs it and
-    distils one :class:`SaturationPoint`. Determinism is the caller's
-    contract: derive each point's RNG streams from the experiment seed
-    and the same seed reproduces the identical curve.
-    """
-    points: list[SaturationPoint] = []
-    for clients in client_counts:
-        clients = int(clients)
-        if clients < 1:
-            raise ConfigurationError(f"client counts must be >= 1, got {clients}")
-        points.append(run_saturation_point(clients, make_run(clients)))
-    return points
 
 
 def knee_clients(points: list[SaturationPoint], threshold: float = 0.9) -> int:

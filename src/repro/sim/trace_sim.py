@@ -37,12 +37,12 @@ from repro.cluster.rng import make_rng
 from repro.core.repair import RepairService
 from repro.core.trap_erc import TrapErcProtocol
 from repro.erasure.code import MDSCode
-from repro.erasure.stripe import StripeLayout
 from repro.errors import ConfigurationError
 from repro.quorum.trapezoid import TrapezoidQuorum
 from repro.runtime.router import ShardRouter
 from repro.sim.metrics import LatencyTally, OperationTally
 from repro.sim.workloads import OpKind, Operation, uniform_workload, write_payload
+from repro.storage.placement import RotatingPlacement
 
 __all__ = [
     "TraceSimConfig",
@@ -166,15 +166,14 @@ class TraceSimulation:
         self.trace = trace
         self.cluster = Cluster(n)
         self.code = MDSCode(n, k)
-        self.protocols: list[TrapErcProtocol] = []
-        for s in range(self.config.stripes):
-            layout = StripeLayout(n, k, tuple((b + s) % n for b in range(n)))
-            self.protocols.append(
-                TrapErcProtocol(
-                    self.cluster, self.code, quorum,
-                    layout=layout, stripe_id=f"trace-{s}",
-                )
+        placement = RotatingPlacement(n, k, n)
+        self.protocols: list[TrapErcProtocol] = [
+            TrapErcProtocol(
+                self.cluster, self.code, quorum,
+                layout=placement.layout_for(s), stripe_id=f"trace-{s}",
             )
+            for s in range(self.config.stripes)
+        ]
         self.protocol = self.protocols[0]  # single-stripe handle
         self.repairs = [RepairService(proto) for proto in self.protocols]
         self.repair = self.repairs[0]

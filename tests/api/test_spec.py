@@ -342,7 +342,7 @@ class TestExecutionOptions:
 
     def test_from_dict_still_validates_the_block(self):
         payload = SystemSpec().to_dict()
-        payload["execution"] = {"jobs": -1}
+        payload["execution"] = {"jobs": -2}
         with pytest.raises(ConfigurationError, match="jobs"):
             SystemSpec.from_dict(payload)
 

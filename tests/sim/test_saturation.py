@@ -25,7 +25,7 @@ from repro.sim import (
     SaturationPoint,
     knee_clients,
     queue_summary,
-    saturation_sweep,
+    run_saturation_point,
 )
 from tests.runtime.closed_loop import build_closed_loop
 
@@ -71,9 +71,13 @@ class TestQueueingSanity:
         assert summary["max_utilization"] == 0.0
 
 
+def _points(client_counts):
+    return [run_saturation_point(c, _make_run(c)) for c in client_counts]
+
+
 class TestSaturationSweep:
     def test_throughput_rises_then_flattens(self):
-        points = saturation_sweep(_make_run, [1, 2, 4, 8, 16])
+        points = _points([1, 2, 4, 8, 16])
         tps = [p.throughput for p in points]
         assert tps[1] > tps[0]  # scaling regime
         # Saturation regime: the last doubling buys less than the first.
@@ -85,14 +89,10 @@ class TestSaturationSweep:
     def test_points_are_json_shaped(self):
         import json
 
-        (point,) = saturation_sweep(_make_run, [2])
+        (point,) = _points([2])
         payload = json.dumps(point.to_dict())
         assert "operation_latency" in payload
         assert point.aggregate["operation_latency"]["p95"] > 0
-
-    def test_client_count_validated(self):
-        with pytest.raises(ConfigurationError, match="client counts"):
-            saturation_sweep(_make_run, [0])
 
     def test_knee_clients(self):
         def pt(clients, tp):

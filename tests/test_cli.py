@@ -123,24 +123,37 @@ class TestRunCommand:
 
 
 class TestDumpConfig:
-    def test_availability_dump_config_round_trips(self, tmp_path, capsys):
+    @pytest.mark.parametrize("seed", [["--seed", "0"], []], ids=["seed0", "no-seed"])
+    def test_availability_dump_config_round_trips(self, tmp_path, capsys, seed):
+        # The dumped spec replays the printed numbers, MC column included
+        # (p = 0.7, 2 000 trials: the column the spec's seed decides).
         dump = tmp_path / "spec.json"
         assert main(
             [
                 "availability",
                 "--n", "9", "--k", "6",
                 "--a", "2", "--b", "1", "--height", "1",
-                "--w", "2", "--p", "0.5", "--mc-trials", "100",
+                "--w", "2", "--p", "0.7", "--mc-trials", "2000",
                 "--dump-config", str(dump),
+                *seed,
             ]
         ) == 0
-        capsys.readouterr()
+        printed = [
+            line for line in capsys.readouterr().out.splitlines()
+            if ",monte_carlo," in line
+        ]
         assert main(["run", "--config", str(dump), "--quiet"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == "availability"
-        assert payload["spec"]["scenario"]["trials"] == 100
-        methods = {r["method"] for r in payload["data"]["records"]}
-        assert "monte_carlo" in methods
+        assert payload["spec"]["scenario"]["trials"] == 2000
+        assert payload["spec"]["seed"] == 0
+        replayed = [
+            f"{r['p']},{r['metric']},{r['method']},{r['value']:.6f}"
+            for r in payload["data"]["records"]
+            if r["method"] == "monte_carlo"
+        ]
+        assert len(printed) == 2
+        assert printed == replayed
 
     def test_optimize_dump_config_is_runnable(self, tmp_path, capsys):
         dump = tmp_path / "best.json"
@@ -321,6 +334,24 @@ class TestJobsFlag:
             ["run", "--config", str(config), "--quiet", "--jobs", "0"]
         ) == 0
         assert json.loads(capsys.readouterr().out)["kind"] == "protocol_mc"
+
+    def test_all_cores_spelled_in_block_or_flag(self, tmp_path, capsys, monkeypatch):
+        # "jobs": -1 in the block means what --jobs -1 means: one worker
+        # per CPU (pinned to two here), with the same result bytes.
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        flag_out, block_out = tmp_path / "flag.json", tmp_path / "block.json"
+        plain = self._config(tmp_path)
+        assert main(
+            ["run", "--config", str(plain), "--quiet", "--jobs", "-1",
+             "--out", str(flag_out)]
+        ) == 0
+        with_block = self._config(tmp_path, execution={"jobs": -1})
+        assert main(
+            ["run", "--config", str(with_block), "--quiet", "--out", str(block_out)]
+        ) == 0
+        assert flag_out.read_bytes() == block_out.read_bytes()
 
     def test_invalid_execution_block_rejected(self, tmp_path):
         from repro.errors import ConfigurationError

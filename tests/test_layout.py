@@ -2,7 +2,8 @@
 
 Tier-1 collects ``test_*.py`` under ``tests/``; the end-to-end harness's
 own tests run with ``pytest benchmarks/e2e``. A ``def test_`` anywhere
-else is a check nothing executes.
+else is a check nothing executes, and so is a ``tests/scenarios/*.json``
+file without a pin in ``tests/test_scenarios.py``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,16 @@ def visible(path: Path) -> bool:
 def test_benchmarks_holds_only_e2e():
     entries = [p.name for p in (ROOT / "benchmarks").iterdir() if visible(p.relative_to(ROOT))]
     assert entries == ["e2e"]
+
+
+def test_every_scenario_file_has_one_pin():
+    from repro.api import SystemSpec
+    from tests.test_scenarios import PINS, SCENARIOS
+
+    files = sorted(path.name for path in SCENARIOS.glob("*.json"))
+    for name in files:
+        SystemSpec.from_json((SCENARIOS / name).read_text())
+    assert files == sorted(PINS)
 
 
 def test_every_test_function_is_collected():
