@@ -88,6 +88,22 @@ def _metadata_byzantine(data: dict, spec: SystemSpec) -> None:
     assert data["summary"]["consistency_violations"] == 0
 
 
+def _trace(data: dict, spec: SystemSpec) -> None:
+    counts = {
+        "reads_attempted": 190,
+        "reads_succeeded": 172,
+        "reads_direct": 164,
+        "reads_decoded": 8,
+        "writes_attempted": 219,
+        "writes_succeeded": 114,
+        "consistency_violations": 0,
+        "repairs": 10,
+        "messages": 6980,
+    }
+    assert {key: data[key] for key in counts} == counts
+    assert data["summary"]["decode_fraction"] == 8 / 172
+
+
 def _wallclock_tcp(data: dict, spec: SystemSpec) -> None:
     measured = data["comparison"]["measured"]
     assert measured["read"]["count"] > 0, measured
@@ -109,6 +125,7 @@ PINS = {
     "protocol_mc.json": _protocol_mc,
     "byzantine.json": _byzantine,
     "metadata_byzantine.json": _metadata_byzantine,
+    "trace.json": _trace,
     "wallclock_tcp.json": _wallclock_tcp,
 }
 
