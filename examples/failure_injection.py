@@ -10,6 +10,7 @@ contrasts three regimes:
   quorum pool shrinks over time,
 * trace-driven with anti-entropy every 20 time units.
 
+Each regime is one ``trace`` scenario spec run through ``run_spec``.
 Strict consistency (reads never return stale acknowledged data) holds in
 all regimes; what changes is *availability*.
 
@@ -17,14 +18,27 @@ Run:  python examples/failure_injection.py
 """
 
 from repro.analysis import exact_read_erc, write_availability
-from repro.cluster import exponential_trace
-from repro.quorum import TrapezoidQuorum, TrapezoidShape
-from repro.sim import TraceSimConfig, TraceSimulation
+from repro.api import (
+    ClusterSpec,
+    ScenarioSpec,
+    SystemSpec,
+    WorkloadSpec,
+    build_trapezoid_quorum,
+    run_spec,
+)
+from repro.sim import MCEstimate
 
 N, K = 7, 4
-QUORUM = TrapezoidQuorum.uniform(TrapezoidShape(2, 1, 1), 2)
 HORIZON = 1200.0
 MTBF, MTTR = 30.0, 10.0  # availability = 30 / 40 = 0.75
+SPEC = SystemSpec.trapezoid(
+    N, K, 2, 1, 1, 2,
+    cluster=ClusterSpec(num_nodes=N, failure="exponential", mtbf=MTBF, mttr=MTTR),
+    workload=WorkloadSpec(read_fraction=0.5, block_length=8),
+    scenario=ScenarioSpec(kind="trace", horizon=HORIZON, op_rate=2.0),
+    seed=6,
+)
+QUORUM = build_trapezoid_quorum(SPEC.quorum)
 
 
 def main() -> None:
@@ -43,30 +57,28 @@ def main() -> None:
 
     results = {}
     for label, repair_interval in [("no repair", None), ("repair every 20", 20.0)]:
-        trace = exponential_trace(N, MTBF, MTTR, HORIZON, rng=5)
-        config = TraceSimConfig(
-            horizon=HORIZON,
-            op_rate=2.0,
-            read_fraction=0.5,
-            repair_interval=repair_interval,
+        # same seed: both regimes replay the same trace and operations
+        spec = SPEC.replace(
+            scenario=SPEC.scenario.replace(repair_interval=repair_interval)
         )
-        tally = TraceSimulation(N, K, QUORUM, trace, config, rng=6).run()
-        results[label] = tally
-        read_est = tally.read_availability()
-        write_est = tally.write_availability()
+        data = run_spec(spec).data
+        results[label] = data
+        read_est = MCEstimate(data["reads_succeeded"], max(1, data["reads_attempted"]))
+        write_est = MCEstimate(data["writes_succeeded"], max(1, data["writes_attempted"]))
         print(f"Trace-driven ({label}):")
-        print(f"  reads : {tally.reads_succeeded}/{tally.reads_attempted} "
-              f"-> {read_est.mean:.4f} {read_est.ci95()}")
-        print(f"  writes: {tally.writes_succeeded}/{tally.writes_attempted} "
-              f"-> {write_est.mean:.4f} {write_est.ci95()}")
-        print(f"  decode fraction of successful reads: {tally.decode_fraction():.3f}")
-        print(f"  repairs performed: {tally.repairs}")
-        print(f"  consistency violations: {tally.consistency_violations}")
+        print(f"  reads : {data['reads_succeeded']}/{data['reads_attempted']} "
+              f"-> {read_est}")
+        print(f"  writes: {data['writes_succeeded']}/{data['writes_attempted']} "
+              f"-> {write_est}")
+        print(f"  decode fraction of successful reads: "
+              f"{data['summary']['decode_fraction']:.3f}")
+        print(f"  repairs performed: {data['repairs']}")
+        print(f"  consistency violations: {data['consistency_violations']}")
         print()
 
     gain = (
-        results["repair every 20"].read_availability().mean
-        - results["no repair"].read_availability().mean
+        results["repair every 20"]["summary"]["read_availability"]
+        - results["no repair"]["summary"]["read_availability"]
     )
     print(f"Anti-entropy read-availability gain: {gain:+.4f}")
     print("The snapshot model is an upper bound: staleness after recovery")

@@ -58,8 +58,6 @@ from repro.sim.trace_sim import (
     ClosedLoopConfig,
     PartitionWindow,
     ShardedClosedLoopSimulation,
-    TraceSimConfig,
-    TraceSimulation,
 )
 from repro.sim.workloads import (
     OpKind,
@@ -135,6 +133,16 @@ def _estimate_dict(est: MCEstimate) -> dict:
         "trials": est.trials,
         "ci95": [lo, hi],
     }
+
+
+def _poisson_arrivals(rate: float, horizon: float, rng) -> np.ndarray:
+    """Poisson arrival times at ``rate`` over [0, horizon)."""
+    draws = max(16, int(rate * horizon * 1.5) + 16)
+    times = np.cumsum(rng.exponential(1.0 / rate, size=draws))
+    while times[-1] < horizon:
+        more = rng.exponential(1.0 / rate, size=draws)
+        times = np.concatenate([times, times[-1] + np.cumsum(more)])
+    return times[times < horizon]
 
 
 def _make_workload(spec: SystemSpec, num_blocks: int, rng) -> list:
@@ -430,7 +438,16 @@ class ScenarioRunner:
         return MCEstimate(successes, trials)
 
     def _run_trace(self) -> dict:
-        """History-model run over an exponential failure trace."""
+        """History-model run: Poisson arrivals over an exponential trace.
+
+        The one history driver in open-loop mode on the event core at a
+        fixed 0 s message latency, so every operation completes at its
+        arrival instant. ``placement.stripes`` shards make the volume
+        (logical blocks follow the router's interleaved map). Stream 4
+        draws the failure trace over ``code.n`` nodes, stream 5 a
+        non-uniform workload tape (cycled to the arrival count), stream
+        6 the initial data, then the arrivals, then the uniform ops.
+        """
         if self.spec.protocol != "trap-erc":
             raise ConfigurationError(
                 "trace scenarios run the TRAP-ERC engine; set protocol to "
@@ -442,8 +459,8 @@ class ScenarioRunner:
                 "trace scenarios need cluster.failure = 'exponential' "
                 "with mtbf and mttr"
             )
-        quorum = group_trapezoid(self.spec)
-        scenario = self.spec.scenario
+        scenario, workload = self.spec.scenario, self.spec.workload
+        stripes = self.spec.placement.stripes
         trace = exponential_trace(
             self.spec.code.n,
             cluster.mtbf,
@@ -451,31 +468,63 @@ class ScenarioRunner:
             scenario.horizon,
             rng=self._streams[4],
         )
-        config = TraceSimConfig(
-            horizon=scenario.horizon,
-            op_rate=scenario.op_rate,
-            read_fraction=self.spec.workload.read_fraction,
-            repair_interval=scenario.repair_interval,
-            block_length=self.spec.workload.block_length,
-            stripes=self.spec.placement.stripes,
+        system = build_sharded_system(
+            self.spec.replace(
+                latency=LatencySpec(kind="fixed", delay=0.0),
+                sharding=ShardingSpec(shards=stripes),
+            )
         )
-        sim = TraceSimulation(
-            self.spec.code.n,
-            self.spec.code.k,
-            quorum,
-            trace,
-            config=config,
-            workload=(
-                None
-                if self.spec.workload.kind == "uniform"
-                else _make_workload(
-                    self.spec, config.stripes * self.spec.code.k, self._streams[5]
-                )
+        rng = self._streams[6]
+        data = system.initialize(
+            rng.integers(
+                0, 256, size=(stripes, self.spec.code.k, workload.block_length),
+                dtype=np.int64,
+            ).astype(np.uint8)
+        )
+        arrivals = _poisson_arrivals(scenario.op_rate, scenario.horizon, rng)
+        if workload.kind == "uniform":
+            ops = uniform_workload(
+                len(arrivals), system.num_blocks, workload.read_fraction, rng=rng
+            )
+        else:
+            tape = _make_workload(self.spec, system.num_blocks, self._streams[5])
+            ops = (tape * -(-len(arrivals) // len(tape)))[: len(arrivals)]
+        tally = ShardedClosedLoopSimulation(
+            system.cluster,
+            system.router,
+            ops,
+            config=ClosedLoopConfig(
+                horizon=scenario.horizon,
+                block_length=workload.block_length,
+                repair_interval=scenario.repair_interval,
             ),
-            rng=self._streams[6],
-        )
-        tally = sim.run()
-        return {**asdict(tally), "summary": tally.summary()}
+            trace=trace,
+            repairs=(
+                system.repairs if scenario.repair_interval is not None else None
+            ),
+            arrivals=arrivals,
+            initial=data,
+        ).run()
+        read_ok, decoded = tally.reads_succeeded, tally.reads_decoded
+        return {
+            "reads_attempted": tally.reads_attempted,
+            "reads_succeeded": read_ok,
+            "reads_direct": read_ok - decoded,
+            "reads_decoded": decoded,
+            "writes_attempted": tally.writes_attempted,
+            "writes_succeeded": tally.writes_succeeded,
+            "consistency_violations": tally.consistency_violations,
+            "repairs": tally.repairs,
+            "messages": tally.messages,
+            "summary": {
+                "read_availability": tally.read_availability().mean,
+                "write_availability": tally.write_availability().mean,
+                "decode_fraction": decoded / read_ok if read_ok else 0.0,
+                "consistency_violations": float(tally.consistency_violations),
+                "repairs": float(tally.repairs),
+                "messages": float(tally.messages),
+            },
+        }
 
     def _run_comparison(self) -> dict:
         """Registry protocols against one shared failure/op schedule.
@@ -831,7 +880,7 @@ class ScenarioRunner:
         system = build_sharded_system(
             self.spec, rng=rng, service_rng=service_rng, record_trace=True
         )
-        system.initialize()
+        data = system.initialize()
         sim = ShardedClosedLoopSimulation(
             system.cluster,
             system.router,
@@ -848,6 +897,7 @@ class ScenarioRunner:
             repairs=(
                 system.repairs if scenario.repair_interval is not None else None
             ),
+            initial=data,
         )
         armed = self._arm_byzantine(system.cluster, faultload, byz_rng)
         meta_armed = self._arm_metadata_byzantine(system.cluster, faultload, meta_rng)

@@ -117,10 +117,6 @@ class QueueStats:
         """Mean queueing delay per started request (0.0 when idle)."""
         return self.total_wait / self.started if self.started else 0.0
 
-    @property
-    def mean_service(self) -> float:
-        return self.total_service / self.started if self.started else 0.0
-
     def utilization(self, duration: float) -> float:
         """Busy fraction of the server over ``duration`` virtual seconds."""
         return self.total_service / duration if duration > 0 else 0.0

@@ -158,10 +158,6 @@ class ShardRouter:
         shard, local = self.locate(block)
         return shard.coordinator.execute(shard.engine.read_plan(local))
 
-    def execute_write(self, block: int, value: np.ndarray) -> Any:
-        shard, local = self.locate(block)
-        return shard.coordinator.execute(shard.engine.write_plan(local, value))
-
     # ------------------------------------------------------------------ #
     # aggregates
     # ------------------------------------------------------------------ #

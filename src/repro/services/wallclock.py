@@ -29,7 +29,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import time
-from collections import Counter
 
 import numpy as np
 
@@ -54,14 +53,9 @@ async def _drive(
     think_time: float,
     block_length: int,
     horizon: float,
-) -> tuple[LatencyTally, Counter]:
-    """Closed-loop clients pulling from one shared operation tape.
-
-    Also returns the successful operations counted by what they had to
-    move (reads by their :class:`ReadCase`, ``"write"``).
-    """
+) -> LatencyTally:
+    """Closed-loop clients pulling from one shared operation tape."""
     tally = LatencyTally()
-    cases: Counter = Counter()
     loop = asyncio.get_running_loop()
     cursor = iter(list(ops))
 
@@ -75,7 +69,8 @@ async def _drive(
                 if result.success:
                     tally.reads_succeeded += 1
                     tally.read_latencies.append(elapsed)
-                    cases[result.case] += 1
+                    if result.case is ReadCase.DECODE:
+                        tally.reads_decoded += 1
                 else:
                     tally.failed_read_latencies.append(elapsed)
             else:
@@ -88,7 +83,6 @@ async def _drive(
                 if result.success:
                     tally.writes_succeeded += 1
                     tally.write_latencies.append(elapsed)
-                    cases["write"] += 1
                 else:
                     tally.failed_write_latencies.append(elapsed)
             if think_time:
@@ -101,7 +95,7 @@ async def _drive(
         for worker in workers:
             worker.cancel()
         await asyncio.gather(*workers, return_exceptions=True)
-    return tally, cases
+    return tally
 
 
 def _wire_totals(transports) -> tuple[int, int]:
@@ -115,16 +109,15 @@ def _wire_totals(transports) -> tuple[int, int]:
     return frames, nbytes
 
 
-def _wire_report(spec, before, after, ops: int, cases: Counter) -> dict:
+def _wire_report(spec, before, after, ops: int, tally: LatencyTally) -> dict:
     """Traffic per operation, and against the TRAP-ERC payload floor."""
     frames, nbytes = after[0] - before[0], after[1] - before[1]
     floor = None
     if spec.protocol == "trap-erc":
         n, k = spec.code.n, spec.code.k
+        direct = tally.reads_succeeded - tally.reads_decoded
         floor = spec.workload.block_length * (
-            cases[ReadCase.DIRECT]
-            + k * cases[ReadCase.DECODE]
-            + (2 + n - k) * cases["write"]
+            direct + k * tally.reads_decoded + (2 + n - k) * tally.writes_succeeded
         )
     return {
         "frames_per_op": frames / ops if ops else 0.0,
@@ -183,7 +176,7 @@ def run_wallclock(spec, *, transports=None, ops=None) -> dict:
             ops = _make_workload(spec, built.num_blocks, streams[1])
         wire_before = _wire_totals(transport_map.values())
         started = time.perf_counter()
-        tally, cases = loop.run_until_complete(
+        tally = loop.run_until_complete(
             _drive(
                 built.engine,
                 coordinator,
@@ -218,7 +211,7 @@ def run_wallclock(spec, *, transports=None, ops=None) -> dict:
                 wire_before,
                 _wire_totals(transport_map.values()),
                 attempted,
-                cases,
+                tally,
             ),
         }
     finally:

@@ -7,16 +7,16 @@ Three evaluation instruments of increasing fidelity:
 * :mod:`repro.sim.protocol_mc` — per-trial execution of the real protocol
   engines (validates that the code implements the analyzed predicates),
 * :mod:`repro.sim.trace_sim` — discrete-event history-model runs with
-  staleness and repair (quantifies what the paper's model idealizes away),
-  in two flavours: the instant-path :class:`TraceSimulation` and the
-  event-driven :class:`ShardedClosedLoopSimulation` (concurrent in-flight
-  operations, quorum-wait latency percentiles, faultloads mid-operation).
+  staleness and repair (quantifies what the paper's model idealizes away)
+  on one driver, :class:`ShardedClosedLoopSimulation`: closed-loop clients
+  (concurrent in-flight operations, quorum-wait latency percentiles,
+  faultloads mid-operation) or open-loop arrivals (the ``trace`` kind, at
+  a fixed 0 s message latency).
 """
 
 from repro.sim.metrics import (
     LatencyTally,
     MCEstimate,
-    OperationTally,
     percentile_summary,
 )
 from repro.sim.montecarlo import (
@@ -43,8 +43,6 @@ from repro.sim.trace_sim import (
     ClosedLoopConfig,
     PartitionWindow,
     ShardedClosedLoopSimulation,
-    TraceSimConfig,
-    TraceSimulation,
     schedule_partitions,
     schedule_trace,
 )
@@ -60,7 +58,6 @@ from repro.sim.workloads import (
 
 __all__ = [
     "MCEstimate",
-    "OperationTally",
     "LatencyTally",
     "percentile_summary",
     "level_membership_matrix",
@@ -75,8 +72,6 @@ __all__ = [
     "SweepRecord",
     "availability_sweep",
     "records_to_csv",
-    "TraceSimConfig",
-    "TraceSimulation",
     "ClosedLoopConfig",
     "ShardedClosedLoopSimulation",
     "PartitionWindow",

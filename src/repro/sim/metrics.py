@@ -3,10 +3,9 @@
 All Monte-Carlo entry points return :class:`MCEstimate` so that tests and
 benchmarks can assert agreement with closed forms *statistically* (via the
 confidence interval) instead of with brittle fixed tolerances.
-:class:`OperationTally` counts the legacy (instant-path) history-model
-runs; :class:`LatencyTally` is its event-path counterpart, adding the
-p50/p95/p99 operation-latency percentiles and per-round message counts
-the event-driven runtime makes measurable.
+:class:`LatencyTally` counts every history-model run — operation
+outcomes, the p50/p95/p99 operation-latency percentiles and per-round
+message counts.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "MCEstimate",
-    "OperationTally",
     "LatencySamples",
     "LatencyTally",
     "percentile_summary",
@@ -80,43 +78,6 @@ class MCEstimate:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         lo, hi = self.ci95()
         return f"{self.mean:.4f} [{lo:.4f}, {hi:.4f}] (n={self.trials})"
-
-
-@dataclass
-class OperationTally:
-    """Counters for protocol-level simulations (history model)."""
-
-    reads_attempted: int = 0
-    reads_succeeded: int = 0
-    reads_direct: int = 0
-    reads_decoded: int = 0
-    writes_attempted: int = 0
-    writes_succeeded: int = 0
-    consistency_violations: int = 0
-    repairs: int = 0
-    messages: int = 0
-
-    def read_availability(self) -> MCEstimate:
-        return MCEstimate(self.reads_succeeded, max(1, self.reads_attempted))
-
-    def write_availability(self) -> MCEstimate:
-        return MCEstimate(self.writes_succeeded, max(1, self.writes_attempted))
-
-    def decode_fraction(self) -> float:
-        """Share of successful reads that needed reconstruction."""
-        if self.reads_succeeded == 0:
-            return 0.0
-        return self.reads_decoded / self.reads_succeeded
-
-    def summary(self) -> dict[str, float]:
-        return {
-            "read_availability": self.read_availability().mean,
-            "write_availability": self.write_availability().mean,
-            "decode_fraction": self.decode_fraction(),
-            "consistency_violations": float(self.consistency_violations),
-            "repairs": float(self.repairs),
-            "messages": float(self.messages),
-        }
 
 
 class LatencySamples:
@@ -221,11 +182,13 @@ def percentile_summary(samples) -> dict[str, float]:
 
 @dataclass
 class LatencyTally:
-    """Counters + latency samples for event-driven (closed-loop) runs.
+    """Counters + latency samples for history-model runs.
 
     ``read_latencies``/``write_latencies`` hold per-operation virtual
     seconds for *successful* operations; failed operations are tallied
     separately (their latency is dominated by the timeout policy).
+    ``reads_decoded`` counts the successful reads that reconstructed
+    the block from k fragments (Algorithm 2, Case 2).
     ``round_messages`` counts messages by protocol round kind
     (version-query / payload / write / write-back) — the per-round cost
     structure of Algorithms 1-2 under a real fan-out.
@@ -233,6 +196,7 @@ class LatencyTally:
 
     reads_attempted: int = 0
     reads_succeeded: int = 0
+    reads_decoded: int = 0
     writes_attempted: int = 0
     writes_succeeded: int = 0
     consistency_violations: int = 0
@@ -268,6 +232,7 @@ class LatencyTally:
         """Fold another tally (e.g. one shard's) into this aggregate."""
         self.reads_attempted += other.reads_attempted
         self.reads_succeeded += other.reads_succeeded
+        self.reads_decoded += other.reads_decoded
         self.writes_attempted += other.writes_attempted
         self.writes_succeeded += other.writes_succeeded
         self.consistency_violations += other.consistency_violations

@@ -127,17 +127,16 @@ class TestRunWallclock:
         )
 
     def test_wire_floor_counts_decode_reads_as_k_blocks(self):
-        from collections import Counter
-
-        from repro.core.results import ReadCase
         from repro.services.wallclock import _wire_report
+        from repro.sim.metrics import LatencyTally
 
-        cases = Counter({ReadCase.DIRECT: 3, ReadCase.DECODE: 2, "write": 1})
-        report = _wire_report(wallclock_spec(), (0, 0), (60, 6000), 6, cases)
+        # 3 direct + 2 decoded reads, 1 write
+        tally = LatencyTally(reads_succeeded=5, reads_decoded=2, writes_succeeded=1)
+        report = _wire_report(wallclock_spec(), (0, 0), (60, 6000), 6, tally)
         assert report["payload_floor_bytes"] == 16 * (3 + 6 * 2 + (2 + 9 - 6) * 1)
         assert report["frames_per_op"] == 10 and report["bytes_per_op"] == 1000
         other = _wire_report(
-            wallclock_spec().replace(protocol="majority"), (0, 0), (60, 6000), 6, cases
+            wallclock_spec().replace(protocol="majority"), (0, 0), (60, 6000), 6, tally
         )
         assert other["payload_floor_bytes"] is None
         assert other["bytes_per_payload_byte"] is None

@@ -6,13 +6,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.failures import FailureTrace
+from repro.api import (
+    ClusterSpec,
+    PlacementSpec,
+    ScenarioSpec,
+    ShardingSpec,
+    SystemSpec,
+    WorkloadSpec,
+    build_sharded_system,
+    run_spec,
+)
 from repro.errors import ConfigurationError
 from repro.quorum import TrapezoidQuorum, TrapezoidShape, default_shape_for_nbnode
 from repro.sim import (
     ProtocolMonteCarlo,
-    TraceSimConfig,
-    TraceSimulation,
     level_membership_matrix,
     mc_write_availability,
 )
@@ -100,36 +107,36 @@ class TestMultiStripeProtocolMC:
 
 
 class TestMultiStripeTraceSim:
-    def _trace(self, n: int) -> FailureTrace:
-        return FailureTrace(num_nodes=n, events=())
+    def _spec(self, horizon: float, stripes: int, seed: int) -> SystemSpec:
+        # (6, 4): Nbnode = 3, the single-level default shape; no failures
+        return SystemSpec.trapezoid(
+            6, 4, 0, 3, 0,
+            cluster=ClusterSpec(num_nodes=6, failure="exponential", mtbf=1e9, mttr=1.0),
+            placement=PlacementSpec(kind="rotating", stripes=stripes),
+            workload=WorkloadSpec(block_length=8),
+            scenario=ScenarioSpec(kind="trace", horizon=horizon, op_rate=1.0),
+            seed=seed,
+        )
 
     def test_volume_run_no_failures(self):
-        n, k = 6, 4
-        config = TraceSimConfig(horizon=50.0, op_rate=1.0, stripes=3)
-        sim = TraceSimulation(
-            n, k, quorum_for(n, k), self._trace(n), config=config, rng=0
-        )
-        assert sim.num_logical_blocks == 12
-        assert len(sim.protocols) == 3
-        tally = sim.run()
-        assert tally.consistency_violations == 0
-        assert tally.reads_attempted + tally.writes_attempted > 0
-        assert tally.reads_succeeded == tally.reads_attempted
-        assert tally.writes_succeeded == tally.writes_attempted
+        spec = self._spec(50.0, stripes=3, seed=0)
+        # the volume the trace kind builds: one shard per stripe
+        system = build_sharded_system(spec.replace(sharding=ShardingSpec(shards=3)))
+        assert system.num_blocks == 12
+        assert system.num_shards == 3
+        data = run_spec(spec).data
+        assert data["consistency_violations"] == 0
+        assert data["reads_attempted"] + data["writes_attempted"] > 0
+        assert data["reads_succeeded"] == data["reads_attempted"]
+        assert data["writes_succeeded"] == data["writes_attempted"]
 
     def test_single_stripe_default_unchanged(self):
-        n, k = 6, 4
-        sim = TraceSimulation(
-            n, k, quorum_for(n, k),
-            self._trace(n),
-            config=TraceSimConfig(horizon=30.0),
-            rng=1,
-        )
-        assert sim.num_logical_blocks == k
-        assert sim.protocol is sim.protocols[0]
-        tally = sim.run()
-        assert tally.consistency_violations == 0
+        spec = self._spec(30.0, stripes=1, seed=1)
+        system = build_sharded_system(spec.replace(sharding=ShardingSpec(shards=1)))
+        assert system.num_blocks == 4
+        assert system.num_shards == 1
+        assert run_spec(spec).data["consistency_violations"] == 0
 
     def test_invalid_stripes_config(self):
         with pytest.raises(ConfigurationError):
-            TraceSimConfig(stripes=0)
+            PlacementSpec(stripes=0)

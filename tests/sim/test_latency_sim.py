@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -15,10 +16,18 @@ from repro.api import (
     ShardingSpec,
     SystemSpec,
     WorkloadSpec,
+    build_sharded_system,
 )
 from repro.cluster.failures import exponential_trace
 from repro.cluster.rng import make_rng
-from repro.sim import ClosedLoopConfig, PartitionWindow, percentile_summary
+from repro.sim import (
+    ClosedLoopConfig,
+    OpKind,
+    Operation,
+    PartitionWindow,
+    ShardedClosedLoopSimulation,
+    percentile_summary,
+)
 from repro.errors import ConfigurationError
 from tests.runtime.closed_loop import build_closed_loop
 
@@ -133,6 +142,81 @@ class TestClosedLoopSimulation:
             ClosedLoopConfig(clients=0)
         with pytest.raises(ConfigurationError, match="think_time"):
             ClosedLoopConfig(think_time=-1.0)
+
+
+def open_loop(ops, arrivals, delay=0.0):
+    """A 1-shard (9, 6) system driven open-loop at a fixed ``delay``."""
+    spec = SystemSpec.trapezoid(
+        9, 6, 2, 1, 1, 2,
+        latency=LatencySpec(kind="fixed", delay=delay),
+        workload=WorkloadSpec(block_length=8),
+        seed=3,
+    )
+    system = build_sharded_system(spec)
+    data = system.initialize()
+    sim = ShardedClosedLoopSimulation(
+        system.cluster, system.router, ops,
+        config=ClosedLoopConfig(horizon=10.0),
+        arrivals=arrivals, initial=data,
+    )
+    return system, sim
+
+
+def overwrite_block_0(system) -> None:
+    """Other bytes on N_0 at its current version (no write involved)."""
+    engine = system.router.shards[0].engine
+    node = system.cluster.node(engine.layout.node_of_block(0))
+    key = engine.data_key(0)
+    node.put_data(key, np.full(8, 0xAB, dtype=np.uint8), node.data_version(key))
+
+
+class TestOpenLoopAndReadCheck:
+    @pytest.mark.parametrize("tamper", [False, True])
+    def test_same_version_other_bytes_without_a_write_is_counted(self, tamper):
+        ops = [Operation(OpKind.WRITE, 0, 5), Operation(OpKind.READ, 0, 0)]
+        system, sim = open_loop(ops, [1.0, 3.0])
+        if tamper:  # between the acknowledged write and the read
+            system.simulator.schedule_at(2.0, lambda: overwrite_block_0(system))
+        tally = sim.run()
+        assert tally.writes_succeeded == tally.reads_succeeded == 1
+        # the read returns the floor's version 1, with the tampered bytes
+        assert tally.consistency_violations == int(tamper)
+
+    @pytest.mark.parametrize(
+        "write_block, violations", [(0, 0), (1, 1)], ids=["same-block", "other-block"]
+    )
+    def test_read_overlapping_a_write_on_its_block_is_exempt(
+        self, write_block, violations
+    ):
+        # N_0 holds other bytes at version 0; the read starts while a
+        # write is in its read-before-write and finishes before it lands
+        ops = [Operation(OpKind.WRITE, write_block, 5), Operation(OpKind.READ, 0, 0)]
+        system, sim = open_loop(ops, [1.0, 1.0005], delay=0.001)
+        system.simulator.schedule_at(0.5, lambda: overwrite_block_0(system))
+        tally = sim.run()
+        assert tally.reads_succeeded == 1
+        assert tally.consistency_violations == violations
+
+    def test_open_loop_submits_at_arrivals_and_completions_schedule_nothing(
+        self, monkeypatch
+    ):
+        ops = [Operation(OpKind.READ, block, 0) for block in range(5)]
+        arrivals = [0.5, 1.25, 2.0]
+        system, sim = open_loop(ops, arrivals, delay=0.001)
+        engine = system.router.shards[0].engine
+        submitted = []
+        read_plan = engine.read_plan
+
+        def spy(i):
+            submitted.append(system.simulator.now)
+            return read_plan(i)
+
+        monkeypatch.setattr(engine, "read_plan", spy)
+        tally = sim.run()
+        assert submitted == arrivals
+        # three arrivals, three reads: the tape's other two never run
+        assert tally.reads_attempted == tally.reads_succeeded == 3
+        assert system.simulator.now > arrivals[-1]  # reads took virtual time
 
 
 class TestLatencyScenarioKind:

@@ -1,24 +1,28 @@
-"""Tests for workload generators and the history-model trace simulation."""
+"""Tests for workload generators and the history-model ``trace`` kind."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.cluster import FailureTrace, exponential_trace
+from repro.api import (
+    ClusterSpec,
+    ScenarioSpec,
+    SystemSpec,
+    WorkloadSpec,
+    build_sharded_system,
+    run_spec,
+)
+from repro.cluster import EventKind, FailureEvent, FailureTrace
 from repro.errors import ConfigurationError
-from repro.quorum import TrapezoidQuorum, TrapezoidShape
 from repro.sim import (
     OpKind,
-    TraceSimConfig,
-    TraceSimulation,
+    ShardedClosedLoopSimulation,
     sequential_workload,
     uniform_workload,
     vm_disk_workload,
     zipf_workload,
 )
-
-QUORUM = TrapezoidQuorum.uniform(TrapezoidShape(2, 1, 1), 2)  # (7,4) stripes
 
 
 class TestWorkloads:
@@ -78,99 +82,96 @@ class TestWorkloads:
         assert len({op.payload_seed for op in ops}) > 90
 
 
-class TestTraceSimConfig:
+def trace_spec(
+    *, horizon=100.0, op_rate=1.0, mtbf=1e9, mttr=1.0, repair_interval=None,
+    workload=None, seed=0,
+) -> SystemSpec:
+    """A (7, 4) TRAP-ERC ``trace`` scenario (``mtbf=1e9``: no failures)."""
+    return SystemSpec.trapezoid(
+        7, 4, 2, 1, 1, 2,
+        cluster=ClusterSpec(num_nodes=7, failure="exponential", mtbf=mtbf, mttr=mttr),
+        workload=workload or WorkloadSpec(block_length=8),
+        scenario=ScenarioSpec(
+            kind="trace", horizon=horizon, op_rate=op_rate,
+            repair_interval=repair_interval,
+        ),
+        seed=seed,
+    )
+
+
+class TestTraceSpecValidation:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            TraceSimConfig(horizon=0)
+            ScenarioSpec(kind="trace", horizon=0)
         with pytest.raises(ConfigurationError):
-            TraceSimConfig(op_rate=0)
+            ScenarioSpec(kind="trace", op_rate=0)
         with pytest.raises(ConfigurationError):
-            TraceSimConfig(read_fraction=2.0)
+            WorkloadSpec(read_fraction=2.0)
         with pytest.raises(ConfigurationError):
-            TraceSimConfig(repair_interval=0.0)
+            ScenarioSpec(kind="trace", repair_interval=0.0)
 
 
-class TestTraceSimulation:
+class TestTraceScenario:
     def test_no_failures_everything_succeeds(self):
-        trace = FailureTrace(7, [])
-        sim = TraceSimulation(
-            7, 4, QUORUM, trace, TraceSimConfig(horizon=100.0, op_rate=1.0), rng=7
-        )
-        tally = sim.run()
-        assert tally.reads_attempted + tally.writes_attempted > 50
-        assert tally.reads_succeeded == tally.reads_attempted
-        assert tally.writes_succeeded == tally.writes_attempted
-        assert tally.consistency_violations == 0
-        assert tally.messages > 0
+        data = run_spec(trace_spec(seed=7)).data
+        assert data["reads_attempted"] + data["writes_attempted"] > 50
+        assert data["reads_succeeded"] == data["reads_attempted"]
+        assert data["writes_succeeded"] == data["writes_attempted"]
+        assert data["consistency_violations"] == 0
+        assert data["messages"] > 0
 
     def test_trace_size_validated(self):
+        # a trace failing node 8 of a 7-node cluster
+        system = build_sharded_system(trace_spec())
+        trace = FailureTrace(9, [FailureEvent(1.0, 8, EventKind.FAIL)])
+        sim = ShardedClosedLoopSimulation(
+            system.cluster, system.router, [], trace=trace
+        )
         with pytest.raises(ConfigurationError):
-            TraceSimulation(7, 4, QUORUM, FailureTrace(5, []))
+            sim.run()
 
     def test_failures_reduce_availability_but_not_consistency(self):
-        trace = exponential_trace(7, mtbf=20.0, mttr=20.0, horizon=400.0, rng=8)
-        sim = TraceSimulation(
-            7, 4, QUORUM, trace, TraceSimConfig(horizon=400.0, op_rate=2.0), rng=9
-        )
-        tally = sim.run()
-        assert tally.consistency_violations == 0
-        assert tally.reads_succeeded < tally.reads_attempted  # some failures
+        data = run_spec(
+            trace_spec(horizon=400.0, op_rate=2.0, mtbf=20.0, mttr=20.0, seed=9)
+        ).data
+        assert data["consistency_violations"] == 0
+        assert data["reads_succeeded"] < data["reads_attempted"]  # some failures
 
     @pytest.mark.parametrize(
-        "seeds, horizon, read_fraction, interval",
-        [((10, 11), 600.0, 0.4, 25.0), ((3, 4), 400.0, 0.5, 20.0)],
+        "seed, horizon, read_fraction, interval",
+        [(11, 600.0, 0.4, 25.0), (4, 400.0, 0.5, 20.0)],
         ids=["reads40", "reads50"],
     )
-    def test_repair_improves_over_no_repair(self, seeds, horizon, read_fraction, interval):
+    def test_repair_improves_over_no_repair(self, seed, horizon, read_fraction, interval):
         # Same trace and workload, with and without anti-entropy: the
         # repaired run must succeed at least as often (staleness shrinks
         # the usable quorum pool without repair).
-        trace_seed, sim_seed = seeds
-        trace = exponential_trace(7, mtbf=30.0, mttr=10.0, horizon=horizon, rng=trace_seed)
-        base_cfg = dict(horizon=horizon, op_rate=1.5, read_fraction=read_fraction)
-        no_repair = TraceSimulation(
-            7, 4, QUORUM, trace, TraceSimConfig(**base_cfg), rng=sim_seed
-        ).run()
-        with_repair = TraceSimulation(
-            7, 4, QUORUM, trace, TraceSimConfig(**base_cfg, repair_interval=interval),
-            rng=sim_seed,
-        ).run()
-        assert with_repair.repairs > 0
-        total_no = no_repair.reads_succeeded + no_repair.writes_succeeded
-        total_yes = with_repair.reads_succeeded + with_repair.writes_succeeded
+        base = dict(
+            horizon=horizon, op_rate=1.5, mtbf=30.0, mttr=10.0, seed=seed,
+            workload=WorkloadSpec(block_length=8, read_fraction=read_fraction),
+        )
+        no_repair = run_spec(trace_spec(**base)).data
+        with_repair = run_spec(trace_spec(**base, repair_interval=interval)).data
+        assert with_repair["repairs"] > 0
+        total_no = no_repair["reads_succeeded"] + no_repair["writes_succeeded"]
+        total_yes = with_repair["reads_succeeded"] + with_repair["writes_succeeded"]
         assert total_yes >= total_no
-        before, after = no_repair.summary(), with_repair.summary()
+        before, after = no_repair["summary"], with_repair["summary"]
         for kind in ("read_availability", "write_availability"):
             assert after[kind] >= before[kind] - 0.02, kind
-        assert with_repair.consistency_violations == 0
-        assert no_repair.consistency_violations == 0
+        assert with_repair["consistency_violations"] == 0
+        assert no_repair["consistency_violations"] == 0
 
     def test_custom_workload_drives_ops(self):
-        from repro.sim import Operation
-
-        trace = FailureTrace(7, [])
-        workload = [Operation(OpKind.WRITE, 0, 123), Operation(OpKind.READ, 0, 0)]
-        sim = TraceSimulation(
-            7,
-            4,
-            QUORUM,
-            trace,
-            TraceSimConfig(horizon=50.0, op_rate=1.0),
-            workload=workload,
-            rng=12,
-        )
-        tally = sim.run()
-        # alternating write/read workload: roughly half and half
-        assert tally.writes_attempted >= 1
-        assert tally.reads_attempted >= 1
+        # a non-uniform tape (stream 5) is cycled to the arrival count
+        workload = WorkloadSpec(kind="sequential", num_ops=4, block_length=8)
+        data = run_spec(trace_spec(horizon=50.0, workload=workload, seed=12)).data
+        assert data["writes_attempted"] >= 1
+        assert data["reads_attempted"] >= 1
+        assert data["reads_attempted"] + data["writes_attempted"] > 4
 
     def test_summary_keys(self):
-        trace = FailureTrace(7, [])
-        sim = TraceSimulation(
-            7, 4, QUORUM, trace, TraceSimConfig(horizon=30.0, op_rate=1.0), rng=13
-        )
-        tally = sim.run()
-        summary = tally.summary()
+        summary = run_spec(trace_spec(horizon=30.0, seed=13)).data["summary"]
         for key in (
             "read_availability",
             "write_availability",

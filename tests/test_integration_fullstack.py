@@ -16,7 +16,7 @@ from repro.cluster import Cluster, FixedLatency, Network, exponential_trace
 from repro.core import RepairService, TrapErcProtocol, TrapFrProtocol
 from repro.erasure import MDSCode, join_payload, split_payload
 from repro.quorum import TrapezoidQuorum, TrapezoidShape, verify_intersection, TrapezoidSystem
-from repro.sim import TraceSimConfig, TraceSimulation
+from repro.api import ClusterSpec, ScenarioSpec, SystemSpec, WorkloadSpec, run_spec
 from repro.storage import DiskClient, VirtualDisk
 
 
@@ -155,7 +155,7 @@ class TestDiskUnderTraceDrivenFailures:
         assert ok_ops / total_ops > 0.5  # the system stayed mostly usable
 
 
-class TestAnalysisMatchesTraceSimulation:
+class TestAnalysisMatchesTraceRuns:
     """Snapshot formulas vs trace-driven reality (EXPERIMENTS.md).
 
     Key reproduction finding: the paper's write-availability analysis
@@ -169,23 +169,26 @@ class TestAnalysisMatchesTraceSimulation:
     MTBF, MTTR = 40.0, 10.0  # long-run p = 0.8
     QUORUM = TrapezoidQuorum.uniform(TrapezoidShape(2, 1, 1), 2)
 
-    def _run(self, read_fraction: float, repair_interval, seed: int):
-        trace = exponential_trace(
-            7, mtbf=self.MTBF, mttr=self.MTTR, horizon=2500.0, rng=seed
+    def _run(self, read_fraction: float, repair_interval, seed: int) -> dict:
+        spec = SystemSpec.trapezoid(
+            7, 4, 2, 1, 1, 2,
+            cluster=ClusterSpec(
+                num_nodes=7, failure="exponential", mtbf=self.MTBF, mttr=self.MTTR
+            ),
+            workload=WorkloadSpec(block_length=8, read_fraction=read_fraction),
+            scenario=ScenarioSpec(
+                kind="trace", horizon=2500.0, op_rate=2.0,
+                repair_interval=repair_interval,
+            ),
+            seed=seed,
         )
-        config = TraceSimConfig(
-            horizon=2500.0,
-            op_rate=2.0,
-            read_fraction=read_fraction,
-            repair_interval=repair_interval,
-        )
-        return TraceSimulation(7, 4, self.QUORUM, trace, config, rng=seed + 1).run()
+        return run_spec(spec).data["summary"]
 
     def test_write_availability_collapses_without_repair(self):
         p = self.MTBF / (self.MTBF + self.MTTR)
         predicted = float(write_availability(self.QUORUM, p))
-        no_repair = self._run(0.0, None, seed=8).write_availability().mean
-        with_repair = self._run(0.0, 5.0, seed=8).write_availability().mean
+        no_repair = self._run(0.0, None, seed=9)["write_availability"]
+        with_repair = self._run(0.0, 5.0, seed=9)["write_availability"]
         assert predicted > 0.7
         assert no_repair < 0.1, "staleness should nearly kill writes"
         assert with_repair > 0.55, "repair should mostly restore writes"
@@ -194,16 +197,16 @@ class TestAnalysisMatchesTraceSimulation:
         assert with_repair <= predicted + 0.02
 
     def test_more_frequent_repair_helps_writes(self):
-        coarse = self._run(0.0, 5.0, seed=8).write_availability().mean
-        fine = self._run(0.0, 1.0, seed=8).write_availability().mean
+        coarse = self._run(0.0, 5.0, seed=9)["write_availability"]
+        fine = self._run(0.0, 1.0, seed=9)["write_availability"]
         assert fine >= coarse - 0.01
 
     def test_read_availability_trace_vs_exact(self):
         p = self.MTBF / (self.MTBF + self.MTTR)
         predicted = float(exact_read_erc(self.QUORUM, 7, 4, p))
         for repair in (None, 5.0):
-            measured = self._run(1.0, repair, seed=10).read_availability()
-            assert abs(measured.mean - predicted) < 0.02, (repair, measured)
+            measured = self._run(1.0, repair, seed=11)["read_availability"]
+            assert abs(measured - predicted) < 0.02, (repair, measured)
 
 
 class TestQuorumSystemsAgreeWithProtocols:

@@ -98,7 +98,9 @@ def _trace(data: dict, spec: SystemSpec) -> None:
         "writes_succeeded": 114,
         "consistency_violations": 0,
         "repairs": 10,
-        "messages": 6980,
+        # 6980 on the instant-path driver: the event core also counts
+        # the straggler replies of early-exit read rounds
+        "messages": 7066,
     }
     assert {key: data[key] for key in counts} == counts
     assert data["summary"]["decode_fraction"] == 8 / 172
