@@ -240,7 +240,9 @@ def build_system(
     Without one, engines run on their default instant path.
     """
     entry, quorum, system = _resolve_protocol(spec)
-    cluster = Cluster(spec.cluster.num_nodes + _metadata_node_count(spec))
+    cluster = Cluster(
+        spec.cluster.num_nodes, metadata_nodes=_metadata_node_count(spec)
+    )
     code = MDSCode(spec.code.n, spec.code.k, construction=spec.code.construction)
     layout = _layout_for(spec, stripe_index)
     verifier = _make_verifier(spec, cluster)
@@ -443,7 +445,9 @@ def build_sharded_system(
             service_rng = seed_streams[10]
 
     simulator = simulator if simulator is not None else Simulator()
-    cluster = Cluster(spec.cluster.num_nodes + _metadata_node_count(spec))
+    cluster = Cluster(
+        spec.cluster.num_nodes, metadata_nodes=_metadata_node_count(spec)
+    )
     code = MDSCode(spec.code.n, spec.code.k, construction=spec.code.construction)
     latency_spec = spec.latency or LatencySpec()
     latency_model = build_latency_model(latency_spec)

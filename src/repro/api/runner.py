@@ -444,9 +444,11 @@ class ScenarioRunner:
         fixed 0 s message latency, so every operation completes at its
         arrival instant. ``placement.stripes`` shards make the volume
         (logical blocks follow the router's interleaved map). Stream 4
-        draws the failure trace over ``code.n`` nodes, stream 5 a
-        non-uniform workload tape (cycled to the arrival count), stream
-        6 the initial data, then the arrivals, then the uniform ops.
+        draws the failure trace over all ``cluster.num_nodes`` data nodes
+        (node by node, so node ids below ``code.n`` get the same churn at
+        any cluster width), stream 5 a non-uniform workload tape (cycled
+        to the arrival count), stream 6 the initial data, then the
+        arrivals, then the uniform ops.
         """
         if self.spec.protocol != "trap-erc":
             raise ConfigurationError(
@@ -462,7 +464,7 @@ class ScenarioRunner:
         scenario, workload = self.spec.scenario, self.spec.workload
         stripes = self.spec.placement.stripes
         trace = exponential_trace(
-            self.spec.code.n,
+            cluster.num_nodes,
             cluster.mtbf,
             cluster.mttr,
             scenario.horizon,

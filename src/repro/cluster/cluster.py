@@ -18,12 +18,24 @@ __all__ = ["Cluster"]
 
 
 class Cluster:
-    """A set of fail-stop storage nodes behind an RPC fabric."""
+    """A set of fail-stop storage nodes behind an RPC fabric.
 
-    def __init__(self, num_nodes: int, network: Network | None = None) -> None:
+    ``num_nodes`` data nodes come first; ``metadata_nodes`` more follow
+    them (ids ``num_nodes`` and up) for a metadata tier. Failure traces
+    cover the data nodes, so a trace is ``num_data_nodes`` wide.
+    """
+
+    def __init__(
+        self, num_nodes: int, network: Network | None = None, *, metadata_nodes: int = 0
+    ) -> None:
         if num_nodes < 1:
             raise ConfigurationError(f"num_nodes must be >= 1, got {num_nodes}")
-        self.nodes = [StorageNode(i) for i in range(num_nodes)]
+        if metadata_nodes < 0:
+            raise ConfigurationError(
+                f"metadata_nodes must be >= 0, got {metadata_nodes}"
+            )
+        self.num_data_nodes = int(num_nodes)
+        self.nodes = [StorageNode(i) for i in range(num_nodes + metadata_nodes)]
         self.network = network if network is not None else Network()
 
     def __len__(self) -> int:

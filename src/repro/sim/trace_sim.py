@@ -151,6 +151,9 @@ class ShardedClosedLoopSimulation:
     ``config.repair_interval`` — the repair traffic itself is not part
     of the latency experiment.
 
+    The ``trace`` must cover the cluster's data nodes
+    (``cluster.num_data_nodes``), no fewer and no more.
+
     The consistency check is real-time safe under concurrency. Against
     the newest acknowledged write of its block when it starts (or the
     version-0 ``initial`` data, shape ``(num_shards, k, L)``), a
@@ -173,9 +176,14 @@ class ShardedClosedLoopSimulation:
         partitions: list[PartitionWindow] | None = None,
         repairs: list[RepairService] | None = None,
         *,
+        initial: np.ndarray,
         arrivals=None,
-        initial: np.ndarray | None = None,
     ) -> None:
+        if trace is not None and trace.num_nodes != cluster.num_data_nodes:
+            raise ConfigurationError(
+                f"trace covers {trace.num_nodes} nodes but the cluster has "
+                f"{cluster.num_data_nodes} data nodes"
+            )
         self.cluster = cluster
         self.router = router
         self.sim = router.shards[0].coordinator.sim
@@ -194,10 +202,9 @@ class ShardedClosedLoopSimulation:
         self._committed: dict[int, int] = {}
         #: the bytes at that version (the initial data before any write)
         self._acked: dict[int, np.ndarray] = {}
-        if initial is not None:
-            for block in range(router.num_blocks):
-                shard, local = router.locate(block)
-                self._acked[block] = initial[shard.index][local]
+        for block in range(router.num_blocks):
+            shard, local = router.locate(block)
+            self._acked[block] = initial[shard.index][local]
         #: writes in flight / ever submitted, per block
         self._writing: Counter = Counter()
         self._writes_submitted: Counter = Counter()
@@ -219,7 +226,7 @@ class ShardedClosedLoopSimulation:
         if op.kind is OpKind.READ:
             tally.reads_attempted += 1
             floor = self._committed.get(block, 0)
-            expected = self._acked.get(block)
+            expected = self._acked[block]
             # the write count to compare at completion; None = overlapped
             quiet = None if self._writing[block] else self._writes_submitted[block]
             shard.coordinator.submit(
@@ -253,7 +260,6 @@ class ShardedClosedLoopSimulation:
             tally.read_latencies.append(result.latency)
             if result.version < floor or (
                 result.version == floor
-                and expected is not None
                 and quiet == self._writes_submitted[block]
                 and not np.array_equal(result.value, expected)
             ):

@@ -210,12 +210,21 @@ class TestCluster:
         cluster = Cluster(5)
         assert len(cluster) == 5
         assert cluster.alive_ids == [0, 1, 2, 3, 4]
+        assert cluster.num_data_nodes == 5
+
+    def test_metadata_nodes_follow_the_data_nodes(self):
+        cluster = Cluster(5, metadata_nodes=3)
+        assert len(cluster) == 8
+        assert cluster.num_data_nodes == 5
+        assert cluster.node(7).node_id == 7
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             Cluster(0)
         with pytest.raises(ConfigurationError):
             Cluster(3).node(3)
+        with pytest.raises(ConfigurationError):
+            Cluster(3, metadata_nodes=-1)
 
     def test_fail_recover(self):
         cluster = Cluster(4)

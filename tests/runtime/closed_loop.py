@@ -63,16 +63,19 @@ def build_closed_loop(
     code = MDSCode(N, K)
     init_rng = make_rng(1)
     shard_objs = []
+    initial = []
     for s in range(shards):
         coordinator = coordinator_cls(
             cluster, sim, rng=rngs[s], policy=policy,
             record_trace=True, queues=queues,
         )
         engine = make_engine(cluster, code, coordinator, s)
-        engine.initialize(
+        data = (
             init_rng.integers(0, 256, size=(K, BLOCK), dtype=np.int64)
             .astype(np.uint8)
         )
+        engine.initialize(data)
+        initial.append(data)
         shard_objs.append(Shard(s, engine, coordinator, K))
     cluster.reset_stats()  # drop the instant-path bootstrap traffic
     router = ShardRouter(shard_objs, routing=routing)
@@ -83,7 +86,7 @@ def build_closed_loop(
             config=ClosedLoopConfig(
                 clients=clients, think_time=think, horizon=horizon
             ),
-            trace=trace, partitions=partitions,
+            trace=trace, partitions=partitions, initial=np.stack(initial),
         ),
         router,
     )

@@ -7,13 +7,14 @@ import pytest
 
 from repro.api import (
     ClusterSpec,
+    PlacementSpec,
     ScenarioSpec,
     SystemSpec,
     WorkloadSpec,
     build_sharded_system,
     run_spec,
 )
-from repro.cluster import EventKind, FailureEvent, FailureTrace
+from repro.cluster import Cluster, FailureTrace
 from repro.errors import ConfigurationError
 from repro.sim import (
     OpKind,
@@ -121,14 +122,35 @@ class TestTraceScenario:
         assert data["messages"] > 0
 
     def test_trace_size_validated(self):
-        # a trace failing node 8 of a 7-node cluster
+        # a trace must cover the 7 data nodes of the (7, 4) stripe exactly
         system = build_sharded_system(trace_spec())
-        trace = FailureTrace(9, [FailureEvent(1.0, 8, EventKind.FAIL)])
-        sim = ShardedClosedLoopSimulation(
-            system.cluster, system.router, [], trace=trace
+        data = system.initialize()
+        for width in (5, 9):
+            with pytest.raises(ConfigurationError, match="data nodes"):
+                ShardedClosedLoopSimulation(
+                    system.cluster, system.router, [],
+                    trace=FailureTrace(width, []), initial=data,
+                )
+
+    def test_trace_covers_every_data_node_of_a_wider_volume(self, monkeypatch):
+        # (7, 4) on 9 nodes, 3 rotating stripes: stripe s sits on nodes
+        # s .. s + 6, so nodes 7 and 8 hold blocks and must churn too
+        failed = set()
+        fail = Cluster.fail
+
+        def spy(cluster, node_id):
+            failed.add(node_id)
+            fail(cluster, node_id)
+
+        monkeypatch.setattr(Cluster, "fail", spy)
+        spec = trace_spec(horizon=200.0, mtbf=20.0, mttr=5.0, seed=3).replace(
+            cluster=ClusterSpec(num_nodes=9, failure="exponential", mtbf=20.0, mttr=5.0),
+            placement=PlacementSpec(kind="rotating", stripes=3),
         )
-        with pytest.raises(ConfigurationError):
-            sim.run()
+        data = run_spec(spec).data
+        assert failed == set(range(9))
+        assert data["consistency_violations"] == 0
+        assert data["reads_succeeded"] < data["reads_attempted"]
 
     def test_failures_reduce_availability_but_not_consistency(self):
         data = run_spec(
