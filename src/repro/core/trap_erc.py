@@ -14,6 +14,10 @@ Faithful executable implementation of Algorithms 1 (write) and 2 (read):
   yields r_l = s_l - w_l + 1 valid answers (lines 11-30); the largest
   version seen among them is the latest; then Case 1 reads N_i directly
   or Case 2 decodes from k version-consistent fragments (lines 30-36).
+  Case 1 is one round: ``read_data`` returns N_i's version beside its
+  bytes, so the read is direct iff that reply is at the latest version,
+  and the bytes a read returns are always those of the version it
+  reports.
 
 The engine expresses each operation as explicit fan-out rounds
 (version-query round, payload round, write round, write-back round) via
@@ -241,7 +245,7 @@ class TrapErcProtocol:
         self._members = []
         #: per block: the h + 1 ``u.version(id)`` polls of Algorithm 2
         self._polls = []
-        #: per block: Case 1's (data_version, read_data) rounds on N_i
+        #: per block: Case 1's one ``read_data`` round on N_i
         self._direct = []
         #: per block: Case 2's gathers (parity round, other-data round)
         self._gathers = []
@@ -269,11 +273,10 @@ class TrapErcProtocol:
                 )
                 for level, level_members in enumerate(members)
             ))
-            probe = Request(ni, "data_version", (key,), catches=_READ_CATCHES)
-            fetch = Request(ni, "read_data", (key,), catches=_READ_CATCHES)
-            self._direct.append(
-                (Round([probe], kind=VERSION_ROUND), Round([fetch], kind=PAYLOAD_ROUND))
-            )
+            self._direct.append(Round(
+                [Request(ni, "read_data", (key,), catches=_READ_CATCHES)],
+                kind=PAYLOAD_ROUND,
+            ))
             self._gathers.append((
                 parity_gather,
                 Round(
@@ -459,28 +462,23 @@ class TrapErcProtocol:
     ):
         """Cases 1-2 of Algorithm 2 once the latest version is known.
 
-        With a ``digest``, Case 1's payload round verifies the reply
-        through the accept predicate — a corrupted reply is rejected
-        (counted on the verifier) and the read widens into Case 2, the
-        substitute-fragment path.
+        Case 1 is one ``read_data`` round on N_i: the reply carries the
+        record's version beside its bytes, so the read is direct iff N_i
+        answers at ``target``, and the bytes returned are the bytes
+        stored at the version reported. Any other answer (down, stale,
+        ahead) falls to Case 2. With a ``digest``, only a reply at
+        ``target`` is checksummed: a corrupted one is counted on the
+        verifier and the read widens into Case 2, the substitute-fragment
+        path, while an honestly stale N_i goes there uncounted.
         """
-        probe, fetch = self._direct[i]
         # Case 1: N_i holds the latest version -> direct read.
-        outcome = yield probe
+        outcome = yield self._direct[i]
         messages = outcome.messages
-        if outcome.accepted and outcome.accepted[0].value == target:
-            payload_outcome = yield (
-                fetch
-                if digest is None
-                else Round(
-                    fetch.requests,
-                    accept=self.verifier.payload_accept(target, digest),
-                    kind=PAYLOAD_ROUND,
-                )
-            )
-            messages += payload_outcome.messages
-            if payload_outcome.accepted:
-                payload, _ = payload_outcome.accepted[0].value
+        if outcome.accepted:
+            payload, version = outcome.accepted[0].value
+            if version == target and (
+                digest is None or self.verifier.check_digest(payload, digest)
+            ):
                 return ReadResult(
                     success=True,
                     value=payload,
@@ -518,19 +516,16 @@ class TrapErcProtocol:
         """Read repair: freshen a reachable stale N_i with the decoded
         value. ``put_data`` is version-exact (no bump), so the repair is
         idempotent and never races ahead of real writes."""
-        outcome = yield self._direct[i][0]
+        ni, key = self.layout.node_of_block(i), self.data_key(i)
+        outcome = yield Round(
+            [Request(ni, "data_version", (key,), catches=_READ_CATCHES)],
+            kind=VERSION_ROUND,
+        )
         messages = outcome.messages
         if not outcome.accepted or outcome.accepted[0].value >= version:
             return messages
         write_outcome = yield Round(
-            [
-                Request(
-                    self.layout.node_of_block(i),
-                    "put_data",
-                    (self.data_key(i), payload, version),
-                    catches=_READ_CATCHES,
-                )
-            ],
+            [Request(ni, "put_data", (key, payload, version), catches=_READ_CATCHES)],
             kind=WRITEBACK_ROUND,
         )
         messages += write_outcome.messages
@@ -602,7 +597,7 @@ class TrapErcProtocol:
                 indices = [rows[c][0] for c in combo]
                 frags = [rows[c][1] for c in combo]
                 decoded = self.code.reconstruct_block(i, indices, frags)
-                if self.verifier.check_decoded(decoded, digest):
+                if self.verifier.check_digest(decoded, digest):
                     return decoded, messages
         return None, messages
 

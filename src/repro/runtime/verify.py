@@ -475,8 +475,9 @@ class BlockVerifier:
             return False
         return True
 
-    def check_decoded(self, payload: np.ndarray, digest: bytes) -> bool:
-        """Verify a decode-then-verify candidate block."""
+    def check_digest(self, payload: np.ndarray, digest: bytes) -> bool:
+        """Verify a block whose version is already known to match: a
+        Case-1 reply at the target version or a decoded candidate."""
         if block_digest(payload) != digest:
             self.digest_mismatches += 1
             return False

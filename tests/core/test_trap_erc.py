@@ -10,6 +10,8 @@ from repro.core import ReadCase, TrapErcProtocol
 from repro.erasure import MDSCode, StripeLayout, update_io_cost
 from repro.errors import ConfigurationError
 from repro.quorum import TrapezoidQuorum, TrapezoidShape
+from repro.runtime import PAYLOAD_ROUND
+from repro.runtime.verify import BlockVerifier, MetadataQuorum
 
 L = 16  # block length used throughout
 
@@ -220,6 +222,58 @@ class TestReadDirect:
         _, _, proto = make_protocol()
         with pytest.raises(ConfigurationError):
             proto.read_block(-1)
+
+
+class TestCaseOneIsOneRound:
+    """Case 1 takes N_i's bytes and version from one ``read_data`` reply."""
+
+    def test_write_between_check_and_case_one_cannot_mislabel_bytes(self):
+        cluster, _, proto = make_protocol(w=1)
+        data = rand_data(seed=52)
+        proto.initialize(data)
+        new = rand_block(seed=53)
+        plan = proto.read_plan(1)
+        outcome = None
+        while True:
+            try:
+                round_ = plan.send(outcome)
+            except StopIteration as stop:
+                result = stop.value
+                break
+            if round_.kind == PAYLOAD_ROUND and round_.requests[0].node_id == 1:
+                # the check saw version 0; block 1 moves to version 1 now,
+                # with parity 8 down so it keeps a version-0 row
+                cluster.fail(8)
+                assert proto.write_block(1, new).success
+                cluster.recover(8)
+            outcome = proto.coordinator.run_round(round_)
+        # the bytes are the ones stored at the version the read reports
+        assert result.success and result.version == 0
+        assert np.array_equal(result.value, data[1])
+        assert result.case == ReadCase.DECODE
+
+    def test_verified_read_of_an_honest_stale_ni_decodes_uncounted(self):
+        n, k = 11, 6
+        meta = tuple(range(n, n + 4))
+        cluster = Cluster(n + len(meta))
+        verifier = BlockVerifier(cluster, MetadataQuorum(meta, 3, 3, f=1), signed=True)
+        # levels (3, 3): N_i shares level 0 with two parities, so a write
+        # can be acknowledged without it
+        proto = TrapErcProtocol(
+            cluster, MDSCode(n, k), TrapezoidQuorum.uniform(TrapezoidShape(0, 3, 1)),
+            verifier=verifier,
+        )
+        proto.initialize(rand_data(seed=54))
+        new = rand_block(seed=55)
+        cluster.fail(2)
+        assert proto.write_block(2, new).success
+        cluster.recover(2)
+        result = proto.read_block(2)
+        assert result.success and result.version == 1
+        assert result.case == ReadCase.DECODE
+        assert np.array_equal(result.value, new)
+        assert verifier.counters()["version_mismatches"] == 0
+        assert verifier.counters()["digest_mismatches"] == 0
 
 
 class TestReadDecode:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -91,8 +92,9 @@ class TestClosedLoopSimulation:
     @pytest.mark.parametrize("case", sorted(GOLDENS))
     def test_goldens_of_the_deleted_single_shard_driver(self, case):
         """``(seed -> trace_hash, summary)`` recorded from the unsharded
-        ``ClosedLoopSimulation`` at the commit that deleted it: the
-        1-shard router run replays that driver bit for bit."""
+        ``ClosedLoopSimulation`` at the commit that deleted it (the
+        1-shard router run replayed that driver bit for bit), and
+        re-recorded once when Case 1 of a read became one round."""
         kwargs = {
             "healthy": dict(seed=5),
             "churn": dict(
@@ -119,16 +121,46 @@ class TestClosedLoopSimulation:
 
     def test_partition_window_causes_timeouts_then_heals(self):
         windows = [PartitionWindow(0.0, 1.0, (6, 7))]
-        sim, _ = build_sim(partitions=windows, ops=100, think=0.02)
+        sim, router = build_closed_loop(0, 100, 5, 0.02, partitions=windows)
+        shard = router.shards[0]
+        engine, clock = shard.engine, shard.coordinator.sim
+        spans = {"read": [], "write": []}  # (block, start, end, success)
+
+        def timed(kind, make_plan):
+            def plan(block, *args):
+                start = clock.now
+                result = yield from make_plan(block, *args)
+                spans[kind].append((block, start, clock.now, result.success))
+                return result
+            return plan
+
+        # the driver's operations only: a write's read-before-write is
+        # part of the write's span
+        shard.engine = SimpleNamespace(
+            read_plan=timed("read", engine.read_plan),
+            write_plan=timed("write", engine.write_plan),
+        )
         tally = sim.run()
+        assert len(spans["read"]) == tally.reads_attempted
         assert tally.timeouts > 0
         assert tally.messages_dropped > 0
         # Writes need w_1 = 2 of the 3 parities: the 2-node partition
         # blocks them, and the stale survivors keep rejecting deltas even
-        # after the heal (the documented no-anti-entropy collapse). Reads
-        # ride level 0 + the direct path throughout.
+        # after the heal (the documented no-anti-entropy collapse).
         assert tally.writes_succeeded == 0
-        assert tally.reads_succeeded == tally.reads_attempted
+        # Reads ride level 0 + the direct path throughout, so every read
+        # with no write to its block in flight succeeds. A read that
+        # overlaps one may find N_i already past the version its check
+        # saw, and too few fragments at that version to decode.
+        quiet = [
+            ok
+            for block, start, end, ok in spans["read"]
+            if not any(
+                b == block and w_start <= end and w_end >= start
+                for b, w_start, w_end, _ in spans["write"]
+            )
+        ]
+        assert quiet and all(quiet)
         assert tally.consistency_violations == 0
         # Failed writes are bounded by the timeout policy, not stragglers.
         assert max(tally.failed_write_latencies) < 0.2

@@ -34,14 +34,14 @@ def _availability(data: dict, spec: SystemSpec) -> None:
 
 
 def _ec_replay(data: dict, spec: SystemSpec) -> None:
-    expected = "19faf2a844260aaaa9fda7b530e5f2a243d1042d9870c7fc01475dd7fab152c7"
+    expected = "12bd89f0967801d0ea279e586d9c749e70528ac48ce799e4b43690f8283f1efa"
     assert data["trace_hash"] == expected
     assert data["summary"]["read_latency"]["p95"] > 0
     _one_shard_is_unsharded(data, spec)
 
 
 def _latency_churn(data: dict, spec: SystemSpec) -> None:
-    expected = "7fbf69359effa203387dfc886115c009c18be630594c5f01d5ee8b135ad741d9"
+    expected = "1a482fb59113fec5238723719343508c5e107aeb4da0b8c1a328d73d02a1c9d6"
     assert data["trace_hash"] == expected
     assert data["summary"]["read_latency"]["p95"] > 0
     _one_shard_is_unsharded(data, spec)
@@ -67,7 +67,7 @@ def _protocol_mc(data: dict, spec: SystemSpec) -> None:
 
 
 def _byzantine(data: dict, spec: SystemSpec) -> None:
-    expected = "ca5c067111149d50609dce4123d20924628daa15c3160ec7c9d44dec2983f297"
+    expected = "b5094a006f72cf25ade29ec7811ed275b0886a815868c7932ec950de8f41ff27"
     assert data["trace_hash"] == expected
     byz = data["byzantine"]
     assert byz["nodes"] and byz["injected"] > 0, byz
@@ -76,7 +76,7 @@ def _byzantine(data: dict, spec: SystemSpec) -> None:
 
 
 def _metadata_byzantine(data: dict, spec: SystemSpec) -> None:
-    expected = "6fd5d834d8ad76204b50ef2032b0653f7024e7c2f97ece30c6f1987bbd19be95"
+    expected = "7a68b64b4de889b159a4c33a920ab49c3a040ce6ddbd0c12b46a0be37f65f40e"
     assert data["trace_hash"] == expected
     byz = data["byzantine"]
     assert byz["metadata_nodes"] and byz["metadata_injected"] > 0, byz
@@ -100,7 +100,7 @@ def _trace(data: dict, spec: SystemSpec) -> None:
         "repairs": 10,
         # 6980 on the instant-path driver: the event core also counts
         # the straggler replies of early-exit read rounds
-        "messages": 7066,
+        "messages": 6190,
     }
     assert {key: data[key] for key in counts} == counts
     assert data["summary"]["decode_fraction"] == 8 / 172
