@@ -516,6 +516,7 @@ class ScenarioRunner:
             "writes_attempted": tally.writes_attempted,
             "writes_succeeded": tally.writes_succeeded,
             "consistency_violations": tally.consistency_violations,
+            "versions_reused": tally.versions_reused,
             "repairs": tally.repairs,
             "messages": tally.messages,
             "summary": {
@@ -523,6 +524,7 @@ class ScenarioRunner:
                 "write_availability": tally.write_availability().mean,
                 "decode_fraction": decoded / read_ok if read_ok else 0.0,
                 "consistency_violations": float(tally.consistency_violations),
+                "versions_reused": float(tally.versions_reused),
                 "repairs": float(tally.repairs),
                 "messages": float(tally.messages),
             },

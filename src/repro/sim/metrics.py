@@ -192,6 +192,9 @@ class LatencyTally:
     ``round_messages`` counts messages by protocol round kind
     (version-query / payload / write / write-back) — the per-round cost
     structure of Algorithms 1-2 under a real fan-out.
+    ``versions_reused`` counts the writes that reached a write round at
+    a (block, version) an earlier write had already issued with other
+    bytes.
     """
 
     reads_attempted: int = 0
@@ -200,6 +203,7 @@ class LatencyTally:
     writes_attempted: int = 0
     writes_succeeded: int = 0
     consistency_violations: int = 0
+    versions_reused: int = 0
     repairs: int = 0
     messages: int = 0
     messages_dropped: int = 0
@@ -236,6 +240,7 @@ class LatencyTally:
         self.writes_attempted += other.writes_attempted
         self.writes_succeeded += other.writes_succeeded
         self.consistency_violations += other.consistency_violations
+        self.versions_reused += other.versions_reused
         self.repairs += other.repairs
         self.read_latencies.extend(other.read_latencies)
         self.write_latencies.extend(other.write_latencies)
@@ -252,6 +257,7 @@ class LatencyTally:
             "failed_read_latency": percentile_summary(self.failed_read_latencies),
             "failed_write_latency": percentile_summary(self.failed_write_latencies),
             "consistency_violations": float(self.consistency_violations),
+            "versions_reused": float(self.versions_reused),
             "repairs": float(self.repairs),
             "messages": float(self.messages),
             "messages_dropped": float(self.messages_dropped),

@@ -208,6 +208,8 @@ class ShardedClosedLoopSimulation:
         #: writes in flight / ever submitted, per block
         self._writing: Counter = Counter()
         self._writes_submitted: Counter = Counter()
+        #: the bytes first issued at each (block, version) by a write round
+        self._issued: dict[tuple[int, int], np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
 
@@ -272,6 +274,10 @@ class ShardedClosedLoopSimulation:
         self, result, block: int, value: np.ndarray, tally: LatencyTally
     ) -> None:
         self._writing[block] -= 1
+        if result.version >= 0:  # the write reached a write round
+            issued = self._issued.setdefault((block, result.version), value)
+            if not np.array_equal(issued, value):
+                tally.versions_reused += 1
         if result.success:
             tally.writes_succeeded += 1
             tally.write_latencies.append(result.latency)

@@ -10,7 +10,7 @@ from repro.core import ReadCase, TrapErcProtocol
 from repro.erasure import MDSCode, StripeLayout, update_io_cost
 from repro.errors import ConfigurationError
 from repro.quorum import TrapezoidQuorum, TrapezoidShape
-from repro.runtime import PAYLOAD_ROUND
+from repro.runtime import PAYLOAD_ROUND, WRITE_ROUND
 from repro.runtime.verify import BlockVerifier, MetadataQuorum
 
 L = 16  # block length used throughout
@@ -274,6 +274,54 @@ class TestCaseOneIsOneRound:
         assert np.array_equal(result.value, new)
         assert verifier.counters()["version_mismatches"] == 0
         assert verifier.counters()["digest_mismatches"] == 0
+
+
+class TestVersionReuse:
+    """One version must name one write's bytes (the fail-stop write
+    does not guarantee it yet)."""
+
+    @pytest.mark.xfail(
+        strict=True, reason="item 1(b): versions are not yet tied to one writer"
+    )
+    def test_a_failed_write_and_a_later_one_never_share_a_version(self):
+        # levels (3, 3), w = (2, 2), r = (2, 2)
+        n, k = 11, 6
+        cluster = Cluster(n)
+        proto = TrapErcProtocol(
+            cluster, MDSCode(n, k), TrapezoidQuorum.uniform(TrapezoidShape(0, 3, 1))
+        )
+        proto.initialize(rand_data(seed=56))
+        (ni, pa, pb), upper = proto.placement.levels[0]
+        x1, x2 = rand_block(seed=57), rand_block(seed=58)
+
+        # W1: its check sees everyone; then pb and level 1 go down, so
+        # level 0 applies x1 on N_i and pa, and level 1 misses it.
+        plan, outcome = proto.write_plan(0, x1), None
+        while True:
+            try:
+                round_ = plan.send(outcome)
+            except StopIteration as stop:
+                w1 = stop.value
+                break
+            if round_.kind == WRITE_ROUND and outcome.round.kind != WRITE_ROUND:
+                cluster.fail_many([pb, *upper])
+            outcome = proto.coordinator.run_round(round_)
+        assert not w1.success and w1.failed_level == 1 and w1.version == 1
+
+        # W2: N_i and pa are down, so its check resolves at level 1,
+        # which missed W1. It issues x2 at W1's version; pb, which missed
+        # W1 too, takes its delta before the write fails at level 0.
+        cluster.recover_all()
+        cluster.fail_many([ni, pa])
+        w2 = proto.write_block(0, x2)
+        assert w2.failed_level == 0 and w2.acks_per_level == [1] and w2.version == 1
+
+        # pa holds x1's delta and pb x2's, under one version vector; with
+        # N_i down a read decodes from both.
+        cluster.recover(pa)
+        result = proto.read_block(0)
+        assert result.success and result.case == ReadCase.DECODE
+        assert any(np.array_equal(result.value, x) for x in (x1, x2))
 
 
 class TestReadDecode:

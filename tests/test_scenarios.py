@@ -106,6 +106,17 @@ def _trace(data: dict, spec: SystemSpec) -> None:
     assert data["summary"]["decode_fraction"] == 8 / 172
 
 
+def _version_reuse(data: dict, spec: SystemSpec) -> None:
+    # The witness that the fail-stop write can issue one version twice
+    # with different bytes, and that a read then returns bytes no write
+    # produced. Both counts are non-zero until writes carry an id beside
+    # the version; the exact figures move with any change of timing, so
+    # only their sign is pinned.
+    summary = data["summary"]
+    assert summary["versions_reused"] > 0, summary
+    assert summary["consistency_violations"] > 0, summary
+
+
 def _wallclock_tcp(data: dict, spec: SystemSpec) -> None:
     measured = data["comparison"]["measured"]
     assert measured["read"]["count"] > 0, measured
@@ -128,6 +139,7 @@ PINS = {
     "byzantine.json": _byzantine,
     "metadata_byzantine.json": _metadata_byzantine,
     "trace.json": _trace,
+    "version_reuse.json": _version_reuse,
     "wallclock_tcp.json": _wallclock_tcp,
 }
 
