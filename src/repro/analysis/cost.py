@@ -30,9 +30,9 @@ __all__ = [
 def write_messages_erc(quorum: TrapezoidQuorum, n: int, k: int) -> dict[str, int]:
     """Message budget of Algorithm 1 on a healthy cluster.
 
-    The write embeds one read (line 15: version check + the one-round
-    direct read, the best case) and then contacts every node of the
-    trapezoid group once (N_i write + n - k parity deltas).
+    The write embeds one read (line 15: the level-0 version check that
+    is also the direct read, the best case) and then contacts every
+    node of the trapezoid group once (N_i write + n - k parity deltas).
     """
     if quorum.shape.total_nodes != n - k + 1:
         raise ConfigurationError("trapezoid size must equal n - k + 1")
@@ -48,14 +48,14 @@ def write_messages_erc(quorum: TrapezoidQuorum, n: int, k: int) -> dict[str, int
 def read_messages_erc_direct(quorum: TrapezoidQuorum) -> dict[str, int]:
     """Best-case Algorithm 2: check completes at level 0, N_i fresh.
 
-    r_0 version polls (level 0 contains N_i), then one ``read_data`` of
-    N_i, whose reply carries the version that makes the read direct.
+    r_0 version polls and nothing else: level 0 contains N_i, whose poll
+    is a ``read_data``, and its reply carries the bytes beside the
+    version that makes the read direct.
     """
     r0 = quorum.r(0)
     return {
         "version_polls": 2 * r0,
-        "payload": 2,
-        "total": 2 * r0 + 2,
+        "total": 2 * r0,
     }
 
 
@@ -64,8 +64,9 @@ def read_messages_erc_decode(quorum: TrapezoidQuorum, n: int, k: int) -> dict[st
 
     Upper bound: the version check may scan *every* trapezoid node (all
     levels fall through before one completes), then the Case-1 attempt
-    on N_i (one ``read_data`` that fails or answers at another version),
-    then Case 2 reads every parity record (n - k RPCs) and every other
+    on N_i (one more ``read_data`` when the level-0 poll completed
+    before N_i answered; it fails or answers at another version), then
+    Case 2 reads every parity record (n - k RPCs) and every other
     data record (k - 1 RPCs) before solving. The engine stops early when
     possible, so measured costs are at or below this.
     """

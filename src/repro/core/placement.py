@@ -1,9 +1,14 @@
 """Placement of a block's consistency group onto the trapezoid.
 
 For data block i the group is {N_i} ∪ {parity nodes} (n - k + 1 nodes,
-eq. 5). The paper places N_i at level 0 (section III-B.2); the remaining
-positions are filled with the parity nodes in stripe order, yielding the
-deterministic position -> node-id mapping both protocol variants share.
+eq. 5). The paper places N_i at level 0 (section III-B.2) and fixes
+nothing else. Here the parity nodes fill the remaining positions in an
+order rotated by the block index: position p + 1 of block i holds parity
+node (i + p) mod (n - k). In stripe order the first parity node would sit
+at level 0 of every block, and every read's level-0 poll would queue on
+it; rotated, level-0 duty spreads over the parity nodes. Only the order
+of parity nodes changes, so availability under i.i.d. failures is the
+same. Both protocol variants share this position -> node-id mapping.
 """
 
 from __future__ import annotations
@@ -27,6 +32,14 @@ class TrapezoidPlacement:
             )
         self.layout = layout
         shape = quorum.shape
+        parity = layout.parity_nodes
+        #: ``groups[i]``: block i's node ids in position order (pos 0 = N_i)
+        self.groups = tuple(
+            (layout.node_of_block(i),) + tuple(
+                parity[(i + p) % len(parity)] for p in range(len(parity))
+            )
+            for i in range(layout.k)
+        )
         #: ``levels[i][level]``: the node ids occupying ``level`` of block
         #: i's trapezoid, fixed here once for every operation
         self.levels = tuple(
@@ -34,9 +47,13 @@ class TrapezoidPlacement:
                 tuple(group[pos] for pos in shape.positions(level))
                 for level in shape.levels
             )
-            for group in map(layout.consistency_group, range(layout.k))
+            for group in self.groups
         )
 
     def group_nodes(self, i: int) -> list[int]:
         """Node ids of block i's trapezoid in position order (pos 0 = N_i)."""
-        return list(self.layout.consistency_group(i))
+        if not 0 <= i < self.layout.k:
+            raise ConfigurationError(
+                f"data block index must be in [0, {self.layout.k}), got {i}"
+            )
+        return list(self.groups[i])

@@ -14,10 +14,12 @@ Faithful executable implementation of Algorithms 1 (write) and 2 (read):
   yields r_l = s_l - w_l + 1 valid answers (lines 11-30); the largest
   version seen among them is the latest; then Case 1 reads N_i directly
   or Case 2 decodes from k version-consistent fragments (lines 30-36).
-  Case 1 is one round: ``read_data`` returns N_i's version beside its
-  bytes, so the read is direct iff that reply is at the latest version,
-  and the bytes a read returns are always those of the version it
-  reports.
+  Case 1 rides the level-0 poll: N_i sits at level 0, and its poll is a
+  ``read_data``, whose reply carries N_i's version beside its bytes. So
+  a healthy read is one round trip, the read is direct iff that reply is
+  at the latest version, and the bytes a read returns are always those
+  of the version it reports. Only when the poll completes before N_i
+  answers (event and async paths) does Case 1 ask N_i again.
 
 The engine expresses each operation as explicit fan-out rounds
 (version-query round, payload round, write round, write-back round) via
@@ -243,9 +245,11 @@ class TrapErcProtocol:
         )
         #: per block, per level: ((node_id, parity index j | None), ...)
         self._members = []
-        #: per block: the h + 1 ``u.version(id)`` polls of Algorithm 2
+        #: per block: the h + 1 ``u.version(id)`` polls of Algorithm 2;
+        #: N_i's (at level 0) is a ``read_data``, so it doubles as Case 1
         self._polls = []
-        #: per block: Case 1's one ``read_data`` round on N_i
+        #: per block: Case 1's ``read_data`` round on N_i, for a read whose
+        #: level-0 poll completed before N_i answered
         self._direct = []
         #: per block: Case 2's gathers (parity round, other-data round)
         self._gathers = []
@@ -262,7 +266,10 @@ class TrapErcProtocol:
             self._polls.append(tuple(
                 Round(
                     [
-                        Request(node_id, "data_version", (key,), tag="data")
+                        Request(
+                            node_id, "read_data", (key,), tag="data",
+                            catches=_READ_CATCHES,
+                        )
                         if j is None
                         else Request(node_id, "parity_versions", (pkey,), tag="parity")
                         for node_id, j in level_members
@@ -298,14 +305,14 @@ class TrapErcProtocol:
         if not response.ok:
             return False
         if response.request.tag == "data":
-            return response.value >= 0
+            return response.value[1] >= 0
         return response.value is not None
 
     def _best_version(self, i: int, accepted: list[Response]) -> int:
         best = -1
         for response in accepted:
             if response.request.tag == "data":
-                best = max(best, int(response.value))
+                best = max(best, int(response.value[1]))
             else:
                 best = max(best, int(response.value[i]))
         return best
@@ -435,9 +442,14 @@ class TrapErcProtocol:
                     messages=messages,
                     reason="metadata quorum unreachable",
                 )
+        home = None  # N_i's reply to the level-0 poll, if it came in time
         for level, poll in enumerate(self._polls[i]):
             outcome = yield poll
             messages += outcome.messages
+            if level == 0:
+                home = next(
+                    (r for r in outcome.responses if r.request.tag == "data"), None
+                )
             if not outcome.satisfied:
                 continue  # try the next level (Alg. 2 outer loop)
 
@@ -447,7 +459,7 @@ class TrapErcProtocol:
                 target, digest = meta
             else:
                 target, digest = self._best_version(i, outcome.accepted), None
-            result = yield from self._retrieve_plan(i, target, level, digest)
+            result = yield from self._retrieve_plan(i, target, level, digest, home)
             result.messages += messages
             return result
 
@@ -458,24 +470,35 @@ class TrapErcProtocol:
         )
 
     def _retrieve_plan(
-        self, i: int, target: int, check_level: int, digest: bytes | None = None
+        self,
+        i: int,
+        target: int,
+        check_level: int,
+        digest: bytes | None = None,
+        home: Response | None = None,
     ):
         """Cases 1-2 of Algorithm 2 once the latest version is known.
 
-        Case 1 is one ``read_data`` round on N_i: the reply carries the
-        record's version beside its bytes, so the read is direct iff N_i
-        answers at ``target``, and the bytes returned are the bytes
-        stored at the version reported. Any other answer (down, stale,
-        ahead) falls to Case 2. With a ``digest``, only a reply at
-        ``target`` is checksummed: a corrupted one is counted on the
-        verifier and the read widens into Case 2, the substitute-fragment
-        path, while an honestly stale N_i goes there uncounted.
+        Case 1 takes N_i's ``read_data`` reply: ``home``, its answer to
+        the level-0 poll, or — when that poll completed before N_i
+        answered (event and async paths) — one more ``read_data`` round.
+        The reply carries the record's version beside its bytes, so the
+        read is direct iff N_i answered at ``target``, and the bytes
+        returned are the bytes stored at the version reported. Any other
+        answer (down, stale, ahead) falls to Case 2. With a ``digest``,
+        only a reply at ``target`` is checksummed: a corrupted one is
+        counted on the verifier and the read widens into Case 2, the
+        substitute-fragment path, while an honestly stale N_i goes there
+        uncounted.
         """
         # Case 1: N_i holds the latest version -> direct read.
-        outcome = yield self._direct[i]
-        messages = outcome.messages
-        if outcome.accepted:
-            payload, version = outcome.accepted[0].value
+        messages = 0
+        if home is None:
+            outcome = yield self._direct[i]
+            messages = outcome.messages
+            home = outcome.accepted[0] if outcome.accepted else None
+        if home is not None and home.ok:
+            payload, version = home.value
             if version == target and (
                 digest is None or self.verifier.check_digest(payload, digest)
             ):

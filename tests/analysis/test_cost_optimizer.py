@@ -22,9 +22,9 @@ QUORUM96 = TrapezoidQuorum.uniform(TrapezoidShape(2, 1, 1), 2)  # (9, 6)
 
 class TestCostModels:
     def test_direct_read_budget(self):
-        # r_0 = s_0 - w_0 + 1 = 1 -> 2 msg polls + one read_data of N_i.
+        # r_0 = s_0 - w_0 + 1 = 1 -> one poll of N_i, a read_data.
         cost = read_messages_erc_direct(QUORUM96)
-        assert cost["total"] == 2 * 1 + 2
+        assert cost["total"] == 2 * 1
 
     def test_decode_read_budget(self):
         cost = read_messages_erc_decode(QUORUM96, 9, 6)

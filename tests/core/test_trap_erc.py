@@ -10,7 +10,7 @@ from repro.core import ReadCase, TrapErcProtocol
 from repro.erasure import MDSCode, StripeLayout, update_io_cost
 from repro.errors import ConfigurationError
 from repro.quorum import TrapezoidQuorum, TrapezoidShape
-from repro.runtime import PAYLOAD_ROUND, WRITE_ROUND
+from repro.runtime import WRITE_ROUND, Round
 from repro.runtime.verify import BlockVerifier, MetadataQuorum
 
 L = 16  # block length used throughout
@@ -43,6 +43,22 @@ def rand_block(seed: int = 1) -> np.ndarray:
     return rng.integers(0, 256, size=L, dtype=np.int64).astype(np.uint8)
 
 
+def step(proto, plan, hook=lambda round_, last: round_):
+    """Run ``plan`` on the instant path one round at a time.
+
+    ``hook(round_, last_outcome)`` runs before each round and returns the
+    round to run in its place. Returns ``(result, rounds run)``.
+    """
+    rounds, outcome = [], None
+    while True:
+        try:
+            round_ = hook(plan.send(outcome), outcome)
+        except StopIteration as stop:
+            return stop.value, rounds
+        rounds.append(round_)
+        outcome = proto.coordinator.run_round(round_)
+
+
 class TestConstruction:
     def test_geometry_mismatch_rejected(self):
         cluster = Cluster(9)
@@ -70,7 +86,8 @@ class TestConstruction:
         for i in range(6):
             group = proto.placement.group_nodes(i)
             assert group[0] == i
-            assert group[1:] == [6, 7, 8]
+            # the parity order rotates with the block
+            assert group[1:] == [6 + (i + p) % 3 for p in range(3)]
 
 
 class TestInitialize:
@@ -225,28 +242,61 @@ class TestReadDirect:
 
 
 class TestCaseOneIsOneRound:
-    """Case 1 takes N_i's bytes and version from one ``read_data`` reply."""
+    """Case 1 takes N_i's bytes and version from one ``read_data`` reply:
+    its level-0 poll, or one more round when the poll completed first."""
+
+    def test_healthy_read_is_the_level_zero_poll(self):
+        _, _, proto = make_protocol()
+        data = rand_data(seed=59)
+        proto.initialize(data)
+        result, rounds = step(proto, proto.read_plan(2))
+        assert rounds == [proto._polls[2][0]]
+        assert result.case == ReadCase.DIRECT and result.check_level == 0
+        assert np.array_equal(result.value, data[2])
+
+    def test_down_ni_goes_from_the_poll_to_the_decode_gathers(self):
+        cluster, _, proto = make_protocol()
+        data = rand_data(seed=60)
+        proto.initialize(data)
+        cluster.fail(2)
+        result, rounds = step(proto, proto.read_plan(2))
+        # level 0 = {N_2} fails its check; level 1 completes it; N_2's
+        # failed poll reply stands for Case 1, so no direct round runs
+        assert rounds == [*proto._polls[2], *proto._gathers[2]]
+        assert result.case == ReadCase.DECODE and result.check_level == 1
+        assert np.array_equal(result.value, data[2])
 
     def test_write_between_check_and_case_one_cannot_mislabel_bytes(self):
-        cluster, _, proto = make_protocol(w=1)
+        # levels (3, 3), r_0 = 2: level 0's check can complete on two
+        # parity replies while N_i's is still in flight
+        n, k = 11, 6
+        cluster = Cluster(n)
+        proto = TrapErcProtocol(
+            cluster, MDSCode(n, k), TrapezoidQuorum.uniform(TrapezoidShape(0, 3, 1))
+        )
         data = rand_data(seed=52)
         proto.initialize(data)
         new = rand_block(seed=53)
-        plan = proto.read_plan(1)
-        outcome = None
-        while True:
-            try:
-                round_ = plan.send(outcome)
-            except StopIteration as stop:
-                result = stop.value
-                break
-            if round_.kind == PAYLOAD_ROUND and round_.requests[0].node_id == 1:
+        ni, upper = proto.placement.levels[1][0][0], proto.placement.levels[1][1]
+
+        def hook(round_, last):
+            if round_ is proto._polls[1][0]:
+                # the level-0 poll completes before N_i answers, as it
+                # may on the event path
+                return Round(
+                    [r for r in round_.requests if r.node_id != ni],
+                    need=round_.need, accept=round_.accept, kind=round_.kind,
+                )
+            if round_ is proto._direct[1]:
                 # the check saw version 0; block 1 moves to version 1 now,
-                # with parity 8 down so it keeps a version-0 row
-                cluster.fail(8)
+                # with one upper parity down so it keeps a version-0 row
+                cluster.fail(upper[0])
                 assert proto.write_block(1, new).success
-                cluster.recover(8)
-            outcome = proto.coordinator.run_round(round_)
+                cluster.recover(upper[0])
+            return round_
+
+        result, rounds = step(proto, proto.read_plan(1), hook)
+        assert proto._direct[1] in rounds
         # the bytes are the ones stored at the version the read reports
         assert result.success and result.version == 0
         assert np.array_equal(result.value, data[1])
@@ -296,16 +346,12 @@ class TestVersionReuse:
 
         # W1: its check sees everyone; then pb and level 1 go down, so
         # level 0 applies x1 on N_i and pa, and level 1 misses it.
-        plan, outcome = proto.write_plan(0, x1), None
-        while True:
-            try:
-                round_ = plan.send(outcome)
-            except StopIteration as stop:
-                w1 = stop.value
-                break
-            if round_.kind == WRITE_ROUND and outcome.round.kind != WRITE_ROUND:
+        def hook(round_, last):
+            if round_.kind == WRITE_ROUND and last.round.kind != WRITE_ROUND:
                 cluster.fail_many([pb, *upper])
-            outcome = proto.coordinator.run_round(round_)
+            return round_
+
+        w1, _ = step(proto, proto.write_plan(0, x1), hook)
         assert not w1.success and w1.failed_level == 1 and w1.version == 1
 
         # W2: N_i and pa are down, so its check resolves at level 1,

@@ -29,6 +29,7 @@ from repro.api import (
 from repro.cluster import Cluster, Simulator, make_rng, spawn_rngs
 from repro.cluster.network import FixedLatency
 from repro.cluster.node import ByzantineBehavior
+from repro.core import TrapErcProtocol
 from repro.errors import ConfigurationError
 from repro.runtime import EventCoordinator, RetryPolicy
 
@@ -165,18 +166,39 @@ class TestRateZeroEquivalence:
         # The rate-0 acceptance pin: with a healthy cluster the verified
         # read path must not change availability or any non-metadata
         # round's message count — digests ride along, nothing else moves.
-        base = run_spec(latency_spec(seed)).data
-        verified = run_spec(
+        # One exception: the metadata round shifts the latency draws, so
+        # N_i's level-0 poll reply misses its round's completion on other
+        # reads, and each such read asks N_i once more (2 messages).
+        base, base_fallbacks = _run_counting_fallbacks(latency_spec(seed))
+        verified, verified_fallbacks = _run_counting_fallbacks(
             latency_spec(seed, metadata={"nodes": 3})
-        ).data
+        )
         for key in ("read_availability", "write_availability"):
             assert verified["summary"][key] == base["summary"][key]
         assert verified["summary"]["consistency_violations"] == 0
         base_rounds = dict(base["summary"]["round_messages"])
         verified_rounds = dict(verified["summary"]["round_messages"])
         assert verified_rounds.pop("metadata", 0) > 0
+        payload = verified_rounds.pop("payload", 0) - base_rounds.pop("payload", 0)
+        assert payload == 2 * (verified_fallbacks - base_fallbacks)
         assert verified_rounds == base_rounds
         assert verified["byzantine"]["detected"]["digest_mismatches"] == 0
+
+
+def _run_counting_fallbacks(spec):
+    """``(result data, Case-1 reads that asked N_i after its poll)``."""
+    fallbacks = 0
+    retrieve = TrapErcProtocol._retrieve_plan
+
+    def counting(self, i, target, check_level, digest=None, home=None):
+        nonlocal fallbacks
+        fallbacks += home is None
+        return (yield from retrieve(self, i, target, check_level, digest, home))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TrapErcProtocol, "_retrieve_plan", counting)
+        data = run_spec(spec).data
+    return data, fallbacks
 
 
 # --------------------------------------------------------------------- #

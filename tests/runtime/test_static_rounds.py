@@ -8,7 +8,7 @@ short timeouts and retries while its home node fails and recovers, so
 operations overlap in every round kind and resend from shared rounds.
 The results and the message trace are pinned to literals recorded before
 the rounds were shared, re-pinned once when Case 1 of a read became one
-``read_data`` round.
+``read_data`` round, and once when N_i's level-0 poll became that read.
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ META_NODES = tuple(range(N, N + 4))
 #: engine -> (sha256 over every operation's outcome, trace hash)
 PINNED = {
     "trap-erc": (
-        "b26c2efeb15f73d6ab00904564acdf47fb48c4426d4913fbb1ddc8d094f21bf5",
-        "e44eb261926d13ae137f3667253a7fc12e86ab09b1d97bb772e8bc3bde7f128c",
+        "77d4365d2eab28aaa8cfd80b4ac92e56d4f2c11ab17e50131308c757b284dc98",
+        "90e66731ceedb74719abc88532d29f8705f499f13223923ef3eea47fce59fc34",
     ),
     "trap-erc-verified": (
-        "1fc899584bb005865001b7f1fb63572d3898fe5966d6d3d2c01c24f9fe1e812a",
-        "08729d146f21e554660a5fe4863c8c273b17b00b8bdb610a6c4b375109a293d7",
+        "866f66a14921d5569cf1658d5fc1dd4c4e4951da5951888a0865adba6ec20cb2",
+        "490a6908ca5cc43291f71040537f7e8729d555fd9bfd8b2a913707517dfd6c00",
     ),
 }
 

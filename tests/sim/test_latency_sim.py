@@ -93,8 +93,9 @@ class TestClosedLoopSimulation:
     def test_goldens_of_the_deleted_single_shard_driver(self, case):
         """``(seed -> trace_hash, summary)`` recorded from the unsharded
         ``ClosedLoopSimulation`` at the commit that deleted it (the
-        1-shard router run replayed that driver bit for bit), and
-        re-recorded once when Case 1 of a read became one round."""
+        1-shard router run replayed that driver bit for bit),
+        re-recorded once when Case 1 of a read became one round, and
+        once when N_i's level-0 poll became that round."""
         kwargs = {
             "healthy": dict(seed=5),
             "churn": dict(

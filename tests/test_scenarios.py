@@ -34,14 +34,14 @@ def _availability(data: dict, spec: SystemSpec) -> None:
 
 
 def _ec_replay(data: dict, spec: SystemSpec) -> None:
-    expected = "12bd89f0967801d0ea279e586d9c749e70528ac48ce799e4b43690f8283f1efa"
+    expected = "110caa9221f2ad0ae9c7692893d3c3e312b23807927172a96bcd19adb34b8b12"
     assert data["trace_hash"] == expected
     assert data["summary"]["read_latency"]["p95"] > 0
     _one_shard_is_unsharded(data, spec)
 
 
 def _latency_churn(data: dict, spec: SystemSpec) -> None:
-    expected = "1a482fb59113fec5238723719343508c5e107aeb4da0b8c1a328d73d02a1c9d6"
+    expected = "affe15ad0ef17a51de7fee4723eb863b03a8bf8de97e631ad5c5c3c3bbadbfd5"
     assert data["trace_hash"] == expected
     assert data["summary"]["read_latency"]["p95"] > 0
     _one_shard_is_unsharded(data, spec)
@@ -67,7 +67,7 @@ def _protocol_mc(data: dict, spec: SystemSpec) -> None:
 
 
 def _byzantine(data: dict, spec: SystemSpec) -> None:
-    expected = "b5094a006f72cf25ade29ec7811ed275b0886a815868c7932ec950de8f41ff27"
+    expected = "fa6ccf5d5db9b27f532f574a884127b0bc4ec07aae679552b80380a8822f9e70"
     assert data["trace_hash"] == expected
     byz = data["byzantine"]
     assert byz["nodes"] and byz["injected"] > 0, byz
@@ -76,7 +76,7 @@ def _byzantine(data: dict, spec: SystemSpec) -> None:
 
 
 def _metadata_byzantine(data: dict, spec: SystemSpec) -> None:
-    expected = "7a68b64b4de889b159a4c33a920ab49c3a040ce6ddbd0c12b46a0be37f65f40e"
+    expected = "e5dd1349691167ea76991e0a2d0a847a62b3d1d14b820559623e1aadfb746c94"
     assert data["trace_hash"] == expected
     byz = data["byzantine"]
     assert byz["metadata_nodes"] and byz["metadata_injected"] > 0, byz
@@ -100,7 +100,7 @@ def _trace(data: dict, spec: SystemSpec) -> None:
         "repairs": 10,
         # 6980 on the instant-path driver: the event core also counts
         # the straggler replies of early-exit read rounds
-        "messages": 6190,
+        "messages": 5192,
     }
     assert {key: data[key] for key in counts} == counts
     assert data["summary"]["decode_fraction"] == 8 / 172
