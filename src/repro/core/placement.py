@@ -4,11 +4,12 @@ For data block i the group is {N_i} ∪ {parity nodes} (n - k + 1 nodes,
 eq. 5). The paper places N_i at level 0 (section III-B.2) and fixes
 nothing else. Here the parity nodes fill the remaining positions in an
 order rotated by the block index: position p + 1 of block i holds parity
-node (i + p) mod (n - k). In stripe order the first parity node would sit
-at level 0 of every block, and every read's level-0 poll would queue on
-it; rotated, level-0 duty spreads over the parity nodes. Only the order
-of parity nodes changes, so availability under i.i.d. failures is the
-same. Both protocol variants share this position -> node-id mapping.
+node (i + p) mod (n - k). In stripe order the first s_0 - 1 parity nodes
+would sit at level 0 of every block, and every read's level-0 poll would
+queue on them; rotated, level-0 duty spreads over the parity nodes. Only
+the order of parity nodes changes, so availability under i.i.d. failures
+is the same. Both protocol variants share this position -> node-id
+mapping.
 """
 
 from __future__ import annotations
