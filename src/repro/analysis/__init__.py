@@ -45,12 +45,6 @@ from repro.analysis.optimizer import (
     optimize_config_sweep,
 )
 from repro.analysis.phi import at_least, at_least_table, exactly, phi
-from repro.analysis.recovery import (
-    node_repair_bill,
-    repair_amplification,
-    repair_traffic_erc,
-    repair_traffic_fr,
-)
 from repro.analysis.storage import (
     storage_erc,
     storage_fr,
@@ -74,10 +68,6 @@ __all__ = [
     "OptimizationResult",
     "optimize_config",
     "optimize_config_sweep",
-    "repair_traffic_erc",
-    "repair_traffic_fr",
-    "repair_amplification",
-    "node_repair_bill",
     "write_availability",
     "write_availability_family",
     "read_availability_fr",

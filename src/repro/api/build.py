@@ -127,10 +127,6 @@ class BuiltSystem:
         self.engine.initialize(data)
         return data
 
-    def repair_fn(self):
-        """Zero-argument anti-entropy callable, or None."""
-        return self.repair.sync_all if self.repair is not None else None
-
     # -- availability hooks (delegate to the quorum geometry) ----------- #
 
     def write_availability(self, p) -> np.ndarray:

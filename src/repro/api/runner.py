@@ -571,7 +571,6 @@ class ScenarioRunner:
         )
         built = build_system(self.spec.replace(protocol=name))
         built.initialize(shared_data)
-        repair = built.repair_fn()
         schedule = make_schedule(
             scenario.steps,
             self.spec.cluster.num_nodes,
@@ -584,7 +583,9 @@ class ScenarioRunner:
             {name: (built.cluster, built.engine)},
             schedule,
             self.spec.workload.block_length,
-            repair_fns={name: repair} if repair is not None else {},
+            repair_fns=(
+                {name: built.repair.sync_all} if built.repair is not None else {}
+            ),
         )
         res = results[name]
         return {

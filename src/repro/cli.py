@@ -146,9 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="node i listens on port-base + i",
     )
     srv.add_argument(
-        "--serialization", default="json", help="wire format; 'json' is the only one"
-    )
-    srv.add_argument(
         "--max-seconds", type=float, default=None,
         help="stop after this many seconds (default: run until ctrl-C)",
     )
@@ -335,7 +332,6 @@ def _cmd_serve(args) -> int:
         args.nodes,
         host=args.host,
         port_base=args.port_base,
-        serialization=args.serialization,
         max_seconds=args.max_seconds,
         announce=announce,
     )
@@ -362,7 +358,6 @@ def _cmd_wallclock(args) -> int:
             (spec.cluster.num_nodes if spec.cluster else spec.code.n),
             host=host or "127.0.0.1",
             port_base=int(port),
-            serialization=(spec.transport.serialization if spec.transport else "json"),
         )
     result = ScenarioRunner(spec, transports=transports).run()
     data = result.data

@@ -7,7 +7,6 @@
   full-replication engines for end-to-end comparisons.
 """
 
-from repro.core.lease import Lease, LeaseManager
 from repro.core.placement import TrapezoidPlacement
 from repro.core.repair import RepairService
 from repro.core.replication import MajorityProtocol, RowaProtocol
@@ -16,8 +15,6 @@ from repro.core.trap_erc import TrapErcProtocol
 from repro.core.trap_fr import TrapFrProtocol
 
 __all__ = [
-    "Lease",
-    "LeaseManager",
     "TrapezoidPlacement",
     "TrapErcProtocol",
     "TrapFrProtocol",

@@ -14,7 +14,6 @@ from repro.erasure.generator import (
     systematic_vandermonde,
     verify_mds,
 )
-from repro.erasure.lagrange import lagrange_coefficients, lagrange_reconstruct
 from repro.erasure.stripe import (
     StripeLayout,
     join_payload,
@@ -27,8 +26,6 @@ from repro.erasure.update import UpdatePlan, plan_update, update_io_cost
 __all__ = [
     "DecodePlan",
     "MDSCode",
-    "lagrange_coefficients",
-    "lagrange_reconstruct",
     "CONSTRUCTIONS",
     "build_generator",
     "systematic_vandermonde",

@@ -20,7 +20,6 @@ from repro.gf.kernels import (
     xor_blocks,
     xor_into,
 )
-from repro.gf.split import SplitTableMultiplier, split_tables
 from repro.gf.linalg import (
     cauchy,
     identity,
@@ -50,8 +49,6 @@ __all__ = [
     "expand_matrix",
     "bitmatrix_matvec",
     "xor_count",
-    "SplitTableMultiplier",
-    "split_tables",
     "gf_matmul",
     "gf_matvec",
     "gf_scaled_rows",

@@ -15,8 +15,7 @@ rounds run:
   against live node services (:mod:`repro.services`) over asyncio
   transports — in-process queue pairs or real TCP — with the same
   timeout/retry/fast-fail semantics, so simulator predictions can be
-  validated against measured latencies. Both non-instant backends share
-  the :class:`DrainSet` drain/shutdown discipline.
+  validated against measured latencies.
 
 For multi-volume scale-out, a :class:`ShardRouter` front end dispatches
 logical blocks to many per-shard :class:`EventCoordinator`\\ s sharing one
@@ -40,7 +39,6 @@ from repro.runtime.coordinator import (
     OpHandle,
     Plan,
 )
-from repro.runtime.drain import DrainSet
 from repro.runtime.event import (
     EventCoordinator,
     NodeServiceQueue,
@@ -75,7 +73,6 @@ __all__ = [
     "InstantCoordinator",
     "EventCoordinator",
     "AsyncCoordinator",
-    "DrainSet",
     "NodeServiceQueue",
     "make_service_queues",
     "Shard",

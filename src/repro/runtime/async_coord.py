@@ -13,7 +13,7 @@ node unreachable (refused connection, closed channel, a service
 replying ``NodeUnavailableError``) fails the request immediately — the
 dead-node RST path. Round completion runs through the same
 :class:`~repro.runtime.rounds.QuorumWait` as the event path; stragglers
-stay registered in the shared :class:`~repro.runtime.drain.DrainSet`
+stay in the coordinator's ``outstanding`` set of futures and tasks
 and are awaited by :meth:`drain` or cancelled by :meth:`aclose`. A
 reply that arrives after its deadline is ignored (the node may still
 have applied the request — at-least-once, as on the event path).
@@ -43,7 +43,6 @@ from typing import Any, Callable
 
 from repro.errors import NodeUnavailableError, SimulationError
 from repro.runtime.coordinator import OpHandle, Plan
-from repro.runtime.drain import DrainSet
 from repro.runtime.rounds import (
     QuorumWait,
     Request,
@@ -86,7 +85,9 @@ class AsyncCoordinator:
         self.timeouts = 0
         self.retries = 0
         self.round_messages: Counter = Counter()
-        self.outstanding = DrainSet()
+        #: in-flight request futures and ``submit`` runner tasks; each
+        #: leaves on completion, so ``len`` is the live in-flight count
+        self.outstanding: set[asyncio.Future] = set()
         self.closed = False
         self._loop = loop
         self._owns_loop = False
@@ -133,7 +134,7 @@ class AsyncCoordinator:
             self._ensure_loop().run_until_complete(runner())
         else:
             task = loop.create_task(runner())
-            self.outstanding.add(task, task.cancel)
+            self.outstanding.add(task)
             task.add_done_callback(self.outstanding.discard)
         return handle
 
@@ -211,7 +212,7 @@ class AsyncCoordinator:
             count()  # the request leaves
             future = transport.submit(request.method, request.args, request.kwargs)
             deadline = loop.call_later(policy.timeout, future.cancel)
-            outstanding.add(future, future.cancel)
+            outstanding.add(future)
             future.add_done_callback(partial(settled, request, attempt, deadline))
 
         def settled(request: Request, attempt: int, deadline, future) -> None:
@@ -280,8 +281,8 @@ class AsyncCoordinator:
         """Await every outstanding straggler, resends included; returns
         how many requests (and ``submit`` runners) were waited for."""
         waited = 0
-        while len(self.outstanding):
-            pending = self.outstanding.items()
+        while self.outstanding:
+            pending = list(self.outstanding)
             waited += len(pending)
             await asyncio.wait(pending)
         return waited
@@ -289,8 +290,10 @@ class AsyncCoordinator:
     async def aclose(self) -> None:
         """Cancel outstanding work and close every transport."""
         self.closed = True
-        pending = self.outstanding.items()
-        self.outstanding.cancel_all()
+        pending = list(self.outstanding)
+        self.outstanding.clear()
+        for item in pending:
+            item.cancel()
         if pending:
             await asyncio.wait(pending)  # their done-callbacks have run
         for transport in self.transports.values():

@@ -271,8 +271,8 @@ class _WaveSet:
     """The waves that still have unresolved attempts.
 
     ``len`` is the number of unresolved *attempts* (summed over member
-    waves), as :class:`~repro.runtime.drain.DrainSet` reports it for the
-    async backend.
+    waves), as the async backend's ``outstanding`` set reports its
+    in-flight requests.
     """
 
     __slots__ = ("_waves",)
@@ -365,8 +365,7 @@ class EventCoordinator:
         self.rounds_run = 0
         self.round_messages: Counter = Counter()
         #: in-flight waves with live timeout timers (len() reports
-        #: unresolved attempts — drain discipline shared with the async
-        #: backend, see runtime/drain.py)
+        #: unresolved attempts, as on the async backend)
         self.outstanding = _WaveSet()
         #: trace entries are lazy (now, kind, node, method, attempt)
         #: tuples; ``trace_hash`` formats them

@@ -23,7 +23,6 @@ from repro.services.transport import (
 from repro.services.wallclock import run_wallclock
 from repro.services.wire import (
     MAX_FRAME,
-    SERIALIZATIONS,
     Codec,
     FrameProtocol,
     RemoteCallError,
@@ -36,7 +35,6 @@ from repro.services.wire import (
 __all__ = [
     "MAX_FRAME",
     "RPC_METHODS",
-    "SERIALIZATIONS",
     "Codec",
     "FrameProtocol",
     "InprocTransport",

@@ -42,7 +42,6 @@ class ServiceGroup:
         kind: str = "inproc",
         host: str = "127.0.0.1",
         port_base: int = 0,
-        serialization: str = "json",
     ) -> None:
         if kind not in ("inproc", "tcp"):
             raise ConfigurationError(
@@ -51,10 +50,7 @@ class ServiceGroup:
         self.kind = kind
         self.host = host
         self.port_base = port_base
-        self.serialization = serialization
-        self.services = {
-            node.node_id: StorageNodeService(node, serialization) for node in nodes
-        }
+        self.services = {node.node_id: StorageNodeService(node) for node in nodes}
         self.servers: dict[int, asyncio.base_events.Server] = {}
         #: accepted TCP connections still open (severed by :meth:`aclose`)
         self.connections: set[FrameProtocol] = set()
@@ -65,12 +61,7 @@ class ServiceGroup:
         """Group over every node of a built cluster (data + metadata)."""
         kwargs = {}
         if spec is not None:
-            kwargs = dict(
-                kind=spec.kind,
-                host=spec.host,
-                port_base=spec.port_base,
-                serialization=spec.serialization,
-            )
+            kwargs = dict(kind=spec.kind, host=spec.host, port_base=spec.port_base)
         kwargs.update(overrides)
         return cls(list(cluster.nodes), **kwargs)
 
@@ -109,9 +100,7 @@ class ServiceGroup:
                 "tcp ServiceGroup not started; call start() first"
             )
         return {
-            node_id: TcpTransport(
-                node_id, self.host, self.ports[node_id], self.serialization
-            )
+            node_id: TcpTransport(node_id, self.host, self.ports[node_id])
             for node_id in self.services
         }
 
@@ -160,7 +149,6 @@ def serve_forever(
     *,
     host: str = "127.0.0.1",
     port_base: int = 9300,
-    serialization: str = "json",
     max_seconds: float | None = None,
     announce=None,
 ) -> None:
@@ -172,13 +160,7 @@ def serve_forever(
     always stops cleanly.
     """
     nodes = [StorageNode(i) for i in range(num_nodes)]
-    group = ServiceGroup(
-        nodes,
-        kind="tcp",
-        host=host,
-        port_base=port_base,
-        serialization=serialization,
-    )
+    group = ServiceGroup(nodes, kind="tcp", host=host, port_base=port_base)
     loop = asyncio.new_event_loop()
     try:
         loop.run_until_complete(group.start())
@@ -186,7 +168,7 @@ def serve_forever(
             ports = sorted(group.ports.values())
             announce(
                 f"serving {num_nodes} node services on {host} "
-                f"ports {ports[0]}-{ports[-1]} ({serialization})"
+                f"ports {ports[0]}-{ports[-1]} (json)"
             )
         if max_seconds is not None:
             loop.run_until_complete(asyncio.sleep(max_seconds))

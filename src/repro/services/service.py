@@ -46,9 +46,9 @@ RPC_METHODS = frozenset(
 class StorageNodeService:
     """One storage node's RPC surface behind the wire protocol."""
 
-    def __init__(self, node: StorageNode, serialization: str = "json") -> None:
+    def __init__(self, node: StorageNode) -> None:
         self.node = node
-        self.codec = Codec(serialization)
+        self.codec = Codec()
         #: replies sent, split by outcome
         self.served = 0
         self.faults = 0

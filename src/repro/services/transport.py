@@ -36,9 +36,9 @@ __all__ = ["InprocTransport", "TcpTransport", "connect_transports"]
 class _TransportBase:
     """Shared bookkeeping: message ids, counters, settling a future."""
 
-    def __init__(self, node_id: int, serialization: str) -> None:
+    def __init__(self, node_id: int) -> None:
         self.node_id = node_id
-        self.codec = Codec(serialization)
+        self.codec = Codec()
         self.calls = 0
         self.frames_sent = 0
         self.bytes_sent = 0
@@ -101,10 +101,8 @@ class InprocTransport(_TransportBase):
     guards make that safe.
     """
 
-    def __init__(self, service, serialization: str | None = None) -> None:
-        super().__init__(
-            service.node_id, serialization or service.codec.serialization
-        )
+    def __init__(self, service) -> None:
+        super().__init__(service.node_id)
         self.service = service
         self._queue: asyncio.Queue | None = None
         self._worker: asyncio.Task | None = None
@@ -148,10 +146,8 @@ class TcpTransport(_TransportBase):
     next call reconnects.
     """
 
-    def __init__(
-        self, node_id: int, host: str, port: int, serialization: str = "json"
-    ) -> None:
-        super().__init__(node_id, serialization)
+    def __init__(self, node_id: int, host: str, port: int) -> None:
+        super().__init__(node_id)
         self.host = host
         self.port = port
         self.refusals = 0
@@ -236,10 +232,9 @@ def connect_transports(
     num_nodes: int,
     host: str = "127.0.0.1",
     port_base: int = 9300,
-    serialization: str = "json",
 ) -> dict[int, TcpTransport]:
     """Transports to a running ``repro serve`` fleet (port_base + id)."""
     return {
-        node_id: TcpTransport(node_id, host, port_base + node_id, serialization)
+        node_id: TcpTransport(node_id, host, port_base + node_id)
         for node_id in range(num_nodes)
     }

@@ -47,7 +47,6 @@ from repro.errors import ConfigurationError, ReproError
 
 __all__ = [
     "MAX_FRAME",
-    "SERIALIZATIONS",
     "Codec",
     "FrameProtocol",
     "RemoteCallError",
@@ -60,8 +59,6 @@ __all__ = [
 #: hard cap on one frame body (a stripe block is a few KiB; 64 MiB is
 #: far beyond any legitimate message and bounds a corrupted length word)
 MAX_FRAME = 64 * 1024 * 1024
-
-SERIALIZATIONS = ("json",)
 
 _LEN = struct.Struct(">I")
 
@@ -215,15 +212,19 @@ _decode_header = json.JSONDecoder().raw_decode
 
 
 class Codec:
-    """Encode/decode wire message bodies (header + raw segments)."""
+    """Encode/decode wire message bodies (header + raw segments).
+
+    ``serialization`` names the format for callers that spell it out
+    (the e2e micro-benchmark builds ``Codec("json")``); ``"json"`` is
+    the only value accepted.
+    """
 
     def __init__(self, serialization: str = "json") -> None:
-        if serialization not in SERIALIZATIONS:
+        if serialization != "json":
             raise ConfigurationError(
                 f"serialization must be 'json' (the only wire format), "
                 f"got {serialization!r}"
             )
-        self.serialization = serialization
 
     def encode(self, message: dict) -> bytes:
         segments: list = []

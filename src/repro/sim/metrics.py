@@ -19,7 +19,6 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "MCEstimate",
-    "LatencySamples",
     "LatencyTally",
     "percentile_summary",
 ]
@@ -80,94 +79,13 @@ class MCEstimate:
         return f"{self.mean:.4f} [{lo:.4f}, {hi:.4f}] (n={self.trials})"
 
 
-class LatencySamples:
-    """Append-mostly float sample buffer backed by chunked numpy storage.
-
-    List-compatible on the surface the drivers and tests use —
-    ``append`` / ``extend`` / ``len`` / iteration / ``max`` / ``+`` /
-    ``==`` — but samples land in fixed-size ``float64`` chunks instead
-    of a Python list, so a million-op run stores 8 bytes per sample
-    (not a boxed float plus a pointer) and :func:`percentile_summary`
-    gets a zero-copy concatenated array instead of re-boxing every
-    element through ``list()``.
-    """
-
-    __slots__ = ("_chunks", "_tail", "_fill")
-
-    _CHUNK = 4096
-
-    def __init__(self, samples=None) -> None:
-        self._chunks: list[np.ndarray] = []  # full chunks, immutable
-        self._tail = np.empty(self._CHUNK, dtype=np.float64)
-        self._fill = 0  # occupied slots of the tail chunk
-        if samples is not None:
-            self.extend(samples)
-
-    def append(self, value: float) -> None:
-        if self._fill == self._CHUNK:
-            self._chunks.append(self._tail)
-            self._tail = np.empty(self._CHUNK, dtype=np.float64)
-            self._fill = 0
-        self._tail[self._fill] = value
-        self._fill += 1
-
-    def extend(self, values) -> None:
-        if isinstance(values, LatencySamples):
-            arr = values.as_array()
-        else:
-            arr = np.asarray(list(values), dtype=np.float64)
-        pos, n = 0, arr.size
-        while pos < n:
-            if self._fill == self._CHUNK:
-                self._chunks.append(self._tail)
-                self._tail = np.empty(self._CHUNK, dtype=np.float64)
-                self._fill = 0
-            take = min(self._CHUNK - self._fill, n - pos)
-            self._tail[self._fill : self._fill + take] = arr[pos : pos + take]
-            self._fill += take
-            pos += take
-
-    def as_array(self) -> np.ndarray:
-        """All samples, in insertion order, as one float64 array."""
-        parts = self._chunks + [self._tail[: self._fill]]
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts)
-
-    def __len__(self) -> int:
-        return len(self._chunks) * self._CHUNK + self._fill
-
-    def __iter__(self):
-        for chunk in self._chunks:
-            yield from chunk.tolist()
-        yield from self._tail[: self._fill].tolist()
-
-    def __add__(self, other) -> "LatencySamples":
-        merged = LatencySamples()
-        merged.extend(self)
-        merged.extend(other)
-        return merged
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (LatencySamples, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"LatencySamples({list(self)!r})"
-
-
 def percentile_summary(samples) -> dict[str, float]:
     """p50/p95/p99 (plus mean and count) of a latency sample list.
 
     Deterministic given the samples (linear interpolation); all-NaN-free.
     Empty samples produce zeros so JSON consumers need no special case.
-    :class:`LatencySamples` inputs take the zero-copy array fast path.
     """
-    if isinstance(samples, LatencySamples):
-        arr = samples.as_array()
-    else:
-        arr = np.asarray(list(samples), dtype=np.float64)
+    arr = np.asarray(list(samples), dtype=np.float64)
     if arr.size == 0:
         return {"count": 0.0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
     p50, p95, p99 = np.percentile(arr, [50.0, 95.0, 99.0])
@@ -210,10 +128,10 @@ class LatencyTally:
     timeouts: int = 0
     retries: int = 0
     max_in_flight: int = 0
-    read_latencies: LatencySamples = field(default_factory=LatencySamples)
-    write_latencies: LatencySamples = field(default_factory=LatencySamples)
-    failed_read_latencies: LatencySamples = field(default_factory=LatencySamples)
-    failed_write_latencies: LatencySamples = field(default_factory=LatencySamples)
+    read_latencies: list[float] = field(default_factory=list)
+    write_latencies: list[float] = field(default_factory=list)
+    failed_read_latencies: list[float] = field(default_factory=list)
+    failed_write_latencies: list[float] = field(default_factory=list)
     round_messages: Counter = field(default_factory=Counter)
 
     def read_availability(self) -> MCEstimate:

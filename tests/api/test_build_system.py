@@ -61,10 +61,8 @@ class TestBuildSmoke:
 
     def test_repair_only_for_trap_erc(self):
         assert build_system(SPEC).repair is not None
-        assert build_system(SPEC).repair_fn() is not None
         for name in ("trap-fr", "rowa", "majority"):
-            built = build_system(SPEC.replace(protocol=name))
-            assert built.repair is None and built.repair_fn() is None
+            assert build_system(SPEC.replace(protocol=name)).repair is None
 
     def test_availability_hooks(self):
         built = build_system(SPEC)

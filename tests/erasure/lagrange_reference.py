@@ -1,4 +1,4 @@
-"""Polynomial (Lagrange) view of the systematic Vandermonde code.
+"""Polynomial (Lagrange) view of the systematic Vandermonde code: a test oracle.
 
 The systematic-Vandermonde generator G = V V_top^{-1} makes every stripe
 a Reed-Solomon codeword in the evaluation view: with evaluation points
@@ -9,8 +9,9 @@ x_0..x_{n-1} (the Vandermonde points), the stripe is
 
 Reconstruction from any k fragments is therefore Lagrange interpolation —
 an *independent* decode algorithm from the Gauss-Jordan matrix path in
-:class:`~repro.erasure.code.MDSCode`. The test suite cross-checks the two
-on random stripes, which guards both implementations at once.
+:class:`~repro.erasure.code.MDSCode`. ``test_lagrange.py`` cross-checks
+the two on random stripes, which guards both implementations at once; the
+oracle lives beside it, not in the installed package.
 """
 
 from __future__ import annotations

@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.erasure import MDSCode, lagrange_coefficients, lagrange_reconstruct
+from repro.erasure import MDSCode
 from repro.errors import CodeError, DecodeError
 from repro.gf import GF256, GF2m
+from tests.erasure.lagrange_reference import (
+    lagrange_coefficients,
+    lagrange_reconstruct,
+)
 
 
 class TestCoefficients:

@@ -1,4 +1,4 @@
-"""Split-table (nibble) multiplication for GF(2^8).
+"""Split-table (nibble) multiplication for GF(2^8): a test oracle.
 
 The technique behind SIMD erasure coders (PSHUFB / vgf2p8affine eras):
 decompose each byte x = hi·16 ^ lo and use linearity of the field action,
@@ -9,9 +9,10 @@ so multiplying a whole block by a constant c needs only two 16-entry
 lookup tables and one XOR per byte — 32 bytes of tables instead of a
 256-byte row, which is what lets hardware keep the tables in vector
 registers. In numpy the gathers are fancy-indexing; the point here is a
-third independent implementation of the hot kernel (full-table, exp/log
-and split-table must all agree) plus the table-size/throughput trade-off
-the benchmarks report.
+third independent implementation of the hot kernel: the row-table path,
+exp/log and split tables must all agree. It lives beside the kernel
+tests, not in the installed package (as ``reference_coordinator`` does
+for the event path).
 """
 
 from __future__ import annotations

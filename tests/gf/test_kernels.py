@@ -11,7 +11,6 @@ from repro.errors import FieldError
 from repro.gf import (
     GF256,
     GF2m,
-    SplitTableMultiplier,
     gf_matmul,
     gf_matvec,
     gf_scaled_rows,
@@ -23,6 +22,7 @@ from repro.gf import (
     xor_into,
 )
 from repro.gf import kernels
+from tests.gf.split_reference import SplitTableMultiplier
 
 #: Row lengths the row kernel is pinned at: empty, sub-word, one word, an
 #: odd tail, and the benchmark's 4 KiB / 64 KiB blocks.

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FieldError
-from repro.gf import GF256, GF2m, SplitTableMultiplier, split_tables
+from repro.gf import GF256, GF2m
+from tests.gf.split_reference import SplitTableMultiplier, split_tables
 
 
 class TestSplitTables:

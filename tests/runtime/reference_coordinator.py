@@ -38,7 +38,6 @@ from repro.cluster.node import serve
 from repro.cluster.rng import make_rng
 from repro.errors import NodeUnavailableError, SimulationError
 from repro.runtime.coordinator import OpHandle, Plan
-from repro.runtime.drain import DrainSet
 from repro.runtime.rounds import (
     QuorumWait,
     Request,
@@ -116,7 +115,8 @@ class ReferenceEventCoordinator:
         self.ops_completed = 0
         self.rounds_run = 0
         self.round_messages: Counter = Counter()
-        self.outstanding = DrainSet()
+        #: unresolved attempts, each with the callable that cancels it
+        self.outstanding: dict[_Attempt, Callable[[], Any]] = {}
         self._trace: list[str] | None = [] if record_trace else None
         self._draining = False
 
@@ -167,7 +167,11 @@ class ReferenceEventCoordinator:
 
     def shutdown(self) -> int:
         """Cancel every outstanding attempt's timeout timer."""
-        return self.outstanding.cancel_all()
+        cancels = list(self.outstanding.values())
+        self.outstanding.clear()
+        for cancel in cancels:
+            cancel()
+        return len(cancels)
 
     # ------------------------------------------------------------------ #
     # plan driving
@@ -242,7 +246,7 @@ class ReferenceEventCoordinator:
         attempt.timer = self.sim.schedule_in(
             self.policy.timeout, lambda: self._timeout(state, attempt)
         )
-        self.outstanding.add(attempt, lambda: self._discard_attempt(attempt))
+        self.outstanding[attempt] = lambda: self._discard_attempt(attempt)
         if net.is_partitioned(request.node_id):
             # Silent drop: only the timeout resolves this attempt.
             net.stats.messages_dropped += 1
@@ -316,7 +320,7 @@ class ReferenceEventCoordinator:
         if attempt.resolved:
             return
         attempt.resolved = True  # the original attempt is dead to the op
-        self.outstanding.discard(attempt)
+        self.outstanding.pop(attempt, None)
         if state.wait.done:
             return
         net = self.cluster.network
@@ -341,7 +345,7 @@ class ReferenceEventCoordinator:
         cancel_timer: bool = True,
     ) -> None:
         attempt.resolved = True
-        self.outstanding.discard(attempt)
+        self.outstanding.pop(attempt, None)
         if cancel_timer and attempt.timer is not None:
             attempt.timer.cancel()
         if state.wait.done:

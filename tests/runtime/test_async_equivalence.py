@@ -60,7 +60,11 @@ def build_pair(protocol: str):
 
 
 def close_pair(live) -> None:
-    live.engine.coordinator.close()
+    """Tear down the live side, closing the loop :func:`build_pair` made
+    (``AsyncCoordinator.close`` leaves a loop it was handed open)."""
+    coordinator = live.engine.coordinator
+    coordinator.close()
+    coordinator._loop.close()
 
 
 def drain(live) -> None:

@@ -1,77 +1,15 @@
-"""Chunked numpy sample buffers behind :class:`LatencyTally`.
+"""The latency lists behind :class:`LatencyTally`.
 
-``LatencySamples`` must be a drop-in for the Python list it replaced
-(append/extend/len/iter/max/+/==) while storing samples in float64
-chunks; ``percentile_summary`` must produce bit-identical output on its
-zero-copy fast path; tally ``merge`` must match element-exactly.
+Tally ``merge`` must match the flat concatenation element-exactly, and
+the summary must read percentiles off the lists it holds.
 """
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.metrics import LatencySamples, LatencyTally, percentile_summary
-
-CHUNK = LatencySamples._CHUNK
-
-
-class TestLatencySamples:
-    def test_list_surface(self):
-        buf = LatencySamples()
-        buf.append(3.0)
-        buf.extend([1.0, 2.0])
-        assert len(buf) == 3
-        assert list(buf) == [3.0, 1.0, 2.0]
-        assert max(buf) == 3.0
-        assert buf == [3.0, 1.0, 2.0]
-        assert buf == LatencySamples([3.0, 1.0, 2.0])
-        assert buf != [3.0, 1.0]
-
-    def test_elements_stay_python_floats(self):
-        buf = LatencySamples([0.25])
-        assert all(type(x) is float for x in buf)
-
-    def test_crosses_chunk_boundaries(self):
-        n = 2 * CHUNK + 17
-        values = [float(i) for i in range(n)]
-        buf = LatencySamples()
-        for v in values[: CHUNK + 3]:
-            buf.append(v)
-        buf.extend(values[CHUNK + 3 :])
-        assert len(buf) == n
-        assert list(buf) == values
-        np.testing.assert_array_equal(buf.as_array(), np.array(values))
-
-    def test_concatenation(self):
-        a = LatencySamples([1.0, 2.0])
-        b = LatencySamples([3.0])
-        merged = a + b
-        assert isinstance(merged, LatencySamples)
-        assert list(merged) == [1.0, 2.0, 3.0]
-        assert list(a) == [1.0, 2.0]  # inputs untouched
-
-    @given(st.lists(st.floats(0.0, 10.0), max_size=64))
-    @settings(max_examples=50, deadline=None)
-    def test_percentile_fast_path_bit_identical(self, values):
-        assert percentile_summary(LatencySamples(values)) == percentile_summary(
-            list(values)
-        )
-
-    def test_percentile_fast_path_on_chunked_buffer(self):
-        values = [float(i % 97) / 7.0 for i in range(3 * CHUNK + 5)]
-        assert percentile_summary(LatencySamples(values)) == percentile_summary(
-            values
-        )
-
-    def test_empty(self):
-        buf = LatencySamples()
-        assert len(buf) == 0
-        assert list(buf) == []
-        assert percentile_summary(buf) == {
-            "count": 0.0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0,
-        }
+from repro.sim.metrics import LatencyTally, percentile_summary
 
 
 class TestTallyMerge:
@@ -92,24 +30,25 @@ class TestTallyMerge:
             part.reads_attempted = len(samples)
             total.merge(part)
         flat = [x for samples in shards for x in samples]
-        assert list(total.read_latencies) == flat
-        assert list(total.write_latencies) == [x * 2.0 for x in flat]
+        assert total.read_latencies == flat
+        assert total.write_latencies == [x * 2.0 for x in flat]
         assert total.reads_attempted == sum(len(s) for s in shards)
         assert total.operation_percentiles() == percentile_summary(
             flat + [x * 2.0 for x in flat]
         )
 
-    def test_merge_across_chunk_boundary(self):
+    def test_merge_appends_after_existing_samples(self):
         a = LatencyTally()
         b = LatencyTally()
-        for i in range(CHUNK - 1):
+        for i in range(4095):
             a.read_latencies.append(float(i))
         for i in range(10):
             b.read_latencies.append(float(1000 + i))
         a.merge(b)
-        assert list(a.read_latencies) == [float(i) for i in range(CHUNK - 1)] + [
+        assert a.read_latencies == [float(i) for i in range(4095)] + [
             float(1000 + i) for i in range(10)
         ]
+        assert b.read_latencies == [float(1000 + i) for i in range(10)]
 
     def test_summary_uses_buffers(self):
         tally = LatencyTally()

@@ -1,16 +1,9 @@
-"""Tests for placement policies and recovery-traffic accounting."""
+"""Tests for placement policies and the virtual disk over them."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.analysis import (
-    node_repair_bill,
-    repair_amplification,
-    repair_traffic_erc,
-    repair_traffic_fr,
-)
 from repro.cluster import Cluster
 from repro.errors import ConfigurationError
 from repro.quorum import TrapezoidQuorum, TrapezoidShape
@@ -60,6 +53,15 @@ class TestRotatingPlacement:
         rot = RotatingPlacement(9, 6, 9).parity_load(stripes)
         assert max(rot.values()) < max(ident.values())
 
+    def test_spare_nodes_share_blocks_evenly(self):
+        pol = RotatingPlacement(6, 4, 12)
+        held = [
+            sum(node in pol.layout_for(s).node_ids for s in range(24))
+            for node in range(12)
+        ]
+        assert max(held) - min(held) <= 2
+        assert sum(held) == 24 * 6
+
 
 class TestVirtualDiskWithPlacement:
     def test_rotating_disk_roundtrip(self):
@@ -93,54 +95,3 @@ class TestVirtualDiskWithPlacement:
         data_node = disk.stripes[0].layout.node_of_block(0)
         cluster.fail(data_node)
         assert disk.read(0)[:7] == b"payload"
-
-
-class TestRecoveryTraffic:
-    def test_erc_repair_reads_k(self):
-        t = repair_traffic_erc(9, 6, blocksize=100)
-        assert t["blocks_read"] == 6
-        assert t["blocks_written"] == 1
-        assert t["bytes_moved"] == 700
-
-    def test_fr_repair_copies_one(self):
-        t = repair_traffic_fr(blocksize=100)
-        assert t["bytes_moved"] == 200
-
-    def test_amplification(self):
-        assert repair_amplification(9, 6) == 6
-        assert repair_amplification(15, 8) == 8
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            repair_traffic_erc(5, 6)
-        with pytest.raises(ConfigurationError):
-            repair_amplification(5, 6)
-
-    def test_node_repair_bill_identity(self):
-        pol = IdentityPlacement(9, 6, 9)
-        bill = node_repair_bill(pol, 10, failed_node=0)
-        assert bill["blocks_held"] == 10
-        assert bill["blocks_read"] == 60
-
-    def test_node_repair_bill_untouched_node(self):
-        pol = IdentityPlacement(6, 4, 10)  # nodes 6..9 hold nothing
-        bill = node_repair_bill(pol, 5, failed_node=9)
-        assert bill["blocks_held"] == 0
-        assert bill["bytes_moved"] == 0
-
-    def test_rotation_spreads_repair_bills(self):
-        stripes = 18
-        ident = IdentityPlacement(9, 6, 9)
-        rot = RotatingPlacement(9, 6, 9)
-        ident_bills = [
-            node_repair_bill(ident, stripes, node)["blocks_held"] for node in range(9)
-        ]
-        rot_bills = [
-            node_repair_bill(rot, stripes, node)["blocks_held"] for node in range(9)
-        ]
-        # identity: every node is in every stripe's layout (n == num_nodes),
-        # so bills tie; with spare nodes rotation spreads them evenly.
-        pol = RotatingPlacement(6, 4, 12)
-        bills = [node_repair_bill(pol, 24, node)["blocks_held"] for node in range(12)]
-        assert max(bills) - min(bills) <= 2
-        assert sum(rot_bills) == sum(ident_bills)

@@ -1,19 +1,33 @@
-"""Repository layout guard: every test in the repo is one that runs.
+"""Repository layout guard: every test in the repo is one that runs,
+and every library module is one the system runs.
 
 Tier-1 collects ``test_*.py`` under ``tests/``; the end-to-end harness's
 own tests run with ``pytest benchmarks/e2e``. A ``def test_`` anywhere
 else is a check nothing executes, and so is a ``tests/scenarios/*.json``
-file without a pin in ``tests/test_scenarios.py``.
+file without a pin in ``tests/test_scenarios.py``. A ``src/repro``
+module that only a package ``__init__`` re-exports, and no example
+imports, is library code nothing runs: delete it, or move it under
+``tests/`` if it is an oracle.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COLLECTED_UNDER = (ROOT / "tests", ROOT / "benchmarks" / "e2e")
 DEFINES_TEST = re.compile(r"^\s*(async\s+)?def test_", re.MULTILINE)
+SRC = ROOT / "src"
+
+#: run as programs (console script, ``python -m``, packaging metadata)
+ENTRY_POINTS = {"repro.cli", "repro.bench.__main__", "repro._version"}
+#: modules kept with no caller in ``src/`` or ``examples/``, and why
+NO_CALLER_ALLOWED = {
+    "repro.analysis.cost": "tier-1 pins the cost model == measured messages",
+    "repro.gf.bitmatrix": "ROADMAP item 7 puts it on the hot path",
+}
 
 
 def visible(path: Path) -> bool:
@@ -47,3 +61,70 @@ def test_every_test_function_is_collected():
         )
     ]
     assert uncollected == []
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _import_targets(path: Path, name: str, modules: set, packages: set) -> list:
+    """What each import in ``path`` names: ``(module, None)`` for a module,
+    ``(package, attribute)`` for a name taken from a package or module."""
+    package = name if name in packages else name.rpartition(".")[0]
+    targets = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            targets += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.rsplit(".", node.level - 1)[0]
+                base = f"{anchor}.{base}" if base else anchor
+            for alias in node.names:
+                sub = f"{base}.{alias.name}"
+                targets.append((sub, None) if sub in modules else (base, alias.name))
+    return [t for t in targets if t[0] == "repro" or t[0].startswith("repro.")]
+
+
+def _defining_modules(target, reexports: dict) -> set:
+    """The modules an import reaches, following package re-exports."""
+    module, attribute = target
+    if attribute is None or module not in reexports:
+        return {module}
+    source = reexports[module].get(attribute)
+    return {module} if source is None else _defining_modules(source, reexports)
+
+
+def test_every_library_module_has_a_caller():
+    """A caller is a non-``__init__`` module in ``src/`` or an example; a
+    name imported from a package counts for the module that defines it."""
+    files = {_module_name(p): p for p in (SRC / "repro").rglob("*.py")}
+    packages = {_module_name(p) for p in files.values() if p.name == "__init__.py"}
+    modules = set(files)
+    reexports = {
+        package: {
+            attribute: (module, attribute)
+            for module, attribute in _import_targets(
+                files[package], package, modules, packages
+            )
+            if attribute is not None
+        }
+        for package in packages
+    }
+    callers: dict[str, set] = {name: set() for name in modules}
+    importers = [(name, path) for name, path in files.items() if name not in packages]
+    importers += [(f"examples/{p.name}", p) for p in (ROOT / "examples").glob("*.py")]
+    for importer, path in importers:
+        for target in _import_targets(path, importer, modules, packages):
+            for module in _defining_modules(target, reexports) & modules:
+                callers[module].add(importer)
+    uncalled = sorted(
+        name
+        for name, found in callers.items()
+        if not found
+        and name not in packages
+        and name not in ENTRY_POINTS
+        and name not in NO_CALLER_ALLOWED
+    )
+    assert uncalled == []
