@@ -1,4 +1,5 @@
-"""Two coordinators over one stripe: racing writers never corrupt it."""
+"""Two coordinators over one stripe: racing writers never corrupt it, and
+each sees the other's committed writes."""
 
 from __future__ import annotations
 
@@ -60,3 +61,41 @@ class TestConcurrentCoordinators:
                 versions.append(result.version)
         assert versions == sorted(versions)
         assert len(set(versions)) == len(versions)
+
+    def test_alternating_writers_take_consecutive_versions(self):
+        _, _, c1, c2, rng = make_shared_stripe()
+        versions = []
+        for _ in range(6):
+            for writer in (c1, c2):
+                value = rng.integers(0, 256, L, dtype=np.int64).astype(np.uint8)
+                result = writer.write_block(0, value)
+                assert result.success
+                versions.append(result.version)
+        assert versions == list(range(1, 13))
+
+    def test_each_coordinator_reads_the_others_write(self):
+        _, _, c1, c2, rng = make_shared_stripe()
+        for writer, reader in ((c1, c2), (c2, c1), (c1, c2)):
+            value = rng.integers(0, 256, L, dtype=np.int64).astype(np.uint8)
+            written = writer.write_block(4, value)
+            assert written.success
+            seen = reader.read_block(4)
+            assert seen.success and seen.version == written.version
+            assert np.array_equal(seen.value, value)
+
+    def test_writers_on_different_blocks_keep_both_updates(self):
+        cluster, code, c1, c2, rng = make_shared_stripe()
+        a = rng.integers(0, 256, L, dtype=np.int64).astype(np.uint8)
+        b = rng.integers(0, 256, L, dtype=np.int64).astype(np.uint8)
+        assert c1.write_block(1, a).success
+        assert c2.write_block(5, b).success
+        for reader in (c1, c2):
+            assert np.array_equal(reader.read_block(1).value, a)
+            assert np.array_equal(reader.read_block(5).value, b)
+        blocks = np.stack(
+            [cluster.node(i).read_data(c1.data_key(i))[0] for i in range(6)]
+        )
+        expect = code.encode(blocks)
+        for j in range(6, 9):
+            payload, _ = cluster.node(j).read_parity(c1.parity_key())
+            assert np.array_equal(payload, expect[j])

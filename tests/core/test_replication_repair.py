@@ -192,3 +192,54 @@ class TestRepairService:
         svc = RepairService(proto)
         with pytest.raises(ValueError):
             svc.repair_parity_node(0)
+
+
+def count_reads(proto) -> list[int]:
+    """Record the block index of every protocol read from now on."""
+    reads: list[int] = []
+    read_block = proto.read_block
+
+    def counted(i, *args, **kwargs):
+        reads.append(i)
+        return read_block(i, *args, **kwargs)
+
+    proto.read_block = counted
+    return reads
+
+
+class TestRepairReads:
+    """What a repair reads: one block for a data node, all k for a parity."""
+
+    def test_parity_repair_reads_each_data_block_once(self):
+        cluster, proto, _ = make_erc()
+        svc = RepairService(proto)
+        cluster.recover(7, wipe=True)
+        reads = count_reads(proto)
+        assert svc.repair_parity_node(7)
+        assert sorted(reads) == list(range(proto.code.k))
+
+    def test_data_repair_reads_only_its_block(self):
+        cluster, proto, _ = make_erc()
+        svc = RepairService(proto)
+        cluster.fail(3)
+        cluster.recover(3, wipe=True)
+        reads = count_reads(proto)
+        assert svc.repair_data_node(3)
+        assert reads == [3]
+
+    def test_healthy_stripe_needs_no_repair(self):
+        cluster, proto, _ = make_erc()
+        svc = RepairService(proto)
+
+        def parity_versions():
+            key = proto.parity_key()
+            return [cluster.node(j).parity_versions(key).tolist() for j in (6, 7, 8)]
+
+        before = parity_versions()
+        assert svc.sync_all() == 0
+        assert svc.counters() == {
+            "repairs_performed": 0,
+            "repairs_blocked": 0,
+            "records_rejected": 0,
+        }
+        assert parity_versions() == before

@@ -96,3 +96,63 @@ class TestReconstruct:
         via_matrix = code.reconstruct_block(target, keep, stripe[keep])
         via_poly = lagrange_reconstruct(code.field, keep, stripe[keep], target)
         assert np.array_equal(via_matrix, via_poly)
+
+
+SHAPES = st.sampled_from([(7, 4), (9, 6), (12, 8)])
+
+
+class TestSupersetsDecodeTheSame:
+    """Any survivor set of size >= k, in any order, yields the blocks the
+    polynomial oracle interpolates from any k of its members."""
+
+    @staticmethod
+    def _stripe(n, k, seed):
+        code = MDSCode(n, k, construction="vandermonde")
+        rng = np.random.default_rng(seed)
+        data = rng.integers(0, 256, size=(k, 8), dtype=np.int64).astype(np.uint8)
+        return code, data, code.encode(data), rng
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), shape=SHAPES)
+    def test_decode_from_a_superset(self, seed, shape):
+        n, k = shape
+        code, data, stripe, rng = self._stripe(n, k, seed)
+        size = int(rng.integers(k, n + 1))
+        survivors = rng.permutation(n)[:size].tolist()
+        assert np.array_equal(code.decode(survivors, stripe[survivors]), data)
+        inner = sorted(survivors[:k])
+        for i in range(k):
+            via_poly = lagrange_reconstruct(code.field, inner, stripe[inner], i)
+            assert np.array_equal(via_poly, data[i])
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), shape=SHAPES)
+    def test_reconstruct_block_from_a_superset(self, seed, shape):
+        n, k = shape
+        code, _, stripe, rng = self._stripe(n, k, seed)
+        target = int(rng.integers(0, n))
+        others = [i for i in rng.permutation(n).tolist() if i != target]
+        survivors = others[: int(rng.integers(k, n))]
+        via_matrix = code.reconstruct_block(target, survivors, stripe[survivors])
+        subset = sorted(rng.choice(survivors, size=k, replace=False).tolist())
+        via_poly = lagrange_reconstruct(code.field, subset, stripe[subset], target)
+        assert np.array_equal(via_matrix, via_poly)
+        assert np.array_equal(via_matrix, stripe[target])
+
+    def test_repair_from_every_superset_of_one_loss_pattern(self):
+        from itertools import combinations
+
+        code, _, stripe, _ = self._stripe(7, 4, 3)
+        lost = [1, 5]
+        alive = [i for i in range(7) if i not in lost]
+        for size in range(4, len(alive) + 1):
+            for survivors in combinations(alive, size):
+                keep = list(survivors)[::-1]
+                rebuilt = code.repair(lost, keep, stripe[keep])
+                for row, index in zip(rebuilt, lost):
+                    inner = sorted(keep[-4:])
+                    oracle = lagrange_reconstruct(
+                        code.field, inner, stripe[inner], index
+                    )
+                    assert np.array_equal(row, oracle), (survivors, index)
+                    assert np.array_equal(row, stripe[index])

@@ -213,6 +213,13 @@ class TestServeCommand:
         assert "2 node services" in out
         assert "stopped" in out
 
+    def test_json_is_not_an_option(self, capsys):
+        # JSON is the only wire format, so serve takes no format flag.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--serialization", "json"])
+        assert excinfo.value.code == 2
+        assert "--serialization" in capsys.readouterr().err
+
 
 class TestWallclockCommand:
     def _spec_file(self, tmp_path, **transport):
