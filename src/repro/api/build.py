@@ -9,7 +9,6 @@ derived deterministic RNG streams.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, runtime_checkable
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from repro.api.registry import (
     DEFAULT_NAMESPACE,
+    ProtocolEntry,
     build_latency_model,
     build_quorum_system,
     build_service_model,
@@ -74,12 +74,12 @@ class ProtocolEngine(Protocol):
     def write_block(self, i: int, value: np.ndarray) -> WriteResult: ...
 
 
-def _layout_for(spec: SystemSpec, stripe_index: int) -> StripeLayout:
+def _layout_for(spec: SystemSpec, index: int) -> StripeLayout:
     policies = {"identity": IdentityPlacement, "rotating": RotatingPlacement}
     policy = policies[spec.placement.kind](
         spec.code.n, spec.code.k, spec.cluster.num_nodes
     )
-    return policy.layout_for(stripe_index)
+    return policy.layout_for(index)
 
 
 @dataclass
@@ -138,27 +138,6 @@ class BuiltSystem:
         return self.system.read_availability(p)
 
 
-def _builder_accepts(builder, keyword: str) -> bool:
-    try:
-        parameters = inspect.signature(builder).parameters
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return False
-    if keyword in parameters:
-        return True
-    return any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
-
-
-def _builder_accepts_coordinator(builder) -> bool:
-    return _builder_accepts(builder, "coordinator")
-
-
-def _metadata_node_count(spec: SystemSpec) -> int:
-    """Extra cluster nodes appended for the metadata tier (0 = disabled)."""
-    return spec.metadata.nodes if spec.metadata is not None else 0
-
-
 def _make_verifier(
     spec: SystemSpec, cluster: Cluster, namespace: str = DEFAULT_NAMESPACE
 ) -> BlockVerifier | None:
@@ -196,15 +175,16 @@ def group_trapezoid(spec: SystemSpec) -> TrapezoidQuorum:
     return quorum
 
 
-def _resolve_protocol(spec: SystemSpec):
-    """Registry entry, trapezoid quorum (or None) and availability geometry.
+def _resolve(spec: SystemSpec):
+    """Registry entry, trapezoid quorum (or None), geometry, cluster, code.
 
     Shared front half of :func:`build_system` and
     :func:`build_sharded_system`: validates the trapezoid against the
     code's consistency-group size and picks the availability geometry —
     registry entries may supply their own (the flat baselines do, so the
     hooks model the engine's replica group); otherwise it is built from
-    the spec's quorum section.
+    the spec's quorum section. The cluster appends ``metadata.nodes``
+    nodes after the data nodes when the spec has a metadata tier.
     """
     entry = protocol_entry(spec.protocol)
     quorum = group_trapezoid(spec) if entry.needs_trapezoid else None
@@ -212,57 +192,35 @@ def _resolve_protocol(spec: SystemSpec):
         system = entry.system_builder(spec)
     else:
         system = build_quorum_system(spec.quorum)
-    return entry, quorum, system
-
-
-def build_system(
-    spec: SystemSpec,
-    stripe_index: int = 0,
-    coordinator_factory: Callable[[Cluster], Coordinator] | None = None,
-) -> BuiltSystem:
-    """Construct the full system a spec describes (uninitialized).
-
-    The cluster, code, layout and engine are freshly built; the engine's
-    RNG stream is child 0 of ``spec.seed`` (scenario drivers use further
-    children, so initialization data and failure schedules never share a
-    stream). ``stripe_index`` selects the placement rotation for callers
-    driving several stripes.
-
-    ``coordinator_factory`` injects an execution path: it receives the
-    freshly built cluster and returns the coordinator handed to the
-    engine builder (the wall-clock backend passes an
-    :class:`~repro.runtime.async_coord.AsyncCoordinator` factory here;
-    the latency scenario builds through :func:`build_sharded_system`).
-    Without one, engines run on their default instant path.
-    """
-    entry, quorum, system = _resolve_protocol(spec)
-    cluster = Cluster(
-        spec.cluster.num_nodes, metadata_nodes=_metadata_node_count(spec)
-    )
+    metadata_nodes = spec.metadata.nodes if spec.metadata is not None else 0
+    cluster = Cluster(spec.cluster.num_nodes, metadata_nodes=metadata_nodes)
     code = MDSCode(spec.code.n, spec.code.k, construction=spec.code.construction)
-    layout = _layout_for(spec, stripe_index)
-    verifier = _make_verifier(spec, cluster)
-    if verifier is not None and not _builder_accepts(entry.builder, "verifier"):
-        raise ConfigurationError(
-            f"protocol {spec.protocol!r} does not support verified reads "
-            "(its registered builder takes no 'verifier' keyword); drop "
-            "the metadata section or register a verifier-aware builder"
-        )
-    extra = {} if verifier is None else {"verifier": verifier}
-    coordinator = None
-    if coordinator_factory is not None:
-        if not _builder_accepts_coordinator(entry.builder):
-            raise ConfigurationError(
-                f"protocol {spec.protocol!r} does not support coordinator "
-                "injection (its registered builder takes no 'coordinator' "
-                "keyword); it cannot run on the event-driven path"
-            )
-        coordinator = coordinator_factory(cluster)
-        engine = entry.builder(
-            spec, cluster, code, layout, coordinator=coordinator, **extra
-        )
-    else:
-        engine = entry.builder(spec, cluster, code, layout, **extra)
+    return entry, quorum, system, cluster, code
+
+
+def _stripe(
+    spec: SystemSpec,
+    entry: ProtocolEntry,
+    cluster: Cluster,
+    code: MDSCode,
+    index: int,
+    coordinator: Coordinator | None = None,
+) -> tuple[StripeLayout, ProtocolEngine, BlockVerifier | None, RepairService | None]:
+    """Stripe ``index``'s layout, engine, verifier and repair service.
+
+    The one place a registered builder runs. Stripe 0 stores under
+    ``DEFAULT_NAMESPACE`` and stripe ``i > 0`` under ``api-stripe-{i}`` —
+    data, parity and metadata records alike — so stripes share nodes,
+    never records, and a 1-shard system is key-identical to
+    :func:`build_system`'s.
+    """
+    layout = _layout_for(spec, index)
+    namespace = DEFAULT_NAMESPACE if index == 0 else f"{DEFAULT_NAMESPACE}-{index}"
+    verifier = _make_verifier(spec, cluster, namespace)
+    engine = entry.builder(
+        spec, cluster, code, layout,
+        coordinator=coordinator, verifier=verifier, namespace=namespace,
+    )
     if not entry.supports_repair:
         repair = None
     elif coordinator is None and verifier is None:
@@ -279,9 +237,37 @@ def build_system(
         # its own verifier instance — its counters stay separate from the
         # engine's read-path counters.
         repair = RepairService(
-            entry.builder(spec, cluster, code, layout),
-            verifier=None if verifier is None else _make_verifier(spec, cluster),
+            entry.builder(spec, cluster, code, layout, namespace=namespace),
+            verifier=_make_verifier(spec, cluster, namespace),
         )
+    return layout, engine, verifier, repair
+
+
+def build_system(
+    spec: SystemSpec,
+    coordinator_factory: Callable[[Cluster], Coordinator] | None = None,
+) -> BuiltSystem:
+    """Construct the full system a spec describes (uninitialized).
+
+    The cluster, code and stripe 0 (layout, engine, verifier, repair) are
+    freshly built; the engine's RNG stream is child 0 of ``spec.seed``
+    (scenario drivers use further children, so initialization data and
+    failure schedules never share a stream).
+
+    ``coordinator_factory`` injects an execution path: it receives the
+    freshly built cluster and returns the coordinator handed to the
+    engine builder (the wall-clock backend passes an
+    :class:`~repro.runtime.async_coord.AsyncCoordinator` factory here;
+    the latency scenario builds through :func:`build_sharded_system`).
+    Without one, engines run on their default instant path.
+    """
+    entry, quorum, system, cluster, code = _resolve(spec)
+    coordinator = (
+        coordinator_factory(cluster) if coordinator_factory is not None else None
+    )
+    layout, engine, verifier, repair = _stripe(
+        spec, entry, cluster, code, 0, coordinator
+    )
     (rng,) = spawn_rngs(make_rng(spec.seed), 1)
     return BuiltSystem(
         spec=spec,
@@ -383,7 +369,6 @@ def _coordinator_site(latency_model, index: int, num_nodes: int) -> int | None:
 def build_sharded_system(
     spec: SystemSpec,
     *,
-    simulator: Simulator | None = None,
     rng=None,
     service_rng=None,
     record_trace: bool = False,
@@ -393,10 +378,9 @@ def build_sharded_system(
     ``spec.sharding`` fixes the shard count and routing,
     ``spec.service`` the per-node service-time model, ``spec.latency``
     the message-leg model and timeout/retry policy. Every shard's engine
-    comes from the protocol registry with its own event coordinator
-    injected (the same ``coordinator`` keyword :func:`build_system`
-    validates), so registered protocols plug into the router without
-    bespoke wiring.
+    is built by the same stripe constructor as :func:`build_system`'s,
+    with the shard's own event coordinator injected, so registered
+    protocols plug into the router without bespoke wiring.
 
     ``rng`` seeds coordinator latency sampling (one shard consumes it
     directly — bit-identical to handing it to a lone
@@ -412,27 +396,7 @@ def build_sharded_system(
     num_shards = sharding.shards if sharding is not None else 1
     routing = sharding.routing if sharding is not None else "interleave"
     route_seed = sharding.route_seed if sharding is not None else 0
-    entry, _, system = _resolve_protocol(spec)
-    if not _builder_accepts_coordinator(entry.builder):
-        raise ConfigurationError(
-            f"protocol {spec.protocol!r} does not support coordinator "
-            "injection (its registered builder takes no 'coordinator' "
-            "keyword); it cannot run on the sharded event-driven path"
-        )
-    if spec.metadata is not None and not _builder_accepts(entry.builder, "verifier"):
-        raise ConfigurationError(
-            f"protocol {spec.protocol!r} does not support verified reads "
-            "(its registered builder takes no 'verifier' keyword); drop "
-            "the metadata section or register a verifier-aware builder"
-        )
-    takes_namespace = _builder_accepts(entry.builder, "namespace")
-    if num_shards > 1 and not takes_namespace:
-        raise ConfigurationError(
-            f"protocol {spec.protocol!r} cannot run at shards = {num_shards} "
-            "(its registered builder takes no 'namespace' keyword, so every "
-            "shard would store under the same keys); use one shard or "
-            "register a namespace-aware builder"
-        )
+    entry, _, system, cluster, code = _resolve(spec)
     if rng is None or service_rng is None:
         seed_streams = spawn_rngs(make_rng(spec.seed), 11)
         if rng is None:
@@ -440,11 +404,7 @@ def build_sharded_system(
         if service_rng is None:
             service_rng = seed_streams[10]
 
-    simulator = simulator if simulator is not None else Simulator()
-    cluster = Cluster(
-        spec.cluster.num_nodes, metadata_nodes=_metadata_node_count(spec)
-    )
-    code = MDSCode(spec.code.n, spec.code.k, construction=spec.code.construction)
+    simulator = Simulator()
     latency_spec = spec.latency or LatencySpec()
     latency_model = build_latency_model(latency_spec)
     policy = RetryPolicy(timeout=latency_spec.timeout, retries=latency_spec.retries)
@@ -462,7 +422,6 @@ def build_sharded_system(
     repairs: list[RepairService] = []
     verifiers: list[BlockVerifier] = []
     for index in range(num_shards):
-        layout = _layout_for(spec, index)
         coordinator = EventCoordinator(
             cluster,
             simulator,
@@ -473,34 +432,14 @@ def build_sharded_system(
             queues=queues,
             site=_coordinator_site(latency_model, index, spec.cluster.num_nodes),
         )
-        # Each shard stores — data, parity and metadata records alike —
-        # under its own namespace on the shared nodes; shard 0 keeps the
-        # build_system one, so a 1-shard system stays key-identical to it.
-        namespace = (
-            DEFAULT_NAMESPACE if index == 0 else f"{DEFAULT_NAMESPACE}-{index}"
-        )
-        keyed = {"namespace": namespace} if takes_namespace else {}
-        verifier = _make_verifier(spec, cluster, namespace=namespace)
-        extra = {} if verifier is None else {"verifier": verifier}
-        if verifier is not None:
-            verifiers.append(verifier)
-        engine = entry.builder(
-            spec, cluster, code, layout, coordinator=coordinator, **keyed, **extra
+        _, engine, verifier, repair = _stripe(
+            spec, entry, cluster, code, index, coordinator
         )
         shards.append(Shard(index, engine, coordinator, code.k))
-        if entry.supports_repair:
-            # Out-of-band anti-entropy on the instant path, one service
-            # per stripe family (see build_system's repair note; the
-            # repair engine is unverified but the service checks its
-            # candidates against this shard's metadata namespace).
-            repairs.append(
-                RepairService(
-                    entry.builder(spec, cluster, code, layout, **keyed),
-                    verifier=None
-                    if verifier is None
-                    else _make_verifier(spec, cluster, namespace=namespace),
-                )
-            )
+        if verifier is not None:
+            verifiers.append(verifier)
+        if repair is not None:
+            repairs.append(repair)
     router = ShardRouter(shards, routing=routing, route_seed=route_seed)
     (init_rng,) = spawn_rngs(make_rng(spec.seed), 1)
     return ShardedSystem(

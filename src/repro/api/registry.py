@@ -197,13 +197,13 @@ def _build_voting_system(spec: QuorumSpec) -> WeightedVotingSystem:
 class ProtocolEntry:
     """One registered protocol engine kind.
 
-    ``builder(spec, cluster, code, layout)`` returns an initialized-free
-    engine (callers load data through ``engine.initialize``); optional
-    keywords opt the engine into more of the runtime: ``coordinator``
-    (event-driven execution), ``verifier`` (verified reads) and
-    ``namespace`` (the storage-key prefix — every shard of a sharded
-    system gets its own, so a builder without it cannot run at
-    ``shards > 1``);
+    ``builder(spec, cluster, code, layout, coordinator=None,
+    verifier=None, namespace=DEFAULT_NAMESPACE)`` returns an
+    initialized-free engine (callers load data through
+    ``engine.initialize``) running on ``coordinator`` (None = the
+    instant path), checking reads against ``verifier`` (None = fail-stop
+    trust) and storing under ``namespace`` (every shard of a sharded
+    system gets its own); every builder takes all three keywords;
     ``needs_trapezoid`` marks engines that consume the trapezoid quorum
     geometry (validated against the paper's eq. 5 in ``build_system``);
     ``system_builder(spec)``, when given, supplies the

@@ -250,7 +250,3 @@ class ProtocolMonteCarlo:
             finally:
                 self._resync(protocol, block)
         return MCEstimate(successes, trials * len(engines))
-
-    def _engine(self, protocol: str):
-        """Single-stripe engine accessor (stripe 0), kept for callers."""
-        return self._engines(protocol)[0]

@@ -50,7 +50,6 @@ def schedule_trace(
     cluster: Cluster,
     trace: FailureTrace,
     horizon: float,
-    wipe_on_repair: bool = False,
 ) -> None:
     """Schedule a failure trace's fail/recover transitions on ``sim``."""
     for ev in trace.events:
@@ -59,10 +58,7 @@ def schedule_trace(
         if ev.kind is EventKind.FAIL:
             sim.schedule_at(ev.time, lambda nid=ev.node_id: cluster.fail(nid))
         else:
-            sim.schedule_at(
-                ev.time,
-                lambda nid=ev.node_id: cluster.recover(nid, wipe=wipe_on_repair),
-            )
+            sim.schedule_at(ev.time, lambda nid=ev.node_id: cluster.recover(nid))
 
 
 @dataclass(frozen=True)
@@ -114,7 +110,6 @@ class ClosedLoopConfig:
     horizon: float = 1000.0
     block_length: int = 8
     repair_interval: float | None = None
-    wipe_on_repair: bool = False
 
     def __post_init__(self) -> None:
         if self.clients < 1:
@@ -315,10 +310,7 @@ class ShardedClosedLoopSimulation:
         """Run to completion; returns the aggregate tally."""
         config = self.config
         if self.trace is not None:
-            schedule_trace(
-                self.sim, self.cluster, self.trace, config.horizon,
-                wipe_on_repair=config.wipe_on_repair,
-            )
+            schedule_trace(self.sim, self.cluster, self.trace, config.horizon)
         schedule_partitions(self.sim, self.cluster, self.partitions, config.horizon)
         if self.repairs and config.repair_interval is not None:
             t = config.repair_interval

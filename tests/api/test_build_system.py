@@ -8,13 +8,17 @@ import pytest
 from repro.api import (
     ClusterSpec,
     CodeSpec,
+    MetadataSpec,
     ProtocolEngine,
     QuorumSpec,
+    ShardingSpec,
     SystemSpec,
+    build_sharded_system,
     build_system,
     protocol_entry,
     protocol_names,
 )
+from repro.api.build import _layout_for
 from repro.errors import ConfigurationError
 
 SPEC = SystemSpec.trapezoid(9, 6, 2, 1, 1, 2, seed=21)
@@ -134,13 +138,15 @@ class TestBuildValidation:
         with pytest.raises(ConfigurationError, match="data must have shape"):
             built.initialize(np.zeros((4, 8), dtype=np.uint8))
 
-    def test_rotating_placement_changes_layout(self):
+    def test_shards_take_the_rotated_layouts(self):
         spec = SPEC.replace(
             placement=SPEC.placement.replace(kind="rotating"),
+            sharding=ShardingSpec(shards=3),
         )
-        l0 = build_system(spec, stripe_index=0).layout
-        l1 = build_system(spec, stripe_index=1).layout
-        assert l0.node_ids != l1.node_ids
+        system = build_sharded_system(spec)
+        layouts = [shard.engine.layout.node_ids for shard in system.shards]
+        assert layouts == [_layout_for(spec, i).node_ids for i in range(3)]
+        assert len(set(layouts)) == 3
 
 
 class TestCoordinatorInjection:
@@ -181,25 +187,44 @@ class TestCoordinatorInjection:
         assert built.repair.protocol is not built.engine
         assert built.repair.protocol.cluster is built.cluster
 
-    def test_unsupporting_builder_rejected(self):
-        from repro.api import register_protocol
-        from repro.api.registry import _PROTOCOLS
+
+def _placement(engine) -> tuple[int, ...]:
+    """The nodes an engine stores on: its stripe layout or replica group."""
+    layout = getattr(engine, "layout", None)
+    return layout.node_ids if layout is not None else tuple(engine.node_ids)
+
+
+class TestOneStripeConstructor:
+    """build_system and a 1-shard build_sharded_system build stripe 0 alike."""
+
+    @pytest.mark.parametrize("metadata", [None, MetadataSpec(nodes=3)])
+    @pytest.mark.parametrize("name", protocol_names())
+    def test_stripe_zero_matches(self, name, metadata):
         from repro.cluster.events import Simulator
         from repro.runtime import EventCoordinator
 
-        class LegacyEngine:
-            pass
+        spec = SPEC.replace(protocol=name, metadata=metadata)
+        built = build_system(spec)
+        sharded = build_sharded_system(spec)
+        (shard,) = sharded.shards
+        supports_repair = protocol_entry(name).supports_repair
 
-        @register_protocol("legacy-engine", LegacyEngine)
-        def _build_legacy(spec, cluster, code, layout):  # no coordinator kwarg
-            return LegacyEngine()
+        assert built.layout.node_ids == _layout_for(spec, 0).node_ids
+        assert _placement(shard.engine) == _placement(built.engine)
+        assert shard.engine.stripe_id == built.engine.stripe_id
+        assert (built.verifier is not None) == (metadata is not None)
+        assert [v.namespace for v in sharded.verifiers] == (
+            [] if metadata is None else [built.verifier.namespace]
+        )
+        assert (built.repair is not None) == supports_repair
+        assert len(sharded.repairs) == int(supports_repair)
 
-        try:
-            sim = Simulator()
-            with pytest.raises(ConfigurationError, match="coordinator"):
-                build_system(
-                    SPEC.replace(protocol="legacy-engine"),
-                    coordinator_factory=lambda c: EventCoordinator(c, sim, rng=0),
-                )
-        finally:
-            _PROTOCOLS.pop("legacy-engine")
+        sim = Simulator()
+        injected = build_system(
+            spec, coordinator_factory=lambda c: EventCoordinator(c, sim, rng=0)
+        )
+        assert injected.engine.coordinator is injected.coordinator
+        if supports_repair:
+            assert injected.repair.protocol is not injected.engine
+            assert injected.repair.protocol.coordinator is not injected.coordinator
+            assert sharded.repairs[0].protocol.coordinator is not shard.coordinator

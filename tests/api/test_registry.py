@@ -20,7 +20,7 @@ from repro.api import (
     register_protocol,
     register_quorum,
 )
-from repro.api.registry import _PROTOCOLS, _QUORUMS
+from repro.api.registry import DEFAULT_NAMESPACE, _PROTOCOLS, _QUORUMS
 from repro.errors import ConfigurationError
 from repro.quorum.base import QuorumSystem
 
@@ -140,7 +140,10 @@ class TestProtocolRegistry:
                 return WriteResult(success=True, version=1)
 
         @register_protocol("echo", EchoEngine)
-        def _build_echo(spec, cluster, code, layout):
+        def _build_echo(
+            spec, cluster, code, layout,
+            coordinator=None, verifier=None, namespace=DEFAULT_NAMESPACE,
+        ):
             return EchoEngine(cluster)
 
         try:

@@ -17,9 +17,7 @@ from repro.api import (
     SystemSpec,
     WorkloadSpec,
     build_sharded_system,
-    register_protocol,
 )
-from repro.api.registry import _PROTOCOLS
 from repro.cluster import (
     Cluster,
     ExponentialServiceTime,
@@ -117,23 +115,6 @@ class TestShardsOwnTheirStorageKeys:
         assert [repair.protocol.stripe_id for repair in system.repairs] == [
             shard.engine.stripe_id for shard in system.shards
         ]
-
-    def test_builder_without_namespace_refused_above_one_shard(self):
-        entry = _PROTOCOLS["trap-erc"]
-
-        @register_protocol("no-namespace", entry.engine_class, needs_trapezoid=True)
-        def _build(spec, cluster, code, layout, coordinator=None):
-            return entry.builder(spec, cluster, code, layout, coordinator=coordinator)
-
-        try:
-            spec = self.SPEC.replace(protocol="no-namespace")
-            with pytest.raises(ConfigurationError, match="namespace"):
-                build_sharded_system(spec)
-            one = build_sharded_system(spec.replace(sharding=ShardingSpec(shards=1)))
-            one.initialize()
-            assert one.router.execute_read(0).success
-        finally:
-            _PROTOCOLS.pop("no-namespace")
 
 
 class TestShardRouter:

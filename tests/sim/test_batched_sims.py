@@ -80,7 +80,7 @@ class TestMultiStripeProtocolMC:
     def test_single_stripe_backcompat(self):
         mc = ProtocolMonteCarlo(6, 4, quorum_for(6, 4), rng=3)
         assert mc.erc is mc.ercs[0] and mc.fr is mc.frs[0]
-        assert mc._engine("erc") is mc.erc
+        assert mc._engines("erc")[0] is mc.erc
         est = mc.read_availability(0.9, trials=20, protocol="fr")
         assert est.trials == 20
 

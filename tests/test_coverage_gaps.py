@@ -10,7 +10,7 @@ from repro.analysis import (
     exactly,
     subset_counts,
 )
-from repro.cluster import Cluster, FailureTrace, Network
+from repro.cluster import Cluster, Network
 from repro.core import ReadResult, WriteResult
 from repro.errors import ConfigurationError
 from repro.gf import GF256
@@ -91,59 +91,6 @@ class TestResultTypes:
         assert r.value is None and r.version == -1 and r.case is None
         w = WriteResult(success=False)
         assert w.acks_per_level == [] and w.failed_level is None
-
-
-class TestTraceSimWipeMode:
-    def test_wipe_on_repair_with_anti_entropy(self):
-        """Disk-replacement recoveries (wipe) plus periodic repair still
-        preserve consistency; availability degrades but stays positive."""
-        from repro.api import (
-            ClusterSpec,
-            LatencySpec,
-            SystemSpec,
-            WorkloadSpec,
-            build_sharded_system,
-        )
-        from repro.cluster import EventKind, FailureEvent
-        from repro.sim import (
-            ClosedLoopConfig,
-            ShardedClosedLoopSimulation,
-            uniform_workload,
-        )
-
-        events = []
-        for t, node in [(10.0, 5), (30.0, 6), (50.0, 2)]:
-            events.append(FailureEvent(t, node, EventKind.FAIL))
-            events.append(FailureEvent(t + 8.0, node, EventKind.REPAIR))
-        trace = FailureTrace(7, events)
-        spec = SystemSpec.trapezoid(
-            7, 4, 2, 1, 1, 2,
-            cluster=ClusterSpec(num_nodes=7),
-            latency=LatencySpec(kind="fixed", delay=0.0),
-            workload=WorkloadSpec(block_length=8),
-        )
-        system = build_sharded_system(spec)
-        data = system.initialize()
-        rng = np.random.default_rng(0)
-        arrivals = np.cumsum(rng.exponential(1.0 / 2.0, size=400))
-        arrivals = arrivals[arrivals < 120.0]  # op_rate 2 over the horizon
-        ops = uniform_workload(len(arrivals), system.num_blocks, 0.5, rng=rng)
-        tally = ShardedClosedLoopSimulation(
-            system.cluster,
-            system.router,
-            ops,
-            config=ClosedLoopConfig(
-                horizon=120.0, repair_interval=6.0, wipe_on_repair=True
-            ),
-            trace=trace,
-            repairs=system.repairs,
-            arrivals=arrivals,
-            initial=data,
-        ).run()
-        assert tally.consistency_violations == 0
-        assert tally.reads_succeeded > 0
-        assert tally.writes_succeeded > 0
-        assert tally.repairs > 0
 
 
 class TestFieldCorners:
