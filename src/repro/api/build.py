@@ -208,11 +208,14 @@ def _stripe(
 ) -> tuple[StripeLayout, ProtocolEngine, BlockVerifier | None, RepairService | None]:
     """Stripe ``index``'s layout, engine, verifier and repair service.
 
-    The one place a registered builder runs. Stripe 0 stores under
-    ``DEFAULT_NAMESPACE`` and stripe ``i > 0`` under ``api-stripe-{i}`` —
-    data, parity and metadata records alike — so stripes share nodes,
-    never records, and a 1-shard system is key-identical to
-    :func:`build_system`'s.
+    The one place a registered builder runs: one engine and one verifier
+    per stripe. Stripe 0 stores under ``DEFAULT_NAMESPACE`` and stripe
+    ``i > 0`` under ``api-stripe-{i}`` — data, parity and metadata
+    records alike — so stripes share nodes, never records, and a 1-shard
+    system is key-identical to :func:`build_system`'s. Repair runs the
+    engine on an instant coordinator of its own even when the engine is
+    event-driven: anti-entropy is out-of-band maintenance, and a pass
+    called from a simulator callback must never re-enter the event loop.
     """
     layout = _layout_for(spec, index)
     namespace = DEFAULT_NAMESPACE if index == 0 else f"{DEFAULT_NAMESPACE}-{index}"
@@ -221,25 +224,7 @@ def _stripe(
         spec, cluster, code, layout,
         coordinator=coordinator, verifier=verifier, namespace=namespace,
     )
-    if not entry.supports_repair:
-        repair = None
-    elif coordinator is None and verifier is None:
-        repair = RepairService(engine)
-    else:
-        # Anti-entropy runs as out-of-band instant maintenance even when
-        # the engine itself is event-driven: a second engine instance on
-        # the same cluster (protocol state lives on the nodes) with the
-        # default instant coordinator backs the repair service, so repair
-        # passes never re-enter the running event loop. The repair engine
-        # is built *without* a verifier (engine-level verified reads would
-        # spend metadata rounds per quorum read); instead the service
-        # itself verifies candidate blocks against the metadata tier via
-        # its own verifier instance — its counters stay separate from the
-        # engine's read-path counters.
-        repair = RepairService(
-            entry.builder(spec, cluster, code, layout, namespace=namespace),
-            verifier=_make_verifier(spec, cluster, namespace),
-        )
+    repair = RepairService(engine) if entry.supports_repair else None
     return layout, engine, verifier, repair
 
 

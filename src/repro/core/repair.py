@@ -16,17 +16,24 @@ recovery unspecified ("the blocks it owned have to be reconstructed").
 The ``trace`` scenario kind (``repair_interval``) measures how much read
 availability this recovers under a failure trace.
 
+The service runs the stripe's own engine and verifier on an
+:class:`~repro.runtime.coordinator.InstantCoordinator` of its own: a
+pass is synchronous, safe to call from a simulator callback, and never
+enters the engine's event loop.
+
 Verified anti-entropy
 ---------------------
 
 Without cross-checks, repair is a laundering channel: a quorum read that
 was fooled by corrupt replicas gets written back onto a *healthy* node
-with a fresh version stamp. When constructed with a
-:class:`~repro.runtime.verify.BlockVerifier`, the service checks every
-candidate block against the metadata tier's ``(version, digest)`` record
-before any ``put_data`` / ``put_parity``, refuses to propagate state it
-cannot verify, and counts the refusals (``repairs_blocked``) and the
-individually rejected blocks (``records_rejected``).
+with a fresh version stamp. When the engine has a
+:class:`~repro.runtime.verify.BlockVerifier`, the service reads every
+candidate block as storage holds it (the engine's fail-stop
+``level_walk_plan``), checks it against the metadata tier's
+``(version, digest)`` record before any ``put_data`` / ``put_parity``,
+refuses to propagate state it cannot verify, and counts the refusals
+(``repairs_blocked``) and the individually rejected blocks
+(``records_rejected``).
 """
 
 from __future__ import annotations
@@ -34,8 +41,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.trap_erc import TrapErcProtocol
-from repro.errors import NodeUnavailableError
-from repro.runtime.verify import BlockVerifier, block_digest
+from repro.errors import ConfigurationError, NodeUnavailableError
+from repro.runtime.coordinator import InstantCoordinator
+from repro.runtime.verify import block_digest
 
 __all__ = ["RepairService"]
 
@@ -43,11 +51,9 @@ __all__ = ["RepairService"]
 class RepairService:
     """Anti-entropy companion of one :class:`TrapErcProtocol` stripe."""
 
-    def __init__(
-        self, protocol: TrapErcProtocol, verifier: BlockVerifier | None = None
-    ) -> None:
+    def __init__(self, protocol: TrapErcProtocol) -> None:
         self.protocol = protocol
-        self.verifier = verifier
+        self.coordinator = InstantCoordinator(protocol.cluster)
         self.repairs_performed = 0
         self.repairs_blocked = 0
         self.records_rejected = 0
@@ -56,9 +62,10 @@ class RepairService:
 
     def _verify_block(self, i: int, payload: np.ndarray, version: int) -> bool:
         """True when block ``i`` matches the metadata record (or no verifier)."""
-        if self.verifier is None:
+        verifier = self.protocol.verifier
+        if verifier is None:
             return True
-        record = self.verifier.lookup(i)
+        record, _ = self.coordinator.execute(verifier.read_plan(i))
         if record is None:
             self.records_rejected += 1
             return False
@@ -71,12 +78,11 @@ class RepairService:
     # ------------------------------------------------------------------ #
 
     def _read_all_blocks(self) -> tuple[np.ndarray, list[int]] | None:
-        """Latest (data, versions) via protocol reads; None if any fails."""
-        proto = self.protocol
+        """Latest (data, versions) via fail-stop reads; None if any fails."""
         blocks = []
         versions = []
-        for i in range(proto.code.k):
-            result = proto.read_block(i)
+        for i in range(self.protocol.code.k):
+            result = self.coordinator.execute(self.protocol.level_walk_plan(i))
             if not result.success:
                 return None
             blocks.append(result.value)
@@ -87,7 +93,7 @@ class RepairService:
         """Rebuild data block i's record on N_i from a quorum read."""
         proto = self.protocol
         node_id = proto.layout.node_of_block(i)
-        result = proto.read_block(i)
+        result = self.coordinator.execute(proto.level_walk_plan(i))
         if not result.success:
             return False
         if not self._verify_block(i, result.value, result.version):
@@ -107,7 +113,9 @@ class RepairService:
         proto = self.protocol
         j = proto.layout.block_of_node(node_id)
         if j < proto.code.k:
-            raise ValueError(f"node {node_id} holds data block {j}, not parity")
+            raise ConfigurationError(
+                f"node {node_id} holds data block {j}, not parity"
+            )
         snapshot = self._read_all_blocks()
         if snapshot is None:
             return False
@@ -149,7 +157,7 @@ class RepairService:
         if vv is None:
             return True  # wiped: trivially stale
         for i in range(proto.code.k):
-            latest = proto.latest_version(i)
+            latest = self.coordinator.execute(proto.latest_version_plan(i))
             if latest is None:
                 return None
             if int(vv[i]) < latest:
@@ -173,7 +181,7 @@ class RepairService:
         repaired = 0
         for i in range(proto.code.k):
             node_id = proto.layout.node_of_block(i)
-            latest = proto.latest_version(i)
+            latest = self.coordinator.execute(proto.latest_version_plan(i))
             if latest is None:
                 continue
             try:

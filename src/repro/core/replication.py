@@ -24,7 +24,6 @@ from repro.runtime.rounds import (
     Request,
     Round,
 )
-from repro.runtime.verify import block_digest
 
 __all__ = ["RowaProtocol", "MajorityProtocol"]
 
@@ -95,22 +94,6 @@ class _ReplicationBase:
     def write_block(self, block: int, value: np.ndarray) -> WriteResult:
         return self.coordinator.execute(self.write_plan(block, value))
 
-    # -- verified-path helpers (no-ops when ``verifier`` is None) -------- #
-
-    def _meta_lookup_plan(self, block: int):
-        """Yield the metadata read round; returns ``(record | None, msgs)``."""
-        outcome = yield self.verifier.read_round(block)
-        return self.verifier.resolve(outcome), outcome.messages
-
-    def _meta_commit_plan(self, block: int, version: int, value: np.ndarray):
-        """Yield the commit round; returns ``(satisfied, messages)``."""
-        outcome = yield self.verifier.write_round(
-            block, version, block_digest(value)
-        )
-        if not outcome.satisfied:
-            self.verifier.metadata_failures += 1
-        return outcome.satisfied, outcome.messages
-
 
 class RowaProtocol(_ReplicationBase):
     """Read One, Write All over n replicas."""
@@ -131,7 +114,7 @@ class RowaProtocol(_ReplicationBase):
             )
         new_version = max(r.value for r in outcome.accepted) + 1
         if self.verifier is not None:
-            record, meta_messages = yield from self._meta_lookup_plan(block)
+            record, meta_messages = yield from self.verifier.read_plan(block)
             messages += meta_messages
             if record is None:
                 return WriteResult(
@@ -164,7 +147,7 @@ class RowaProtocol(_ReplicationBase):
                 ),
             )
         if self.verifier is not None:
-            committed, meta_messages = yield from self._meta_commit_plan(
+            committed, meta_messages = yield from self.verifier.commit_plan(
                 block, new_version, value
             )
             messages += meta_messages
@@ -191,7 +174,7 @@ class RowaProtocol(_ReplicationBase):
             # trusted check: accept the first reply matching the metadata
             # (version, digest) record; rejected replies widen the scan
             # across the replica set.
-            record, meta_messages = yield from self._meta_lookup_plan(block)
+            record, meta_messages = yield from self.verifier.read_plan(block)
             messages += meta_messages
             if record is None:
                 return ReadResult(
@@ -254,7 +237,7 @@ class MajorityProtocol(_ReplicationBase):
             )
         new_version = max(r.value for r in outcome.accepted) + 1
         if self.verifier is not None:
-            record, meta_messages = yield from self._meta_lookup_plan(block)
+            record, meta_messages = yield from self.verifier.read_plan(block)
             messages += meta_messages
             if record is None:
                 return WriteResult(
@@ -280,7 +263,7 @@ class MajorityProtocol(_ReplicationBase):
                 reason=f"{acks} acks < majority {self.threshold}",
             )
         if self.verifier is not None:
-            committed, meta_messages = yield from self._meta_commit_plan(
+            committed, meta_messages = yield from self.verifier.commit_plan(
                 block, new_version, value
             )
             messages += meta_messages
@@ -303,7 +286,7 @@ class MajorityProtocol(_ReplicationBase):
         messages = 0
         record = None
         if self.verifier is not None:
-            record, meta_messages = yield from self._meta_lookup_plan(block)
+            record, meta_messages = yield from self.verifier.read_plan(block)
             messages += meta_messages
             if record is None:
                 return ReadResult(

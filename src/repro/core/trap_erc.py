@@ -22,7 +22,7 @@ Faithful executable implementation of Algorithms 1 (write) and 2 (read):
   answers (event and async paths) does Case 1 ask N_i again.
 
 The engine expresses each operation as explicit fan-out rounds
-(version-query round, payload round, write round, write-back round) via
+(version-query round, payload round, write round) via
 the :mod:`repro.runtime` coordinator abstraction: plans run unmodified on
 the legacy instant path (bit-identical results and message counts) or on
 the event-driven path where each round is a real message fan-out that
@@ -58,12 +58,10 @@ from repro.runtime.rounds import (
     PAYLOAD_ROUND,
     VERSION_ROUND,
     WRITE_ROUND,
-    WRITEBACK_ROUND,
     Request,
     Response,
     Round,
 )
-from repro.runtime.verify import block_digest
 
 __all__ = ["TrapErcProtocol"]
 
@@ -86,11 +84,6 @@ class TrapErcProtocol:
         Block -> node placement; defaults to nodes 0..n-1 in order.
     stripe_id:
         Identifier namespacing this stripe's records on the nodes.
-    read_repair:
-        When True, a decode-path read (Case 2) writes the reconstructed
-        value back to a reachable stale N_i, restoring the cheap direct
-        path for future reads. Classic quorum-system read repair — an
-        extension beyond the paper, off by default for fidelity.
     coordinator:
         Execution path for the operation plans. Defaults to the instant
         path (:class:`~repro.runtime.coordinator.InstantCoordinator` on
@@ -130,7 +123,6 @@ class TrapErcProtocol:
         quorum: TrapezoidQuorum,
         layout: StripeLayout | None = None,
         stripe_id: str = "stripe-0",
-        read_repair: bool = False,
         coordinator: Coordinator | None = None,
         verifier=None,
     ) -> None:
@@ -147,8 +139,6 @@ class TrapErcProtocol:
         self.placement = TrapezoidPlacement(self.layout, quorum)
         self.quorum = quorum
         self.stripe_id = stripe_id
-        self.read_repair = bool(read_repair)
-        self.read_repairs_performed = 0
         self.coordinator = (
             coordinator if coordinator is not None else InstantCoordinator(cluster)
         )
@@ -390,12 +380,11 @@ class TrapErcProtocol:
             # Commit point of the verified path: the write is visible to
             # verified readers only once (version, digest) reaches the
             # metadata quorum.
-            meta_outcome = yield self.verifier.write_round(
-                i, new_version, block_digest(value)
+            committed, meta_messages = yield from self.verifier.commit_plan(
+                i, new_version, value
             )
-            messages += meta_outcome.messages
-            if not meta_outcome.satisfied:
-                self.verifier.metadata_failures += 1
+            messages += meta_messages
+            if not committed:
                 return WriteResult(
                     success=False,
                     version=new_version,
@@ -430,18 +419,38 @@ class TrapErcProtocol:
         redirect the read.
         """
         self._check_block(i)
-        messages = 0
-        meta: tuple[int, bytes] | None = None
+        meta, messages = None, 0
         if self.verifier is not None:
-            meta_outcome = yield self.verifier.read_round(i)
-            messages += meta_outcome.messages
-            meta = self.verifier.resolve(meta_outcome)
+            meta, messages = yield from self.verifier.read_plan(i)
             if meta is None:
                 return ReadResult(
                     success=False,
                     messages=messages,
                     reason="metadata quorum unreachable",
                 )
+        result = yield from self.level_walk_plan(i, meta)
+        result.messages += messages
+        return result
+
+    def level_walk_plan(self, i: int, meta: tuple[int, bytes] | None = None):
+        """Algorithm 2 after the metadata prelude: the level walk, then
+        Cases 1-2. Without ``meta`` it is the paper's fail-stop read (and
+        repair's view of storage); a ``(version, digest)`` record
+        overrules the check quorum's untrusted version claims.
+
+        Case 1 takes N_i's ``read_data`` reply: its answer to the level-0
+        poll, or — when that poll completed before N_i answered (event
+        and async paths) — one more ``read_data`` round. The reply
+        carries the record's version beside its bytes, so the read is
+        direct iff N_i answered at the target version, and the bytes
+        returned are the bytes stored at the version reported. Any other
+        answer (down, stale, ahead) falls to Case 2. With a digest, only
+        a reply at the target is checksummed: a corrupted one is counted
+        on the verifier and the read widens into Case 2, the
+        substitute-fragment path, while an honestly stale N_i goes there
+        uncounted.
+        """
+        messages = 0
         home = None  # N_i's reply to the level-0 poll, if it came in time
         for level, poll in enumerate(self._polls[i]):
             outcome = yield poll
@@ -450,52 +459,25 @@ class TrapErcProtocol:
                 home = next(
                     (r for r in outcome.responses if r.request.tag == "data"), None
                 )
-            if not outcome.satisfied:
-                continue  # try the next level (Alg. 2 outer loop)
+            if outcome.satisfied:
+                break  # check complete (else: the Alg. 2 outer loop goes on)
+        else:
+            return ReadResult(
+                success=False,
+                messages=messages,
+                reason="no level reached its version-check quorum",
+            )
+        # The max accepted version is the latest — unless the metadata
+        # record overrules the untrusted claims.
+        if meta is not None:
+            target, digest = meta
+        else:
+            target, digest = self._best_version(i, outcome.accepted), None
 
-            # Check complete: the max accepted version is the latest —
-            # unless the metadata record overrules the untrusted claims.
-            if meta is not None:
-                target, digest = meta
-            else:
-                target, digest = self._best_version(i, outcome.accepted), None
-            result = yield from self._retrieve_plan(i, target, level, digest, home)
-            result.messages += messages
-            return result
-
-        return ReadResult(
-            success=False,
-            messages=messages,
-            reason="no level reached its version-check quorum",
-        )
-
-    def _retrieve_plan(
-        self,
-        i: int,
-        target: int,
-        check_level: int,
-        digest: bytes | None = None,
-        home: Response | None = None,
-    ):
-        """Cases 1-2 of Algorithm 2 once the latest version is known.
-
-        Case 1 takes N_i's ``read_data`` reply: ``home``, its answer to
-        the level-0 poll, or — when that poll completed before N_i
-        answered (event and async paths) — one more ``read_data`` round.
-        The reply carries the record's version beside its bytes, so the
-        read is direct iff N_i answered at ``target``, and the bytes
-        returned are the bytes stored at the version reported. Any other
-        answer (down, stale, ahead) falls to Case 2. With a ``digest``,
-        only a reply at ``target`` is checksummed: a corrupted one is
-        counted on the verifier and the read widens into Case 2, the
-        substitute-fragment path, while an honestly stale N_i goes there
-        uncounted.
-        """
         # Case 1: N_i holds the latest version -> direct read.
-        messages = 0
         if home is None:
             outcome = yield self._direct[i]
-            messages = outcome.messages
+            messages += outcome.messages
             home = outcome.accepted[0] if outcome.accepted else None
         if home is not None and home.ok:
             payload, version = home.value
@@ -507,7 +489,7 @@ class TrapErcProtocol:
                     value=payload,
                     version=target,
                     case=ReadCase.DIRECT,
-                    check_level=check_level,
+                    check_level=level,
                     messages=messages,
                 )
         # Case 2: decode from k version-consistent fragments.
@@ -517,44 +499,21 @@ class TrapErcProtocol:
             return ReadResult(
                 success=False,
                 version=target,
-                check_level=check_level,
+                check_level=level,
                 messages=messages,
                 reason="decode failed: fewer than k version-consistent fragments",
             )
         # One contract on both cases: the direct read hands out a node's
         # read-only record, so the decoded block is sealed as well.
         payload.setflags(write=False)
-        if self.read_repair:
-            messages += yield from self._write_back_plan(i, payload, target)
         return ReadResult(
             success=True,
             value=payload,
             version=target,
             case=ReadCase.DECODE,
-            check_level=check_level,
+            check_level=level,
             messages=messages,
         )
-
-    def _write_back_plan(self, i: int, payload: np.ndarray, version: int):
-        """Read repair: freshen a reachable stale N_i with the decoded
-        value. ``put_data`` is version-exact (no bump), so the repair is
-        idempotent and never races ahead of real writes."""
-        ni, key = self.layout.node_of_block(i), self.data_key(i)
-        outcome = yield Round(
-            [Request(ni, "data_version", (key,), catches=_READ_CATCHES)],
-            kind=VERSION_ROUND,
-        )
-        messages = outcome.messages
-        if not outcome.accepted or outcome.accepted[0].value >= version:
-            return messages
-        write_outcome = yield Round(
-            [Request(ni, "put_data", (key, payload, version), catches=_READ_CATCHES)],
-            kind=WRITEBACK_ROUND,
-        )
-        messages += write_outcome.messages
-        if write_outcome.accepted:
-            self.read_repairs_performed += 1
-        return messages
 
     def _decode_plan(self, i: int, target: int, digest: bytes | None = None):
         """Reconstruct b_i at version ``target`` from k consistent rows.

@@ -35,7 +35,6 @@ from repro.runtime.rounds import (
     Response,
     Round,
 )
-from repro.runtime.verify import block_digest
 
 __all__ = ["TrapFrProtocol"]
 
@@ -151,9 +150,8 @@ class TrapFrProtocol:
             # The metadata record is the trusted version floor: replicas
             # understating their versions cannot make the writer reuse a
             # committed version number.
-            meta_outcome = yield self.verifier.read_round(i)
-            messages += meta_outcome.messages
-            meta = self.verifier.resolve(meta_outcome)
+            meta, meta_messages = yield from self.verifier.read_plan(i)
+            messages += meta_messages
             if meta is None:
                 return WriteResult(
                     success=False,
@@ -195,12 +193,11 @@ class TrapFrProtocol:
                     ),
                 )
         if self.verifier is not None:
-            meta_outcome = yield self.verifier.write_round(
-                i, new_version, block_digest(value)
+            committed, meta_messages = yield from self.verifier.commit_plan(
+                i, new_version, value
             )
-            messages += meta_outcome.messages
-            if not meta_outcome.satisfied:
-                self.verifier.metadata_failures += 1
+            messages += meta_messages
+            if not committed:
                 return WriteResult(
                     success=False,
                     version=new_version,
@@ -223,15 +220,12 @@ class TrapFrProtocol:
 
     def read_plan(self, i: int):
         self._check_block(i)
-        messages = 0
-        meta: tuple[int, bytes] | None = None
+        meta, messages = None, 0
         if self.verifier is not None:
             # Version authority moves to the metadata quorum; the level
             # polls below still locate responsive replicas but cannot
             # redirect the read to a stale (or fabricated) version.
-            meta_outcome = yield self.verifier.read_round(i)
-            messages += meta_outcome.messages
-            meta = self.verifier.resolve(meta_outcome)
+            meta, messages = yield from self.verifier.read_plan(i)
             if meta is None:
                 return ReadResult(
                     success=False,

@@ -49,7 +49,6 @@ from repro.runtime.rounds import (
     PAYLOAD_ROUND,
     VERSION_ROUND,
     WRITE_ROUND,
-    WRITEBACK_ROUND,
     QuorumWait,
     Request,
     Response,
@@ -88,7 +87,6 @@ __all__ = [
     "VERSION_ROUND",
     "PAYLOAD_ROUND",
     "WRITE_ROUND",
-    "WRITEBACK_ROUND",
     "METADATA_ROUND",
     "DIGEST_SIZE",
     "TAG_SIZE",

@@ -17,8 +17,8 @@ back. The same plan runs on three coordinators:
   requests to live node services (in-process or TCP) and completes the
   round the same way, in wall-clock time.
 
-Round kinds (``version-query`` / ``payload`` / ``write`` /
-``write-back``) label the protocol's round structure for per-round
+Round kinds (``version-query`` / ``payload`` / ``write``, and the
+verifier's ``metadata``) label the protocol's round structure for per-round
 message accounting.
 """
 
@@ -33,7 +33,6 @@ __all__ = [
     "VERSION_ROUND",
     "PAYLOAD_ROUND",
     "WRITE_ROUND",
-    "WRITEBACK_ROUND",
     "Request",
     "Response",
     "Round",
@@ -46,7 +45,6 @@ __all__ = [
 VERSION_ROUND = "version-query"
 PAYLOAD_ROUND = "payload"
 WRITE_ROUND = "write"
-WRITEBACK_ROUND = "write-back"
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,14 +18,17 @@ makes payload replies checkable without trusting payload nodes:
   classic 3f+1 sizing with 2f+1 write/read thresholds (any two quorums
   then intersect in f+1 nodes — *Byzantine Reliable Broadcast*, Locher);
 * :class:`BlockVerifier` — builds the ``metadata`` rounds that store and
-  fetch per-block ``(version, digest)`` records, and the accept
-  predicates that verify payload replies against them. Verification
-  failures are counted (``digest_mismatches`` for content lies,
-  ``version_mismatches`` for stale-or-lying version claims) and simply
-  *reject* the response — both coordinators then widen the round
-  naturally (the event path's :class:`~repro.runtime.rounds.QuorumWait`
-  keeps waiting for substitute replies, the instant path keeps issuing),
-  so a read only fails once the quorum is genuinely exhausted.
+  fetch per-block ``(version, digest)`` records, runs them as the two
+  sub-plans every verified engine and the repair service yield from
+  (:meth:`~BlockVerifier.read_plan`, :meth:`~BlockVerifier.commit_plan`),
+  and supplies the accept predicates that verify payload replies against
+  the records. Verification failures are counted (``digest_mismatches``
+  for content lies, ``version_mismatches`` for stale-or-lying version
+  claims) and simply *reject* the response — both coordinators then
+  widen the round naturally (the event path's
+  :class:`~repro.runtime.rounds.QuorumWait` keeps waiting for substitute
+  replies, the instant path keeps issuing), so a read only fails once
+  the quorum is genuinely exhausted.
 
 Self-verifying records
 ----------------------
@@ -223,8 +226,9 @@ class BlockVerifier:
     """Digest/version authority for one engine's blocks.
 
     Owns the metadata key namespace, the ``metadata`` rounds, and the
-    detection counters. One verifier per engine (per shard, in sharded
-    systems); counters are therefore per-engine too.
+    detection counters. One verifier per stripe (per shard, in sharded
+    systems), shared by the stripe's engine and its repair service, so
+    its counters see every metadata read the stripe makes.
     """
 
     def __init__(
@@ -380,29 +384,13 @@ class BlockVerifier:
         if not outcome.satisfied or not outcome.accepted:
             self.metadata_failures += 1
             return None
-        records: list[tuple[int, bytes]] = []
-        for response in outcome.accepted:
-            payload, version = response.value
-            if self.signed:
-                # ("meta", namespace, block) — recover the block from the
-                # request so engines need not thread it through resolve.
-                block = response.request.args[0][2]
-                digest = self._parse(block, payload, version)
-                if digest is None:  # defensive: accept() already filters
-                    self.tag_rejections += 1
-                    continue
-            else:
-                digest = bytes(payload.tobytes())
-            records.append((int(version), digest))
-        return self._resolve_records(records)
-
-    def _resolve_records(
-        self, records: list[tuple[int, bytes]]
-    ) -> tuple[int, bytes] | None:
-        """Shared resolution fold over parsed, authenticated records."""
-        if not records:
-            self.metadata_failures += 1
-            return None
+        # A signed round accepts only records whose tag verifies
+        # (record_accept): the digest is a record's first DIGEST_SIZE bytes.
+        width = DIGEST_SIZE if self.signed else None
+        records = [
+            (int(response.value[1]), response.value[0].tobytes()[:width])
+            for response in outcome.accepted
+        ]
         best_version = -1
         best_digest = b""
         for version, digest in records:
@@ -432,34 +420,20 @@ class BlockVerifier:
             return candidate
         return best_version, best_digest
 
-    def lookup(self, block: int) -> tuple[int, bytes] | None:
-        """Instant-path metadata fetch for out-of-band anti-entropy.
+    def read_plan(self, block: int):
+        """Fetch and resolve block's record: returns ``(record | None,
+        messages)``, the record as :meth:`resolve` gives it."""
+        outcome = yield self.read_round(block)
+        return self.resolve(outcome), outcome.messages
 
-        The repair service runs outside the coordinators (direct RPCs),
-        so this is the round-free twin of :meth:`read_round` +
-        :meth:`resolve`: issue reads across the tier in id order until
-        ``read_need`` *valid* records are gathered (unreachable nodes
-        and bad-tag records are skipped — the widening behavior of the
-        round path), then resolve them under the same f+1 rule.
-        """
-        key = self.meta_key(block)
-        records: list[tuple[int, bytes]] = []
-        for node_id in self.quorum.node_ids:
-            try:
-                payload, version = self.cluster.rpc(node_id, "read_data", key)
-            except (NodeUnavailableError, KeyError):
-                continue
-            digest = self._parse(block, payload, version)
-            if digest is None:
-                self.tag_rejections += 1
-                continue
-            records.append((int(version), digest))
-            if len(records) == self.quorum.read_need:
-                break
-        if len(records) < self.quorum.read_need:
+    def commit_plan(self, block: int, version: int, value: np.ndarray):
+        """Commit ``(version, digest(value))`` to a metadata write quorum:
+        returns ``(satisfied, messages)``; a failed commit is counted in
+        ``metadata_failures``."""
+        outcome = yield self.write_round(block, version, block_digest(value))
+        if not outcome.satisfied:
             self.metadata_failures += 1
-            return None
-        return self._resolve_records(records)
+        return outcome.satisfied, outcome.messages
 
     # ------------------------------------------------------------------ #
     # payload verification

@@ -108,7 +108,7 @@ class LatencyTally:
     ``reads_decoded`` counts the successful reads that reconstructed
     the block from k fragments (Algorithm 2, Case 2).
     ``round_messages`` counts messages by protocol round kind
-    (version-query / payload / write / write-back) — the per-round cost
+    (version-query / payload / write / metadata) — the per-round cost
     structure of Algorithms 1-2 under a real fan-out.
     ``versions_reused`` counts the writes that reached a write round at
     a (block, version) an earlier write had already issued with other

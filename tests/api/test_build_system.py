@@ -180,12 +180,15 @@ class TestCoordinatorInjection:
         built = build_system(
             SPEC, coordinator_factory=lambda c: EventCoordinator(c, sim, rng=0)
         )
-        # trap-erc supports repair; its anti-entropy engine must not share
-        # the event coordinator (repair passes run out of band).
+        # trap-erc supports repair: it runs the stripe's one engine and
+        # verifier, but on an instant coordinator of its own (repair
+        # passes run out of band, never on the event coordinator).
         assert built.repair is not None
-        assert isinstance(built.repair.protocol.coordinator, InstantCoordinator)
-        assert built.repair.protocol is not built.engine
-        assert built.repair.protocol.cluster is built.cluster
+        assert built.repair.protocol is built.engine
+        assert built.repair.protocol.verifier is built.verifier
+        assert isinstance(built.repair.coordinator, InstantCoordinator)
+        assert built.repair.coordinator is not built.coordinator
+        assert built.repair.coordinator.cluster is built.cluster
 
 
 def _placement(engine) -> tuple[int, ...]:
@@ -225,6 +228,51 @@ class TestOneStripeConstructor:
         )
         assert injected.engine.coordinator is injected.coordinator
         if supports_repair:
-            assert injected.repair.protocol is not injected.engine
-            assert injected.repair.protocol.coordinator is not injected.coordinator
-            assert sharded.repairs[0].protocol.coordinator is not shard.coordinator
+            for repair, engine, verifier, coordinator in (
+                (built.repair, built.engine, built.verifier, None),
+                (injected.repair, injected.engine, injected.verifier,
+                 injected.coordinator),
+                (sharded.repairs[0], shard.engine,
+                 sharded.verifiers[0] if sharded.verifiers else None,
+                 shard.coordinator),
+            ):
+                assert repair.protocol is engine
+                assert repair.protocol.verifier is verifier
+                assert repair.coordinator is not coordinator
+
+
+class TestRepairInsideTheSimulator:
+    """A sharded stripe's repair pass runs from a simulator callback."""
+
+    def test_sync_all_from_a_callback_repairs_off_the_event_loop(self):
+        spec = SPEC.replace(
+            metadata=MetadataSpec(nodes=3), sharding=ShardingSpec(shards=2)
+        )
+        system = build_sharded_system(spec)
+        system.initialize()
+        shard, repair = system.shards[0], system.repairs[0]
+        assert [r.protocol for r in system.repairs] == [
+            s.engine for s in system.shards
+        ]
+        assert [r.protocol.verifier for r in system.repairs] == system.verifiers
+        engine, cluster = shard.engine, system.cluster
+        parity_node = engine.layout.parity_nodes[0]
+
+        def versions():
+            return cluster.rpc(parity_node, "parity_versions", engine.parity_key())
+
+        cluster.fail(parity_node)
+        cluster.recover(parity_node, wipe=True)
+        assert versions() is None
+        rounds_before = shard.coordinator.rounds_run
+        repaired = []
+        system.simulator.schedule_at(0.5, lambda: repaired.append(repair.sync_all()))
+        system.simulator.run()  # a SimulationError here fails the test
+        assert repaired == [1]
+        assert shard.coordinator.rounds_run == rounds_before
+        assert list(versions()) == [0] * engine.code.k
+        assert repair.counters() == {
+            "repairs_performed": 1,
+            "repairs_blocked": 0,
+            "records_rejected": 0,
+        }

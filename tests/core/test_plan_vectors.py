@@ -93,10 +93,10 @@ def _verifier(cluster) -> BlockVerifier:
     )
 
 
-def _trap_erc(cluster, coordinator, verified=False, read_repair=False):
+def _trap_erc(cluster, coordinator, verified=False):
     return TrapErcProtocol(
         cluster, MDSCode(N, K), _quorum(), layout=LAYOUT, stripe_id="plans",
-        read_repair=read_repair, coordinator=coordinator,
+        coordinator=coordinator,
         verifier=_verifier(cluster) if verified else None,
     )
 
@@ -117,7 +117,6 @@ def _flat(cls):
 ENGINES = {
     "trap-erc": (_trap_erc, True, False),
     "trap-erc-verified": (partial(_trap_erc, verified=True), True, True),
-    "trap-erc-read-repair": (partial(_trap_erc, read_repair=True), True, False),
     "trap-fr": (_trap_fr, True, False),
     "trap-fr-verified": (partial(_trap_fr, verified=True), True, True),
     "rowa": (_flat(RowaProtocol), False, False),

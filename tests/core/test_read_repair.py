@@ -1,9 +1,8 @@
-"""Tests for the read-repair (write-back) extension."""
+"""A decode read leaves a stale N_i alone: reads never write."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.cluster import Cluster
 from repro.core import ReadCase, TrapErcProtocol
@@ -13,11 +12,11 @@ from repro.quorum import TrapezoidQuorum, TrapezoidShape
 L = 16
 
 
-def make(read_repair: bool):
+def make():
     cluster = Cluster(9)
     code = MDSCode(9, 6)
     quorum = TrapezoidQuorum.uniform(TrapezoidShape(2, 1, 1), 1)  # w=(1,1)
-    proto = TrapErcProtocol(cluster, code, quorum, read_repair=read_repair)
+    proto = TrapErcProtocol(cluster, code, quorum)
     rng = np.random.default_rng(0)
     data = rng.integers(0, 256, size=(6, L), dtype=np.int64).astype(np.uint8)
     proto.initialize(data)
@@ -25,82 +24,22 @@ def make(read_repair: bool):
 
 
 def make_stale_ni(cluster, proto, rng):
-    """Write block 2 while N_2 is down (w=(1,1) tolerates it), recover."""
-    cluster.fail(2)
+    """Write block 2, then wipe N_2: its record is gone, the parities
+    still hold the write."""
     new = rng.integers(0, 256, L, dtype=np.int64).astype(np.uint8)
-    # level 0 of block 2's trapezoid is node 2 itself; w_0 = 1 means the
-    # write *requires* N_2... so instead make parity-staleness moot and
-    # use a wiped N_2 with put-version semantics:
-    cluster.recover(2)
     assert proto.write_block(2, new).success
-    # Now roll N_2 back by wiping and re-inserting the OLD record shape:
     cluster.fail(2)
     cluster.recover(2, wipe=True)
     return new
 
 
 class TestReadRepair:
-    def test_decode_read_freshens_wiped_ni(self):
-        cluster, proto, rng = make(read_repair=True)
-        new = make_stale_ni(cluster, proto, rng)
-        # N_2 is wiped: first read decodes...
-        r1 = proto.read_block(2)
-        assert r1.case == ReadCase.DECODE
-        assert np.array_equal(r1.value, new)
-        assert proto.read_repairs_performed == 1
-        # ...and repairs N_2, so the second read is direct.
-        r2 = proto.read_block(2)
-        assert r2.case == ReadCase.DIRECT
-        assert np.array_equal(r2.value, new)
-
     def test_without_read_repair_stays_decode(self):
-        cluster, proto, rng = make(read_repair=False)
-        make_stale_ni(cluster, proto, rng)
+        cluster, proto, rng = make()
+        new = make_stale_ni(cluster, proto, rng)
         r1 = proto.read_block(2)
         r2 = proto.read_block(2)
         assert r1.case == r2.case == ReadCase.DECODE
-        assert proto.read_repairs_performed == 0
-
-    def test_no_write_back_when_ni_down(self):
-        cluster, proto, rng = make(read_repair=True)
-        new = rng.integers(0, 256, L, dtype=np.int64).astype(np.uint8)
-        assert proto.write_block(2, new).success
-        cluster.fail(2)
-        r = proto.read_block(2)
-        assert r.case == ReadCase.DECODE
-        assert proto.read_repairs_performed == 0
-
-    def test_write_back_is_version_exact(self):
-        """The repaired record carries the decoded version, not a bump, so
-        subsequent writes continue the version chain seamlessly."""
-        cluster, proto, rng = make(read_repair=True)
-        new = make_stale_ni(cluster, proto, rng)
-        proto.read_block(2)  # triggers write-back at version 1
-        assert cluster.node(2).data_version(proto.data_key(2)) == 1
-        newer = rng.integers(0, 256, L, dtype=np.int64).astype(np.uint8)
-        result = proto.write_block(2, newer)
-        assert result.success and result.version == 2
-
-    def test_consistency_preserved_under_churn_with_read_repair(self):
-        cluster, proto, rng = make(read_repair=True)
-        committed = {}
-        data0 = [proto.read_block(i) for i in range(6)]
-        for i, r in enumerate(data0):
-            committed[i] = (r.version, r.value.copy())
-        for step in range(80):
-            cluster.recover_all()
-            down = rng.choice(9, size=rng.integers(0, 3), replace=False)
-            cluster.fail_many(down.tolist())
-            i = int(rng.integers(0, 6))
-            if rng.random() < 0.5:
-                value = rng.integers(0, 256, L, dtype=np.int64).astype(np.uint8)
-                res = proto.write_block(i, value)
-                if res.success:
-                    committed[i] = (res.version, value.copy())
-            else:
-                res = proto.read_block(i)
-                if res.success:
-                    version, value = committed[i]
-                    assert res.version >= version, f"step {step}"
-                    if res.version == version:
-                        assert np.array_equal(res.value, value), f"step {step}"
+        assert np.array_equal(r1.value, new) and np.array_equal(r2.value, new)
+        # the wiped N_2 is still wiped: only anti-entropy rewrites it
+        assert cluster.node(2).data_version(proto.data_key(2)) < 0

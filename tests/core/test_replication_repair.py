@@ -13,7 +13,7 @@ from repro.core import (
     TrapErcProtocol,
 )
 from repro.erasure import MDSCode
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.quorum import TrapezoidQuorum, TrapezoidShape
 
 L = 16
@@ -193,17 +193,26 @@ class TestRepairService:
         with pytest.raises(ValueError):
             svc.repair_parity_node(0)
 
+    def test_repair_parity_rejects_data_node_with_a_typed_error(self):
+        cluster, proto, _ = make_erc()
+        svc = RepairService(proto)
+        with pytest.raises(ConfigurationError) as excinfo:
+            svc.repair_parity_node(proto.layout.node_of_block(2))
+        assert isinstance(excinfo.value, ReproError)
+        assert "holds data block 2" in str(excinfo.value)
+        assert svc.counters()["repairs_performed"] == 0
+
 
 def count_reads(proto) -> list[int]:
-    """Record the block index of every protocol read from now on."""
+    """Record the block index of every fail-stop read from now on."""
     reads: list[int] = []
-    read_block = proto.read_block
+    level_walk_plan = proto.level_walk_plan
 
     def counted(i, *args, **kwargs):
         reads.append(i)
-        return read_block(i, *args, **kwargs)
+        return level_walk_plan(i, *args, **kwargs)
 
-    proto.read_block = counted
+    proto.level_walk_plan = counted
     return reads
 
 

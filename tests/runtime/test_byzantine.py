@@ -188,15 +188,21 @@ class TestRateZeroEquivalence:
 def _run_counting_fallbacks(spec):
     """``(result data, Case-1 reads that asked N_i after its poll)``."""
     fallbacks = 0
-    retrieve = TrapErcProtocol._retrieve_plan
+    walk = TrapErcProtocol.level_walk_plan
 
-    def counting(self, i, target, check_level, digest=None, home=None):
+    def counting(self, i, meta=None):
         nonlocal fallbacks
-        fallbacks += home is None
-        return (yield from retrieve(self, i, target, check_level, digest, home))
+        plan, outcome = walk(self, i, meta), None
+        while True:
+            try:
+                round_ = plan.send(outcome)
+            except StopIteration as stop:
+                return stop.value
+            fallbacks += round_ is self._direct[i]
+            outcome = yield round_
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(TrapErcProtocol, "_retrieve_plan", counting)
+        patch.setattr(TrapErcProtocol, "level_walk_plan", counting)
         data = run_spec(spec).data
     return data, fallbacks
 

@@ -13,9 +13,9 @@ Covers the tentpole layers of the hardened metadata tier end to end:
 * the resolution rule — f+1-matching with the freshness refusal: the
   hardened tier returns correct bytes through f rollback liars and
   fails *cleanly* at f+1, where the fail-stop tier is silently fooled;
-* verified anti-entropy — an unverified :class:`RepairService`
-  launders corruption onto healthy disks, the verifier-equipped twin
-  refuses and counts;
+* verified anti-entropy — a :class:`RepairService` over an engine
+  without a verifier launders corruption onto healthy disks, the
+  stripe's own (verified) repair service refuses and counts;
 * runner integration — liars armed from the spec, determinism of the
   armed run, zero consistency violations through f on live workloads.
 """
@@ -39,7 +39,7 @@ from repro.errors import ConfigurationError
 from repro.runtime import (
     DIGEST_SIZE,
     TAG_SIZE,
-    BlockVerifier,
+    InstantCoordinator,
     MetadataQuorum,
     block_digest,
     record_tag,
@@ -286,7 +286,7 @@ class TestRollbackResolution:
                 np.frombuffer(digest, dtype=np.uint8).copy(),
                 5,
             )
-        record = verifier.lookup(0)
+        record, _ = InstantCoordinator(built.cluster).execute(verifier.read_plan(0))
         assert record is not None and record[0] == 5
         assert verifier.record_conflicts >= 1
 
@@ -305,12 +305,6 @@ def unverified_twin(built) -> TrapErcProtocol:
         layout=built.layout,
         stripe_id="api-stripe",
     )
-
-
-def repair_verifier(built) -> BlockVerifier:
-    first = built.spec.cluster.num_nodes
-    quorum = MetadataQuorum(range(first, first + 3), 2, 2)
-    return BlockVerifier(built.cluster, quorum, namespace="api-stripe")
 
 
 class TestVerifiedAntiEntropy:
@@ -342,7 +336,7 @@ class TestVerifiedAntiEntropy:
         built = build_system(hardened_spec(meta=FAILSTOP))
         data = built.initialize()
         ni = self.arm_home(built)
-        svc = RepairService(unverified_twin(built), verifier=repair_verifier(built))
+        svc = built.repair
         assert not svc.repair_data_node(0)
         assert svc.repairs_blocked == 1
         assert svc.records_rejected == 1
@@ -374,7 +368,7 @@ class TestVerifiedAntiEntropy:
         parity_node = built.layout.parity_nodes[0]
         built.cluster.fail(parity_node)
         built.cluster.recover(parity_node, wipe=True)
-        svc = RepairService(unverified_twin(built), verifier=repair_verifier(built))
+        svc = built.repair
         assert not svc.repair_parity_node(parity_node)
         assert svc.repairs_blocked == 1
         assert svc.records_rejected >= 1

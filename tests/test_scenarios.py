@@ -117,6 +117,21 @@ def _version_reuse(data: dict, spec: SystemSpec) -> None:
     assert summary["consistency_violations"] > 0, summary
 
 
+def _verified_repair(data: dict, spec: SystemSpec) -> None:
+    # metadata_byzantine.json with anti-entropy every 0.2 s: repair on a
+    # verified stripe refuses what it cannot check against the metadata
+    # tier, and the forged records its own metadata reads meet count on
+    # the stripe's one verifier, beside the engine's.
+    assert data["summary"]["consistency_violations"] == 0
+    byz = data["byzantine"]
+    assert byz["repair"] == {
+        "repairs_performed": 0,
+        "repairs_blocked": 7,
+        "records_rejected": 10,
+    }
+    assert byz["detected"]["tag_rejections"] == 130
+
+
 def _wallclock_tcp(data: dict, spec: SystemSpec) -> None:
     measured = data["comparison"]["measured"]
     assert measured["read"]["count"] > 0, measured
@@ -139,6 +154,7 @@ PINS = {
     "byzantine.json": _byzantine,
     "metadata_byzantine.json": _metadata_byzantine,
     "trace.json": _trace,
+    "verified_repair.json": _verified_repair,
     "version_reuse.json": _version_reuse,
     "wallclock_tcp.json": _wallclock_tcp,
 }

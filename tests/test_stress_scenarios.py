@@ -1,7 +1,7 @@
 """Stress scenarios: adversarial combinations of features under churn.
 
 Each test composes several mechanisms (concurrent coordinators, repair
-daemons, read repair, rotating placement, failure churn) and asserts the
+daemons, rotating placement, failure churn) and asserts the
 system-level invariants: the stored stripe stays a valid codeword, acked
 writes are never lost, and versions serialize.
 """
@@ -100,40 +100,6 @@ class TestDualCoordinatorChurn:
         cluster.recover_all()
         repair.sync_all()
         assert stripe_is_codeword(cluster, alice)
-
-    def test_read_repair_plus_anti_entropy_coexist(self):
-        rng = np.random.default_rng(202)
-        cluster = Cluster(9)
-        code = MDSCode(9, 6)
-        quorum = TrapezoidQuorum.uniform(TrapezoidShape(2, 1, 1), 2)
-        proto = TrapErcProtocol(cluster, code, quorum, read_repair=True)
-        repair = RepairService(proto)
-        data = rng.integers(0, 256, size=(6, L), dtype=np.int64).astype(np.uint8)
-        proto.initialize(data)
-        committed = {i: (0, data[i].copy()) for i in range(6)}
-
-        for step in range(120):
-            cluster.recover_all()
-            if step % 15 == 0:
-                repair.sync_all()
-            down = rng.choice(9, size=rng.integers(0, 3), replace=False)
-            cluster.fail_many(down.tolist())
-            i = int(rng.integers(0, 6))
-            if rng.random() < 0.5:
-                value = rng.integers(0, 256, L, dtype=np.int64).astype(np.uint8)
-                res = proto.write_block(i, value)
-                if res.success:
-                    committed[i] = (res.version, value.copy())
-            else:
-                res = proto.read_block(i)
-                if res.success:
-                    version, value = committed[i]
-                    assert res.version >= version
-                    if res.version == version:
-                        assert np.array_equal(res.value, value)
-        cluster.recover_all()
-        repair.sync_all()
-        assert stripe_is_codeword(cluster, proto)
 
 
 class TestRotatingDiskUnderChurn:
