@@ -13,6 +13,8 @@ Covers the tentpole layers of the hardened metadata tier end to end:
 * the resolution rule — f+1-matching with the freshness refusal: the
   hardened tier returns correct bytes through f rollback liars and
   fails *cleanly* at f+1, where the fail-stop tier is silently fooled;
+* :meth:`BlockVerifier.read_plan` / :meth:`BlockVerifier.commit_plan` —
+  one metadata round each, failures counted once;
 * verified anti-entropy — a :class:`RepairService` over an engine
   without a verifier launders corruption onto healthy disks, the
   stripe's own (verified) repair service refuses and counts;
@@ -38,6 +40,7 @@ from repro.core import RepairService, TrapErcProtocol
 from repro.errors import ConfigurationError
 from repro.runtime import (
     DIGEST_SIZE,
+    METADATA_ROUND,
     TAG_SIZE,
     InstantCoordinator,
     MetadataQuorum,
@@ -289,6 +292,76 @@ class TestRollbackResolution:
         record, _ = InstantCoordinator(built.cluster).execute(verifier.read_plan(0))
         assert record is not None and record[0] == 5
         assert verifier.record_conflicts >= 1
+
+
+# --------------------------------------------------------------------- #
+# the verifier's sub-plans: the one metadata read and the one commit
+# --------------------------------------------------------------------- #
+
+
+def recorded(plan, rounds):
+    """Forward ``plan`` unchanged, appending every round it yields."""
+    try:
+        step = plan.send(None)
+        while True:
+            rounds.append(step)
+            step = plan.send((yield step))
+    except StopIteration as stop:
+        return stop.value
+
+
+class TestVerifierPlans:
+    @pytest.mark.parametrize("meta", [FAILSTOP, HARDENED], ids=["failstop", "hardened"])
+    def test_read_plan_is_one_metadata_round(self, meta):
+        built = build_system(hardened_spec(meta=meta))
+        data = built.initialize()
+        verifier = built.engine.verifier
+        rounds = []
+        record, messages = InstantCoordinator(built.cluster).execute(
+            recorded(verifier.read_plan(0), rounds)
+        )
+        assert [step.kind for step in rounds] == [METADATA_ROUND]
+        assert record == (0, block_digest(data[0]))
+        assert messages > 0
+        assert verifier.metadata_failures == 0
+
+    def test_commit_plan_stores_the_value_digest(self):
+        built = build_system(hardened_spec())
+        built.initialize()
+        verifier = built.engine.verifier
+        value = np.full(BLOCK, 7, dtype=np.uint8)
+        coordinator = InstantCoordinator(built.cluster)
+        rounds = []
+        satisfied, messages = coordinator.execute(
+            recorded(verifier.commit_plan(0, 3, value), rounds)
+        )
+        assert satisfied and messages > 0
+        assert [step.kind for step in rounds] == [METADATA_ROUND]
+        record, _ = coordinator.execute(verifier.read_plan(0))
+        assert record == (3, block_digest(value))
+        assert verifier.metadata_failures == 0
+
+    def test_failed_commit_is_counted_once(self):
+        built = build_system(hardened_spec())
+        built.initialize()
+        verifier = built.engine.verifier
+        first = built.spec.cluster.num_nodes
+        built.cluster.fail_many(range(first, first + HARDENED.nodes))
+        satisfied, _ = InstantCoordinator(built.cluster).execute(
+            verifier.commit_plan(0, 1, np.zeros(BLOCK, dtype=np.uint8))
+        )
+        assert not satisfied
+        assert verifier.metadata_failures == 1
+
+    def test_unassembled_read_resolves_to_none(self):
+        built = build_system(hardened_spec())
+        built.initialize()
+        verifier = built.engine.verifier
+        first = built.spec.cluster.num_nodes
+        built.cluster.fail_many(range(first, first + HARDENED.nodes))
+        record, _ = InstantCoordinator(built.cluster).execute(verifier.read_plan(0))
+        assert record is None
+        assert verifier.metadata_failures == 1
 
 
 # --------------------------------------------------------------------- #
