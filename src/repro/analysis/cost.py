@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis.phi import at_least
 from repro.errors import ConfigurationError
 from repro.quorum.trapezoid import TrapezoidQuorum
 
@@ -95,8 +96,6 @@ def expected_read_check_polls(quorum: TrapezoidQuorum, p) -> np.ndarray:
     Returned as that upper bound, vectorized over p.
     """
     p = np.asarray(p, dtype=np.float64)
-    from repro.analysis.phi import at_least
-
     expected = np.zeros_like(p)
     reach = np.ones_like(p)
     for l in quorum.shape.levels:

@@ -32,10 +32,10 @@ folded in analytically.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.analysis.availability import validate_erc_geometry
 from repro.analysis.occupancy import erc_level_counts, predicate_counts
+from repro.analysis.phi import at_least
 from repro.errors import ConfigurationError
 from repro.quorum.base import QuorumSystem
 from repro.quorum.trapezoid import TrapezoidQuorum
@@ -140,7 +140,7 @@ def fold_read_erc(
         if t >= k:
             top_up = np.ones_like(p)
         else:
-            top_up = stats.binom.sf(k - t - 1, k - 1, p)
+            top_up = at_least(k - 1, k - t, p)
         out = out + cnt * p**t * (1.0 - p) ** (nb - t) * top_up
     return out
 

@@ -8,8 +8,8 @@ price of requiring ceil((n+1)/2) nodes for every operation.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
+from repro.analysis.phi import at_least
 from repro.errors import ConfigurationError
 from repro.quorum.base import CountPredicate, QuorumSystem
 
@@ -49,9 +49,8 @@ class MajoritySystem(QuorumSystem):
         return self.find_write_quorum(alive)
 
     def write_availability(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=np.float64)
         # P(Binomial(n, p) >= threshold)
-        return stats.binom.sf(self.threshold - 1, self.size, p)
+        return at_least(self.size, self.threshold, p)
 
     def read_availability(self, p) -> np.ndarray:
         return self.write_availability(p)

@@ -259,6 +259,8 @@ class BlockVerifier:
         #: surfaced even in fail-stop mode, where the max-version fold
         #: would otherwise keep the first-seen digest silently
         self.record_conflicts = 0
+        #: per block: its metadata read round, built on first use
+        self._read_rounds: dict[int, Round] = {}
 
     # ------------------------------------------------------------------ #
     # record layout
@@ -351,21 +353,27 @@ class BlockVerifier:
         Signed verifiers attach :meth:`record_accept`, so only
         authenticated records count toward ``read_need``; unsigned
         rounds keep the original accept-everything shape bit for bit.
+        Built once per block and shared by every read of it: a
+        :class:`Round` is read-only, and the accept closure only counts
+        into ``tag_rejections``.
         """
-        requests = [
-            Request(
-                node_id,
-                "read_data",
-                (self.meta_key(block),),
-                catches=(NodeUnavailableError, KeyError),
+        round_ = self._read_rounds.get(block)
+        if round_ is None:
+            requests = [
+                Request(
+                    node_id,
+                    "read_data",
+                    (self.meta_key(block),),
+                    catches=(NodeUnavailableError, KeyError),
+                )
+                for node_id in self.quorum.node_ids
+            ]
+            accept = self.record_accept(block) if self.signed else None
+            round_ = self._read_rounds[block] = Round(
+                requests, need=self.quorum.read_need, accept=accept,
+                kind=METADATA_ROUND,
             )
-            for node_id in self.quorum.node_ids
-        ]
-        accept = self.record_accept(block) if self.signed else None
-        return Round(
-            requests, need=self.quorum.read_need, accept=accept,
-            kind=METADATA_ROUND,
-        )
+        return round_
 
     def resolve(self, outcome: RoundOutcome) -> tuple[int, bytes] | None:
         """The authoritative (version, digest) over a metadata read outcome.

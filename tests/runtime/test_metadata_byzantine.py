@@ -353,6 +353,35 @@ class TestVerifierPlans:
         assert not satisfied
         assert verifier.metadata_failures == 1
 
+    @pytest.mark.parametrize("meta", [FAILSTOP, HARDENED], ids=["failstop", "hardened"])
+    def test_read_round_is_built_once_per_block(self, meta):
+        built = build_system(hardened_spec(meta=meta))
+        built.initialize()
+        verifier = built.engine.verifier
+        coordinator = InstantCoordinator(built.cluster)
+        first, second, other = [], [], []
+        for block, rounds in ((0, first), (0, second), (1, other)):
+            coordinator.execute(recorded(verifier.read_plan(block), rounds))
+        assert first[0] is second[0] is verifier.read_round(0)
+        assert other[0] is not first[0]
+        assert other[0].requests[0].args == (verifier.meta_key(1),)
+
+    def test_shared_read_round_still_counts_tag_rejections(self):
+        built = build_system(hardened_spec())
+        built.initialize()
+        meta_node(built).set_byzantine(
+            MetadataByzantineBehavior("forge", 1.0, make_rng(5))
+        )
+        verifier = built.engine.verifier
+        coordinator = InstantCoordinator(built.cluster)
+        seen = []
+        for _ in range(3):
+            record, _ = coordinator.execute(verifier.read_plan(0))
+            assert record is not None and record[0] == 0
+            seen.append(verifier.tag_rejections)
+        assert seen[0] >= 1
+        assert seen == [seen[0], 2 * seen[0], 3 * seen[0]]
+
     def test_unassembled_read_resolves_to_none(self):
         built = build_system(hardened_spec())
         built.initialize()
