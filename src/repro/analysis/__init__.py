@@ -1,4 +1,4 @@
-"""Closed-form analysis of the trapezoid protocol (DESIGN.md S4).
+"""Closed-form analysis of the trapezoid protocol.
 
 The paper's section IV, vectorized over node availability p: the Φ
 combinator (eq. 7), write availability (eqs. 8-9), read availability for
@@ -44,7 +44,7 @@ from repro.analysis.optimizer import (
     optimize_config,
     optimize_config_sweep,
 )
-from repro.analysis.phi import at_least, at_least_table, exactly, phi
+from repro.analysis.phi import at_least, at_least_table, exactly
 from repro.analysis.storage import (
     storage_erc,
     storage_fr,
@@ -55,7 +55,6 @@ from repro.analysis.storage import (
 )
 
 __all__ = [
-    "phi",
     "at_least",
     "at_least_table",
     "exactly",

@@ -7,7 +7,7 @@ Implements, vectorized over node availability p:
 * eq. (13)    — read availability of TRAP-ERC, with the paper's β_l / λ_l
   bookkeeping (eqs. 11-12) and its P1 (direct read) + P2 (decode) split.
 
-The paper's eq. 13 embeds two modeling simplifications (see DESIGN.md §3):
+The paper's eq. 13 embeds two modeling simplifications:
 its level-0 correction term uses ``β_0 = max(0, r_0 - 2)`` which
 overcounts failures when r_0 = 1, and its P2 term ignores both the
 version-check requirement and the check/decode node overlap. The exact

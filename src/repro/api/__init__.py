@@ -1,4 +1,4 @@
-"""Unified facade (DESIGN.md S9): declarative specs, registries, runner.
+"""Unified facade: declarative specs, registries, runner.
 
 The canonical way to construct and run everything in the repo:
 

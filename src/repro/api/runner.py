@@ -1,9 +1,9 @@
 """Spec-driven scenario execution with tidy, JSON-dumpable results.
 
 :class:`ScenarioRunner` is the facade's execution engine: it takes one
-:class:`~repro.api.spec.SystemSpec`, dispatches on ``spec.scenario.kind``
-(smoke / availability / protocol_mc / trace / comparison / sweep /
-optimize / latency / saturation / wallclock) and returns a
+:class:`~repro.api.spec.SystemSpec`, runs the ``_run_<kind>`` method of
+``spec.scenario.kind`` (the kinds are the keys of
+``ScenarioSpec._KIND_FIELDS``) and returns a
 :class:`ScenarioResult` whose ``to_json()`` output embeds the
 originating spec — a results file is therefore a reproducible artifact:
 ``SystemSpec.from_dict(result["spec"])`` re-runs the exact experiment.
@@ -46,7 +46,6 @@ from repro.api.spec import (
 from repro.cluster.failures import exponential_trace
 from repro.cluster.node import ByzantineBehavior, MetadataByzantineBehavior
 from repro.cluster.rng import make_rng, spawn_rngs
-from repro.errors import ConfigurationError
 from repro.parallel import ParallelExecutor
 from repro.quorum.trapezoid import TrapezoidQuorum
 from repro.sim.comparative import make_schedule, run_comparison
@@ -185,61 +184,33 @@ class ScenarioRunner:
     ``jobs`` is an execution option: it never enters the spec, the
     result data, or any hash, and every worker count produces the byte
     stream ``jobs=0`` produces.
-
-    ``executor`` lends the runner an already-open
-    :class:`~repro.parallel.ParallelExecutor` instead of ``jobs``: the
-    caller keeps ownership (``run()`` will not close it), and repeated
-    runs reuse the warm worker pool instead of paying spawn + import
-    per run.
     """
 
-    def __init__(
-        self,
-        spec: SystemSpec,
-        *,
-        transports=None,
-        jobs: int = 0,
-        executor: ParallelExecutor | None = None,
-    ) -> None:
+    def __init__(self, spec: SystemSpec, *, transports=None, jobs: int = 0) -> None:
         self.spec = spec
         self.transports = transports
         self.jobs = jobs
         self._streams: list = []
         self._executor: ParallelExecutor | None = None
-        self._shared_executor = executor
         self._protocol_mc: ProtocolMonteCarlo | None = None
 
     # ------------------------------------------------------------------ #
 
     def run(self) -> ScenarioResult:
-        """Dispatch on ``spec.scenario.kind`` and return tidy results.
+        """Run ``_run_<kind>`` for ``spec.scenario.kind``; tidy results.
 
-        Idempotent: the seed-derived child streams are respawned on every
-        call, so ``run()`` twice on one runner returns identical results.
-        Stream 0 belongs to build_system; see the module docstring.
+        The spec has already checked everything the kind reads, so this
+        only runs it. Idempotent: the seed-derived child streams are
+        respawned on every call, so ``run()`` twice on one runner returns
+        identical results. Stream 0 belongs to build_system; see the
+        module docstring.
         """
         self._streams = self._seed_streams()
-        runners = {
-            "smoke": self._run_smoke,
-            "availability": self._run_availability,
-            "protocol_mc": self._run_protocol_mc,
-            "trace": self._run_trace,
-            "comparison": self._run_comparison,
-            "sweep": self._run_sweep,
-            "optimize": self._run_optimize,
-            "latency": self._run_latency,
-            "saturation": self._run_saturation,
-            "wallclock": self._run_wallclock,
-        }
-        shared = self._shared_executor is not None
-        self._executor = (
-            self._shared_executor if shared else ParallelExecutor(self.jobs)
-        )
+        self._executor = ParallelExecutor(self.jobs)
         try:
-            data = runners[self.spec.scenario.kind]()
+            data = getattr(self, f"_run_{self.spec.scenario.kind}")()
         finally:
-            if not shared:
-                self._executor.close()
+            self._executor.close()
             self._executor = None
         return ScenarioResult(
             kind=self.spec.scenario.kind,
@@ -322,12 +293,6 @@ class ScenarioRunner:
         """
         p = self.spec.cluster.p
         trials = self.spec.scenario.trials
-        if trials < 1:
-            raise ConfigurationError(
-                f"protocol_mc needs trials >= 1, got {trials} "
-                "(trials = 0 only disables the optional MC column of "
-                "availability/sweep scenarios)"
-            )
         if protocol_entry(self.spec.protocol).needs_trapezoid:
             group_trapezoid(self.spec)  # surface config errors pre-dispatch
         num_chunks = min(trials, _PROTOCOL_MC_CHUNKS)
@@ -450,17 +415,7 @@ class ScenarioRunner:
         to the arrival count), stream 6 the initial data, then the
         arrivals, then the uniform ops.
         """
-        if self.spec.protocol != "trap-erc":
-            raise ConfigurationError(
-                "trace scenarios run the TRAP-ERC engine; set protocol to "
-                f"'trap-erc' (got {self.spec.protocol!r})"
-            )
         cluster = self.spec.cluster
-        if cluster.failure != "exponential":
-            raise ConfigurationError(
-                "trace scenarios need cluster.failure = 'exponential' "
-                "with mtbf and mttr"
-            )
         scenario, workload = self.spec.scenario, self.spec.workload
         stripes = self.spec.placement.stripes
         trace = exponential_trace(
@@ -538,13 +493,7 @@ class ScenarioRunner:
         fans one task per protocol; :meth:`comparison_single` regrows
         the shared data and schedule identically inside each task.
         """
-        scenario = self.spec.scenario
-        names = scenario.protocols or protocol_names()
-        num_blocks = scenario.num_blocks or self.spec.code.k
-        if num_blocks > self.spec.code.k:
-            raise ConfigurationError(
-                f"num_blocks must be <= k = {self.spec.code.k}, got {num_blocks}"
-            )
+        names = self.spec.scenario.protocols or protocol_names()
         outs = self._fan_out("comparison_single", [(name,) for name in names])
         return dict(zip(names, outs))
 
@@ -600,17 +549,10 @@ class ScenarioRunner:
         """The availability sweep across trapezoid ``w_values``."""
         base = group_trapezoid(self.spec)
         shape = base.shape
-        if shape.h == 0:
-            # A single-level trapezoid has no free w (w_0 is mandatory):
-            # sweeping w_values over it would fabricate a dependence.
-            if self.spec.scenario.w_values is not None:
-                raise ConfigurationError(
-                    "w_values cannot be swept on an h = 0 trapezoid "
-                    "(w_0 = floor(b/2) + 1 is mandatory)"
-                )
-            w_values = (base.w[0],)
-        elif self.spec.scenario.w_values is not None:
+        if self.spec.scenario.w_values is not None:
             w_values = self.spec.scenario.w_values
+        elif shape.h == 0:
+            w_values = (base.w[0],)  # no free w: w_0 is mandatory
         else:
             w_values = tuple(range(1, shape.level_size(1) + 1))
         children = spawn_rngs(self._streams[7], len(w_values))
@@ -628,7 +570,6 @@ class ScenarioRunner:
             ):
                 records.append({"w": w, **asdict(rec)})
         return {"w_values": list(w_values), "records": records}
-
 
     def _run_optimize(self) -> dict:
         """Occupancy-engine (shape, w) search across ``scenario.ps``.
@@ -668,7 +609,6 @@ class ScenarioRunner:
                 for p, res in zip(scenario.ps, results)
             ],
         }
-
 
     def _faultload(self, faultload: FaultloadSpec, horizon: float, rng):
         """Materialize a faultload: (FailureTrace | None, partition windows)."""
@@ -712,8 +652,8 @@ class ScenarioRunner:
         if faultload.kind != "byzantine":
             return []
         num_nodes = self.spec.cluster.num_nodes
+        # the spec keeps the fraction in [0, 1], so 0 <= count <= num_nodes
         count = int(round(faultload.byzantine_fraction * num_nodes))
-        count = max(0, min(count, num_nodes))
         if count == 0:
             return []
         chosen = sorted(
@@ -740,18 +680,9 @@ class ScenarioRunner:
         arming before the version-0 bootstrap would leave nothing to
         roll back to. Returns the armed ids (``[]`` when unused).
         """
-        if faultload.kind != "byzantine" or faultload.metadata_liars == 0:
+        if faultload.metadata_liars == 0:
             return []
         meta = self.spec.metadata
-        if meta is None:
-            raise ConfigurationError(
-                "metadata_liars > 0 needs a metadata section in the spec"
-            )
-        if faultload.metadata_liars > meta.nodes:
-            raise ConfigurationError(
-                f"metadata_liars = {faultload.metadata_liars} exceeds the "
-                f"metadata tier size {meta.nodes}"
-            )
         first = self.spec.cluster.num_nodes
         chosen = sorted(
             first + int(i)
@@ -909,6 +840,23 @@ class ScenarioRunner:
         point = run_saturation_point(clients, sim)
         return point, self._byzantine_report(faultload, system, armed, meta_armed)
 
+    def _closed_loop_header(self, lead: str, **values) -> dict:
+        """A latency / saturation result's head: the ``lead`` keys in
+        order (from ``values`` or the spec), then the model sections."""
+        scenario, sharding = self.spec.scenario, self.spec.sharding or ShardingSpec()
+        values.update(
+            think_time=scenario.think_time,
+            horizon=scenario.horizon,
+            shards=sharding.shards,
+            routing=sharding.routing,
+        )
+        return {
+            **{key: values[key] for key in lead.split()},
+            "faultload": (scenario.faultload or FaultloadSpec()).to_dict(),
+            "latency_model": (self.spec.latency or LatencySpec()).to_dict(),
+            "service": (self.spec.service or ServiceTimeSpec()).to_dict(),
+        }
+
     def _run_latency(self) -> dict:
         """Event-driven closed-loop run: latency percentiles under faults.
 
@@ -921,23 +869,17 @@ class ScenarioRunner:
         the per-node service queues, so the same spec + seed reproduces
         the identical event trace (``trace_hash`` digests it).
         """
-        scenario = self.spec.scenario
-        sharding = self.spec.sharding or ShardingSpec()
+        clients = self.spec.scenario.clients
         streams = self._streams
         point, report = self._closed_loop(
-            scenario.clients, streams, streams[8], streams[10], streams[12], streams[13]
+            clients, streams, streams[8], streams[10], streams[12], streams[13]
         )
         summary = dict(point.aggregate)
         operation_latency = summary.pop("operation_latency")
         data = {
-            "clients": scenario.clients,
-            "think_time": scenario.think_time,
-            "horizon": scenario.horizon,
-            "shards": sharding.shards,
-            "routing": sharding.routing,
-            "faultload": (scenario.faultload or FaultloadSpec()).to_dict(),
-            "latency_model": (self.spec.latency or LatencySpec()).to_dict(),
-            "service": (self.spec.service or ServiceTimeSpec()).to_dict(),
+            **self._closed_loop_header(
+                "clients think_time horizon shards routing", clients=clients
+            ),
             "ops_submitted": point.ops_completed + point.ops_failed,
             "virtual_duration": point.virtual_duration,
             "summary": summary,
@@ -958,9 +900,7 @@ class ScenarioRunner:
         fan-out unit of the saturation kind, and one seed reproduces the
         whole curve, point hashes included.
         """
-        scenario = self.spec.scenario
-        sharding = self.spec.sharding or ShardingSpec()
-        counts = scenario.client_counts or (1, 2, 4, 8, 16)
+        counts = self.spec.scenario.client_counts or (1, 2, 4, 8, 16)
         outs = self._fan_out(
             "saturation_point",
             [(i, clients, len(counts)) for i, clients in enumerate(counts)],
@@ -971,14 +911,10 @@ class ScenarioRunner:
             digest.update(point.trace_hash.encode("ascii"))
             digest.update(b"\n")
         data = {
-            "shards": sharding.shards,
-            "routing": sharding.routing,
-            "client_counts": [p.clients for p in points],
-            "think_time": scenario.think_time,
-            "horizon": scenario.horizon,
-            "faultload": (scenario.faultload or FaultloadSpec()).to_dict(),
-            "latency_model": (self.spec.latency or LatencySpec()).to_dict(),
-            "service": (self.spec.service or ServiceTimeSpec()).to_dict(),
+            **self._closed_loop_header(
+                "shards routing client_counts think_time horizon",
+                client_counts=[p.clients for p in points],
+            ),
             "points": [p.to_dict() for p in points],
             "knee_clients": knee_clients(points),
             "trace_hash": digest.hexdigest(),

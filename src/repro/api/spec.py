@@ -69,6 +69,8 @@ class _SpecBase:
     _NESTED: dict[str, type] = {}
     #: fields stored as tuples (JSON lists)
     _TUPLES: tuple[str, ...] = ()
+    #: kind -> the fields that kind reads (kind-tagged sections only)
+    _KIND_FIELDS: dict[str, tuple[str, ...]] = {}
 
     def to_dict(self) -> dict:
         """Plain-JSON-types dict (tuples become lists, specs become dicts)."""
@@ -113,6 +115,21 @@ class _SpecBase:
     def replace(self, **changes) -> "_SpecBase":
         """A copy with the given fields replaced (re-validates)."""
         return replace(self, **changes)
+
+    def _refuse_unread_fields(self) -> None:
+        """Refuse a set field ``kind`` does not read (a nested section
+        equal to its all-default self, a ``none`` faultload, is unset)."""
+        reads = self._KIND_FIELDS[self.kind]
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "kind" or f.name in reads or value == f.default:
+                continue
+            if isinstance(value, _SpecBase) and value == type(value)():
+                continue
+            raise ConfigurationError(
+                f"{type(self).__name__} kind {self.kind!r} does not read "
+                f"{f.name!r}; it reads {list(reads)}"
+            )
 
 
 def _require(condition: bool, message: str) -> None:
@@ -589,8 +606,23 @@ class FaultloadSpec(_SpecBase):
         metadata tier stays honest — the pre-hardening trust model.
 
     All rates are validated eagerly (negative, NaN and infinite values
-    are spec-level errors, not late simulator failures).
+    are spec-level errors, not late simulator failures), and a field the
+    kind does not read must keep its default.
     """
+
+    _KIND_FIELDS = {
+        "none": (),
+        "churn": ("mtbf", "mttr"),
+        "partition": ("partition_size", "period", "duration"),
+        "byzantine": (
+            "byzantine_fraction",
+            "corruption_mode",
+            "corruption_rate",
+            "metadata_liars",
+            "metadata_mode",
+            "metadata_rate",
+        ),
+    }
 
     kind: str = "none"
     mtbf: float = 200.0
@@ -607,8 +639,7 @@ class FaultloadSpec(_SpecBase):
 
     def __post_init__(self) -> None:
         _require(
-            self.kind in ("none", "churn", "partition", "byzantine"),
-            f"unknown faultload kind {self.kind!r}",
+            self.kind in self._KIND_FIELDS, f"unknown faultload kind {self.kind!r}"
         )
         _require_positive_finite(self.mtbf, "mtbf")
         _require_positive_finite(self.mttr, "mttr")
@@ -639,12 +670,7 @@ class FaultloadSpec(_SpecBase):
             f"unknown metadata_mode {self.metadata_mode!r}",
         )
         _require_unit_interval(self.metadata_rate, "metadata_rate")
-        if self.metadata_liars > 0:
-            _require(
-                self.kind == "byzantine",
-                "metadata_liars > 0 requires the 'byzantine' faultload kind, "
-                f"got {self.kind!r}",
-            )
+        self._refuse_unread_fields()
 
 
 @dataclass(frozen=True)
@@ -692,12 +718,27 @@ class ScenarioSpec(_SpecBase):
         services (the system's ``transport`` section; in-process by
         default, TCP for real sockets), reporting predicted and measured
         p50/p95/p99 side by side. ``horizon`` acts as a hard wall-clock
-        guard in real seconds. Faultloads are simulation-only and
-        rejected here.
+        guard in real seconds. Faultloads are simulation-only.
+
+    A field the kind does not read (see ``_KIND_FIELDS``) is refused.
     """
 
     _TUPLES = ("ps", "protocols", "w_values", "client_counts")
     _NESTED = {"faultload": FaultloadSpec}
+    _KIND_FIELDS = {
+        "smoke": (),
+        "availability": ("ps", "trials"),
+        "protocol_mc": ("trials",),
+        "trace": ("horizon", "op_rate", "repair_interval"),
+        "comparison": ("steps", "max_down", "protocols", "num_blocks"),
+        "sweep": ("ps", "trials", "w_values"),
+        "optimize": ("ps", "max_h"),
+        "latency": ("clients", "think_time", "horizon", "repair_interval", "faultload"),
+        "saturation": (
+            "client_counts", "think_time", "horizon", "repair_interval", "faultload"
+        ),
+        "wallclock": ("clients", "think_time", "horizon"),
+    }
 
     kind: str = "smoke"
     ps: tuple[float, ...] = (0.5, 0.7, 0.9)
@@ -717,21 +758,10 @@ class ScenarioSpec(_SpecBase):
     faultload: FaultloadSpec | None = None
 
     def __post_init__(self) -> None:
-        kinds = (
-            "smoke",
-            "availability",
-            "protocol_mc",
-            "trace",
-            "comparison",
-            "sweep",
-            "optimize",
-            "latency",
-            "saturation",
-            "wallclock",
-        )
         _require(
-            self.kind in kinds,
-            f"unknown scenario kind {self.kind!r} (expected one of {kinds})",
+            self.kind in self._KIND_FIELDS,
+            f"unknown scenario kind {self.kind!r} "
+            f"(expected one of {tuple(self._KIND_FIELDS)})",
         )
         ps = tuple(float(p) for p in self.ps)
         _require(len(ps) >= 1, "ps must contain at least one availability value")
@@ -782,12 +812,14 @@ class ScenarioSpec(_SpecBase):
                 all(0.0 < p < 1.0 for p in self.ps),
                 f"optimize needs every p strictly inside (0, 1), got {self.ps}",
             )
-        if self.kind == "wallclock":
+        if self.kind == "protocol_mc":
             _require(
-                self.faultload is None or self.faultload.kind == "none",
-                "wallclock scenarios cannot run a faultload "
-                "(faults are simulation-only)",
+                self.trials >= 1,
+                f"protocol_mc needs trials >= 1, got {self.trials} "
+                "(trials = 0 only disables the optional MC column of "
+                "availability/sweep scenarios)",
             )
+        self._refuse_unread_fields()
 
 
 # --------------------------------------------------------------------- #
@@ -851,6 +883,43 @@ class SystemSpec(_SpecBase):
             f"n={self.code.n} blocks",
         )
         _require(isinstance(self.seed, int), f"seed must be an int, got {self.seed!r}")
+        scenario = self.scenario
+        if scenario.kind == "trace":
+            _require(
+                self.protocol == "trap-erc",
+                "trace scenarios run the TRAP-ERC engine; set protocol to "
+                f"'trap-erc' (got {self.protocol!r})",
+            )
+            _require(
+                self.cluster.failure == "exponential",
+                "trace scenarios need cluster.failure = 'exponential' "
+                "with mtbf and mttr",
+            )
+        if scenario.num_blocks is not None:
+            _require(
+                scenario.num_blocks <= self.code.k,
+                f"num_blocks must be <= k = {self.code.k}, got {scenario.num_blocks}",
+            )
+        # A single-level trapezoid has no free w (w_0 is mandatory):
+        # sweeping w_values over it would fabricate a dependence.
+        _require(
+            scenario.w_values is None
+            or self.quorum.kind != "trapezoid"
+            or self.quorum.h != 0,
+            "w_values cannot be swept on an h = 0 trapezoid "
+            "(w_0 = floor(b/2) + 1 is mandatory)",
+        )
+        liars = scenario.faultload.metadata_liars if scenario.faultload else 0
+        if liars > 0:
+            _require(
+                self.metadata is not None,
+                "metadata_liars > 0 needs a metadata section in the spec",
+            )
+            _require(
+                liars <= self.metadata.nodes,
+                f"metadata_liars = {liars} exceeds the metadata tier size "
+                f"{self.metadata.nodes}",
+            )
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemSpec":

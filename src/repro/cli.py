@@ -170,20 +170,14 @@ def _cmd_run(args) -> int:
     from pathlib import Path
 
     from repro.api import ScenarioRunner, SystemSpec, execution_options
-    from repro.errors import ConfigurationError
 
     text = Path(args.config).read_text()
-    spec = SystemSpec.from_json(text)
-    if args.jobs is not None:
-        jobs = args.jobs
-    else:
+    spec = SystemSpec.from_json(text)  # refuses text that is not JSON
+    jobs = args.jobs
+    if jobs is None:
         # The config's advisory execution block (stripped from the spec:
         # jobs never enters spec identity or the result file).
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"invalid spec JSON: {exc}") from exc
-        jobs = execution_options(raw.get("execution"))["jobs"]
+        jobs = execution_options(json.loads(text).get("execution"))["jobs"]
     result = ScenarioRunner(spec, jobs=jobs).run()
     payload = result.to_json()
     if args.out:
@@ -343,19 +337,18 @@ def _cmd_wallclock(args) -> int:
     import json
     from pathlib import Path
 
-    from repro.api import ScenarioRunner, ScenarioSpec, SystemSpec
+    from repro.api import ScenarioRunner, SystemSpec
 
     spec = SystemSpec.from_json(Path(args.config).read_text())
-    scenario = spec.scenario or ScenarioSpec()
-    if scenario.kind != "wallclock":
-        spec = spec.replace(scenario=scenario.replace(kind="wallclock"))
+    if spec.scenario.kind != "wallclock":
+        spec = spec.replace(scenario=spec.scenario.replace(kind="wallclock"))
     transports = None
     if args.connect:
         from repro.services import connect_transports
 
         host, _, port = args.connect.rpartition(":")
         transports = connect_transports(
-            (spec.cluster.num_nodes if spec.cluster else spec.code.n),
+            spec.cluster.num_nodes,
             host=host or "127.0.0.1",
             port_base=int(port),
         )

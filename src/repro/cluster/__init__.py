@@ -1,4 +1,4 @@
-"""Simulated distributed-storage substrate (DESIGN.md S5).
+"""Simulated distributed-storage substrate.
 
 Fail-stop versioned storage nodes, an RPC fabric with traffic accounting,
 failure models (snapshot and trace-driven), and a discrete-event engine —

@@ -1,6 +1,6 @@
 """Failure models: snapshot sampling and failure/repair traces.
 
-Two regimes, matching the two evaluation modes in DESIGN.md:
+Two regimes, matching the two evaluation modes:
 
 * :class:`BernoulliSnapshot` — the paper's section-IV model: each node is
   independently available with probability p at the instant an operation

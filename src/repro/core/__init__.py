@@ -1,4 +1,4 @@
-"""Protocol engines (DESIGN.md S6): the paper's primary contribution.
+"""Protocol engines: the paper's primary contribution.
 
 * :class:`TrapErcProtocol` — Algorithms 1-2 over an (n, k) MDS code,
 * :class:`TrapFrProtocol` — the trapezoid protocol over full replication,

@@ -31,8 +31,7 @@ completes with the q-th fastest healthy response (see docs/RUNTIME.md).
 Beyond the paper, decode handles *per-contribution* staleness correctly:
 a parity that missed an update to block m but not to block i is usable
 for block i only together with rows agreeing on m's version, so fragments
-are grouped by their full version vectors before solving (see DESIGN.md
-"Decode freshness rule").
+are grouped by their full version vectors before solving.
 """
 
 from __future__ import annotations

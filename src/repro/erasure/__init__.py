@@ -1,4 +1,4 @@
-"""Erasure-coding substrate: systematic (n, k) MDS codes (DESIGN.md S2).
+"""Erasure-coding substrate: systematic (n, k) MDS codes.
 
 Implements the paper's section III-A storage model: data split into k
 blocks, n - k parity blocks ``b_j = sum_i alpha_ji b_i`` over GF(2^w), any

@@ -1,6 +1,6 @@
 """Finite-field substrate: GF(2^w) arithmetic and linear algebra.
 
-This package is substrate S1 of the reproduction (see DESIGN.md): the
+This package is the first substrate of the reproduction: the
 arithmetic over GF(2^h) that the paper's equation (1) requires for
 computing parity blocks ``b_j = sum_i alpha_ji * b_i``.
 """

@@ -1,4 +1,4 @@
-"""Quorum-system geometry (DESIGN.md S3).
+"""Quorum-system geometry.
 
 The trapezoid layout of the paper plus the classical baselines its related
 work cites: ROWA, Majority [13], Grid [4], and Tree [1] quorums. All share

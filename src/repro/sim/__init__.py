@@ -1,4 +1,4 @@
-"""Simulation and measurement layer (DESIGN.md S7).
+"""Simulation and measurement layer.
 
 Three evaluation instruments of increasing fidelity:
 

@@ -1,4 +1,4 @@
-"""Storage middleware (DESIGN.md S8): the virtual-disk use case.
+"""Storage middleware: the virtual-disk use case.
 
 The paper motivates TRAP-ERC with virtual-machine disk storage; this
 package provides that application: a strongly consistent logical block

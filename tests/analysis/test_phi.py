@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from repro.analysis import at_least, at_least_table, exactly, phi
+from repro.analysis.phi import at_least, at_least_table, exactly, phi
 from repro.errors import ConfigurationError
 
 #: node availabilities spanning the edges: 0, 1 and 1e-12 from each
@@ -198,3 +198,14 @@ class TestAtLeastTable:
             table = at_least_table(z, p)
             assert table.shape == (z + 1,)
             assert all(table[i] == at_least(z, i, p) for i in range(z + 1))
+
+
+def test_import_path_binds_the_module():
+    # The package re-exports no name that shadows its ``phi`` submodule,
+    # so the dotted import reaches the module and its private helpers.
+    import inspect
+
+    import repro.analysis.phi as module
+
+    assert inspect.ismodule(module)
+    assert module._pmf(2, np.array([0.5])).shape == (3, 1)

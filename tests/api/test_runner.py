@@ -101,9 +101,10 @@ class TestScenarioKinds:
         assert ScenarioRunner(spec).run().to_json() == inline
 
     def test_trace_runs_and_reports_tally(self):
-        spec = _with_scenario(
-            kind="trace", horizon=60.0, op_rate=1.0, repair_interval=10.0
-        ).replace(
+        spec = BASE.replace(
+            scenario=ScenarioSpec(
+                kind="trace", horizon=60.0, op_rate=1.0, repair_interval=10.0
+            ),
             cluster=ClusterSpec(
                 num_nodes=9, failure="exponential", mtbf=40.0, mttr=4.0
             ),
@@ -123,12 +124,14 @@ class TestScenarioKinds:
             run_spec(_with_scenario(kind="trace"))
 
     def test_trace_requires_trap_erc(self):
-        spec = _with_scenario(kind="trace").replace(
-            protocol="rowa",
-            cluster=ClusterSpec(num_nodes=9, failure="exponential", mtbf=40.0, mttr=4.0),
-        )
         with pytest.raises(ConfigurationError, match="trap-erc"):
-            run_spec(spec)
+            BASE.replace(
+                protocol="rowa",
+                scenario=ScenarioSpec(kind="trace"),
+                cluster=ClusterSpec(
+                    num_nodes=9, failure="exponential", mtbf=40.0, mttr=4.0
+                ),
+            )
 
     def test_comparison_covers_registry_by_default(self):
         result = run_spec(_with_scenario(kind="comparison", steps=30))
@@ -171,11 +174,9 @@ class TestScenarioKinds:
             ScenarioSpec(kind="optimize", ps=(0.5, 1.0))
 
     def test_sweep_rejects_w_values_on_flat_shape(self):
-        flat = SystemSpec(
-            scenario=ScenarioSpec(kind="sweep", w_values=(1, 2, 3))
-        )  # default quorum is the h = 0 group trapezoid
         with pytest.raises(ConfigurationError, match="h = 0"):
-            run_spec(flat)
+            # the default quorum is the h = 0 group trapezoid
+            SystemSpec(scenario=ScenarioSpec(kind="sweep", w_values=(1, 2, 3)))
 
     def test_comparison_num_blocks_pins_schedule(self):
         pinned = run_spec(
@@ -188,6 +189,12 @@ class TestScenarioKinds:
     def test_unknown_protocol_rejected_at_run(self):
         with pytest.raises(ConfigurationError, match="unknown protocol"):
             run_spec(BASE.replace(protocol="paxos"))
+
+
+class TestDispatch:
+    def test_every_kind_has_a_run_method(self):
+        methods = {name for name in vars(ScenarioRunner) if name.startswith("_run_")}
+        assert methods == {f"_run_{kind}" for kind in ScenarioSpec._KIND_FIELDS}
 
 
 class TestResultsAndDeterminism:

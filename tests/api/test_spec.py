@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -50,38 +52,86 @@ flat_quorums = st.one_of(
     ),
 )
 
-faultloads = st.one_of(
-    st.none(),
-    st.builds(
-        FaultloadSpec,
-        kind=st.sampled_from(["none", "churn", "partition"]),
-        mtbf=st.floats(0.1, 1000.0, allow_nan=False),
-        mttr=st.floats(0.1, 100.0, allow_nan=False),
-        partition_size=st.integers(1, 4),
-    ),
-)
+#: valid values per field of a kind-tagged section, drawn for each kind
+#: from the fields its ``_KIND_FIELDS`` entry lists
+FAULTLOAD_FIELDS = {
+    "mtbf": st.floats(0.1, 1000.0, allow_nan=False),
+    "mttr": st.floats(0.1, 100.0, allow_nan=False),
+    "partition_size": st.integers(1, 4),
+    "period": st.floats(20.0, 200.0, allow_nan=False),
+    "duration": st.floats(0.1, 20.0, allow_nan=False),
+    "byzantine_fraction": st.floats(0.0, 1.0, allow_nan=False),
+    "corruption_mode": st.sampled_from(["payload", "stale", "mixed"]),
+    "corruption_rate": st.floats(0.0, 1.0, allow_nan=False),
+    "metadata_liars": st.integers(0, 3),
+    "metadata_mode": st.sampled_from(["forge", "stale_record", "equivocate"]),
+    "metadata_rate": st.floats(0.0, 1.0, allow_nan=False),
+}
 
-scenarios = st.builds(
-    ScenarioSpec,
-    kind=st.sampled_from(
-        [
-            "smoke",
-            "availability",
-            "protocol_mc",
-            "trace",
-            "comparison",
-            "sweep",
-            "latency",
-        ]
-    ),
-    ps=st.lists(
+
+def kind_sections(cls, values: dict, overrides: dict | None = None):
+    """Valid ``cls`` sections: every kind, each with any subset of the
+    fields it reads drawn from ``values`` (``overrides[kind]`` replaces
+    entries for one kind)."""
+    overrides = overrides or {}
+    return st.one_of(
+        *(
+            st.fixed_dictionaries(
+                {"kind": st.just(kind)},
+                optional={
+                    name: {**values, **overrides.get(kind, {})}[name]
+                    for name in reads
+                },
+            ).map(lambda kwargs: cls(**kwargs))
+            for kind, reads in cls._KIND_FIELDS.items()
+        )
+    )
+
+
+faultloads = st.none() | kind_sections(FaultloadSpec, FAULTLOAD_FIELDS)
+
+PROTOCOLS = ["trap-erc", "trap-fr", "rowa", "majority"]
+
+SCENARIO_FIELDS = {
+    "ps": st.lists(
         st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=4
     ).map(tuple),
-    trials=st.integers(0, 100),
-    steps=st.integers(1, 50),
-    clients=st.integers(1, 16),
-    think_time=st.floats(0.0, 5.0, allow_nan=False),
-    faultload=faultloads,
+    "trials": st.integers(0, 100),
+    "steps": st.integers(1, 50),
+    "max_down": st.integers(0, 4),
+    "horizon": st.floats(0.5, 500.0, allow_nan=False),
+    "op_rate": st.floats(0.01, 10.0, allow_nan=False),
+    "repair_interval": st.none() | st.floats(0.5, 50.0, allow_nan=False),
+    "protocols": st.none()
+    | st.lists(st.sampled_from(PROTOCOLS), min_size=1, max_size=3, unique=True).map(
+        tuple
+    ),
+    # num_blocks <= code.k and w_values on an h >= 1 trapezoid are
+    # cross-section rules: system_specs draws the rest of the spec to fit
+    "num_blocks": st.none() | st.integers(1, 6),
+    "w_values": st.none()
+    | st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
+    "max_h": st.integers(0, 3),
+    "clients": st.integers(1, 16),
+    "think_time": st.floats(0.0, 5.0, allow_nan=False),
+    "client_counts": st.none()
+    | st.lists(st.integers(1, 16), min_size=1, max_size=4).map(tuple),
+    "faultload": faultloads,
+}
+
+scenarios = kind_sections(
+    ScenarioSpec,
+    SCENARIO_FIELDS,
+    overrides={
+        "optimize": {
+            "ps": st.lists(
+                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                min_size=1,
+                max_size=4,
+            ).map(tuple)
+        },
+        "protocol_mc": {"trials": st.integers(1, 100)},
+    },
 )
 
 latencies = st.one_of(
@@ -103,31 +153,62 @@ workloads = st.builds(
     block_length=st.integers(1, 128),
 )
 
-system_specs = st.builds(
-    SystemSpec,
-    protocol=st.sampled_from(["trap-erc", "trap-fr", "rowa", "majority"]),
-    code=codes,
-    quorum=st.one_of(st.none(), trapezoids, flat_quorums),
-    placement=st.builds(
-        PlacementSpec,
-        kind=st.sampled_from(["identity", "rotating"]),
-        stripes=st.integers(1, 4),
-    ),
-    workload=workloads,
-    latency=latencies,
-    scenario=scenarios,
-    seed=st.integers(-(2**31), 2**31),
-)
+
+@st.composite
+def system_specs(draw):
+    """Valid specs, the cross-section rules met by drawing to fit them."""
+    scenario = draw(scenarios)
+    code = draw(codes)
+    if scenario.num_blocks is not None:
+        scenario = scenario.replace(num_blocks=min(scenario.num_blocks, code.k))
+    if scenario.w_values is not None:
+        quorum = draw(trapezoids.filter(lambda q: q.h > 0))
+    else:
+        quorum = draw(st.one_of(st.none(), trapezoids, flat_quorums))
+    protocol = draw(st.sampled_from(PROTOCOLS))
+    cluster = None
+    if scenario.kind == "trace":
+        protocol = "trap-erc"
+        cluster = ClusterSpec(
+            num_nodes=code.n + draw(st.integers(0, 3)),
+            failure="exponential",
+            mtbf=draw(st.floats(1.0, 500.0, allow_nan=False)),
+            mttr=draw(st.floats(0.1, 50.0, allow_nan=False)),
+        )
+    liars = scenario.faultload.metadata_liars if scenario.faultload else 0
+    metadata = draw(
+        st.builds(MetadataSpec, nodes=st.integers(max(1, liars), 6))
+        if liars
+        else st.none() | st.builds(MetadataSpec, nodes=st.integers(1, 6))
+    )
+    return SystemSpec(
+        protocol=protocol,
+        code=code,
+        quorum=quorum,
+        cluster=cluster,
+        placement=draw(
+            st.builds(
+                PlacementSpec,
+                kind=st.sampled_from(["identity", "rotating"]),
+                stripes=st.integers(1, 4),
+            )
+        ),
+        workload=draw(workloads),
+        latency=draw(latencies),
+        metadata=metadata,
+        scenario=scenario,
+        seed=draw(st.integers(-(2**31), 2**31)),
+    )
 
 
 class TestRoundTrip:
     @settings(max_examples=200, deadline=None)
-    @given(system_specs)
+    @given(system_specs())
     def test_dict_round_trip_is_lossless(self, spec):
         assert SystemSpec.from_dict(spec.to_dict()) == spec
 
     @settings(max_examples=100, deadline=None)
-    @given(system_specs)
+    @given(system_specs())
     def test_json_round_trip_is_lossless(self, spec):
         again = SystemSpec.from_json(spec.to_json())
         assert again == spec
@@ -135,7 +216,7 @@ class TestRoundTrip:
         assert json.loads(again.to_json()) == spec.to_dict()
 
     @settings(max_examples=50, deadline=None)
-    @given(system_specs)
+    @given(system_specs())
     def test_specs_are_hashable_and_stable(self, spec):
         assert hash(spec) == hash(SystemSpec.from_dict(spec.to_dict()))
 
@@ -303,6 +384,172 @@ class TestValidation:
         spec = SystemSpec.from_dict(payload)
         assert spec.latency is None
         assert spec.scenario.faultload is None
+
+
+#: one valid, non-default value per field of each kind-tagged section
+SET_VALUES = {
+    ScenarioSpec: {
+        "ps": (0.25,),
+        "trials": 7,
+        "steps": 9,
+        "max_down": 1,
+        "horizon": 50.0,
+        "op_rate": 2.0,
+        "repair_interval": 5.0,
+        "protocols": ("rowa",),
+        "w_values": (1,),
+        "num_blocks": 1,
+        "max_h": 2,
+        "clients": 2,
+        "think_time": 0.5,
+        "client_counts": (1, 2),
+        "faultload": FaultloadSpec(kind="churn"),
+    },
+    FaultloadSpec: {
+        "mtbf": 50.0,
+        "mttr": 5.0,
+        "partition_size": 2,
+        "period": 50.0,
+        "duration": 10.0,
+        "byzantine_fraction": 0.5,
+        "corruption_mode": "stale",
+        "corruption_rate": 0.5,
+        "metadata_liars": 1,
+        "metadata_mode": "equivocate",
+        "metadata_rate": 0.5,
+    },
+}
+
+
+def _kind_field_cases(read: bool) -> list:
+    return [
+        pytest.param(cls, kind, name, id=f"{cls.__name__}-{kind}-{name}")
+        for cls, values in SET_VALUES.items()
+        for kind, reads in cls._KIND_FIELDS.items()
+        for name in values
+        if (name in reads) == read
+    ]
+
+
+class TestKindFields:
+    """Each kind-tagged section accepts exactly the fields its kind reads."""
+
+    @pytest.mark.parametrize("cls", list(SET_VALUES))
+    def test_set_values_cover_every_field(self, cls):
+        assert set(SET_VALUES[cls]) == {f.name for f in fields(cls)} - {"kind"}
+        for kind, reads in cls._KIND_FIELDS.items():
+            assert set(reads) <= set(SET_VALUES[cls]), kind
+
+    def test_settable_values(self):
+        # the fields some kind reads, counted per kind
+        assert sum(map(len, ScenarioSpec._KIND_FIELDS.values())) == 28
+        assert sum(map(len, FaultloadSpec._KIND_FIELDS.values())) == 11
+
+    @pytest.mark.parametrize("cls, kind, name", _kind_field_cases(read=False))
+    def test_unread_field_refused(self, cls, kind, name):
+        with pytest.raises(ConfigurationError) as err:
+            cls(kind=kind, **{name: SET_VALUES[cls][name]})
+        message = str(err.value)
+        assert repr(kind) in message and repr(name) in message, message
+
+    @pytest.mark.parametrize("cls, kind, name", _kind_field_cases(read=True))
+    def test_read_field_accepted(self, cls, kind, name):
+        section = cls(kind=kind, **{name: SET_VALUES[cls][name]})
+        assert getattr(section, name) == SET_VALUES[cls][name]
+        assert cls.from_dict(section.to_dict()) == section
+
+    @pytest.mark.parametrize("kind", list(ScenarioSpec._KIND_FIELDS))
+    def test_none_faultload_counts_as_unset(self, kind):
+        for faultload in (FaultloadSpec(), FaultloadSpec(kind="none")):
+            assert ScenarioSpec(kind=kind, faultload=faultload).faultload == faultload
+
+    def test_value_checks_run_first(self):
+        with pytest.raises(ConfigurationError, match="trials must be >= 0"):
+            ScenarioSpec(kind="latency", trials=-1)
+        with pytest.raises(ConfigurationError, match="mtbf must be"):
+            FaultloadSpec(kind="partition", mtbf=float("nan"))
+
+    def test_a_field_at_its_default_is_not_set(self):
+        assert ScenarioSpec(kind="latency", trials=1000).trials == 1000
+        assert FaultloadSpec(kind="churn", metadata_liars=0).metadata_liars == 0
+
+
+_EXPONENTIAL = {"failure": "exponential", "mtbf": 40.0, "mttr": 4.0}
+
+#: the cross-section and kind checks a spec makes when it loads, each with
+#: the message it raises
+LOAD_TIME_CHECKS = {
+    "protocol_mc_trials": (
+        {"scenario": {"kind": "protocol_mc", "trials": 0}},
+        "protocol_mc needs trials >= 1, got 0 (trials = 0 only disables the "
+        "optional MC column of availability/sweep scenarios)",
+    ),
+    "trace_protocol": (
+        {
+            "protocol": "rowa",
+            "cluster": _EXPONENTIAL,
+            "scenario": {"kind": "trace"},
+        },
+        "trace scenarios run the TRAP-ERC engine; set protocol to 'trap-erc' "
+        "(got 'rowa')",
+    ),
+    "trace_cluster": (
+        {"scenario": {"kind": "trace"}},
+        "trace scenarios need cluster.failure = 'exponential' with mtbf and mttr",
+    ),
+    "comparison_num_blocks": (
+        {"scenario": {"kind": "comparison", "num_blocks": 7}},
+        "num_blocks must be <= k = 6, got 7",
+    ),
+    "sweep_flat_w_values": (
+        {"scenario": {"kind": "sweep", "w_values": [1, 2]}},
+        "w_values cannot be swept on an h = 0 trapezoid "
+        "(w_0 = floor(b/2) + 1 is mandatory)",
+    ),
+    "liars_need_metadata": (
+        {
+            "scenario": {
+                "kind": "latency",
+                "faultload": {"kind": "byzantine", "metadata_liars": 1},
+            }
+        },
+        "metadata_liars > 0 needs a metadata section in the spec",
+    ),
+    "liars_exceed_tier": (
+        {
+            "metadata": {"nodes": 3},
+            "scenario": {
+                "kind": "latency",
+                "faultload": {"kind": "byzantine", "metadata_liars": 4},
+            },
+        },
+        "metadata_liars = 4 exceeds the metadata tier size 3",
+    ),
+}
+
+
+class TestLoadTimeChecks:
+    @pytest.mark.parametrize("name", list(LOAD_TIME_CHECKS))
+    def test_refused_by_from_dict(self, name):
+        payload, message = LOAD_TIME_CHECKS[name]
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            SystemSpec.from_dict(payload)
+
+    def test_fitting_specs_load(self):
+        SystemSpec.from_dict({"cluster": _EXPONENTIAL, "scenario": {"kind": "trace"}})
+        SystemSpec.from_dict({"scenario": {"kind": "comparison", "num_blocks": 6}})
+        SystemSpec.trapezoid(
+            9, 6, 2, 1, 1, scenario=ScenarioSpec(kind="sweep", w_values=(1, 2))
+        )
+        SystemSpec.from_dict(
+            {
+                "metadata": {"nodes": 3},
+                "scenario": {
+                    "kind": "latency",
+                    "faultload": {"kind": "byzantine", "metadata_liars": 3},
+                },
+            }
+        )
 
 
 class TestExecutionOptions:

@@ -92,34 +92,6 @@ class TestParallelIdentity:
         spec = SystemSpec.from_dict(SPECS["protocol_mc"])
         assert run_spec(spec, jobs=1).to_json() == serial_json["protocol_mc"]
 
-    def test_shared_executor_byte_identical_and_left_open(self, serial_json):
-        # A caller-owned pool (ScenarioRunner(executor=...)) gives the
-        # same bytes as jobs=0, survives run() (the runner must not
-        # close what it doesn't own), and stays warm across runs.
-        from repro.api import ScenarioRunner
-        from repro.parallel import ParallelExecutor
-
-        spec = SystemSpec.from_dict(SPECS["protocol_mc"])
-        with ParallelExecutor(2) as pool:
-            first = ScenarioRunner(spec, executor=pool).run().to_json()
-            second = ScenarioRunner(spec, executor=pool).run().to_json()
-            assert first == serial_json["protocol_mc"]
-            assert second == serial_json["protocol_mc"]
-            # the lent pool is still usable after both runs
-            assert pool.map(len, [[1, 2], [3]]) == [2, 1]
-
-    def test_warm_shared_pool_saturation_byte_identical(self, serial_json):
-        # The sweep through one caller-owned pool, run twice so the second
-        # run lands on already-spawned workers: same bytes as serial.
-        from repro.api import ScenarioRunner
-        from repro.parallel import ParallelExecutor
-
-        spec = SystemSpec.from_dict(SPECS["saturation"])
-        with ParallelExecutor(2) as pool:
-            for _ in range(2):
-                out = ScenarioRunner(spec, executor=pool).run().to_json()
-                assert out == serial_json["saturation"]
-
     def test_trace_hash_pinned_across_jobs(self, serial_json):
         # The saturation digest is the strongest witness: it hashes every
         # per-point event trace, so any scheduling leak flips it.

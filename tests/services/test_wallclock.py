@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import (
+    FaultloadSpec,
     ScenarioRunner,
     ScenarioSpec,
     SystemSpec,
@@ -74,9 +75,7 @@ class TestTransportSpec:
             )
 
     def test_wallclock_rejects_faultloads(self):
-        from repro.api import FaultloadSpec
-
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="'wallclock' does not read"):
             ScenarioSpec(
                 kind="wallclock",
                 faultload=FaultloadSpec(kind="churn", mtbf=10.0, mttr=1.0),
@@ -163,12 +162,26 @@ class TestDocsSync:
     def test_api_md_lists_every_scenario_kind(self):
         text = (DOCS / "API.md").read_text(encoding="utf-8")
         section = text.split("## Scenario kinds", 1)[1]
-        documented = set(re.findall(r"^\| `([a-z_]+)` \|", section, flags=re.M))
+        table = re.search(r"(?:^\|.*\n)+", section, flags=re.M).group(0)
+        documented = {}  # kind -> the names in its last column
+        for line in table.splitlines():
+            cells = re.split(r"(?<!\\)\|", line)
+            kind = re.fullmatch(r" `([a-z_]+)` ", cells[1])
+            if kind:
+                documented[kind[1]] = set(re.findall(r"`([a-z_]+)`", cells[-2]))
         with pytest.raises(ConfigurationError) as err:
             ScenarioSpec(kind="definitely-not-a-kind")
         kinds = set(re.findall(r"'([a-z_]+)'", str(err.value)))
         assert kinds, "could not extract scenario kinds from the validator"
-        assert documented >= kinds, f"undocumented kinds: {kinds - documented}"
+        assert set(documented) == kinds, set(documented) ^ kinds
+        for kind, reads in ScenarioSpec._KIND_FIELDS.items():
+            assert documented[kind] == set(reads), kind
+        # the FaultloadSpec row of the spec tree names each kind's fields
+        row = re.search(r"^\| `FaultloadSpec` \|.*$", text, flags=re.M).group(0)
+        cell = re.split(r"(?<!\\)\|", row)[2]
+        for kind, reads in FaultloadSpec._KIND_FIELDS.items():
+            part = cell.split(f"`{kind}`:", 1)[1].split(";", 1)[0]
+            assert set(re.findall(r"`([a-z_]+)`", part)) == set(reads), kind
 
     def test_api_md_documents_transport_spec(self):
         text = (DOCS / "API.md").read_text(encoding="utf-8")

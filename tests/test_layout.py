@@ -26,7 +26,7 @@ ENTRY_POINTS = {"repro.cli", "repro.bench.__main__", "repro._version"}
 #: modules kept with no caller in ``src/`` or ``examples/``, and why
 NO_CALLER_ALLOWED = {
     "repro.analysis.cost": "tier-1 pins the cost model == measured messages",
-    "repro.gf.bitmatrix": "ROADMAP item 7 puts it on the hot path",
+    "repro.gf.bitmatrix": "ROADMAP item 9 puts it on the hot path",
 }
 
 
