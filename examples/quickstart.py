@@ -82,7 +82,7 @@ def main() -> None:
           repair.is_parity_stale(8))
 
     # --- storage accounting (the paper's Figure 5) -----------------------
-    from repro.analysis import storage_erc, storage_fr
+    from repro.analysis import storage_erc, storage_fr, write_availability
 
     print()
     print(
@@ -90,7 +90,7 @@ def main() -> None:
         % (storage_erc(9, 6), storage_fr(9, 6))
     )
     print("Availability hooks: write avail at p=0.9 ->",
-          f"{float(system.write_availability(0.9)):.4f}")
+          f"{float(write_availability(system.quorum, 0.9)):.4f}")
     print("Done.")
 
 

@@ -3,7 +3,8 @@
 The paper's section IV, vectorized over node availability p: the Φ
 combinator (eq. 7), write availability (eqs. 8-9), read availability for
 TRAP-FR (eq. 10) and TRAP-ERC (eq. 13), storage accounting (eqs. 14-15),
-plus exact-enumeration ground truth for validating the published formulas.
+plus the exact snapshot-model read availability (level-occupancy counts)
+that the published formulas are validated against.
 """
 
 from repro.analysis.availability import (
@@ -15,21 +16,13 @@ from repro.analysis.availability import (
     write_availability,
     write_availability_family,
 )
-from repro.analysis.exact import (
-    counts_to_probability,
-    erc_subset_counts,
-    exact_availability,
-    exact_read_erc,
-    fold_read_erc,
-    subset_counts,
-)
+from repro.analysis.exact import counts_to_probability, exact_read_erc, fold_read_erc
 from repro.analysis.occupancy import (
     erc_level_counts,
     erc_level_counts_family,
     occupancy_cache_clear,
     occupancy_cache_info,
     predicate_counts,
-    predicate_counts_family,
 )
 from repro.analysis.cost import (
     expected_read_check_polls,
@@ -74,14 +67,10 @@ __all__ = [
     "read_availability_erc_terms",
     "erc_betas_lambdas",
     "validate_erc_geometry",
-    "exact_availability",
     "exact_read_erc",
     "fold_read_erc",
-    "subset_counts",
-    "erc_subset_counts",
     "counts_to_probability",
     "predicate_counts",
-    "predicate_counts_family",
     "erc_level_counts",
     "erc_level_counts_family",
     "occupancy_cache_clear",

@@ -1,7 +1,7 @@
 """Level-occupancy tables: exact availability without 2^m enumeration.
 
 Every count-structured quorum predicate (trapezoid levels, majority,
-ROWA, unit-weight voting — anything exposing
+ROWA — anything exposing
 :meth:`~repro.quorum.base.QuorumSystem.as_level_thresholds`) depends on an
 alive-subset only through its per-group alive counts ``(c_0, ..., c_h)``.
 Under the snapshot model the groups are independent, so the joint count
@@ -13,11 +13,11 @@ realizing a given count vector is the product of binomial coefficients
 This module materializes that joint grid — ``prod(s_g + 1)`` cells
 instead of ``2^(sum s_g)`` subsets — and evaluates predicates as
 elementwise threshold comparisons over it. The outputs are the *same
-integer subset-count arrays* that :func:`repro.analysis.exact.subset_counts`
-produces by enumeration, so downstream probability folds are bit-identical
-to the reference path; the enumeration stays in the tree as the
-property-tested ground truth (``tests/analysis/test_occupancy.py``) and as
-the only path for membership-structured quorums (grid, tree).
+integer subset-count arrays* that enumerating every alive-subset
+produces, so downstream probability folds are bit-identical to it; the
+enumeration is the property-tested ground truth under ``tests/``
+(``tests/analysis/exact_reference.py``, checked in
+``tests/analysis/test_occupancy.py``).
 
 For TRAP-ERC the level-0 axis is additionally split on whether position 0
 (the data node N_i) is alive: the grid then ranges over the ``s_0 - 1``
@@ -43,7 +43,6 @@ from repro.quorum.base import CountPredicate
 
 __all__ = [
     "predicate_counts",
-    "predicate_counts_family",
     "erc_level_counts",
     "erc_level_counts_family",
     "occupancy_cache_clear",
@@ -149,34 +148,6 @@ def predicate_counts(predicate: CountPredicate) -> np.ndarray:
     return out
 
 
-def predicate_counts_family(
-    sizes: tuple[int, ...],
-    thresholds_family,
-    mode: str,
-) -> np.ndarray:
-    """``predicate_counts`` for a family of threshold vectors at once.
-
-    ``thresholds_family`` is a (W, groups) array-like; returns a
-    (W, total + 1) matrix whose row i equals
-    ``predicate_counts(CountPredicate(sizes, thresholds_family[i], mode))``.
-    One grid pass serves the whole family — this is what lets the
-    optimizer score every candidate ``w`` vector of a shape together.
-    """
-    if mode not in ("all", "any"):
-        raise ConfigurationError(f"mode must be 'all' or 'any', got {mode!r}")
-    sizes = tuple(int(s) for s in sizes)
-    thresholds = np.atleast_2d(np.asarray(thresholds_family, dtype=np.int64))
-    if thresholds.shape[1] != len(sizes):
-        raise ConfigurationError(
-            f"need one threshold per group: {len(sizes)} groups, "
-            f"family rows of {thresholds.shape[1]}"
-        )
-    counts, totals, mult = _choice_grid(sizes)
-    hits = counts[None, :, :] >= thresholds[:, None, :]  # (W, cells, groups)
-    masks = hits.all(axis=2) if mode == "all" else hits.any(axis=2)
-    return _fold_by_total_family(masks, totals, mult, sum(sizes))
-
-
 def _erc_split_masks(
     counts: np.ndarray, thresholds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -202,7 +173,7 @@ def erc_level_counts(
     Returns ``(counts_direct, counts_decode)``: check-quorum-passing
     pattern counts by total alive trapezoid nodes, split on position 0
     (N_i) alive/dead — integer-identical to the enumeration reference
-    :func:`repro.analysis.exact.erc_subset_counts`.
+    ``erc_subset_counts`` of ``tests/analysis/exact_reference.py``.
     """
     sizes = tuple(int(s) for s in sizes)
     thresholds = np.asarray(read_thresholds, dtype=np.int64)

@@ -4,10 +4,9 @@ The canonical way to construct and run everything in the repo:
 
 * :mod:`repro.api.spec` — the frozen, JSON-round-trippable
   :class:`SystemSpec` configuration tree (code, quorum, cluster, placement,
-  workload, scenario, one top-level ``seed``);
-* :mod:`repro.api.registry` — name registries for quorum systems
-  (``trapezoid``/``rowa``/``majority``/``grid``/``tree``/``voting``) and
-  protocol engines (``trap-erc``/``trap-fr``/``rowa``/``majority``);
+  workload, scenario, one top-level ``seed``), checked in full at load;
+* :mod:`repro.api.registry` — the protocol registry
+  (``trap-erc``/``trap-fr``/``rowa``/``majority``);
 * :mod:`repro.api.build` — :func:`build_system`, composing the existing
   constructors behind one factory, and the minimal
   :class:`ProtocolEngine` protocol every engine satisfies;
@@ -28,7 +27,7 @@ Ten-line quickstart::
     print(system.engine.write_block(0, value).success)
     print(system.engine.read_block(0).value[:4])
 
-See ``docs/API.md`` for the full spec schema and registry catalogue.
+See ``docs/API.md`` for the full spec schema and the protocol registry.
 """
 
 from repro.api.build import (
@@ -40,17 +39,11 @@ from repro.api.build import (
 )
 from repro.api.registry import (
     ProtocolEntry,
-    QuorumEntry,
     build_latency_model,
-    build_quorum_system,
     build_service_model,
-    build_trapezoid_quorum,
     protocol_entry,
     protocol_names,
-    quorum_entry,
-    quorum_names,
     register_protocol,
-    register_quorum,
 )
 from repro.api.runner import (
     ScenarioResult,
@@ -71,6 +64,7 @@ from repro.api.spec import (
     SystemSpec,
     TransportSpec,
     WorkloadSpec,
+    build_trapezoid_quorum,
     execution_options,
 )
 
@@ -88,15 +82,10 @@ __all__ = [
     "ScenarioSpec",
     "TransportSpec",
     "SystemSpec",
-    "QuorumEntry",
     "ProtocolEntry",
-    "register_quorum",
     "register_protocol",
-    "quorum_names",
     "protocol_names",
-    "quorum_entry",
     "protocol_entry",
-    "build_quorum_system",
     "build_trapezoid_quorum",
     "ProtocolEngine",
     "BuiltSystem",

@@ -18,12 +18,10 @@ from repro.api.registry import (
     DEFAULT_NAMESPACE,
     ProtocolEntry,
     build_latency_model,
-    build_quorum_system,
     build_service_model,
-    build_trapezoid_quorum,
     protocol_entry,
 )
-from repro.api.spec import LatencySpec, QuorumSpec, SystemSpec
+from repro.api.spec import LatencySpec, SystemSpec, build_trapezoid_quorum
 from repro.cluster.cluster import Cluster
 from repro.cluster.events import Simulator
 from repro.cluster.network import TwoTierLatency
@@ -33,7 +31,6 @@ from repro.core.results import ReadResult, WriteResult
 from repro.erasure.code import MDSCode
 from repro.erasure.stripe import StripeLayout
 from repro.errors import ConfigurationError
-from repro.quorum.base import QuorumSystem
 from repro.quorum.trapezoid import TrapezoidQuorum
 from repro.runtime.coordinator import Coordinator
 from repro.runtime.event import (
@@ -52,7 +49,6 @@ __all__ = [
     "build_system",
     "ShardedSystem",
     "build_sharded_system",
-    "group_trapezoid",
 ]
 
 
@@ -62,9 +58,6 @@ class ProtocolEngine(Protocol):
 
     ``initialize`` loads version-0 blocks, ``read_block``/``write_block``
     run one quorum operation and report success plus message cost.
-    Availability hooks (closed forms, quorum predicates) live on the
-    :class:`BuiltSystem` wrapper, which delegates to the spec's
-    :class:`~repro.quorum.base.QuorumSystem` geometry.
     """
 
     def initialize(self, data: np.ndarray) -> None: ...
@@ -91,7 +84,7 @@ class BuiltSystem:
     code: MDSCode
     layout: StripeLayout
     engine: ProtocolEngine
-    system: QuorumSystem
+    #: the trapezoid of a trapezoid engine (None for the flat baselines)
     quorum: TrapezoidQuorum | None
     repair: RepairService | None
     rng: np.random.Generator = field(repr=False)
@@ -127,16 +120,6 @@ class BuiltSystem:
         self.engine.initialize(data)
         return data
 
-    # -- availability hooks (delegate to the quorum geometry) ----------- #
-
-    def write_availability(self, p) -> np.ndarray:
-        """P(a write quorum exists) under i.i.d. node availability p."""
-        return self.system.write_availability(p)
-
-    def read_availability(self, p) -> np.ndarray:
-        """P(a read quorum exists) under i.i.d. node availability p."""
-        return self.system.read_availability(p)
-
 
 def _make_verifier(
     spec: SystemSpec, cluster: Cluster, namespace: str = DEFAULT_NAMESPACE
@@ -146,56 +129,35 @@ def _make_verifier(
     Metadata nodes occupy the ids *after* the data nodes (the cluster is
     built ``num_nodes + metadata.nodes`` wide), so data placement,
     faultloads and Byzantine arming — all expressed over
-    ``spec.cluster.num_nodes`` — never touch them. The quorum thresholds
-    derive from the registry system named by ``metadata.quorum``
-    (majority by default), sized to the metadata tier.
+    ``spec.cluster.num_nodes`` — never touch them. Writes and reads each
+    need a majority of the tier, or 2f + 1 of its >= 3f + 1 nodes when
+    it tolerates ``f > 0`` Byzantine members.
     """
     if spec.metadata is None:
         return None
     meta = spec.metadata
     first = spec.cluster.num_nodes
-    node_ids = range(first, first + meta.nodes)
-    system = build_quorum_system(QuorumSpec(kind=meta.quorum, size=meta.nodes))
-    quorum = MetadataQuorum.from_system(node_ids, system, f=meta.f)
+    need = 2 * meta.f + 1 if meta.f > 0 else meta.nodes // 2 + 1
+    quorum = MetadataQuorum(range(first, first + meta.nodes), need, need, f=meta.f)
     return BlockVerifier(
         cluster, quorum, namespace=namespace, signed=meta.effective_signed
     )
 
 
-def group_trapezoid(spec: SystemSpec) -> TrapezoidQuorum:
-    """The spec's trapezoid, checked to span the code's consistency group."""
-    quorum = build_trapezoid_quorum(spec.quorum)
-    group = spec.code.group_size
-    if quorum.shape.total_nodes != group:
-        raise ConfigurationError(
-            f"trapezoid holds {quorum.shape.total_nodes} nodes but "
-            f"(n={spec.code.n}, k={spec.code.k}) requires "
-            f"Nbnode = n - k + 1 = {group}"
-        )
-    return quorum
-
-
 def _resolve(spec: SystemSpec):
-    """Registry entry, trapezoid quorum (or None), geometry, cluster, code.
+    """Registry entry, trapezoid quorum (or None), cluster and code.
 
     Shared front half of :func:`build_system` and
-    :func:`build_sharded_system`: validates the trapezoid against the
-    code's consistency-group size and picks the availability geometry —
-    registry entries may supply their own (the flat baselines do, so the
-    hooks model the engine's replica group); otherwise it is built from
-    the spec's quorum section. The cluster appends ``metadata.nodes``
-    nodes after the data nodes when the spec has a metadata tier.
+    :func:`build_sharded_system`. The spec has checked the quorum section
+    at load. The cluster appends ``metadata.nodes`` nodes after the data
+    nodes when the spec has a metadata tier.
     """
     entry = protocol_entry(spec.protocol)
-    quorum = group_trapezoid(spec) if entry.needs_trapezoid else None
-    if entry.system_builder is not None:
-        system = entry.system_builder(spec)
-    else:
-        system = build_quorum_system(spec.quorum)
+    quorum = build_trapezoid_quorum(spec.quorum) if entry.needs_trapezoid else None
     metadata_nodes = spec.metadata.nodes if spec.metadata is not None else 0
     cluster = Cluster(spec.cluster.num_nodes, metadata_nodes=metadata_nodes)
     code = MDSCode(spec.code.n, spec.code.k, construction=spec.code.construction)
-    return entry, quorum, system, cluster, code
+    return entry, quorum, cluster, code
 
 
 def _stripe(
@@ -246,7 +208,7 @@ def build_system(
     the latency scenario builds through :func:`build_sharded_system`).
     Without one, engines run on their default instant path.
     """
-    entry, quorum, system, cluster, code = _resolve(spec)
+    entry, quorum, cluster, code = _resolve(spec)
     coordinator = (
         coordinator_factory(cluster) if coordinator_factory is not None else None
     )
@@ -260,7 +222,6 @@ def build_system(
         code=code,
         layout=layout,
         engine=engine,
-        system=system,
         quorum=quorum,
         repair=repair,
         rng=rng,
@@ -285,7 +246,6 @@ class ShardedSystem:
     spec: SystemSpec
     cluster: Cluster
     code: MDSCode
-    system: QuorumSystem
     simulator: Simulator
     router: ShardRouter
     shards: list[Shard]
@@ -381,7 +341,7 @@ def build_sharded_system(
     num_shards = sharding.shards if sharding is not None else 1
     routing = sharding.routing if sharding is not None else "interleave"
     route_seed = sharding.route_seed if sharding is not None else 0
-    entry, _, system, cluster, code = _resolve(spec)
+    entry, _, cluster, code = _resolve(spec)
     if rng is None or service_rng is None:
         seed_streams = spawn_rngs(make_rng(spec.seed), 11)
         if rng is None:
@@ -431,7 +391,6 @@ def build_sharded_system(
         spec=spec,
         cluster=cluster,
         code=code,
-        system=system,
         simulator=simulator,
         router=router,
         shards=shards,

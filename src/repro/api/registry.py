@@ -1,19 +1,17 @@
-"""Name registries mapping declarative specs onto concrete classes.
+"""The protocol registry: declarative protocol names onto engine builders.
 
-Two registries make the facade extensible without touching call sites:
-
-* the **quorum registry** builds any :class:`~repro.quorum.base.QuorumSystem`
-  from a :class:`~repro.api.spec.QuorumSpec` (``trapezoid``, ``rowa``,
-  ``majority``, ``grid``, ``tree``, ``voting``);
-* the **protocol registry** builds any protocol engine satisfying
-  :class:`~repro.api.build.ProtocolEngine` from a
-  :class:`~repro.api.spec.SystemSpec` (``trap-erc``, ``trap-fr``,
-  ``rowa``, ``majority``).
-
-Comparative simulations and sweeps iterate over registry *names*; new
-protocols plug in with :func:`register_protocol` and immediately become
-available to ``repro run --config``, the comparison scenario and the
-facade tests.
+:func:`register_protocol` maps a :class:`~repro.api.spec.SystemSpec`
+``protocol`` name onto a builder of an engine satisfying
+:class:`~repro.api.build.ProtocolEngine` (``trap-erc``, ``trap-fr``,
+``rowa``, ``majority``). Comparative simulations and sweeps iterate over
+registry *names*; a new protocol plugs in with :func:`register_protocol`
+and immediately becomes available to ``repro run --config``, the
+comparison scenario and the facade tests. The quorum geometry is not a
+registry: :class:`~repro.api.spec.QuorumSpec` knows its three kinds,
+and :func:`~repro.api.spec.build_trapezoid_quorum` turns a trapezoid
+section into the :class:`~repro.quorum.trapezoid.TrapezoidQuorum` the
+engines consume.
+Also here: the latency and service-time models a spec's sections name.
 """
 
 from __future__ import annotations
@@ -21,7 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
-from repro.api.spec import LatencySpec, QuorumSpec, ServiceTimeSpec, SystemSpec
+from repro.api.spec import (
+    LatencySpec,
+    ServiceTimeSpec,
+    SystemSpec,
+    build_trapezoid_quorum,
+)
 from repro.cluster.network import (
     FixedLatency,
     LatencyModel,
@@ -38,13 +41,6 @@ from repro.core.replication import MajorityProtocol, RowaProtocol
 from repro.core.trap_erc import TrapErcProtocol
 from repro.core.trap_fr import TrapFrProtocol
 from repro.errors import ConfigurationError
-from repro.quorum.base import QuorumSystem
-from repro.quorum.grid import GridSystem
-from repro.quorum.majority import MajoritySystem
-from repro.quorum.rowa import RowaSystem
-from repro.quorum.trapezoid import TrapezoidQuorum, TrapezoidShape, TrapezoidSystem
-from repro.quorum.tree import TreeSystem
-from repro.quorum.voting import WeightedVotingSystem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import Cluster
@@ -52,17 +48,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.erasure.stripe import StripeLayout
 
 __all__ = [
-    "QuorumEntry",
     "ProtocolEntry",
     "DEFAULT_NAMESPACE",
-    "register_quorum",
     "register_protocol",
-    "quorum_names",
     "protocol_names",
-    "quorum_entry",
     "protocol_entry",
-    "build_quorum_system",
-    "build_trapezoid_quorum",
     "build_latency_model",
     "build_service_model",
 ]
@@ -94,101 +84,6 @@ def build_service_model(spec: ServiceTimeSpec | None) -> ServiceTimeModel | None
 
 
 # --------------------------------------------------------------------- #
-# quorum registry
-# --------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class QuorumEntry:
-    """One registered quorum system kind."""
-
-    name: str
-    system_class: type[QuorumSystem]
-    builder: Callable[[QuorumSpec], QuorumSystem]
-
-
-_QUORUMS: dict[str, QuorumEntry] = {}
-
-
-def register_quorum(name: str, system_class: type[QuorumSystem]):
-    """Decorator registering a ``QuorumSpec -> QuorumSystem`` builder."""
-
-    def decorator(builder: Callable[[QuorumSpec], QuorumSystem]):
-        if name in _QUORUMS:
-            raise ConfigurationError(f"quorum kind {name!r} already registered")
-        _QUORUMS[name] = QuorumEntry(name, system_class, builder)
-        return builder
-
-    return decorator
-
-
-def quorum_names() -> tuple[str, ...]:
-    """Registered quorum kinds, sorted."""
-    return tuple(sorted(_QUORUMS))
-
-
-def quorum_entry(name: str) -> QuorumEntry:
-    try:
-        return _QUORUMS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown quorum kind {name!r} (registered: {quorum_names()})"
-        ) from None
-
-
-def build_quorum_system(spec: QuorumSpec) -> QuorumSystem:
-    """Instantiate the quorum system a spec describes."""
-    return quorum_entry(spec.kind).builder(spec)
-
-
-def build_trapezoid_quorum(spec: QuorumSpec) -> TrapezoidQuorum:
-    """The :class:`TrapezoidQuorum` parameter object of a trapezoid spec.
-
-    The trapezoid protocol engines consume this richer object (shape plus
-    write vector) rather than the generic :class:`QuorumSystem` facade.
-    """
-    if spec.kind != "trapezoid":
-        raise ConfigurationError(
-            f"protocol requires a trapezoid quorum, got kind {spec.kind!r}"
-        )
-    shape = TrapezoidShape(spec.a, spec.b, spec.h)
-    if spec.w is None or isinstance(spec.w, int):
-        return TrapezoidQuorum.uniform(shape, spec.w)
-    return TrapezoidQuorum(shape, tuple(spec.w))
-
-
-@register_quorum("trapezoid", TrapezoidSystem)
-def _build_trapezoid_system(spec: QuorumSpec) -> TrapezoidSystem:
-    return TrapezoidSystem(build_trapezoid_quorum(spec))
-
-
-@register_quorum("rowa", RowaSystem)
-def _build_rowa_system(spec: QuorumSpec) -> RowaSystem:
-    return RowaSystem(spec.size)
-
-
-@register_quorum("majority", MajoritySystem)
-def _build_majority_system(spec: QuorumSpec) -> MajoritySystem:
-    return MajoritySystem(spec.size)
-
-
-@register_quorum("grid", GridSystem)
-def _build_grid_system(spec: QuorumSpec) -> GridSystem:
-    return GridSystem(spec.rows, spec.cols)
-
-
-@register_quorum("tree", TreeSystem)
-def _build_tree_system(spec: QuorumSpec) -> TreeSystem:
-    return TreeSystem(spec.height)
-
-
-@register_quorum("voting", WeightedVotingSystem)
-def _build_voting_system(spec: QuorumSpec) -> WeightedVotingSystem:
-    weights = spec.weights if spec.weights is not None else (1,) * spec.size
-    return WeightedVotingSystem(weights, spec.read_votes, spec.write_votes)
-
-
-# --------------------------------------------------------------------- #
 # protocol registry
 # --------------------------------------------------------------------- #
 
@@ -205,12 +100,7 @@ class ProtocolEntry:
     trust) and storing under ``namespace`` (every shard of a sharded
     system gets its own); every builder takes all three keywords;
     ``needs_trapezoid`` marks engines that consume the trapezoid quorum
-    geometry (validated against the paper's eq. 5 in ``build_system``);
-    ``system_builder(spec)``, when given, supplies the
-    :class:`QuorumSystem` geometry backing the availability hooks (so the
-    hooks model the engine, not whatever the spec's quorum section says —
-    the flat baselines use this). Without one, the geometry is built from
-    ``spec.quorum``.
+    geometry (the spec checks it against the paper's eq. 5 at load).
     """
 
     name: str
@@ -218,7 +108,6 @@ class ProtocolEntry:
     builder: Callable[..., object]
     needs_trapezoid: bool = False
     supports_repair: bool = False
-    system_builder: Callable[[SystemSpec], QuorumSystem] | None = None
 
 
 _PROTOCOLS: dict[str, ProtocolEntry] = {}
@@ -233,7 +122,6 @@ def register_protocol(
     *,
     needs_trapezoid: bool = False,
     supports_repair: bool = False,
-    system_builder: Callable[[SystemSpec], QuorumSystem] | None = None,
 ):
     """Decorator registering a protocol-engine builder."""
 
@@ -241,8 +129,7 @@ def register_protocol(
         if name in _PROTOCOLS:
             raise ConfigurationError(f"protocol {name!r} already registered")
         _PROTOCOLS[name] = ProtocolEntry(
-            name, engine_class, builder, needs_trapezoid, supports_repair,
-            system_builder,
+            name, engine_class, builder, needs_trapezoid, supports_repair
         )
         return builder
 
@@ -289,40 +176,7 @@ def _build_trap_fr(
     )
 
 
-def _flat_system_builder(kind: str, system_class: type):
-    """Availability geometry of a flat engine: the replica-group system.
-
-    Flat engines always replicate on the n - k + 1 consistency group, so
-    their hooks are derived from the protocol itself — a spec'd quorum of
-    another size or kind would describe a different system than the
-    engine runs. Trapezoid specs are tolerated (comparison scenarios
-    share one trapezoid spec across trap-* and flat engines); anything
-    else contradicting the protocol is rejected.
-    """
-
-    def build(spec: SystemSpec) -> QuorumSystem:
-        group = spec.code.group_size
-        if spec.quorum.kind == kind:
-            if spec.quorum.size != group:
-                raise ConfigurationError(
-                    f"{kind} replicates on the n - k + 1 = {group} node "
-                    f"consistency group, but quorum.size = "
-                    f"{spec.quorum.size}; omit quorum or set size = {group}"
-                )
-        elif spec.quorum.kind != "trapezoid":
-            raise ConfigurationError(
-                f"quorum kind {spec.quorum.kind!r} contradicts protocol "
-                f"{kind!r}; omit quorum, or use kind {kind!r} with "
-                f"size = {group}"
-            )
-        return system_class(group)
-
-    return build
-
-
-@register_protocol(
-    "rowa", RowaProtocol, system_builder=_flat_system_builder("rowa", RowaSystem)
-)
+@register_protocol("rowa", RowaProtocol)
 def _build_rowa(
     spec: SystemSpec, cluster: "Cluster", code: "MDSCode", layout: "StripeLayout",
     coordinator=None, verifier=None, namespace=DEFAULT_NAMESPACE,
@@ -336,11 +190,7 @@ def _build_rowa(
     )
 
 
-@register_protocol(
-    "majority",
-    MajorityProtocol,
-    system_builder=_flat_system_builder("majority", MajoritySystem),
-)
+@register_protocol("majority", MajorityProtocol)
 def _build_majority(
     spec: SystemSpec, cluster: "Cluster", code: "MDSCode", layout: "StripeLayout",
     coordinator=None, verifier=None, namespace=DEFAULT_NAMESPACE,

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro.analysis.optimizer import ConfigPoint, optimize_config_sweep
-from repro.api.build import build_sharded_system, build_system, group_trapezoid
+from repro.api.build import build_sharded_system, build_system
 from repro.api.registry import protocol_entry, protocol_names
 from repro.api.spec import (
     FaultloadSpec,
@@ -42,6 +42,7 @@ from repro.api.spec import (
     ServiceTimeSpec,
     ShardingSpec,
     SystemSpec,
+    build_trapezoid_quorum,
 )
 from repro.cluster.failures import exponential_trace
 from repro.cluster.node import ByzantineBehavior, MetadataByzantineBehavior
@@ -270,7 +271,7 @@ class ScenarioRunner:
 
     def _run_availability(self) -> dict:
         """Closed-form / exact / Monte-Carlo sweep over ``scenario.ps``."""
-        quorum = group_trapezoid(self.spec)
+        quorum = build_trapezoid_quorum(self.spec.quorum)
         records = availability_sweep(
             quorum,
             self.spec.code.n,
@@ -293,8 +294,6 @@ class ScenarioRunner:
         """
         p = self.spec.cluster.p
         trials = self.spec.scenario.trials
-        if protocol_entry(self.spec.protocol).needs_trapezoid:
-            group_trapezoid(self.spec)  # surface config errors pre-dispatch
         num_chunks = min(trials, _PROTOCOL_MC_CHUNKS)
         base, extra = divmod(trials, num_chunks)
         # Inline, every chunk runs on this runner's kept harness; in a
@@ -353,7 +352,7 @@ class ScenarioRunner:
                 self._protocol_mc = ProtocolMonteCarlo(
                     self.spec.code.n,
                     self.spec.code.k,
-                    group_trapezoid(self.spec),
+                    build_trapezoid_quorum(self.spec.quorum),
                     block_length=self.spec.workload.block_length,
                     rng=children[0],
                     stripes=self.spec.placement.stripes,
@@ -547,7 +546,7 @@ class ScenarioRunner:
 
     def _run_sweep(self) -> dict:
         """The availability sweep across trapezoid ``w_values``."""
-        base = group_trapezoid(self.spec)
+        base = build_trapezoid_quorum(self.spec.quorum)
         shape = base.shape
         if self.spec.scenario.w_values is not None:
             w_values = self.spec.scenario.w_values

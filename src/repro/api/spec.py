@@ -7,9 +7,12 @@ node validates eagerly on construction, round-trips losslessly through
 ``to_dict()/from_dict()`` (and therefore JSON), and is hashable, so specs
 can key caches and parameter sweeps.
 
-The spec layer is deliberately inert: it never imports the protocol
-engines. :mod:`repro.api.registry` maps the declarative names onto the
-concrete classes and :func:`repro.api.build.build_system` composes them.
+A spec that loads is a spec that builds: every check a build or a run
+would make of the quorum section, the seed or a scenario kind's fields
+runs here, before anything is built. The spec layer imports the quorum
+geometry for that, never the protocol engines, so a protocol *name* is
+looked up only when a build asks :mod:`repro.api.registry` for it;
+:func:`repro.api.build.build_system` composes the pieces.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from repro.errors import ConfigurationError
 from repro.parallel.executor import resolve_jobs
+from repro.quorum.trapezoid import TrapezoidQuorum, TrapezoidShape
 
 __all__ = [
     "CodeSpec",
@@ -35,6 +39,7 @@ __all__ = [
     "ScenarioSpec",
     "TransportSpec",
     "SystemSpec",
+    "build_trapezoid_quorum",
     "execution_options",
 ]
 
@@ -137,6 +142,11 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigurationError(message)
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool (JSON ``true`` must not pass for 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # --------------------------------------------------------------------- #
 # leaf specs
 # --------------------------------------------------------------------- #
@@ -166,23 +176,25 @@ class CodeSpec(_SpecBase):
 
 @dataclass(frozen=True)
 class QuorumSpec(_SpecBase):
-    """Quorum-system geometry, keyed by registry ``kind``.
+    """Quorum geometry, keyed by ``kind``.
 
     ``trapezoid``
         ``a``, ``b``, ``h`` shape plus ``w`` (scalar eq.-16 uniform
-        parameter, an explicit per-level tuple, or None for the default).
+        parameter, an explicit per-level tuple, or None for the default);
+        shape and ``w`` must make a valid
+        :class:`~repro.quorum.trapezoid.TrapezoidQuorum`.
     ``rowa`` / ``majority``
-        ``size`` nodes.
-    ``grid``
-        ``rows`` x ``cols`` nodes.
-    ``tree``
-        complete binary tree of ``height``.
-    ``voting``
-        ``weights`` (or unit weights over ``size``) with ``read_votes`` /
-        ``write_votes`` thresholds.
+        the flat baselines' ``size`` nodes.
+
+    A field the kind does not read is refused. :class:`SystemSpec`
+    checks the rest against the code and the protocols the run builds.
     """
 
-    _TUPLES = ("weights",)
+    _KIND_FIELDS = {
+        "trapezoid": ("a", "b", "h", "w"),
+        "rowa": ("size",),
+        "majority": ("size",),
+    }
 
     kind: str = "trapezoid"
     # trapezoid
@@ -192,66 +204,49 @@ class QuorumSpec(_SpecBase):
     w: int | tuple[int, ...] | None = None
     # flat systems
     size: int | None = None
-    rows: int | None = None
-    cols: int | None = None
-    height: int | None = None
-    weights: tuple[int, ...] | None = None
-    read_votes: int | None = None
-    write_votes: int | None = None
 
     def __post_init__(self) -> None:
+        _require(
+            self.kind in self._KIND_FIELDS,
+            f"unknown quorum kind {self.kind!r} "
+            f"(expected one of {tuple(self._KIND_FIELDS)})",
+        )
         if isinstance(self.w, list):
-            object.__setattr__(self, "w", tuple(int(x) for x in self.w))
-        if self.weights is not None:
-            object.__setattr__(
-                self, "weights", tuple(int(x) for x in self.weights)
+            object.__setattr__(self, "w", tuple(self.w))
+        if self.kind == "trapezoid":
+            _require(
+                all(_is_int(v) for v in (self.a, self.b, self.h)),
+                "trapezoid quorum needs a, b and h",
             )
-        checks = {
-            "trapezoid": self._check_trapezoid,
-            "rowa": self._check_sized,
-            "majority": self._check_sized,
-            "grid": self._check_grid,
-            "tree": self._check_tree,
-            "voting": self._check_voting,
-        }
-        # Kinds beyond the built-ins are allowed here and validated at
-        # build time against the registry: the spec layer stays inert so
-        # register_quorum() can extend the declarative surface (custom
-        # kinds reuse whichever of the fields above they need).
-        check = checks.get(self.kind)
-        if check is not None:
-            check()
+            _require(
+                self.w is None
+                or _is_int(self.w)
+                or (isinstance(self.w, tuple) and all(map(_is_int, self.w))),
+                f"trapezoid w must be an int, a list of ints or null, got {self.w!r}",
+            )
+            build_trapezoid_quorum(self)  # TrapezoidQuorum's shape and w checks
+        else:
+            _require(
+                _is_int(self.size) and self.size >= 1,
+                f"{self.kind} quorum needs size >= 1",
+            )
+        self._refuse_unread_fields()
 
-    def _check_trapezoid(self) -> None:
-        _require(
-            self.a is not None and self.b is not None and self.h is not None,
-            "trapezoid quorum needs a, b and h",
-        )
 
-    def _check_sized(self) -> None:
-        _require(
-            self.size is not None and self.size >= 1,
-            f"{self.kind} quorum needs size >= 1",
-        )
+def build_trapezoid_quorum(spec: QuorumSpec) -> TrapezoidQuorum:
+    """The :class:`TrapezoidQuorum` parameter object of a trapezoid spec.
 
-    def _check_grid(self) -> None:
-        _require(
-            self.rows is not None and self.cols is not None,
-            "grid quorum needs rows and cols",
+    The trapezoid protocol engines and the availability analysis consume
+    this object (shape plus write vector).
+    """
+    if spec.kind != "trapezoid":
+        raise ConfigurationError(
+            f"protocol requires a trapezoid quorum, got kind {spec.kind!r}"
         )
-
-    def _check_tree(self) -> None:
-        _require(self.height is not None, "tree quorum needs height")
-
-    def _check_voting(self) -> None:
-        _require(
-            self.weights is not None or self.size is not None,
-            "voting quorum needs weights (or size for unit weights)",
-        )
-        _require(
-            self.read_votes is not None and self.write_votes is not None,
-            "voting quorum needs read_votes and write_votes",
-        )
+    shape = TrapezoidShape(spec.a, spec.b, spec.h)
+    if spec.w is None or isinstance(spec.w, int):
+        return TrapezoidQuorum.uniform(shape, spec.w)
+    return TrapezoidQuorum(shape, tuple(spec.w))
 
 
 @dataclass(frozen=True)
@@ -460,15 +455,12 @@ class MetadataSpec(_SpecBase):
     ``nodes`` extra fail-stop-but-honest metadata nodes are appended to
     the cluster (ids ``num_nodes .. num_nodes + nodes - 1``); they store
     the per-block (version, digest) records that make payload replies
-    verifiable. ``quorum`` names a registry kind
-    (:func:`repro.api.registry.register_quorum`-pluggable; ``majority``
-    by default, ``rowa`` also works out of the box — kinds needing more
-    geometry than a size raise at build time).
+    verifiable. Writes and reads each need a majority of them.
 
     ``f`` is the number of *Byzantine* (lying, not just fail-stop)
     metadata nodes the tier tolerates. ``f > 0`` requires ``nodes >=
-    3f + 1``, replaces the registry thresholds with 2f+1 write/read
-    counts, and makes reads demand f+1 matching records (see
+    3f + 1``, replaces the majority with 2f+1 write/read counts, and
+    makes reads demand f+1 matching records (see
     :class:`~repro.runtime.verify.MetadataQuorum`). ``signed`` turns on
     writer-keyed record tags (self-verifying records); it defaults to
     ``f > 0`` — Byzantine tolerance without authentication is refused,
@@ -478,16 +470,11 @@ class MetadataSpec(_SpecBase):
     """
 
     nodes: int = 3
-    quorum: str = "majority"
     f: int = 0
     signed: bool | None = None
 
     def __post_init__(self) -> None:
         _require(self.nodes >= 1, f"metadata nodes must be >= 1, got {self.nodes}")
-        _require(
-            isinstance(self.quorum, str) and len(self.quorum) > 0,
-            f"metadata quorum must be a registry kind name, got {self.quorum!r}",
-        )
         _require(
             isinstance(self.f, int) and self.f >= 0,
             f"metadata f must be an int >= 0, got {self.f!r}",
@@ -882,7 +869,10 @@ class SystemSpec(_SpecBase):
             f"cluster of {self.cluster.num_nodes} nodes cannot host "
             f"n={self.code.n} blocks",
         )
-        _require(isinstance(self.seed, int), f"seed must be an int, got {self.seed!r}")
+        _require(
+            _is_int(self.seed) and self.seed >= 0,
+            f"seed must be a non-negative integer, got {self.seed!r}",
+        )
         scenario = self.scenario
         if scenario.kind == "trace":
             _require(
@@ -900,15 +890,18 @@ class SystemSpec(_SpecBase):
                 scenario.num_blocks <= self.code.k,
                 f"num_blocks must be <= k = {self.code.k}, got {scenario.num_blocks}",
             )
-        # A single-level trapezoid has no free w (w_0 is mandatory):
-        # sweeping w_values over it would fabricate a dependence.
-        _require(
-            scenario.w_values is None
-            or self.quorum.kind != "trapezoid"
-            or self.quorum.h != 0,
-            "w_values cannot be swept on an h = 0 trapezoid "
-            "(w_0 = floor(b/2) + 1 is mandatory)",
-        )
+        self._check_quorum()
+        if scenario.w_values is not None:
+            # A single-level trapezoid has no free w (w_0 is mandatory):
+            # sweeping w_values over it would fabricate a dependence.
+            _require(
+                self.quorum.h != 0,
+                "w_values cannot be swept on an h = 0 trapezoid "
+                "(w_0 = floor(b/2) + 1 is mandatory)",
+            )
+            shape = build_trapezoid_quorum(self.quorum).shape
+            for w in scenario.w_values:
+                TrapezoidQuorum.uniform(shape, w)  # 1 <= w <= s_l
         liars = scenario.faultload.metadata_liars if scenario.faultload else 0
         if liars > 0:
             _require(
@@ -920,6 +913,55 @@ class SystemSpec(_SpecBase):
                 f"metadata_liars = {liars} exceeds the metadata tier size "
                 f"{self.metadata.nodes}",
             )
+
+    def _check_quorum(self) -> None:
+        """Refuse a quorum section that a protocol of the run cannot use.
+
+        A trapezoid spans the consistency group: Nbnode = n - k + 1 (eq.
+        5). A flat section replicates on that group too, and must name
+        every protocol the run builds — ``protocol``, plus each entry of
+        ``scenario.protocols`` in a comparison, which must then be set;
+        the availability and sweep kinds study a trapezoid.
+        """
+        quorum, code = self.quorum, self.code
+        group = code.group_size
+        if quorum.kind == "trapezoid":
+            total = build_trapezoid_quorum(quorum).shape.total_nodes
+            _require(
+                total == group,
+                f"trapezoid holds {total} nodes but (n={code.n}, k={code.k}) "
+                f"requires Nbnode = n - k + 1 = {group}",
+            )
+            return
+        scenario = self.scenario
+        needs_trapezoid = (
+            f"protocol requires a trapezoid quorum, got kind {quorum.kind!r}"
+        )
+        _require(scenario.kind not in ("availability", "sweep"), needs_trapezoid)
+        names = [self.protocol]
+        if scenario.kind == "comparison":
+            _require(
+                scenario.protocols is not None,
+                f"a comparison over a {quorum.kind!r} quorum must list "
+                "scenario.protocols (unset, it runs every registered protocol)",
+            )
+            names += scenario.protocols
+        for name in names:
+            if name == quorum.kind:
+                _require(
+                    quorum.size == group,
+                    f"{name} replicates on the n - k + 1 = {group} node "
+                    f"consistency group, but quorum.size = {quorum.size}; "
+                    f"omit quorum or set size = {group}",
+                )
+            elif name in QuorumSpec._KIND_FIELDS:
+                raise ConfigurationError(
+                    f"quorum kind {quorum.kind!r} contradicts protocol "
+                    f"{name!r}; omit quorum, or use kind {name!r} with "
+                    f"size = {group}"
+                )
+            else:
+                raise ConfigurationError(needs_trapezoid)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemSpec":

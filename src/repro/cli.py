@@ -31,6 +31,10 @@ Commands
 :class:`repro.api.SystemSpec` from their flags and print what
 ``ScenarioRunner`` returns for it; ``--dump-config PATH`` writes that
 spec, so ``repro run --config PATH`` replays the printed numbers.
+
+A library error (a :class:`~repro.errors.ReproError`, such as a spec
+refused at load) prints as ``repro: error: <message>`` on stderr, with
+no traceback, and exits with status 2 — the status of a bad flag.
 """
 
 from __future__ import annotations
@@ -404,8 +408,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command; a library error is one stderr line and status 2."""
+    from repro.errors import ReproError
+
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

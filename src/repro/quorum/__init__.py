@@ -3,7 +3,10 @@
 The trapezoid layout of the paper plus the classical baselines its related
 work cites: ROWA, Majority [13], Grid [4], and Tree [1] quorums. All share
 the :class:`~repro.quorum.base.QuorumSystem` interface, so the analysis and
-simulation layers treat them uniformly.
+simulation layers treat them uniformly. The protocol engines consume the
+trapezoid (:class:`TrapezoidQuorum`); the flat engines replicate on the
+consistency group without a geometry object; ``repro figures`` compares
+all five systems' availability on one node budget.
 """
 
 from repro.quorum.base import CountPredicate, QuorumSystem, verify_intersection
@@ -18,10 +21,8 @@ from repro.quorum.trapezoid import (
     shapes_for_nbnode,
 )
 from repro.quorum.tree import TreeSystem
-from repro.quorum.voting import WeightedVotingSystem
 
 __all__ = [
-    "WeightedVotingSystem",
     "CountPredicate",
     "QuorumSystem",
     "verify_intersection",

@@ -37,7 +37,7 @@ class CountPredicate:
     members in **every** group (``mode="all"``, write-style) or in **some**
     group (``mode="any"``, read-check-style). Systems whose quorums depend
     on membership only through these counts (trapezoid levels, majority,
-    ROWA, unit-weight voting) expose one via
+    ROWA) expose one via
     :meth:`QuorumSystem.as_level_thresholds`, which lets
     :mod:`repro.analysis.occupancy` evaluate exact availability over the
     joint count distribution — ``prod(s_g + 1)`` table cells instead of

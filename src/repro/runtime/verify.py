@@ -10,13 +10,11 @@ makes payload replies checkable without trusting payload nodes:
   digest of a data block's bytes, computed by the writer;
 * :class:`MetadataQuorum` — a lightweight, count-threshold quorum over
   ``nodes`` extra metadata nodes appended to the cluster. With ``f = 0``
-  the tier is trusted fail-stop and thresholds derive from any registry
-  quorum system (``majority`` by default) via
-  :meth:`~repro.quorum.base.QuorumSystem.as_level_thresholds`, falling
-  back to the size of a minimal quorum over the full metadata set. With
-  ``f > 0`` the tier itself tolerates ``f`` Byzantine members: the
-  classic 3f+1 sizing with 2f+1 write/read thresholds (any two quorums
-  then intersect in f+1 nodes — *Byzantine Reliable Broadcast*, Locher);
+  the tier is trusted fail-stop and a build asks a majority for writes
+  and reads. With ``f > 0`` the tier itself tolerates ``f`` Byzantine
+  members: the classic 3f+1 sizing with 2f+1 write/read thresholds (any
+  two quorums then intersect in f+1 nodes — *Byzantine Reliable
+  Broadcast*, Locher);
 * :class:`BlockVerifier` — builds the ``metadata`` rounds that store and
   fetch per-block ``(version, digest)`` records, runs them as the two
   sub-plans every verified engine and the repair service yield from
@@ -62,7 +60,6 @@ from collections import Counter
 import numpy as np
 
 from repro.errors import ConfigurationError, NodeUnavailableError, StaleNodeError
-from repro.quorum.base import QuorumSystem
 from repro.runtime.rounds import Request, Response, Round, RoundOutcome
 
 __all__ = [
@@ -127,10 +124,7 @@ class MetadataQuorum:
     simple counts: a write must reach ``write_need`` of the ``node_ids``,
     a read gathers ``read_need`` replies (any write/read pair then
     intersects, so the max version over a read quorum is the last
-    committed one). :meth:`from_system` derives the counts from a full
-    :class:`~repro.quorum.base.QuorumSystem` — exactly for
-    count-structured systems (majority, ROWA, unit-weight voting), via
-    the size of a minimal quorum over the whole tier otherwise.
+    committed one).
 
     ``f`` is the number of *Byzantine* metadata members tolerated. With
     ``f > 0`` the tier must hold at least 3f+1 nodes and both thresholds
@@ -181,45 +175,6 @@ class MetadataQuorum:
                         f"{label} must be at least 2f + 1 = {floor} to "
                         f"guarantee an f+1 honest intersection, got {need}"
                     )
-
-    @classmethod
-    def from_system(
-        cls, node_ids, system: QuorumSystem, f: int = 0
-    ) -> "MetadataQuorum":
-        """Derive count thresholds from a registry quorum system.
-
-        With ``f > 0`` the Byzantine math replaces the registry
-        derivation outright: both thresholds are 2f+1 over a >= 3f+1
-        tier, whatever the named quorum kind would have said — a
-        fail-stop majority of a Byzantine-sized tier cannot guarantee an
-        honest intersection.
-        """
-        ids = tuple(int(i) for i in node_ids)
-        if int(f) > 0:
-            threshold = 2 * int(f) + 1
-            return cls(ids, threshold, threshold, f=int(f))
-        full = set(range(len(ids)))
-
-        def need(kind: str) -> int:
-            predicate = system.as_level_thresholds(kind)
-            if (
-                predicate is not None
-                and len(predicate.sizes) == 1
-                and predicate.sizes[0] == len(ids)
-            ):
-                return int(predicate.thresholds[0])
-            finder = (
-                system.find_write_quorum if kind == "write" else system.find_read_quorum
-            )
-            quorum = finder(full)
-            if quorum is None:
-                raise ConfigurationError(
-                    f"metadata quorum system has no {kind} quorum even with "
-                    f"all {len(ids)} nodes alive"
-                )
-            return len(quorum)
-
-        return cls(ids, need("write"), need("read"))
 
 
 class BlockVerifier:

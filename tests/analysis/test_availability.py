@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     erc_betas_lambdas,
-    exact_availability,
     exact_read_erc,
     read_availability_erc,
     read_availability_erc_terms,
@@ -19,6 +18,7 @@ from repro.analysis import (
 )
 from repro.errors import ConfigurationError
 from repro.quorum import TrapezoidQuorum, TrapezoidShape, TrapezoidSystem
+from tests.analysis.exact_reference import exact_availability
 
 P = np.linspace(0.0, 1.0, 21)
 

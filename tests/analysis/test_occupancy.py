@@ -19,16 +19,12 @@ from hypothesis import strategies as st
 from repro.analysis import (
     erc_level_counts,
     erc_level_counts_family,
-    erc_subset_counts,
-    exact_availability,
     exact_read_erc,
     occupancy_cache_clear,
     occupancy_cache_info,
     optimize_config,
     optimize_config_sweep,
     predicate_counts,
-    predicate_counts_family,
-    subset_counts,
     write_availability,
 )
 from repro.analysis.optimizer import ConfigPoint, _collect_result, _w_vectors
@@ -41,11 +37,16 @@ from repro.quorum import (
     TrapezoidShape,
     TrapezoidSystem,
     TreeSystem,
-    WeightedVotingSystem,
     default_shape_for_nbnode,
     shapes_for_nbnode,
 )
 from repro.quorum.base import CountPredicate
+from tests.analysis.exact_reference import (
+    erc_subset_counts,
+    exact_availability,
+    exact_read_erc_enumerated,
+    subset_counts,
+)
 
 P = np.linspace(0.0, 1.0, 21)
 
@@ -101,8 +102,6 @@ class TestCountPredicate:
     def test_membership_structured_systems_opt_out(self):
         assert GridSystem(2, 2).as_level_thresholds("read") is None
         assert TreeSystem(2).as_level_thresholds("write") is None
-        heterogeneous = WeightedVotingSystem([3, 1, 1], 3, 3)
-        assert heterogeneous.as_level_thresholds("write") is None
 
 
 # --------------------------------------------------------------------- #
@@ -125,13 +124,7 @@ class TestPredicateCounts:
 
     @pytest.mark.parametrize(
         "system",
-        [
-            MajoritySystem(5),
-            RowaSystem(4),
-            WeightedVotingSystem([2, 2, 2], 3, 4),
-            WeightedVotingSystem.majority(5),
-            WeightedVotingSystem.rowa(3),
-        ],
+        [MajoritySystem(5), RowaSystem(4)],
         ids=lambda s: repr(s),
     )
     def test_flat_systems_match_enumeration(self, system):
@@ -207,18 +200,6 @@ class TestPredicateCounts:
         assert np.all(vals >= -1e-12) and np.all(vals <= 1 + 1e-9)
         assert np.all(np.diff(vals) >= -1e-9)
 
-    @settings(max_examples=40, deadline=None)
-    @given(quorum=quorums())
-    def test_family_rows_match_single_calls(self, quorum):
-        shape = quorum.shape
-        vectors = _w_vectors(shape, 64)
-        fam = predicate_counts_family(shape.level_sizes, vectors, "all")
-        for i, w in enumerate(vectors):
-            single = predicate_counts(
-                CountPredicate(shape.level_sizes, w, "all")
-            )
-            assert np.array_equal(fam[i], single)
-
 
 class TestErcSplitCounts:
     @settings(max_examples=60, deadline=None)
@@ -237,7 +218,7 @@ class TestErcSplitCounts:
     def test_exact_read_erc_bit_identical(self, quorum, p):
         n = quorum.shape.total_nodes + 7
         occupancy = exact_read_erc(quorum, n, 8, p)
-        enumeration = exact_read_erc(quorum, n, 8, p, method="enumeration")
+        enumeration = exact_read_erc_enumerated(quorum, n, 8, p)
         assert np.array_equal(occupancy, enumeration)
 
     def test_family_rows_match_single_calls(self):
@@ -251,11 +232,6 @@ class TestErcSplitCounts:
             d, e = erc_level_counts(shape.level_sizes, tuple(t))
             assert np.array_equal(direct[i], d)
             assert np.array_equal(decode[i], e)
-
-    def test_method_validated(self):
-        quorum = TrapezoidQuorum.uniform(TrapezoidShape(2, 3, 1), 3)
-        with pytest.raises(ConfigurationError):
-            exact_read_erc(quorum, 15, 8, 0.5, method="magic")
 
     @settings(max_examples=10, deadline=None)
     @given(p=st.floats(0.05, 0.95))
@@ -287,7 +263,7 @@ class TestErcSplitCounts:
         occupancy_cache_clear()
         quorum = TrapezoidQuorum.uniform(default_shape_for_nbnode(n - k + 1))
         occupancy = exact_read_erc(quorum, n, k, P)
-        enumeration = exact_read_erc(quorum, n, k, P, method="enumeration")
+        enumeration = exact_read_erc_enumerated(quorum, n, k, P)
         assert np.array_equal(occupancy, enumeration)
 
     def test_tables_cached_across_p(self):
@@ -316,9 +292,7 @@ def _reference_optimize(n, k, p, max_h=3, max_vectors=512):
                     shape=shape,
                     w=w,
                     write=float(write_availability(quorum, p)),
-                    read=float(
-                        exact_read_erc(quorum, n, k, p, method="enumeration")
-                    ),
+                    read=float(exact_read_erc_enumerated(quorum, n, k, p)),
                 )
             )
     return _collect_result(points)

@@ -15,6 +15,7 @@ from repro.api import (
     SystemSpec,
     build_sharded_system,
     build_system,
+    build_trapezoid_quorum,
     protocol_entry,
     protocol_names,
 )
@@ -68,44 +69,16 @@ class TestBuildSmoke:
         for name in ("trap-fr", "rowa", "majority"):
             assert build_system(SPEC.replace(protocol=name)).repair is None
 
-    def test_availability_hooks(self):
+    def test_trapezoid_engines_carry_their_quorum(self):
         built = build_system(SPEC)
-        w = float(built.write_availability(0.9))
-        r = float(built.read_availability(0.9))
-        assert 0.0 < w <= 1.0 and 0.0 < r <= 1.0
-        assert r >= w  # trapezoid reads are at least as available as writes
-
-    def test_flat_availability_hooks_model_the_engine(self):
-        # ROWA on the 4-node consistency group: writes need all 4 nodes,
-        # regardless of what the (trapezoid) quorum section says.
-        built = build_system(SPEC.replace(protocol="rowa"))
-        assert float(built.write_availability(0.9)) == pytest.approx(0.9**4)
-        assert float(built.read_availability(0.9)) == pytest.approx(
-            1.0 - 0.1**4
-        )
+        assert built.quorum == build_trapezoid_quorum(SPEC.quorum)
+        assert build_system(SPEC.replace(protocol="trap-fr")).quorum == built.quorum
+        for name in ("rowa", "majority"):
+            assert build_system(SPEC.replace(protocol=name)).quorum is None
 
 
 class TestBuildValidation:
-    def test_geometry_mismatch_rejected(self):
-        # (9, 6) needs a 4-node trapezoid; (a=2, b=3, h=2) holds 15.
-        bad = SystemSpec(
-            protocol="trap-erc",
-            code=CodeSpec(n=9, k=6),
-            quorum=QuorumSpec(kind="trapezoid", a=2, b=3, h=2),
-        )
-        with pytest.raises(ConfigurationError, match="n - k \\+ 1"):
-            build_system(bad)
-
-    def test_trap_protocol_needs_trapezoid_quorum(self):
-        bad = SystemSpec(
-            protocol="trap-fr",
-            code=CodeSpec(n=9, k=6),
-            quorum=QuorumSpec(kind="majority", size=4),
-        )
-        with pytest.raises(ConfigurationError, match="requires a trapezoid"):
-            build_system(bad)
-
-    def test_flat_protocols_accept_any_quorum_geometry(self):
+    def test_flat_protocol_builds_from_its_flat_quorum(self):
         spec = SystemSpec(
             protocol="majority",
             code=CodeSpec(n=9, k=6),
@@ -114,24 +87,6 @@ class TestBuildValidation:
         built = build_system(spec)
         built.initialize()
         assert built.engine.read_block(0).success
-
-    def test_flat_protocol_quorum_size_mismatch_rejected(self):
-        spec = SystemSpec(
-            protocol="rowa",
-            code=CodeSpec(n=9, k=6),  # group size 4
-            quorum=QuorumSpec(kind="rowa", size=7),
-        )
-        with pytest.raises(ConfigurationError, match="size = 4"):
-            build_system(spec)
-
-    def test_flat_protocol_contradictory_quorum_kind_rejected(self):
-        spec = SystemSpec(
-            protocol="rowa",
-            code=CodeSpec(n=9, k=6),
-            quorum=QuorumSpec(kind="voting", size=4, read_votes=2, write_votes=3),
-        )
-        with pytest.raises(ConfigurationError, match="contradicts protocol"):
-            build_system(spec)
 
     def test_wrong_data_shape_rejected(self):
         built = build_system(SPEC)

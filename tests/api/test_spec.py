@@ -21,9 +21,14 @@ from repro.api import (
     ScenarioSpec,
     SystemSpec,
     WorkloadSpec,
+    build_sharded_system,
+    build_system,
+    build_trapezoid_quorum,
     execution_options,
+    protocol_names,
 )
 from repro.errors import ConfigurationError
+from repro.quorum import shapes_for_nbnode
 
 
 # --------------------------------------------------------------------- #
@@ -34,23 +39,24 @@ codes = st.integers(1, 6).flatmap(
     lambda k: st.integers(0, 6).map(lambda m: CodeSpec(n=k + m, k=k))
 )
 
-trapezoids = st.tuples(
-    st.integers(0, 3), st.integers(1, 5), st.integers(0, 3)
-).map(lambda abh: QuorumSpec(kind="trapezoid", a=abh[0], b=abh[1], h=abh[2]))
 
-flat_quorums = st.one_of(
-    st.integers(1, 9).map(lambda s: QuorumSpec(kind="rowa", size=s)),
-    st.integers(1, 9).map(lambda s: QuorumSpec(kind="majority", size=s)),
-    st.tuples(st.integers(1, 4), st.integers(1, 4)).map(
-        lambda rc: QuorumSpec(kind="grid", rows=rc[0], cols=rc[1])
-    ),
-    st.integers(0, 3).map(lambda h: QuorumSpec(kind="tree", height=h)),
-    st.integers(1, 7).map(
-        lambda s: QuorumSpec(
-            kind="voting", size=s, read_votes=s // 2 + 1, write_votes=s // 2 + 1
+@st.composite
+def trapezoids(draw, code: CodeSpec, swept: bool = False):
+    """A trapezoid section spanning ``code``'s n - k + 1 consistency group
+    (with h >= 1 when ``swept``, so w_values have a level to sweep)."""
+    shapes = shapes_for_nbnode(code.group_size)
+    shape = draw(st.sampled_from([s for s in shapes if s.h > 0] if swept else shapes))
+    w = None
+    if shape.h > 0:
+        top = shape.level_size(1)
+        w = draw(
+            st.none()
+            | st.integers(1, top)
+            | st.lists(st.integers(1, top), min_size=shape.h, max_size=shape.h).map(
+                lambda upper: (shape.b // 2 + 1, *upper)
+            )
         )
-    ),
-)
+    return QuorumSpec(kind="trapezoid", a=shape.a, b=shape.b, h=shape.h, w=w)
 
 #: valid values per field of a kind-tagged section, drawn for each kind
 #: from the fields its ``_KIND_FIELDS`` entry lists
@@ -156,19 +162,33 @@ workloads = st.builds(
 
 @st.composite
 def system_specs(draw):
-    """Valid specs, the cross-section rules met by drawing to fit them."""
+    """Valid specs, the cross-section rules met by drawing to fit them:
+    the quorum section is a trapezoid over the consistency group, or the
+    flat kind of the flat protocol the run builds, at the group's size."""
     scenario = draw(scenarios)
-    code = draw(codes)
+    swept = scenario.w_values is not None
+    code = draw(codes.filter(lambda c: c.n > c.k) if swept else codes)
     if scenario.num_blocks is not None:
         scenario = scenario.replace(num_blocks=min(scenario.num_blocks, code.k))
-    if scenario.w_values is not None:
-        quorum = draw(trapezoids.filter(lambda q: q.h > 0))
-    else:
-        quorum = draw(st.one_of(st.none(), trapezoids, flat_quorums))
     protocol = draw(st.sampled_from(PROTOCOLS))
-    cluster = None
     if scenario.kind == "trace":
         protocol = "trap-erc"
+    quorum = draw(trapezoids(code, swept) if swept else st.none() | trapezoids(code))
+    if swept:
+        top = quorum.a + quorum.b  # s_1
+        scenario = scenario.replace(
+            w_values=tuple(min(w, top) for w in scenario.w_values)
+        )
+    elif (
+        protocol in ("rowa", "majority")
+        and scenario.kind not in ("availability", "sweep")
+        and draw(st.booleans())
+    ):
+        quorum = QuorumSpec(kind=protocol, size=code.group_size)
+        if scenario.kind == "comparison":
+            scenario = scenario.replace(protocols=(protocol,))
+    cluster = None
+    if scenario.kind == "trace":
         cluster = ClusterSpec(
             num_nodes=code.n + draw(st.integers(0, 3)),
             failure="exponential",
@@ -197,8 +217,16 @@ def system_specs(draw):
         latency=draw(latencies),
         metadata=metadata,
         scenario=scenario,
-        seed=draw(st.integers(-(2**31), 2**31)),
+        seed=draw(st.integers(0, 2**31)),
     )
+
+
+def built_protocols(spec: SystemSpec) -> tuple[str, ...]:
+    """The protocols a run of ``spec`` builds (a comparison builds each
+    of its entries, or every registered protocol when they are unset)."""
+    if spec.scenario.kind == "comparison":
+        return spec.scenario.protocols or protocol_names()
+    return (spec.protocol,)
 
 
 class TestRoundTrip:
@@ -233,6 +261,20 @@ class TestRoundTrip:
         assert spec.seed == 3
 
 
+class TestEveryLoadedSpecBuilds:
+    """A spec that loads is a spec that builds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(system_specs())
+    def test_every_protocol_the_run_builds_builds(self, spec):
+        for name in built_protocols(spec):
+            case = spec.replace(protocol=name)
+            build_system(case)
+            build_sharded_system(case)
+        if spec.scenario.kind in ("availability", "sweep"):
+            build_trapezoid_quorum(spec.quorum)
+
+
 class TestValidation:
     def test_unknown_keys_rejected(self):
         payload = SystemSpec().to_dict()
@@ -254,14 +296,9 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             CodeSpec(n=3, k=5)
 
-    def test_unknown_quorum_kind_deferred_to_build(self):
-        # The spec layer stays inert so register_quorum() can extend the
-        # declarative surface; unknown kinds fail at registry lookup.
-        from repro.api import build_quorum_system
-
-        spec = QuorumSpec(kind="pentagon", size=5)  # constructs fine
-        with pytest.raises(ConfigurationError, match="unknown quorum kind"):
-            build_quorum_system(spec)
+    def test_unknown_quorum_kind_refused(self):
+        with pytest.raises(ConfigurationError, match="unknown quorum kind 'pentagon'"):
+            QuorumSpec(kind="pentagon", size=5)
 
     def test_trapezoid_requires_shape(self):
         with pytest.raises(ConfigurationError, match="needs a, b and h"):
@@ -350,17 +387,15 @@ class TestValidation:
             FaultloadSpec(kind="byzantine", corruption_mode="gaslight")
 
     def test_metadata_spec_validation_and_round_trip(self):
-        meta = MetadataSpec(nodes=5, quorum="rowa")
+        meta = MetadataSpec(nodes=5, f=1)
         assert MetadataSpec.from_dict(meta.to_dict()) == meta
         with pytest.raises(ConfigurationError, match="nodes"):
             MetadataSpec(nodes=0)
-        with pytest.raises(ConfigurationError, match="registry kind"):
-            MetadataSpec(quorum="")
 
     def test_system_spec_metadata_round_trip(self):
         spec = SystemSpec(metadata=MetadataSpec(nodes=3))
         assert SystemSpec.from_dict(spec.to_dict()) == spec
-        assert SystemSpec.from_dict(spec.to_dict()).metadata.quorum == "majority"
+        assert set(spec.to_dict()["metadata"]) == {"nodes", "f", "signed"}
         # Pre-metadata artifacts (no "metadata" key) must keep loading.
         payload = SystemSpec().to_dict()
         payload.pop("metadata", None)
@@ -444,6 +479,44 @@ class TestKindFields:
         # the fields some kind reads, counted per kind
         assert sum(map(len, ScenarioSpec._KIND_FIELDS.values())) == 28
         assert sum(map(len, FaultloadSpec._KIND_FIELDS.values())) == 11
+        assert sum(map(len, QuorumSpec._KIND_FIELDS.values())) == 6
+        assert {f.name for f in fields(QuorumSpec)} - {"kind"} == {
+            name for reads in QuorumSpec._KIND_FIELDS.values() for name in reads
+        }
+
+    @pytest.mark.parametrize(
+        "kind, fitting, name, value",
+        [
+            ("trapezoid", {"a": 0, "b": 4, "h": 0}, "size", 4),
+            ("rowa", {"size": 4}, "a", 0),
+            ("rowa", {"size": 4}, "w", 2),
+            ("majority", {"size": 4}, "h", 1),
+            ("majority", {"size": 4}, "b", 4),
+        ],
+    )
+    def test_quorum_unread_field_refused(self, kind, fitting, name, value):
+        QuorumSpec(kind=kind, **fitting)
+        with pytest.raises(ConfigurationError) as err:
+            QuorumSpec(kind=kind, **fitting, **{name: value})
+        reads = list(QuorumSpec._KIND_FIELDS[kind])
+        assert str(err.value) == (
+            f"QuorumSpec kind {kind!r} does not read {name!r}; it reads {reads}"
+        )
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"kind": "trapezoid", "a": "2", "b": 1, "h": 1},
+            {"kind": "trapezoid", "a": 2, "b": 1, "h": True},
+            {"kind": "trapezoid", "a": 2, "b": 1, "h": 1, "w": "2"},
+            {"kind": "trapezoid", "a": 2, "b": 1, "h": 1, "w": [1, 2.5]},
+            {"kind": "rowa", "size": "4"},
+            {"kind": "majority", "size": 0},
+        ],
+    )
+    def test_quorum_values_are_typed(self, section):
+        with pytest.raises(ConfigurationError):
+            QuorumSpec.from_dict(section)
 
     @pytest.mark.parametrize("cls, kind, name", _kind_field_cases(read=False))
     def test_unread_field_refused(self, cls, kind, name):
@@ -525,6 +598,130 @@ LOAD_TIME_CHECKS = {
         },
         "metadata_liars = 4 exceeds the metadata tier size 3",
     ),
+    # refused by the build (or the run, for the sweep's w) before they
+    # were checked at load
+    "trapezoid_size": (
+        {
+            "quorum": {"kind": "trapezoid", "a": 2, "b": 3, "h": 1},
+            "scenario": {"kind": "availability", "trials": 0},
+        },
+        "trapezoid holds 8 nodes but (n=9, k=6) requires Nbnode = n - k + 1 = 4",
+    ),
+    "trapezoid_size_flat_protocol": (
+        {"protocol": "rowa", "quorum": {"kind": "trapezoid", "a": 0, "b": 5, "h": 0}},
+        "trapezoid holds 5 nodes but (n=9, k=6) requires Nbnode = n - k + 1 = 4",
+    ),
+    "trapezoid_shape": (
+        {"quorum": {"kind": "trapezoid", "a": 1, "b": 0, "h": 1}},
+        "b must be >= 1, got 0",
+    ),
+    "trapezoid_w": (
+        {"quorum": {"kind": "trapezoid", "a": 2, "b": 1, "h": 1, "w": 4}},
+        "need 1 <= w_1 <= s_1 = 3, got 4",
+    ),
+    "trapezoid_w_0": (
+        {"quorum": {"kind": "trapezoid", "a": 2, "b": 1, "h": 1, "w": [2, 2]}},
+        "w_0 must be floor(b/2)+1 = 1, got 2",
+    ),
+    "trapezoid_w_levels": (
+        {"quorum": {"kind": "trapezoid", "a": 2, "b": 1, "h": 1, "w": [1]}},
+        "w must have h+1 = 2 entries, got 1",
+    ),
+    "sweep_w_value": (
+        {
+            "quorum": {"kind": "trapezoid", "a": 2, "b": 1, "h": 1},
+            "scenario": {"kind": "sweep", "w_values": [1, 4]},
+        },
+        "need 1 <= w_1 <= s_1 = 3, got 4",
+    ),
+    "flat_size": (
+        {"protocol": "rowa", "quorum": {"kind": "rowa", "size": 7}},
+        "rowa replicates on the n - k + 1 = 4 node consistency group, but "
+        "quorum.size = 7; omit quorum or set size = 4",
+    ),
+    "flat_kind_vs_flat_protocol": (
+        {"protocol": "rowa", "quorum": {"kind": "majority", "size": 4}},
+        "quorum kind 'majority' contradicts protocol 'rowa'; omit quorum, or "
+        "use kind 'rowa' with size = 4",
+    ),
+    "flat_kind_vs_trapezoid_protocol": (
+        {"protocol": "trap-fr", "quorum": {"kind": "majority", "size": 4}},
+        "protocol requires a trapezoid quorum, got kind 'majority'",
+    ),
+    "flat_kind_vs_comparison_entry": (
+        {
+            "protocol": "rowa",
+            "quorum": {"kind": "rowa", "size": 4},
+            "scenario": {"kind": "comparison", "protocols": ["rowa", "majority"]},
+        },
+        "quorum kind 'rowa' contradicts protocol 'majority'; omit quorum, or "
+        "use kind 'majority' with size = 4",
+    ),
+    "flat_kind_vs_comparison_trapezoid_entry": (
+        {
+            "protocol": "rowa",
+            "quorum": {"kind": "rowa", "size": 4},
+            "scenario": {"kind": "comparison", "protocols": ["trap-erc"]},
+        },
+        "protocol requires a trapezoid quorum, got kind 'rowa'",
+    ),
+    "flat_kind_comparison_needs_protocols": (
+        {
+            "protocol": "rowa",
+            "quorum": {"kind": "rowa", "size": 4},
+            "scenario": {"kind": "comparison"},
+        },
+        "a comparison over a 'rowa' quorum must list scenario.protocols "
+        "(unset, it runs every registered protocol)",
+    ),
+    "flat_kind_availability": (
+        {
+            "protocol": "rowa",
+            "quorum": {"kind": "rowa", "size": 4},
+            "scenario": {"kind": "availability"},
+        },
+        "protocol requires a trapezoid quorum, got kind 'rowa'",
+    ),
+    "negative_seed": (
+        {"seed": -5},
+        "seed must be a non-negative integer, got -5",
+    ),
+    "bool_seed": (
+        {"seed": True},
+        "seed must be a non-negative integer, got True",
+    ),
+}
+
+#: quorum kinds and keys that no protocol could build, and the metadata
+#: tier's quorum kind, gone from the spec
+REMOVED = {
+    "grid": (
+        {"quorum": {"kind": "grid"}},
+        "unknown quorum kind 'grid' (expected one of "
+        "('trapezoid', 'rowa', 'majority'))",
+    ),
+    "tree": (
+        {"quorum": {"kind": "tree"}},
+        "unknown quorum kind 'tree' (expected one of "
+        "('trapezoid', 'rowa', 'majority'))",
+    ),
+    "voting": (
+        {"quorum": {"kind": "voting"}},
+        "unknown quorum kind 'voting' (expected one of "
+        "('trapezoid', 'rowa', 'majority'))",
+    ),
+    **{
+        key: (
+            {"quorum": {"kind": "trapezoid", "a": 0, "b": 4, "h": 0, key: None}},
+            f"unknown QuorumSpec keys: ['{key}'] "
+            "(known: ['a', 'b', 'h', 'kind', 'size', 'w'])",
+        )
+        for key in ("rows", "cols", "height", "weights", "read_votes", "write_votes")
+    },
+    "metadata_quorum": (
+        {"metadata": {"nodes": 3, "quorum": "majority"}},
+        "unknown MetadataSpec keys: ['quorum'] (known: ['f', 'nodes', 'signed'])",
+    ),
 }
 
 
@@ -535,8 +732,41 @@ class TestLoadTimeChecks:
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             SystemSpec.from_dict(payload)
 
+    @pytest.mark.parametrize("name", list(REMOVED))
+    def test_removed_quorum_surface_refused(self, name):
+        payload, message = REMOVED[name]
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            SystemSpec.from_dict(payload)
+
+    def test_trapezoid_size_refused_by_the_constructor(self):
+        with pytest.raises(
+            ConfigurationError,
+            match=re.escape(
+                "trapezoid holds 8 nodes but (n=9, k=6) requires "
+                "Nbnode = n - k + 1 = 4"
+            ),
+        ):
+            SystemSpec.trapezoid(
+                9, 6, 2, 3, 1, scenario=ScenarioSpec(kind="availability", trials=0)
+            )
+
+    @pytest.mark.parametrize("seed", [-1, -(2**31), True, 1.5, "7"])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(ConfigurationError, match="seed must be a non-negative"):
+            SystemSpec(seed=seed)
+
     def test_fitting_specs_load(self):
         SystemSpec.from_dict({"cluster": _EXPONENTIAL, "scenario": {"kind": "trace"}})
+        for name in ("rowa", "majority"):
+            SystemSpec.from_dict(
+                {
+                    "protocol": name,
+                    "quorum": {"kind": name, "size": 4},
+                    "scenario": {"kind": "comparison", "protocols": [name]},
+                }
+            )
+        # a trapezoid serves every protocol of a mixed comparison
+        SystemSpec.trapezoid(9, 6, 2, 1, 1, 2, scenario=ScenarioSpec(kind="comparison"))
         SystemSpec.from_dict({"scenario": {"kind": "comparison", "num_blocks": 6}})
         SystemSpec.trapezoid(
             9, 6, 2, 1, 1, scenario=ScenarioSpec(kind="sweep", w_values=(1, 2))

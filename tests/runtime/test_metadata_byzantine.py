@@ -120,13 +120,17 @@ class TestMetadataQuorumSizing:
         with pytest.raises(ConfigurationError):
             MetadataQuorum(range(4), 2, 2, f=0)
 
-    def test_from_system_overrides_registry_counts_when_f_positive(self):
-        from repro.api import QuorumSpec, build_quorum_system
-
-        system = build_quorum_system(QuorumSpec(kind="majority", size=7))
-        quorum = MetadataQuorum.from_system(range(9, 16), system, f=2)
-        assert (quorum.write_need, quorum.read_need) == (5, 5)
-        assert quorum.f == 2
+    @pytest.mark.parametrize(
+        "nodes, f, need",
+        [(1, 0, 1), (3, 0, 2), (4, 0, 3), (7, 0, 4), (4, 1, 3), (7, 2, 5), (9, 2, 5)],
+    )
+    def test_built_tier_needs_a_majority_or_2f_plus_1(self, nodes, f, need):
+        spec = SystemSpec.trapezoid(
+            9, 6, 2, 1, 1, 2, metadata=MetadataSpec(nodes=nodes, f=f)
+        )
+        quorum = build_system(spec).verifier.quorum
+        assert quorum.node_ids == tuple(range(9, 9 + nodes))
+        assert (quorum.write_need, quorum.read_need, quorum.f) == (need, need, f)
 
     def test_spec_level_validation(self):
         with pytest.raises(ConfigurationError):

@@ -10,6 +10,7 @@ import pytest
 
 from repro.api import (
     FaultloadSpec,
+    QuorumSpec,
     ScenarioRunner,
     ScenarioSpec,
     SystemSpec,
@@ -182,6 +183,20 @@ class TestDocsSync:
         for kind, reads in FaultloadSpec._KIND_FIELDS.items():
             part = cell.split(f"`{kind}`:", 1)[1].split(";", 1)[0]
             assert set(re.findall(r"`([a-z_]+)`", part)) == set(reads), kind
+
+    def test_api_md_lists_every_quorum_kind(self):
+        text = (DOCS / "API.md").read_text(encoding="utf-8")
+        section = text.split("### Quorum kinds", 1)[1]
+        table = re.search(r"(?:^\|.*\n)+", section, flags=re.M).group(0)
+        documented = {}  # kind -> the names in its fields column
+        for line in table.splitlines()[2:]:  # below the header
+            cells = re.split(r"(?<!\\)\|", line)
+            kind = re.fullmatch(r" `([a-z_]+)` ", cells[1])
+            if kind:
+                documented[kind[1]] = set(re.findall(r"`([a-z_]+)`", cells[2]))
+        assert set(documented) == set(QuorumSpec._KIND_FIELDS)
+        for kind, reads in QuorumSpec._KIND_FIELDS.items():
+            assert documented[kind] == set(reads), kind
 
     def test_api_md_documents_transport_spec(self):
         text = (DOCS / "API.md").read_text(encoding="utf-8")

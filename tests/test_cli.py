@@ -360,12 +360,35 @@ class TestJobsFlag:
         ) == 0
         assert flag_out.read_bytes() == block_out.read_bytes()
 
-    def test_invalid_execution_block_rejected(self, tmp_path):
-        from repro.errors import ConfigurationError
-
+    def test_invalid_execution_block_rejected(self, tmp_path, capsys):
         config = self._config(tmp_path, execution={"jobs": -2})
-        with pytest.raises(ConfigurationError, match="jobs"):
-            main(["run", "--config", str(config), "--quiet"])
+        assert main(["run", "--config", str(config), "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro: error: jobs must be an int >= 0, -1 or 'auto', got -2\n"
+        )
+
+    def test_cli_error_exits_2_without_a_traceback(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"seed": -5}))
+        env = dict(os.environ)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "run", "--config", str(config)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == (
+            "repro: error: seed must be a non-negative integer, got -5\n"
+        )
 
     def test_availability_jobs_csv_identical(self, capsys):
         argv = [

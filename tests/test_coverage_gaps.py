@@ -5,16 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    counts_to_probability,
-    exactly,
-    subset_counts,
-)
+from repro.analysis import counts_to_probability, exactly
 from repro.cluster import Cluster, Network
 from repro.core import ReadResult, WriteResult
 from repro.errors import ConfigurationError
 from repro.gf import GF256
 from repro.quorum import TrapezoidQuorum, TrapezoidShape
+from tests.analysis.exact_reference import exact_availability, subset_counts
 
 
 class TestExactEnumerationAPI:
@@ -42,7 +39,6 @@ class TestExactEnumerationAPI:
         )
 
     def test_exact_availability_kind_guard(self):
-        from repro.analysis import exact_availability
         from repro.quorum import MajoritySystem
 
         with pytest.raises(ConfigurationError):

@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
-    exact_availability,
     exact_read_erc,
     read_availability_fr,
     write_availability,
 )
 from repro.erasure import MDSCode
 from repro.quorum import TrapezoidQuorum, TrapezoidShape, TrapezoidSystem
+from tests.analysis.exact_reference import exact_availability
 
 shapes = st.builds(
     TrapezoidShape,
