@@ -3,9 +3,10 @@
 
 Creates a 48-block virtual disk striped as (9, 6) erasure-coded stripes
 over a 9-node cluster, then drives it with a VM-style workload (write
-bursts + hot-set random IO) while nodes fail and recover mid-run. The
-retrying client plus anti-entropy keep the guest's view strictly
-consistent: every read returns the last acknowledged write.
+bursts + hot-set random IO) while nodes fail and recover mid-run. A
+failed operation is reported, not retried; anti-entropy runs whenever
+nodes come back. Every read returns the last acknowledged write or a
+later failed one.
 
 Run:  python examples/virtual_disk.py
 """
@@ -14,7 +15,7 @@ import numpy as np
 
 from repro.cluster import Cluster
 from repro.sim import OpKind, vm_disk_workload
-from repro.storage import DiskClient, VirtualDisk
+from repro.storage import VirtualDisk
 
 
 def main() -> None:
@@ -22,7 +23,6 @@ def main() -> None:
     cluster = Cluster(9)
     disk = VirtualDisk(cluster, num_blocks=48, block_size=512, n=9, k=6)
     disk.format()
-    client = DiskClient(disk, max_retries=2, repair_on_failure=True)
 
     print(f"Virtual disk: {disk.num_blocks} blocks x {disk.block_size} B "
           f"({disk.capacity_bytes()} B logical)")
@@ -41,11 +41,13 @@ def main() -> None:
 
     workload = vm_disk_workload(400, disk.num_blocks, rng=rng)
     failures = {80: [0], 160: [6, 7], 240: [3], 320: []}  # step -> nodes to fail
-    verified = 0
+    verified = repaired = 0
+    failed = {OpKind.READ: 0, OpKind.WRITE: 0}
 
     for step, op in enumerate(workload):
         if step in failures:
             cluster.recover_all()
+            repaired += disk.repair_all()
             for nid in failures[step]:
                 cluster.fail(nid)
             state = f"down={failures[step]}" if failures[step] else "all up"
@@ -55,13 +57,15 @@ def main() -> None:
             payload = np.random.default_rng(op.payload_seed).integers(
                 0, 256, disk.block_size, dtype=np.int64
             ).astype(np.uint8).tobytes()
-            if client.write(op.block, payload):
+            if disk.write(op.block, payload):
                 guest_view[op.block] = payload
                 indeterminate[op.block] = set()
             else:
+                failed[op.kind] += 1
                 indeterminate.setdefault(op.block, set()).add(payload)
         else:
-            data = client.read(op.block)
+            data = disk.read(op.block)
+            failed[op.kind] += data is None
             if data is not None and op.block in guest_view:
                 allowed = data == guest_view[op.block] or data in indeterminate.get(
                     op.block, set()
@@ -73,14 +77,14 @@ def main() -> None:
                 verified += 1
 
     cluster.recover_all()
-    disk.repair_all()
+    repaired += disk.repair_all()
 
-    s = client.stats
+    writes = sum(op.kind is OpKind.WRITE for op in workload)
     print()
-    print(f"Workload complete: {s.writes} writes, {s.reads} reads")
-    print(f"  write retries: {s.write_retries}, failures: {s.write_failures}")
-    print(f"  read  retries: {s.read_retries}, failures: {s.read_failures}")
-    print(f"  repair passes: {s.repair_passes}")
+    print(f"Workload complete: {writes} writes, {len(workload) - writes} reads")
+    print(f"  failed writes: {failed[OpKind.WRITE]}, "
+          f"failed reads: {failed[OpKind.READ]}")
+    print(f"  stale records repaired: {repaired}")
     print(f"  reads verified against guest view: {verified} — all consistent")
     print()
     print("Network traffic:", cluster.network.stats.messages, "messages,",

@@ -22,7 +22,6 @@ from repro.analysis.occupancy import (
     erc_level_counts_family,
     occupancy_cache_clear,
     occupancy_cache_info,
-    predicate_counts,
 )
 from repro.analysis.cost import (
     expected_read_check_polls,
@@ -70,7 +69,6 @@ __all__ = [
     "exact_read_erc",
     "fold_read_erc",
     "counts_to_probability",
-    "predicate_counts",
     "erc_level_counts",
     "erc_level_counts_family",
     "occupancy_cache_clear",

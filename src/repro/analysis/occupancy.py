@@ -16,7 +16,8 @@ elementwise threshold comparisons over it. The outputs are the *same
 integer subset-count arrays* that enumerating every alive-subset
 produces, so downstream probability folds are bit-identical to it; the
 enumeration is the property-tested ground truth under ``tests/``
-(``tests/analysis/exact_reference.py``, checked in
+(``tests/analysis/exact_reference.py``, which also folds a general
+count predicate over this grid; checked in
 ``tests/analysis/test_occupancy.py``).
 
 For TRAP-ERC the level-0 axis is additionally split on whether position 0
@@ -39,10 +40,8 @@ from math import comb
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.quorum.base import CountPredicate
 
 __all__ = [
-    "predicate_counts",
     "erc_level_counts",
     "erc_level_counts_family",
     "occupancy_cache_clear",
@@ -132,22 +131,6 @@ def _fold_by_total_family(
     return masks.astype(mult.dtype) @ onehot
 
 
-@lru_cache(maxsize=4096)
-def predicate_counts(predicate: CountPredicate) -> np.ndarray:
-    """Exact ``subset_counts`` of a count-structured predicate.
-
-    ``counts[c]`` is the number of alive-subsets of size c satisfying the
-    predicate — integer-identical to enumerating all ``2^total`` subsets,
-    in O(prod(s_g + 1)) instead.
-    """
-    counts, totals, mult = _choice_grid(predicate.sizes)
-    hits = counts >= np.asarray(predicate.thresholds, dtype=np.int64)
-    mask = hits.all(axis=1) if predicate.mode == "all" else hits.any(axis=1)
-    out = _fold_by_total(mask, totals, mult, predicate.total)
-    out.setflags(write=False)
-    return out
-
-
 def _erc_split_masks(
     counts: np.ndarray, thresholds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +203,6 @@ def occupancy_cache_clear() -> None:
     """Drop every cached grid and count table (used by the end-to-end
     benchmark to time cold-path engine runs)."""
     _choice_grid.cache_clear()
-    predicate_counts.cache_clear()
     erc_level_counts.cache_clear()
 
 
@@ -228,6 +210,5 @@ def occupancy_cache_info() -> dict:
     """Hit/miss counters of the per-shape caches."""
     return {
         "grids": _choice_grid.cache_info()._asdict(),
-        "predicate_counts": predicate_counts.cache_info()._asdict(),
         "erc_level_counts": erc_level_counts.cache_info()._asdict(),
     }

@@ -26,6 +26,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.events import Simulator
 from repro.cluster.network import TwoTierLatency
 from repro.cluster.rng import make_rng, spawn_rngs
+from repro.core.placement import PLACEMENTS
 from repro.core.repair import RepairService
 from repro.core.results import ReadResult, WriteResult
 from repro.erasure.code import MDSCode
@@ -41,7 +42,6 @@ from repro.runtime.event import (
 from repro.runtime.rounds import RetryPolicy
 from repro.runtime.router import Shard, ShardRouter
 from repro.runtime.verify import BlockVerifier, MetadataQuorum
-from repro.storage.placement import IdentityPlacement, RotatingPlacement
 
 __all__ = [
     "ProtocolEngine",
@@ -68,8 +68,7 @@ class ProtocolEngine(Protocol):
 
 
 def _layout_for(spec: SystemSpec, index: int) -> StripeLayout:
-    policies = {"identity": IdentityPlacement, "rotating": RotatingPlacement}
-    policy = policies[spec.placement.kind](
+    policy = PLACEMENTS[spec.placement.kind](
         spec.code.n, spec.code.k, spec.cluster.num_nodes
     )
     return policy.layout_for(index)
@@ -171,10 +170,14 @@ def _stripe(
     """Stripe ``index``'s layout, engine, verifier and repair service.
 
     The one place a registered builder runs: one engine and one verifier
-    per stripe. Stripe 0 stores under ``DEFAULT_NAMESPACE`` and stripe
-    ``i > 0`` under ``api-stripe-{i}`` — data, parity and metadata
-    records alike — so stripes share nodes, never records, and a 1-shard
-    system is key-identical to :func:`build_system`'s. Repair runs the
+    per stripe, for :func:`build_system`, :func:`build_sharded_system`,
+    the virtual disk (:class:`~repro.storage.VirtualDisk`) and the
+    protocol Monte Carlo (:class:`~repro.sim.ProtocolMonteCarlo`), each
+    stating what it builds as a spec. Stripe 0 stores under
+    ``DEFAULT_NAMESPACE`` and stripe ``i > 0`` under ``api-stripe-{i}``
+    — data, parity and metadata records alike — so stripes share nodes,
+    never records, and a 1-shard system is key-identical to
+    :func:`build_system`'s. Repair runs the
     engine on an instant coordinator of its own even when the engine is
     event-driven: anti-entropy is out-of-band maintenance, and a pass
     called from a simulator callback must never re-enter the event loop.

@@ -10,7 +10,8 @@ comparison scenario and the facade tests. The quorum geometry is not a
 registry: :class:`~repro.api.spec.QuorumSpec` knows its three kinds,
 and :func:`~repro.api.spec.build_trapezoid_quorum` turns a trapezoid
 section into the :class:`~repro.quorum.trapezoid.TrapezoidQuorum` the
-engines consume.
+engines consume. The name table itself lives in :mod:`repro.api.spec`,
+so a spec naming an unregistered protocol is refused when it loads.
 Also here: the latency and service-time models a spec's sections name.
 """
 
@@ -20,10 +21,13 @@ from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
 from repro.api.spec import (
+    _PROTOCOLS,
     LatencySpec,
     ServiceTimeSpec,
     SystemSpec,
+    _require_protocol,
     build_trapezoid_quorum,
+    protocol_names,
 )
 from repro.cluster.network import (
     FixedLatency,
@@ -110,8 +114,6 @@ class ProtocolEntry:
     supports_repair: bool = False
 
 
-_PROTOCOLS: dict[str, ProtocolEntry] = {}
-
 #: storage-key prefix of a single-volume system (and of shard 0)
 DEFAULT_NAMESPACE = "api-stripe"
 
@@ -136,18 +138,9 @@ def register_protocol(
     return decorator
 
 
-def protocol_names() -> tuple[str, ...]:
-    """Registered protocol names, sorted."""
-    return tuple(sorted(_PROTOCOLS))
-
-
 def protocol_entry(name: str) -> ProtocolEntry:
-    try:
-        return _PROTOCOLS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown protocol {name!r} (registered: {protocol_names()})"
-        ) from None
+    _require_protocol(name)
+    return _PROTOCOLS[name]
 
 
 @register_protocol(

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.analysis.optimizer import ConfigPoint, optimize_config_sweep
 from repro.api.build import build_sharded_system, build_system
-from repro.api.registry import protocol_entry, protocol_names
+from repro.api.registry import protocol_names
 from repro.api.spec import (
     FaultloadSpec,
     LatencySpec,
@@ -51,7 +51,6 @@ from repro.parallel import ParallelExecutor
 from repro.quorum.trapezoid import TrapezoidQuorum
 from repro.sim.comparative import make_schedule, run_comparison
 from repro.sim.metrics import MCEstimate
-from repro.sim.protocol_mc import ProtocolMonteCarlo
 from repro.sim.saturation import SaturationPoint, knee_clients, run_saturation_point
 from repro.sim.sweep import availability_sweep
 from repro.sim.trace_sim import (
@@ -193,7 +192,8 @@ class ScenarioRunner:
         self.jobs = jobs
         self._streams: list = []
         self._executor: ParallelExecutor | None = None
-        self._protocol_mc: ProtocolMonteCarlo | None = None
+        #: the protocol_mc harness, built on the first inline chunk
+        self._protocol_mc = None
 
     # ------------------------------------------------------------------ #
 
@@ -286,8 +286,11 @@ class ScenarioRunner:
     def _run_protocol_mc(self) -> dict:
         """Per-trial execution of the real engine under sampled failures.
 
-        The trial budget splits into :data:`_PROTOCOL_MC_CHUNKS` chunks
-        per operation, each sampling on its own child of stream 3 (see
+        Every trial drives each of the spec's ``placement.stripes``
+        stripes (see :class:`~repro.sim.protocol_mc.ProtocolMonteCarlo`),
+        so an estimate counts trials x stripes operations. The trial
+        budget splits into :data:`_PROTOCOL_MC_CHUNKS` chunks per
+        operation, each sampling on its own child of stream 3 (see
         :meth:`protocol_mc_chunk` for the layout); the chunk is the
         fan-out unit, and because the layout is fixed by the spec alone
         the estimates are identical at any worker count.
@@ -334,7 +337,7 @@ class ScenarioRunner:
         respawned from ``spec.seed`` here so inline and worker execution
         see identical state.
 
-        The trapezoid harness is built on the first chunk and kept: child
+        The harness is built on the first chunk and kept: child
         0 does not depend on the chunk, and every
         :class:`ProtocolMonteCarlo` call hands the cluster back synced at
         version 0, so a chunk computes the same numbers on a kept harness
@@ -342,64 +345,21 @@ class ScenarioRunner:
         worker) while the encoded stripes, the engines and the
         decode-plan cache survive from chunk to chunk.
         """
+        # Imported here: the harness builds through repro.api.build, and
+        # importing that package imports this module.
+        from repro.sim.protocol_mc import ProtocolMonteCarlo
+
         children = spawn_rngs(self._seed_streams()[3], 1 + 2 * num_chunks)
         offset = 1 + (num_chunks if op == "write" else 0)
-        chunk_rng = children[offset + index]
-        p = self.spec.cluster.p
-        entry = protocol_entry(self.spec.protocol)
-        if entry.needs_trapezoid:
-            if self._protocol_mc is None:
-                self._protocol_mc = ProtocolMonteCarlo(
-                    self.spec.code.n,
-                    self.spec.code.k,
-                    build_trapezoid_quorum(self.spec.quorum),
-                    block_length=self.spec.workload.block_length,
-                    rng=children[0],
-                    stripes=self.spec.placement.stripes,
-                )
-            mc = self._protocol_mc
-            variant = "erc" if self.spec.protocol == "trap-erc" else "fr"
-            if op == "read":
-                est = mc.read_availability(
-                    p, trials=chunk_trials, protocol=variant, rng=chunk_rng
-                )
-            else:
-                est = mc.write_availability(
-                    p, trials=chunk_trials, protocol=variant, rng=chunk_rng
-                )
-        else:
-            est = self._generic_protocol_mc_chunk(op, p, chunk_trials, chunk_rng)
+        if self._protocol_mc is None:
+            self._protocol_mc = ProtocolMonteCarlo.from_spec(
+                self.spec, rng=children[0]
+            )
+        availability = getattr(self._protocol_mc, f"{op}_availability")
+        est = availability(
+            self.spec.cluster.p, trials=chunk_trials, rng=children[offset + index]
+        )
         return [est.successes, est.trials]
-
-    def _generic_protocol_mc_chunk(
-        self, op: str, p: float, trials: int, rng
-    ) -> MCEstimate:
-        """Snapshot-model MC chunk for engines ProtocolMonteCarlo skips.
-
-        Same discipline as :class:`ProtocolMonteCarlo`: one vectorized
-        alive draw, reads on synced state, full re-initialization after
-        every (state-mutating) write trial.
-        """
-        built = build_system(self.spec)
-        data = built.initialize()
-        alive = rng.random((trials, len(built.cluster))) < p
-        successes = 0
-        if op == "read":
-            for t in range(trials):
-                built.cluster.apply_alive_vector(alive[t])
-                successes += bool(built.engine.read_block(0).success)
-            built.cluster.recover_all()
-        else:
-            length = self.spec.workload.block_length
-            for t in range(trials):
-                built.cluster.apply_alive_vector(alive[t])
-                value = rng.integers(0, 256, length, dtype=np.int64).astype(
-                    np.uint8
-                )
-                successes += bool(built.engine.write_block(0, value).success)
-                built.cluster.recover_all()
-                built.initialize(data)  # reset to synced version-0 replicas
-        return MCEstimate(successes, trials)
 
     def _run_trace(self) -> dict:
         """History-model run: Poisson arrivals over an exponential trace.

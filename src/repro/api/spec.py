@@ -8,10 +8,11 @@ node validates eagerly on construction, round-trips losslessly through
 can key caches and parameter sweeps.
 
 A spec that loads is a spec that builds: every check a build or a run
-would make of the quorum section, the seed or a scenario kind's fields
-runs here, before anything is built. The spec layer imports the quorum
-geometry for that, never the protocol engines, so a protocol *name* is
-looked up only when a build asks :mod:`repro.api.registry` for it;
+would make of the protocol names, the quorum section, the seed or a
+scenario kind's fields runs here, before anything is built. The spec
+layer imports the quorum geometry for that, never the protocol engines:
+the protocol table lives here, and :mod:`repro.api.registry` fills it
+with each engine builder it registers;
 :func:`repro.api.build.build_system` composes the pieces.
 """
 
@@ -145,6 +146,23 @@ def _require(condition: bool, message: str) -> None:
 def _is_int(value) -> bool:
     """An int that is not a bool (JSON ``true`` must not pass for 1)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: protocol name -> its :class:`~repro.api.registry.ProtocolEntry`,
+#: filled by :func:`~repro.api.registry.register_protocol`
+_PROTOCOLS: dict = {}
+
+
+def protocol_names() -> tuple[str, ...]:
+    """Registered protocol names, sorted."""
+    return tuple(sorted(_PROTOCOLS))
+
+
+def _require_protocol(name: str) -> None:
+    _require(
+        name in _PROTOCOLS,
+        f"unknown protocol {name!r} (registered: {protocol_names()})",
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -770,6 +788,8 @@ class ScenarioSpec(_SpecBase):
         if self.protocols is not None:
             protocols = tuple(str(p) for p in self.protocols)
             _require(len(protocols) >= 1, "protocols must not be empty")
+            for name in protocols:
+                _require_protocol(name)
             object.__setattr__(self, "protocols", protocols)
         if self.w_values is not None:
             w_values = tuple(int(w) for w in self.w_values)
@@ -854,6 +874,7 @@ class SystemSpec(_SpecBase):
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_protocol(self.protocol)
         if self.quorum is None:
             # Default geometry: the flat single-level trapezoid over the
             # consistency group — always valid for any (n, k).

@@ -408,13 +408,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    """Run one command; a library error is one stderr line and status 2."""
+    """Run one command; a library error or an OS error (a ``--config``
+    file that is missing, an ``--out`` path that cannot be written) is
+    one stderr line and status 2."""
     from repro.errors import ReproError
 
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
 

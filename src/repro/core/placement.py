@@ -1,15 +1,23 @@
-"""Placement of a block's consistency group onto the trapezoid.
+"""Placement: stripe -> nodes, then one block's group -> trapezoid positions.
 
-For data block i the group is {N_i} ∪ {parity nodes} (n - k + 1 nodes,
-eq. 5). The paper places N_i at level 0 (section III-B.2) and fixes
-nothing else. Here the parity nodes fill the remaining positions in an
-order rotated by the block index: position p + 1 of block i holds parity
-node (i + p) mod (n - k). In stripe order the first s_0 - 1 parity nodes
-would sit at level 0 of every block, and every read's level-0 poll would
-queue on them; rotated, level-0 duty spreads over the parity nodes. Only
-the order of parity nodes changes, so availability under i.i.d. failures
-is the same. Both protocol variants share this position -> node-id
-mapping.
+*Stripe placement.* A :class:`PlacementPolicy` maps a stripe index to a
+:class:`~repro.erasure.stripe.StripeLayout` (block -> node id). With the
+identity layout every stripe puts its parity blocks on the same n - k
+nodes, which concentrates delta-update traffic there (the RAID-4
+problem); rotating the mapping per stripe (RAID-5 style) spreads both
+the parity write load and the level-0 read pressure. A spec's
+``placement.kind`` names one of the two.
+
+*Trapezoid placement.* For data block i the consistency group is
+{N_i} ∪ {parity nodes} (n - k + 1 nodes, eq. 5). The paper places N_i
+at level 0 (section III-B.2) and fixes nothing else. Here the parity
+nodes fill the remaining positions in an order rotated by the block
+index: position p + 1 of block i holds parity node (i + p) mod (n - k).
+In stripe order the first s_0 - 1 parity nodes would sit at level 0 of
+every block, and every read's level-0 poll would queue on them; rotated,
+level-0 duty spreads over the parity nodes. Only the order of parity
+nodes changes, so availability under i.i.d. failures is the same. Both
+protocol variants share this position -> node-id mapping.
 """
 
 from __future__ import annotations
@@ -18,7 +26,67 @@ from repro.erasure.stripe import StripeLayout
 from repro.errors import ConfigurationError
 from repro.quorum.trapezoid import TrapezoidQuorum
 
-__all__ = ["TrapezoidPlacement"]
+__all__ = [
+    "PlacementPolicy",
+    "IdentityPlacement",
+    "RotatingPlacement",
+    "PLACEMENTS",
+    "TrapezoidPlacement",
+]
+
+
+class PlacementPolicy:
+    """Maps a stripe index to a block -> node layout."""
+
+    #: the ``placement.kind`` of a spec that names this policy
+    kind: str
+
+    def __init__(self, n: int, k: int, num_nodes: int) -> None:
+        if k < 1 or n < k:
+            raise ConfigurationError(f"invalid (n={n}, k={k})")
+        if num_nodes < n:
+            raise ConfigurationError(
+                f"cluster of {num_nodes} nodes cannot host n={n} blocks"
+            )
+        self.n = n
+        self.k = k
+        self.num_nodes = num_nodes
+
+    def layout_for(self, stripe_index: int) -> StripeLayout:
+        if stripe_index < 0:
+            raise ConfigurationError("stripe_index must be >= 0")
+        return StripeLayout(self.n, self.k, self._node_ids(stripe_index))
+
+    def _node_ids(self, stripe_index: int) -> tuple[int, ...]:  # pragma: no cover
+        raise NotImplementedError
+
+
+class IdentityPlacement(PlacementPolicy):
+    """Every stripe uses nodes 0..n-1 in block order (RAID-4 style)."""
+
+    kind = "identity"
+
+    def _node_ids(self, stripe_index: int) -> tuple[int, ...]:
+        return tuple(range(self.n))
+
+
+class RotatingPlacement(PlacementPolicy):
+    """Rotate the node assignment by one per stripe (RAID-5 style).
+
+    Stripe s places block b on node ``(b + s) % num_nodes``; with
+    num_nodes >= n the assignment is always collision-free, and over
+    num_nodes consecutive stripes every node serves every role equally
+    often when num_nodes == n.
+    """
+
+    kind = "rotating"
+
+    def _node_ids(self, stripe_index: int) -> tuple[int, ...]:
+        return tuple((b + stripe_index) % self.num_nodes for b in range(self.n))
+
+
+#: ``placement.kind`` -> policy class
+PLACEMENTS = {policy.kind: policy for policy in (IdentityPlacement, RotatingPlacement)}
 
 
 class TrapezoidPlacement:

@@ -62,10 +62,19 @@ class _ReplicationBase:
         if blocks.ndim != 2:
             raise ConfigurationError("blocks must be (num_blocks, L)")
         for b in range(blocks.shape[0]):
-            for nid in self.node_ids:
-                self.cluster.rpc(nid, "put_data", self.key(b), blocks[b], 0)
-            if self.verifier is not None:
-                self.verifier.bootstrap(b, blocks[b])
+            self.reload_block(b, blocks)
+
+    def reload_block(self, block: int, blocks: np.ndarray) -> None:
+        """Undo whatever writes of ``block`` did to the loaded ``blocks``.
+
+        A write only reaches the block's replicas, so re-putting them
+        (every replica node must be up) leaves the nodes exactly as
+        :meth:`initialize` would.
+        """
+        for nid in self.node_ids:
+            self.cluster.rpc(nid, "put_data", self.key(block), blocks[block], 0)
+        if self.verifier is not None:
+            self.verifier.bootstrap(block, blocks[block])
 
     def _version_round(self, block: int) -> Round:
         """Gather-all version discovery across the replica set."""

@@ -170,24 +170,16 @@ class TrapErcProtocol:
         Bootstrap path (not a quorum write): requires all n nodes up, like
         a volume-creation step in a real deployment.
         """
-        self.load_stripe(self.code.encode(data))
-
-    def load_stripe(self, stripe: np.ndarray) -> None:
-        """Load an already-encoded (n, L) stripe at version 0.
-
-        Lets callers that encode many stripes in one batch (``MDSCode.
-        encode_batch``) or reload a cached stripe (Monte-Carlo trial
-        resets) skip the per-call encode entirely.
-        """
-        self._load_records(stripe, range(self.code.k))
+        self._load_records(self.code.encode(data), range(self.code.k))
 
     def reload_block(self, i: int, stripe: np.ndarray) -> None:
-        """Undo whatever writes of block i did to a loaded ``stripe``.
+        """Undo whatever writes of block i did to the loaded (n, L) codeword.
 
         Algorithm 1 touches N_i and the parity nodes and nothing else, so
         re-putting those n - k + 1 records (all of them must be up)
-        leaves the nodes exactly as :meth:`load_stripe` would, provided
-        no other block was written since the load.
+        leaves the nodes exactly as :meth:`initialize` would, provided
+        no other block was written since the load. Taking the codeword
+        lets a Monte-Carlo trial reset skip the encode.
         """
         self._check_block(i)
         self._load_records(stripe, (i,))

@@ -123,9 +123,10 @@ async def mirror_state(transports: dict[int, object], cluster) -> int:
     """Replay a local cluster's node state into remote services.
 
     Pushes every data record via ``put_data`` and every parity record
-    via ``put_parity`` — the same unconditional stores ``load_stripe``
-    uses — so a fleet started by ``repro serve`` (fresh, empty nodes)
-    ends up serving exactly the state a local ``initialize()`` produced.
+    via ``put_parity`` — the same unconditional stores an engine's
+    ``initialize`` uses — so a fleet started by ``repro serve`` (fresh,
+    empty nodes) ends up serving exactly the state a local
+    ``initialize()`` produced.
     Returns the number of records pushed.
     """
     pushed = 0

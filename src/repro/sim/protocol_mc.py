@@ -8,22 +8,26 @@ fully synced before each trial) the two must agree, which is the
 strongest internal-consistency check the reproduction has: formula,
 predicate sampler and executable protocol all describing the same system.
 
+The harness is a :class:`~repro.api.spec.SystemSpec`: its stripes are
+built by the stripe constructor of :mod:`repro.api.build`, the one every
+built system uses, so a trial runs any registered protocol exactly as
+the product builds it — the spec's code, quorum, cluster width,
+placement kind and stripe count, and metadata tier when it has one.
+
 Hot-path engineering (the per-trial protocol work is irreducible, but the
 harness around it is not):
 
-* the (trials, n) alive matrix is sampled in one vectorized draw instead
-  of one RNG dispatch per trial;
+* the (trials, nodes) alive matrix is sampled in one vectorized draw
+  instead of one RNG dispatch per trial;
 * only the protocol a call asks for is built and loaded (first use), so
   an ERC study never pays for the replication twin's records;
 * the version-0 stripes are encoded once (``MDSCode.encode_batch``) and a
   write trial is undone by re-putting only the records a write of that
-  block can reach (``reload_block``: N_i and the parity nodes for ERC,
-  the replica group for FR) — the seed re-encoded, and later versions
-  re-loaded, every stripe of both protocols after every write trial;
-* with ``stripes > 1`` the harness drives several stripes under
-  RAID-style rotated placements in the same trial, so one failure draw
-  exercises many survivor sets and the decode-plan cache, the way a
-  volume-level sweep does.
+  block can reach (the engine's ``reload_block``: N_i and the parity
+  nodes for TRAP-ERC, the replica group for the others);
+* with ``stripes > 1`` one failure draw exercises every stripe's layout
+  (under rotated placement, many survivor sets and the decode-plan
+  cache), the way a volume-level sweep does.
 
 A harness can be kept and called repeatedly: every call leaves all nodes
 up and every loaded stripe at version 0, also when a trial raises.
@@ -33,15 +37,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.cluster import Cluster
+from repro.api.build import _resolve, _stripe
+from repro.api.registry import protocol_entry
+from repro.api.spec import PlacementSpec, SystemSpec, WorkloadSpec
 from repro.cluster.rng import make_rng
 from repro.core.trap_erc import TrapErcProtocol
-from repro.core.trap_fr import TrapFrProtocol
-from repro.erasure.code import MDSCode
 from repro.errors import ConfigurationError
 from repro.quorum.trapezoid import TrapezoidQuorum
 from repro.sim.metrics import MCEstimate
-from repro.storage.placement import RotatingPlacement
 
 __all__ = ["ProtocolMonteCarlo"]
 
@@ -63,6 +66,10 @@ class ProtocolMonteCarlo:
         paper's single-stripe setting). Stripe s uses the rotated
         placement ``node_ids = (s, s+1, ..) mod n``, so different stripes
         decode through different survivor sets of the same alive vector.
+
+    These state the spec ``SystemSpec.trapezoid(n, k, a, b, h, w)`` with
+    ``rotating`` placement over n nodes; :meth:`from_spec` takes any
+    spec.
     """
 
     def __init__(
@@ -74,96 +81,73 @@ class ProtocolMonteCarlo:
         rng=None,
         stripes: int = 1,
     ) -> None:
-        if stripes < 1:
-            raise ConfigurationError(f"stripes must be >= 1, got {stripes}")
-        self.rng = make_rng(rng)
-        self.n = n
-        self.k = k
-        self.quorum = quorum
-        self.stripes = stripes
-        self.cluster = Cluster(n)
-        self.code = MDSCode(n, k)
-        self.data = (
-            self.rng.integers(0, 256, size=(stripes, k, block_length), dtype=np.int64)
-            .astype(np.uint8)
+        shape = quorum.shape
+        spec = SystemSpec.trapezoid(
+            n, k, shape.a, shape.b, shape.h, quorum.w,
+            placement=PlacementSpec(kind="rotating", stripes=stripes),
+            workload=WorkloadSpec(block_length=block_length),
         )
-        # Version-0 codewords, encoded once for every trial reset.
-        self._stripe_cache = self.code.encode_batch(self.data)
+        self._setup(spec, rng)
+
+    @classmethod
+    def from_spec(cls, spec: SystemSpec, rng=None) -> "ProtocolMonteCarlo":
+        """The harness of ``spec``; ``rng`` draws the stripes' payloads."""
+        harness = cls.__new__(cls)
+        harness._setup(spec, rng)
+        return harness
+
+    def _setup(self, spec: SystemSpec, rng) -> None:
+        self.spec = spec
+        self.rng = make_rng(rng)
+        _, _, self.cluster, self.code = _resolve(spec)
+        shape = (spec.placement.stripes, spec.code.k, spec.workload.block_length)
+        self.data = self.rng.integers(0, 256, size=shape, dtype=np.int64).astype(
+            np.uint8
+        )
+        # Version-0 codewords, encoded once for every TRAP-ERC trial reset.
+        self._codewords = self.code.encode_batch(self.data)
         #: protocol name -> its per-stripe engines, built and loaded on
         #: first use
         self._built: dict[str, list] = {}
 
-    # Engine handles; each builds and loads its protocol on first use.
+    def engines(self, protocol: str | None = None) -> list:
+        """The per-stripe engines of ``protocol`` (default: the spec's).
 
-    @property
-    def ercs(self) -> list[TrapErcProtocol]:
-        return self._engines("erc")
-
-    @property
-    def frs(self) -> list[TrapFrProtocol]:
-        return self._engines("fr")
-
-    @property
-    def erc(self) -> TrapErcProtocol:
-        return self.ercs[0]
-
-    @property
-    def fr(self) -> TrapFrProtocol:
-        return self.frs[0]
-
-    def _engines(self, protocol: str) -> list:
+        Built through the stripe constructor and loaded on first use.
+        First use may come after the caller failed or partitioned some
+        nodes (``mc.cluster.fail(0); mc.engines()[0].read_block(0)``):
+        loading needs every node reachable but leaves that pattern as it
+        found it.
+        """
+        protocol = protocol or self.spec.protocol
         if protocol not in self._built:
-            self._check_protocol(protocol)
+            entry = protocol_entry(protocol)
             self._built[protocol] = [
-                self._build_engine(protocol, s) for s in range(self.stripes)
+                _stripe(self.spec, entry, self.cluster, self.code, s)[1]
+                for s in range(self.spec.placement.stripes)
             ]
-            # First use may come after the caller failed or partitioned
-            # some nodes (``mc.cluster.fail(0); mc.erc.read_block(0)``):
-            # loading needs every node reachable but leaves that pattern
-            # as it found it.
             network = self.cluster.network
             down = self.cluster.failed_ids
-            cut = [i for i in range(self.n) if network.is_partitioned(i)]
+            cut = [i for i in range(len(self.cluster)) if network.is_partitioned(i)]
             self._load(protocol)
             self.cluster.fail_many(down)
             network.partition(cut)
         return self._built[protocol]
 
-    def _build_engine(self, protocol: str, s: int):
-        layout = RotatingPlacement(self.n, self.k, self.n).layout_for(s)
-        if protocol == "erc":
-            return TrapErcProtocol(
-                self.cluster, self.code, self.quorum,
-                layout=layout, stripe_id=f"mc-erc-{s}",
-            )
-        return TrapFrProtocol(
-            self.cluster, self.n, self.k, self.quorum,
-            layout=layout, stripe_id=f"mc-fr-{s}",
-        )
-
-    def _sources(self, protocol: str) -> np.ndarray:
-        """Per stripe, what the protocol's engines load: codewords or data."""
-        return self._stripe_cache if protocol == "erc" else self.data
-
     def _load(self, protocol: str) -> None:
         """All nodes up, and every stripe of ``protocol`` at version 0."""
         self.cluster.recover_all()
-        for engine, source in zip(self._built[protocol], self._sources(protocol)):
-            load = engine.load_stripe if protocol == "erc" else engine.initialize
-            load(source)
+        for engine, data in zip(self._built[protocol], self.data):
+            engine.initialize(data)
 
     def _resync(self, protocol: str, block: int) -> None:
         """What :meth:`_load` does, given only ``block`` was written since."""
         self.cluster.recover_all()
-        for engine, source in zip(self._built[protocol], self._sources(protocol)):
+        engines = self._built[protocol]
+        # TRAP-ERC reloads from the stripe's codeword, the others from data.
+        erc = isinstance(engines[0], TrapErcProtocol)
+        for engine, source in zip(engines, self._codewords if erc else self.data):
             engine.reload_block(block, source)
-
-    @staticmethod
-    def _check_protocol(protocol: str) -> None:
-        if protocol not in ("erc", "fr"):
-            raise ConfigurationError(
-                f"protocol must be 'erc' or 'fr', got {protocol!r}"
-            )
 
     def _check_call(self, p: float, trials: int, protocol: str, block: int) -> None:
         """Reject a bad call before it touches the cluster."""
@@ -171,16 +155,12 @@ class ProtocolMonteCarlo:
             raise ConfigurationError(f"p must be in [0, 1], got {p}")
         if trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {trials}")
-        self._check_protocol(protocol)
-        if not 0 <= block < self.k:
+        protocol_entry(protocol)
+        k = self.spec.code.k
+        if not 0 <= block < k:
             raise ConfigurationError(
-                f"data block index must be in [0, {self.k}), got {block}"
+                f"data block index must be in [0, {k}), got {block}"
             )
-
-    def _sample_alive_matrix(self, p: float, trials: int, rng=None) -> np.ndarray:
-        """(trials, n) Bernoulli(p) alive matrix in one vectorized draw."""
-        rng = self.rng if rng is None else rng
-        return rng.random((trials, self.n)) < p
 
     # ------------------------------------------------------------------ #
 
@@ -188,22 +168,23 @@ class ProtocolMonteCarlo:
         self,
         p: float,
         trials: int = 400,
-        protocol: str = "erc",
+        protocol: str | None = None,
         block: int = 0,
         rng=None,
     ) -> MCEstimate:
         """Fraction of (trial, stripe) reads of ``block`` that succeed.
 
-        Reads do not mutate state, so the stripes stay synced across
-        trials (pure snapshot model). ``rng`` overrides the instance
-        stream for this call — how the runner hands a trial chunk its
-        own pre-spawned child stream (default: the instance stream,
-        the exact historical behavior).
+        ``protocol`` is a registered name (default: the spec's). Reads
+        do not mutate state, so the stripes stay synced across trials
+        (pure snapshot model). ``rng`` overrides the instance stream for
+        this call — how the runner hands a trial chunk its own
+        pre-spawned child stream (default: the instance stream).
         """
+        protocol = protocol or self.spec.protocol
         self._check_call(p, trials, protocol, block)
-        engines = self._engines(protocol)
+        engines = self.engines(protocol)
         rng = self.rng if rng is None else make_rng(rng)
-        alive = self._sample_alive_matrix(p, trials, rng)
+        alive = rng.random((trials, len(self.cluster))) < p
         successes = 0
         try:
             for t in range(trials):
@@ -219,7 +200,7 @@ class ProtocolMonteCarlo:
         self,
         p: float,
         trials: int = 200,
-        protocol: str = "erc",
+        protocol: str | None = None,
         block: int = 0,
         rng=None,
     ) -> MCEstimate:
@@ -227,16 +208,17 @@ class ProtocolMonteCarlo:
 
         Writes mutate state (including partially-failed ones), so after
         every trial the records a write of ``block`` can reach are put
-        back from the cached version-0 stripes, which keeps trials i.i.d.
-        under the snapshot model. ``rng`` (as in
-        :meth:`read_availability`) drives both the alive draw and the
-        per-trial payloads when given.
+        back from the version-0 stripes, which keeps trials i.i.d. under
+        the snapshot model. ``protocol`` and ``rng`` are as in
+        :meth:`read_availability`; ``rng`` drives both the alive draw and
+        the per-trial payloads.
         """
+        protocol = protocol or self.spec.protocol
         self._check_call(p, trials, protocol, block)
-        engines = self._engines(protocol)
+        engines = self.engines(protocol)
         rng = self.rng if rng is None else make_rng(rng)
         length = self.data.shape[2]
-        alive = self._sample_alive_matrix(p, trials, rng)
+        alive = rng.random((trials, len(self.cluster))) < p
         successes = 0
         for t in range(trials):
             self.cluster.apply_alive_vector(alive[t])

@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.api.build import _stripe
+from repro.api.registry import protocol_entry
+from repro.api.spec import ClusterSpec, PlacementSpec, SystemSpec, WorkloadSpec
 from repro.cluster.cluster import Cluster
-from repro.core.repair import RepairService
+from repro.core.placement import IdentityPlacement, PlacementPolicy
 from repro.core.trap_erc import TrapErcProtocol
 from repro.erasure.code import MDSCode
 from repro.errors import ConfigurationError
@@ -44,9 +47,13 @@ class VirtualDisk:
         Trapezoid specification; defaults to the canonical shape for
         n - k + 1 nodes with the paper's eq. 16 write-quorum vector.
     placement:
-        Optional :class:`~repro.storage.placement.PlacementPolicy` that
+        Optional :class:`~repro.core.placement.PlacementPolicy` that
         assigns each stripe's blocks to nodes (e.g. RAID-5-style
         rotation); defaults to the identity layout on nodes 0..n-1.
+
+    The arguments state a TRAP-ERC spec (``self.spec``, one stripe per k
+    blocks); each stripe is built by the stripe constructor of
+    :mod:`repro.api.build`, like every built system's.
 
     Examples
     --------
@@ -67,7 +74,7 @@ class VirtualDisk:
         n: int,
         k: int,
         quorum: TrapezoidQuorum | None = None,
-        placement=None,
+        placement: PlacementPolicy | None = None,
     ) -> None:
         if num_blocks < 1:
             raise ConfigurationError(f"num_blocks must be >= 1, got {num_blocks}")
@@ -75,24 +82,29 @@ class VirtualDisk:
             raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
         if quorum is None:
             quorum = TrapezoidQuorum.uniform(default_shape_for_nbnode(n - k + 1))
+        placement = placement or IdentityPlacement(n, k, n)
+        if (placement.n, placement.k) != (n, k):
+            raise ConfigurationError(f"placement is not for (n={n}, k={k})")
+        self.num_stripes = -(-num_blocks // k)
+        shape = quorum.shape
+        self.spec = SystemSpec.trapezoid(
+            n, k, shape.a, shape.b, shape.h, quorum.w,
+            cluster=ClusterSpec(num_nodes=placement.num_nodes),
+            placement=PlacementSpec(kind=placement.kind, stripes=self.num_stripes),
+            workload=WorkloadSpec(block_length=block_size),
+        )
         self.cluster = cluster
         self.num_blocks = int(num_blocks)
         self.block_size = int(block_size)
         self.code = MDSCode(n, k)
         self.quorum = quorum
-        self.placement = placement
-        self.num_stripes = -(-num_blocks // k)
-        self.stripes: list[TrapErcProtocol] = [
-            TrapErcProtocol(
-                cluster,
-                self.code,
-                quorum,
-                layout=placement.layout_for(s) if placement is not None else None,
-                stripe_id=f"vd-{s}",
-            )
+        entry = protocol_entry(self.spec.protocol)
+        built = [
+            _stripe(self.spec, entry, cluster, self.code, s)
             for s in range(self.num_stripes)
         ]
-        self.repair_services = [RepairService(p) for p in self.stripes]
+        self.stripes: list[TrapErcProtocol] = [engine for _, engine, _, _ in built]
+        self.repairs = [repair for _, _, _, repair in built]
         self._formatted = False
 
     # ------------------------------------------------------------------ #
@@ -121,8 +133,8 @@ class VirtualDisk:
         """Write one logical block; pads/truncates to ``block_size``.
 
         Returns True iff the quorum write was acknowledged. A False return
-        means the write MUST be retried (it may or may not become visible,
-        like any failed quorum write).
+        reports a failed write: it may or may not become visible, like any
+        failed quorum write, until the block is written again.
         """
         self._check_formatted()
         stripe, i = self._locate(block)
@@ -139,13 +151,10 @@ class VirtualDisk:
         self._check_formatted()
         stripe, i = self._locate(block)
         result = stripe.read_block(i)
-        if not result.success:
-            return None
-        return result.value.tobytes()
+        return result.value.tobytes() if result.success else None
 
     def write_span(self, start_block: int, data: bytes) -> bool:
         """Write a multi-block span; True iff every block write acked."""
-        self._check_formatted()
         ok = True
         for offset in range(0, max(1, len(data)), self.block_size):
             chunk = data[offset : offset + self.block_size]
@@ -154,7 +163,6 @@ class VirtualDisk:
 
     def read_span(self, start_block: int, num_blocks: int) -> bytes | None:
         """Read ``num_blocks`` consecutive blocks (None if any read fails)."""
-        self._check_formatted()
         parts = []
         for b in range(start_block, start_block + num_blocks):
             data = self.read(b)
@@ -167,7 +175,7 @@ class VirtualDisk:
 
     def repair_all(self) -> int:
         """Run anti-entropy across every stripe; returns repairs done."""
-        return sum(svc.sync_all() for svc in self.repair_services)
+        return sum(repair.sync_all() for repair in self.repairs)
 
     def capacity_bytes(self) -> int:
         """Logical capacity in bytes."""

@@ -16,13 +16,14 @@ import numpy as np
 
 from repro.analysis.availability import validate_erc_geometry
 from repro.analysis.exact import counts_to_probability, fold_read_erc
-from repro.analysis.occupancy import predicate_counts
+from repro.analysis.occupancy import _choice_grid, _fold_by_total
 from repro.errors import ConfigurationError
-from repro.quorum.base import QuorumSystem
+from repro.quorum.base import CountPredicate, QuorumSystem
 from repro.quorum.trapezoid import TrapezoidQuorum
 
 __all__ = [
     "subset_counts",
+    "predicate_counts",
     "erc_subset_counts",
     "exact_availability",
     "exact_read_erc_enumerated",
@@ -47,6 +48,20 @@ def subset_counts(num_nodes: int, predicate) -> np.ndarray:
         if predicate(alive):
             counts[len(alive)] += 1
     return counts
+
+
+def predicate_counts(predicate: CountPredicate) -> np.ndarray:
+    """``subset_counts`` of a count-structured predicate, off the grid.
+
+    ``counts[c]`` is the number of alive-subsets of size c satisfying the
+    predicate — integer-identical to enumerating all ``2^total`` subsets,
+    in O(prod(s_g + 1)) instead, which is what lets
+    :func:`exact_availability` count large flat systems.
+    """
+    counts, totals, mult = _choice_grid(predicate.sizes)
+    hits = counts >= np.asarray(predicate.thresholds, dtype=np.int64)
+    mask = hits.all(axis=1) if predicate.mode == "all" else hits.any(axis=1)
+    return _fold_by_total(mask, totals, mult, predicate.total)
 
 
 def erc_subset_counts(quorum: TrapezoidQuorum) -> tuple[np.ndarray, np.ndarray]:

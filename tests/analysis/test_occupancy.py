@@ -24,7 +24,6 @@ from repro.analysis import (
     occupancy_cache_info,
     optimize_config,
     optimize_config_sweep,
-    predicate_counts,
     write_availability,
 )
 from repro.analysis.optimizer import ConfigPoint, _collect_result, _w_vectors
@@ -45,6 +44,7 @@ from tests.analysis.exact_reference import (
     erc_subset_counts,
     exact_availability,
     exact_read_erc_enumerated,
+    predicate_counts,
     subset_counts,
 )
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.api import (
     ClusterSpec,
+    PlacementSpec,
     ScenarioResult,
     ScenarioRunner,
     ScenarioSpec,
@@ -19,6 +21,13 @@ from repro.api import (
 from repro.errors import ConfigurationError
 
 BASE = SystemSpec.trapezoid(9, 6, 2, 1, 1, 2, seed=17)
+#: tests/scenarios/protocol_mc.json at 60 trials (rotating, 3 stripes)
+PROTOCOL_MC = SystemSpec.from_json(
+    (Path(__file__).parents[1] / "scenarios" / "protocol_mc.json").read_text()
+).replace(
+    placement=PlacementSpec(kind="rotating", stripes=3),
+    scenario=ScenarioSpec(kind="protocol_mc", trials=60),
+)
 
 
 def _with_scenario(**kwargs) -> SystemSpec:
@@ -69,13 +78,11 @@ class TestScenarioKinds:
             assert 0.0 <= est["mean"] <= 1.0
             assert est["ci95"][0] <= est["mean"] <= est["ci95"][1]
 
-    @pytest.mark.parametrize("name", ["trap-erc", "trap-fr"])
+    @pytest.mark.parametrize("name", protocol_names())
     def test_protocol_mc_chunk_on_kept_harness_equals_fresh(self, name):
         # Inline execution keeps one harness per runner across chunks; a
         # pool worker builds a fresh runner per task. Same numbers for
         # every (op, index), in any order of arrival.
-        from repro.api import PlacementSpec
-
         spec = _with_scenario(kind="protocol_mc", trials=72).replace(
             protocol=name,
             cluster=ClusterSpec(num_nodes=9, p=0.75),
@@ -99,6 +106,39 @@ class TestScenarioKinds:
         assert pooled._protocol_mc is None
         # ... and so does a runner whose harness is new
         assert ScenarioRunner(spec).run().to_json() == inline
+
+    @pytest.mark.parametrize("protocol", ["trap-erc", "majority"])
+    def test_protocol_mc_identity_stripes_repeat_one_stripe(self, protocol):
+        # Under identity placement every stripe sits on the same nodes,
+        # so 3 stripes count each trial's outcome 3 times over.
+        one, three = (
+            run_spec(
+                PROTOCOL_MC.replace(
+                    protocol=protocol,
+                    placement=PlacementSpec(kind="identity", stripes=stripes),
+                )
+            ).data
+            for stripes in (1, 3)
+        )
+        for op in ("read", "write"):
+            assert three[op]["trials"] == 3 * one[op]["trials"] == 180
+            assert three[op]["successes"] == 3 * one[op]["successes"]
+
+    def test_protocol_mc_counts_every_stripe_of_every_protocol(self):
+        data = run_spec(PROTOCOL_MC.replace(protocol="majority")).data
+        assert data["read"]["trials"] == data["write"]["trials"] == 60 * 3
+
+    def test_protocol_mc_spans_the_spec_cluster(self):
+        spec = PROTOCOL_MC.replace(
+            cluster=ClusterSpec(num_nodes=12, p=0.8),
+            placement=PlacementSpec(kind="rotating", stripes=4),
+        )
+        runner = ScenarioRunner(spec)
+        runner.protocol_mc_chunk("read", 0, 8, 5)
+        harness = runner._protocol_mc
+        assert len(harness.cluster) == 12
+        used = {node for engine in harness.engines() for node in engine.layout.node_ids}
+        assert used == set(range(12))
 
     def test_trace_runs_and_reports_tally(self):
         spec = BASE.replace(

@@ -682,6 +682,16 @@ LOAD_TIME_CHECKS = {
         },
         "protocol requires a trapezoid quorum, got kind 'rowa'",
     ),
+    "unknown_protocol": (
+        {"protocol": "paxos"},
+        "unknown protocol 'paxos' "
+        "(registered: ('majority', 'rowa', 'trap-erc', 'trap-fr'))",
+    ),
+    "unknown_comparison_protocol": (
+        {"scenario": {"kind": "comparison", "protocols": ["rowa", "paxos"]}},
+        "unknown protocol 'paxos' "
+        "(registered: ('majority', 'rowa', 'trap-erc', 'trap-fr'))",
+    ),
     "negative_seed": (
         {"seed": -5},
         "seed must be a non-negative integer, got -5",

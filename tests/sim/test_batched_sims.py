@@ -74,14 +74,14 @@ class TestMultiStripeProtocolMC:
 
     def test_rotated_layouts_distinct(self):
         mc = ProtocolMonteCarlo(6, 4, quorum_for(6, 4), rng=2, stripes=3)
-        layouts = {erc.layout.node_ids for erc in mc.ercs}
+        layouts = {erc.layout.node_ids for erc in mc.engines()}
         assert len(layouts) == 3
 
     def test_single_stripe_backcompat(self):
         mc = ProtocolMonteCarlo(6, 4, quorum_for(6, 4), rng=3)
-        assert mc.erc is mc.ercs[0] and mc.fr is mc.frs[0]
-        assert mc._engines("erc")[0] is mc.erc
-        est = mc.read_availability(0.9, trials=20, protocol="fr")
+        assert mc.engines() is mc.engines("trap-erc")
+        assert len(mc.engines("trap-fr")) == 1
+        est = mc.read_availability(0.9, trials=20, protocol="trap-fr")
         assert est.trials == 20
 
     def test_all_down_fails(self):
@@ -97,8 +97,8 @@ class TestMultiStripeProtocolMC:
         mc = ProtocolMonteCarlo(6, 4, quorum_for(6, 4), rng=5)
         mc.code.clear_plan_cache()
         mc.cluster.fail(0)  # N_0 down -> reads of block 0 take the decode path
-        first = mc.erc.read_block(0)
-        second = mc.erc.read_block(0)
+        first = mc.engines()[0].read_block(0)
+        second = mc.engines()[0].read_block(0)
         assert first.success and second.success
         assert np.array_equal(first.value, second.value)
         info = mc.code.plan_cache_info()

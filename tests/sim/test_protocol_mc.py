@@ -26,33 +26,33 @@ def mc() -> ProtocolMonteCarlo:
 class TestProtocolReadAvailability:
     @pytest.mark.parametrize("p", [0.5, 0.8])
     def test_erc_read_matches_exact(self, mc, p):
-        est = mc.read_availability(p, trials=600, protocol="erc")
+        est = mc.read_availability(p, trials=600, protocol="trap-erc")
         assert est.contains(float(exact_read_erc(QUORUM, 7, 4, p)), z=4), str(est)
 
     @pytest.mark.parametrize("p", [0.5, 0.8])
     def test_fr_read_matches_eq10(self, mc, p):
-        est = mc.read_availability(p, trials=600, protocol="fr")
+        est = mc.read_availability(p, trials=600, protocol="trap-fr")
         assert est.contains(float(read_availability_fr(QUORUM, p)), z=4), str(est)
 
     def test_read_block_parameter(self, mc):
-        est = mc.read_availability(0.9, trials=200, protocol="erc", block=3)
+        est = mc.read_availability(0.9, trials=200, protocol="trap-erc", block=3)
         assert est.mean > 0.8
 
 
 class TestProtocolWriteAvailability:
     @pytest.mark.parametrize("p", [0.6, 0.9])
     def test_erc_write_matches_eq9(self, mc, p):
-        est = mc.write_availability(p, trials=250, protocol="erc")
+        est = mc.write_availability(p, trials=250, protocol="trap-erc")
         assert est.contains(float(write_availability(QUORUM, p)), z=4), str(est)
 
     def test_fr_write_matches_eq8(self, mc):
-        est = mc.write_availability(0.7, trials=250, protocol="fr")
+        est = mc.write_availability(0.7, trials=250, protocol="trap-fr")
         assert est.contains(float(write_availability(QUORUM, 0.7)), z=4), str(est)
 
     def test_write_erc_equals_fr_statistically(self, mc):
         # Eq. 8 == eq. 9: same write availability for both protocols.
-        erc = mc.write_availability(0.7, trials=250, protocol="erc")
-        fr = mc.write_availability(0.7, trials=250, protocol="fr")
+        erc = mc.write_availability(0.7, trials=250, protocol="trap-erc")
+        fr = mc.write_availability(0.7, trials=250, protocol="trap-fr")
         lo_e, hi_e = erc.ci95()
         lo_f, hi_f = fr.ci95()
         assert max(lo_e, lo_f) <= min(hi_e, hi_f), "CIs must overlap"
@@ -75,7 +75,7 @@ class TestTouchedOnlyReset:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        protocol=st.sampled_from(["erc", "fr"]),
+        protocol=st.sampled_from(["trap-erc", "trap-fr"]),
         block=st.integers(0, 3),
         alive_vectors=st.lists(
             st.lists(st.booleans(), min_size=7, max_size=7), min_size=1, max_size=4
@@ -83,7 +83,7 @@ class TestTouchedOnlyReset:
     )
     def test_resync_equals_full_load(self, protocol, block, alive_vectors):
         mc = ProtocolMonteCarlo(7, 4, QUORUM, rng=3, stripes=3)
-        engines = mc._engines(protocol)
+        engines = mc.engines(protocol)
         loaded = node_records(mc)
         rng = np.random.default_rng(5)
         for alive in alive_vectors:
@@ -101,10 +101,10 @@ class TestTouchedOnlyReset:
     def test_only_the_asked_protocol_is_built_and_loaded(self):
         mc = ProtocolMonteCarlo(7, 4, QUORUM, rng=3, stripes=2)
         assert mc.cluster.network.stats.messages == 0
-        mc.read_availability(0.9, trials=5, protocol="fr")
+        mc.read_availability(0.9, trials=5, protocol="trap-fr")
         keys = {key[0] for node in mc.cluster.nodes for key in node.keys()}
         assert keys == {"fr-replica"}
-        mc.write_availability(0.9, trials=5, protocol="erc")
+        mc.write_availability(0.9, trials=5, protocol="trap-erc")
         keys = {key[0] for node in mc.cluster.nodes for key in node.keys()}
         assert keys == {"fr-replica", "erc-data", "erc-parity"}
 
@@ -112,19 +112,20 @@ class TestTouchedOnlyReset:
         mc = ProtocolMonteCarlo(7, 4, QUORUM, rng=3)
         mc.cluster.fail(1)
         mc.cluster.network.partition([2, 5])
-        mc.erc  # builds and loads, which needs every node reachable
+        mc.engines()  # builds and loads, which needs every node reachable
         assert mc.cluster.failed_ids == [1]
         assert [i for i in range(7) if mc.cluster.network.is_partitioned(i)] == [2, 5]
         # ... and every node, the unreachable ones included, was loaded
         reference = ProtocolMonteCarlo(7, 4, QUORUM, rng=3)
-        reference.erc
+        reference.engines()
         assert node_records(mc) == node_records(reference)
 
     def test_calls_on_a_kept_harness_equal_calls_on_fresh_ones(self):
         kept = ProtocolMonteCarlo(7, 4, QUORUM, rng=11, stripes=2)
         calls = [
-            ("write", "erc", 1, 21), ("read", "erc", 1, 22), ("write", "fr", 2, 23),
-            ("write", "erc", 1, 24), ("read", "fr", 2, 25), ("write", "erc", 3, 26),
+            ("write", "trap-erc", 1, 21), ("read", "trap-erc", 1, 22),
+            ("write", "trap-fr", 2, 23), ("write", "trap-erc", 1, 24),
+            ("read", "trap-fr", 2, 25), ("write", "trap-erc", 3, 26),
         ]
         for op, protocol, block, seed in calls:
             fresh = ProtocolMonteCarlo(7, 4, QUORUM, rng=11, stripes=2)
@@ -162,7 +163,7 @@ class TestValidation:
     )
     def test_bad_call_rejected_before_touching_the_cluster(self, op, kwargs):
         mc = ProtocolMonteCarlo(7, 4, QUORUM, rng=11)
-        mc.erc  # build and load, so that a later message would show
+        mc.engines()  # build and load, so that a later message would show
         messages = mc.cluster.network.stats.messages
         with pytest.raises(ConfigurationError):
             getattr(mc, op)(**{"p": 0.5, "trials": 10, **kwargs})
@@ -172,7 +173,7 @@ class TestValidation:
     @pytest.mark.parametrize("op", ["read", "write"])
     def test_exception_mid_trial_leaves_the_harness_synced(self, op, monkeypatch):
         mc = ProtocolMonteCarlo(7, 4, QUORUM, rng=11, stripes=2)
-        victim = mc.ercs[1]
+        victim = mc.engines()[1]
         loaded = node_records(mc)
         real = getattr(victim, f"{op}_block")
         calls = []

@@ -5,9 +5,19 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import Cluster
+from repro.core.placement import IdentityPlacement
 from repro.errors import ConfigurationError
 from repro.quorum import TrapezoidQuorum, TrapezoidShape
-from repro.storage import IdentityPlacement, RotatingPlacement, VirtualDisk
+from repro.storage import RotatingPlacement, VirtualDisk
+
+
+def parity_load(policy, num_stripes: int) -> dict[int, int]:
+    """Node id -> number of stripes whose parity it stores."""
+    load = {node: 0 for node in range(policy.num_nodes)}
+    for s in range(num_stripes):
+        for node in policy.layout_for(s).parity_nodes:
+            load[node] += 1
+    return load
 
 
 class TestIdentityPlacement:
@@ -17,7 +27,7 @@ class TestIdentityPlacement:
 
     def test_parity_concentrates(self):
         pol = IdentityPlacement(9, 6, 9)
-        load = pol.parity_load(12)
+        load = parity_load(pol, 12)
         assert load[6] == load[7] == load[8] == 12
         assert load[0] == 0
 
@@ -44,13 +54,13 @@ class TestRotatingPlacement:
 
     def test_parity_load_balances(self):
         pol = RotatingPlacement(9, 6, 9)
-        load = pol.parity_load(9)  # one full rotation
+        load = parity_load(pol, 9)  # one full rotation
         assert all(v == 3 for v in load.values())  # 3 parity roles each
 
     def test_rotation_beats_identity_on_max_load(self):
         stripes = 18
-        ident = IdentityPlacement(9, 6, 9).parity_load(stripes)
-        rot = RotatingPlacement(9, 6, 9).parity_load(stripes)
+        ident = parity_load(IdentityPlacement(9, 6, 9), stripes)
+        rot = parity_load(RotatingPlacement(9, 6, 9), stripes)
         assert max(rot.values()) < max(ident.values())
 
     def test_spare_nodes_share_blocks_evenly(self):
@@ -95,3 +105,7 @@ class TestVirtualDiskWithPlacement:
         data_node = disk.stripes[0].layout.node_of_block(0)
         cluster.fail(data_node)
         assert disk.read(0)[:7] == b"payload"
+
+    def test_placement_for_another_code_is_refused(self):
+        with pytest.raises(ConfigurationError):
+            VirtualDisk(Cluster(12), 12, 32, 9, 6, placement=RotatingPlacement(12, 8, 12))

@@ -8,7 +8,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.errors import ConfigurationError
 from repro.quorum import TrapezoidQuorum, TrapezoidShape
-from repro.storage import DiskClient, VirtualDisk
+from repro.storage import VirtualDisk
 
 
 def make_disk(num_blocks: int = 12, block_size: int = 32):
@@ -121,47 +121,24 @@ class TestFailures:
         vv = cluster.node(6).parity_versions(disk.stripes[0].parity_key())
         assert vv[0] == 1
 
+    def test_repair_all_restores_the_write_quorum(self):
+        cluster, disk = make_disk()
+        # Make parity 6 stale, then bring it back; a write quorum of
+        # w=(1,2) still needs 2 fresh parities of {6,7,8}.
+        cluster.fail(6)
+        assert disk.write(0, b"v1")
+        cluster.recover(6)
+        # With node 7 down, parities {6 (stale), 8} cannot reach w_1 = 2
+        # fresh acks: the write fails and is reported, until anti-entropy
+        # brings node 6 up to date.
+        cluster.fail(7)
+        assert not disk.write(0, b"v2")
+        assert disk.repair_all() >= 1
+        assert disk.write(0, b"v2")
+        assert disk.read(0)[:2] == b"v2"
+
     def test_storage_accounting(self):
         _, disk = make_disk(num_blocks=12)
         # 2 stripes x 9 blocks x 32 bytes physical; 12 x 32 logical.
         assert disk.raw_storage_bytes() == 2 * 9 * 32
         assert disk.storage_efficiency() == pytest.approx(12 * 32 / (2 * 9 * 32))
-
-
-class TestDiskClient:
-    def test_passthrough_success(self):
-        _, disk = make_disk()
-        client = DiskClient(disk)
-        assert client.write(0, b"abc")
-        assert client.read(0)[:3] == b"abc"
-        assert client.stats.read_failures == 0
-        assert client.stats.write_failures == 0
-
-    def test_retry_after_transient_repairable_failure(self):
-        cluster, disk = make_disk()
-        client = DiskClient(disk, max_retries=1, repair_on_failure=True)
-        # Make parity 6 stale, then bring it back; a write quorum of
-        # w=(1,2) still needs 2 fresh parities of {6,7,8}.
-        cluster.fail(6)
-        assert client.write(0, b"v1")
-        cluster.recover(6)
-        # Now fail node 7: without repair, parities {6 (stale), 8} cannot
-        # reach w_1 = 2 fresh acks; the repair pass revives node 6.
-        cluster.fail(7)
-        assert client.write(0, b"v2")
-        assert client.stats.write_retries >= 1
-        assert client.stats.repair_passes >= 1
-        assert client.read(0)[:2] == b"v2"
-
-    def test_failure_counted_when_retries_exhausted(self):
-        cluster, disk = make_disk()
-        client = DiskClient(disk, max_retries=1, repair_on_failure=False)
-        cluster.fail_many([6, 7, 8])
-        assert not client.write(0, b"nope")
-        assert client.stats.write_failures == 1
-        assert client.read(1) == bytes(32)  # level-0 read still fine... (N_1 alive)
-
-    def test_validation(self):
-        _, disk = make_disk()
-        with pytest.raises(ConfigurationError):
-            DiskClient(disk, max_retries=-1)

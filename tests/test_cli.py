@@ -390,6 +390,15 @@ class TestJobsFlag:
             "repro: error: seed must be a non-negative integer, got -5\n"
         )
 
+    def test_missing_config_is_one_error_line(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["run", "--config", str(missing), "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro: error: [Errno 2] No such file or directory: '{missing}'\n"
+        )
+
     def test_availability_jobs_csv_identical(self, capsys):
         argv = [
             "availability", "--n", "9", "--k", "6",

@@ -17,7 +17,7 @@ from repro.core import RepairService, TrapErcProtocol, TrapFrProtocol
 from repro.erasure import MDSCode, join_payload, split_payload
 from repro.quorum import TrapezoidQuorum, TrapezoidShape, verify_intersection, TrapezoidSystem
 from repro.api import ClusterSpec, ScenarioSpec, SystemSpec, WorkloadSpec, run_spec
-from repro.storage import DiskClient, VirtualDisk
+from repro.storage import VirtualDisk
 
 
 class TestBytesToProtocolRoundtrip:
@@ -115,6 +115,20 @@ class TestLatencyAndTrafficAccounting:
         assert results[512] > results[64] * 4
 
 
+def retry_once(disk, op, *args):
+    """``op(*args)``; when it fails, one anti-entropy pass and one retry.
+
+    Without the retry this trace (seeds 6 and 7) hits ROADMAP item 1's
+    version reuse: block 1's version 1 is written twice with different
+    bytes, and a later decode of block 3 returns bytes nobody wrote.
+    """
+    result = op(*args)
+    if result is None or result is False:
+        disk.repair_all()
+        result = op(*args)
+    return result
+
+
 class TestDiskUnderTraceDrivenFailures:
     def test_disk_with_repair_survives_full_trace(self):
         """A virtual disk under a long failure trace with periodic repair
@@ -123,7 +137,6 @@ class TestDiskUnderTraceDrivenFailures:
         cluster = Cluster(9)
         disk = VirtualDisk(cluster, num_blocks=12, block_size=64, n=9, k=6)
         disk.format()
-        client = DiskClient(disk, max_retries=1, repair_on_failure=True)
         trace = exponential_trace(9, mtbf=50.0, mttr=8.0, horizon=300.0, rng=7)
 
         written: dict[int, bytes] = {}
@@ -137,14 +150,14 @@ class TestDiskUnderTraceDrivenFailures:
             total_ops += 1
             if rng.random() < 0.5:
                 payload = bytes(rng.integers(0, 256, 64, dtype=np.int64).astype(np.uint8))
-                if client.write(block, payload):
+                if retry_once(disk, disk.write, block, payload):
                     written[block] = payload
                     indeterminate[block] = set()
                     ok_ops += 1
                 else:
                     indeterminate.setdefault(block, set()).add(payload)
             else:
-                data = client.read(block)
+                data = retry_once(disk, disk.read, block)
                 if data is not None:
                     ok_ops += 1
                     if block in written:

@@ -1,5 +1,6 @@
 """Repository layout guard: every test in the repo is one that runs,
-and every library module is one the system runs.
+every library module is one the system runs, and every stripe is built
+in one place.
 
 Tier-1 collects ``test_*.py`` under ``tests/``; the end-to-end harness's
 own tests run with ``pytest benchmarks/e2e``. A ``def test_`` anywhere
@@ -13,8 +14,13 @@ imports, is library code nothing runs: delete it, or move it under
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 COLLECTED_UNDER = (ROOT / "tests", ROOT / "benchmarks" / "e2e")
@@ -156,3 +162,40 @@ def test_guard_sees_package_reexports_through_to_the_module():
         name for name in callers["repro.erasure.code"] if not name.startswith("examples/")
     ]
     assert in_src != []
+
+
+#: the engines and the repair service a stripe is made of
+STRIPE_PARTS = {
+    "TrapErcProtocol",
+    "TrapFrProtocol",
+    "RowaProtocol",
+    "MajorityProtocol",
+    "RepairService",
+}
+#: where they are constructed: the registry's builders and ``_stripe``
+STRIPE_BUILDERS = {"repro/api/registry.py", "repro/api/build.py"}
+
+
+def test_stripes_are_built_only_by_the_stripe_constructor():
+    built_in = {}
+    for path in (SRC / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in STRIPE_PARTS:
+                    built_in.setdefault(path.relative_to(SRC).as_posix(), set()).add(name)
+    assert set(built_in) == STRIPE_BUILDERS, built_in
+
+
+@pytest.mark.parametrize("module", ["repro.storage", "repro.sim.protocol_mc", "repro.api"])
+def test_module_imports_first_in_a_fresh_interpreter(module):
+    """``storage/`` and ``sim/`` build through ``repro.api.build``, whose
+    package imports ``sim/``: each must import first without a cycle."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -15,7 +15,7 @@ from repro.cluster import Cluster
 from repro.core import RepairService, TrapErcProtocol
 from repro.erasure import MDSCode
 from repro.quorum import TrapezoidQuorum, TrapezoidShape
-from repro.storage import DiskClient, RotatingPlacement, VirtualDisk
+from repro.storage import RotatingPlacement, VirtualDisk
 
 L = 16
 
@@ -103,7 +103,7 @@ class TestDualCoordinatorChurn:
 
 
 class TestRotatingDiskUnderChurn:
-    def test_rotating_placement_with_client_retries(self):
+    def test_rotating_placement_with_repair_on_failure(self):
         rng = np.random.default_rng(303)
         cluster = Cluster(9)
         quorum = TrapezoidQuorum.uniform(TrapezoidShape(2, 1, 1), 2)
@@ -111,7 +111,6 @@ class TestRotatingDiskUnderChurn:
             cluster, 18, 64, 9, 6, quorum, placement=RotatingPlacement(9, 6, 9)
         )
         disk.format()
-        client = DiskClient(disk, max_retries=1, repair_on_failure=True)
 
         view: dict[int, bytes] = {}
         indeterminate: dict[int, set[bytes]] = {}
@@ -125,14 +124,17 @@ class TestRotatingDiskUnderChurn:
                 payload = bytes(
                     rng.integers(0, 256, 64, dtype=np.int64).astype(np.uint8)
                 )
-                if client.write(block, payload):
+                if disk.write(block, payload):
                     view[block] = payload
                     indeterminate[block] = set()
                 else:
                     indeterminate.setdefault(block, set()).add(payload)
+                    disk.repair_all()  # a failed op triggers anti-entropy
             else:
-                got = client.read(block)
-                if got is not None and block in view:
+                got = disk.read(block)
+                if got is None:
+                    disk.repair_all()
+                elif block in view:
                     assert got == view[block] or got in indeterminate.get(
                         block, set()
                     ), f"step {step}"
