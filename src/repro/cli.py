@@ -33,7 +33,8 @@ Commands
 spec, so ``repro run --config PATH`` replays the printed numbers.
 
 A library error (a :class:`~repro.errors.ReproError`, such as a spec
-refused at load) prints as ``repro: error: <message>`` on stderr, with
+refused at load or a ``--config`` / ``--out`` file that cannot be read
+or written) prints as ``repro: error: <message>`` on stderr, with
 no traceback, and exits with status 2 — the status of a bad flag.
 """
 
@@ -169,13 +170,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_file(path: str) -> str:
+    """The text of a ``--config`` file; an OS error is a
+    :class:`~repro.errors.ConfigurationError` (one error line)."""
+    from pathlib import Path
+
+    from repro.errors import ConfigurationError
+
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigurationError(str(exc)) from exc
+
+
+def _write_file(path: str, text: str) -> None:
+    """Write an ``--out`` / ``--dump-config`` file; an OS error is a
+    :class:`~repro.errors.ConfigurationError` (one error line)."""
+    from pathlib import Path
+
+    from repro.errors import ConfigurationError
+
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigurationError(str(exc)) from exc
+
+
 def _cmd_run(args) -> int:
     import json
-    from pathlib import Path
 
     from repro.api import ScenarioRunner, SystemSpec, execution_options
 
-    text = Path(args.config).read_text()
+    text = _read_file(args.config)
     spec = SystemSpec.from_json(text)  # refuses text that is not JSON
     jobs = args.jobs
     if jobs is None:
@@ -185,7 +211,7 @@ def _cmd_run(args) -> int:
     result = ScenarioRunner(spec, jobs=jobs).run()
     payload = result.to_json()
     if args.out:
-        Path(args.out).write_text(payload + "\n")
+        _write_file(args.out, payload + "\n")
         if not args.quiet:
             print(f"Wrote: {args.out}")
     else:
@@ -201,12 +227,10 @@ def _cmd_run(args) -> int:
 
 def _run_verb(spec, args) -> dict:
     """Run a verb's spec; ``--dump-config`` first writes that same spec."""
-    from pathlib import Path
-
     from repro.api import ScenarioRunner
 
     if args.dump_config:
-        Path(args.dump_config).write_text(spec.to_json() + "\n")
+        _write_file(args.dump_config, spec.to_json() + "\n")
         print(f"Wrote config: {args.dump_config}")
     return ScenarioRunner(spec, jobs=args.jobs).run().data
 
@@ -339,11 +363,10 @@ def _cmd_serve(args) -> int:
 
 def _cmd_wallclock(args) -> int:
     import json
-    from pathlib import Path
 
     from repro.api import ScenarioRunner, SystemSpec
 
-    spec = SystemSpec.from_json(Path(args.config).read_text())
+    spec = SystemSpec.from_json(_read_file(args.config))
     if spec.scenario.kind != "wallclock":
         spec = spec.replace(scenario=spec.scenario.replace(kind="wallclock"))
     transports = None
@@ -375,7 +398,7 @@ def _cmd_wallclock(args) -> int:
                 f"{row['p50']:10.6f} {row['p95']:10.6f} {row['p99']:10.6f}"
             )
     if args.out:
-        Path(args.out).write_text(result.to_json() + "\n")
+        _write_file(args.out, result.to_json() + "\n")
         print(f"Wrote: {args.out}")
     else:
         sys.stderr.write(json.dumps(data["comparison"]) + "\n")
@@ -408,15 +431,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    """Run one command; a library error or an OS error (a ``--config``
-    file that is missing, an ``--out`` path that cannot be written) is
-    one stderr line and status 2."""
+    """Run one command; a library error (also a ``--config`` file that
+    cannot be read or an ``--out`` path that cannot be written) is one
+    stderr line and status 2."""
     from repro.errors import ReproError
 
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ReproError, OSError) as exc:
+    except ReproError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,19 +12,23 @@ The harness is a :class:`~repro.api.spec.SystemSpec`: its stripes are
 built by the stripe constructor of :mod:`repro.api.build`, the one every
 built system uses, so a trial runs any registered protocol exactly as
 the product builds it — the spec's code, quorum, cluster width,
-placement kind and stripe count, and metadata tier when it has one.
+placement kind and stripe count, and metadata tier when it has one. A
+harness runs the one protocol its spec names; to compare two, build two
+(``ProtocolMonteCarlo.from_spec(spec.replace(protocol=...))``).
 
 Hot-path engineering (the per-trial protocol work is irreducible, but the
 harness around it is not):
 
-* the (trials, nodes) alive matrix is sampled in one vectorized draw
-  instead of one RNG dispatch per trial;
-* only the protocol a call asks for is built and loaded (first use), so
-  an ERC study never pays for the replication twin's records;
-* the version-0 stripes are encoded once (``MDSCode.encode_batch``) and a
-  write trial is undone by re-putting only the records a write of that
-  block can reach (the engine's ``reload_block``: N_i and the parity
-  nodes for TRAP-ERC, the replica group for the others);
+* the (trials, data nodes) alive matrix is sampled in one vectorized
+  draw instead of one RNG dispatch per trial; failures cover the data
+  nodes only, so a metadata tier stays up and a spec with one samples
+  the same data-node outcomes as the spec without it;
+* the engines are built and loaded on first use;
+* a write trial is undone by re-putting only the records a write of
+  that block can reach (the engine's ``reload_block``: N_i and the
+  parity nodes for TRAP-ERC, from the version-0 codewords encoded once
+  when its engines are built; the replica group for the others, from
+  the data blocks);
 * with ``stripes > 1`` one failure draw exercises every stripe's layout
   (under rotated placement, many survivor sets and the decode-plan
   cache), the way a volume-level sweep does.
@@ -67,9 +71,9 @@ class ProtocolMonteCarlo:
         placement ``node_ids = (s, s+1, ..) mod n``, so different stripes
         decode through different survivor sets of the same alive vector.
 
-    These state the spec ``SystemSpec.trapezoid(n, k, a, b, h, w)`` with
-    ``rotating`` placement over n nodes; :meth:`from_spec` takes any
-    spec.
+    These state the TRAP-ERC spec ``SystemSpec.trapezoid(n, k, a, b, h,
+    w)`` with ``rotating`` placement over n nodes; :meth:`from_spec`
+    takes any spec.
     """
 
     def __init__(
@@ -104,14 +108,12 @@ class ProtocolMonteCarlo:
         self.data = self.rng.integers(0, 256, size=shape, dtype=np.int64).astype(
             np.uint8
         )
-        # Version-0 codewords, encoded once for every TRAP-ERC trial reset.
-        self._codewords = self.code.encode_batch(self.data)
-        #: protocol name -> its per-stripe engines, built and loaded on
-        #: first use
-        self._built: dict[str, list] = {}
+        self._engines: list | None = None
+        #: per stripe, what its engine's reload_block takes
+        self._sources: np.ndarray | None = None
 
-    def engines(self, protocol: str | None = None) -> list:
-        """The per-stripe engines of ``protocol`` (default: the spec's).
+    def engines(self) -> list:
+        """The spec protocol's per-stripe engines.
 
         Built through the stripe constructor and loaded on first use.
         First use may come after the caller failed or partitioned some
@@ -119,43 +121,55 @@ class ProtocolMonteCarlo:
         loading needs every node reachable but leaves that pattern as it
         found it.
         """
-        protocol = protocol or self.spec.protocol
-        if protocol not in self._built:
-            entry = protocol_entry(protocol)
-            self._built[protocol] = [
+        if self._engines is None:
+            entry = protocol_entry(self.spec.protocol)
+            self._engines = [
                 _stripe(self.spec, entry, self.cluster, self.code, s)[1]
                 for s in range(self.spec.placement.stripes)
             ]
+            # TRAP-ERC resets from codewords encoded once: encoding the
+            # data on every write-trial reset made availability_study's
+            # write p50 a third slower (2-vCPU host).
+            self._sources = (
+                self.code.encode_batch(self.data)
+                if entry.engine_class is TrapErcProtocol
+                else self.data
+            )
             network = self.cluster.network
             down = self.cluster.failed_ids
             cut = [i for i in range(len(self.cluster)) if network.is_partitioned(i)]
-            self._load(protocol)
+            self._load()
             self.cluster.fail_many(down)
             network.partition(cut)
-        return self._built[protocol]
+        return self._engines
 
-    def _load(self, protocol: str) -> None:
-        """All nodes up, and every stripe of ``protocol`` at version 0."""
+    def _load(self) -> None:
+        """All nodes up, and every stripe at version 0."""
         self.cluster.recover_all()
-        for engine, data in zip(self._built[protocol], self.data):
+        for engine, data in zip(self._engines, self.data):
             engine.initialize(data)
 
-    def _resync(self, protocol: str, block: int) -> None:
+    def _resync(self, block: int) -> None:
         """What :meth:`_load` does, given only ``block`` was written since."""
         self.cluster.recover_all()
-        engines = self._built[protocol]
-        # TRAP-ERC reloads from the stripe's codeword, the others from data.
-        erc = isinstance(engines[0], TrapErcProtocol)
-        for engine, source in zip(engines, self._codewords if erc else self.data):
+        for engine, source in zip(self._engines, self._sources):
             engine.reload_block(block, source)
 
-    def _check_call(self, p: float, trials: int, protocol: str, block: int) -> None:
+    def _alive_matrix(self, p: float, trials: int, rng) -> np.ndarray:
+        """(trials, nodes) alive patterns: data nodes Bernoulli(p), the
+        metadata tier (if any) up."""
+        alive = np.ones((trials, len(self.cluster)), dtype=bool)
+        alive[:, : self.cluster.num_data_nodes] = (
+            rng.random((trials, self.cluster.num_data_nodes)) < p
+        )
+        return alive
+
+    def _check_call(self, p: float, trials: int, block: int) -> None:
         """Reject a bad call before it touches the cluster."""
         if not 0.0 <= p <= 1.0:
             raise ConfigurationError(f"p must be in [0, 1], got {p}")
         if trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {trials}")
-        protocol_entry(protocol)
         k = self.spec.code.k
         if not 0 <= block < k:
             raise ConfigurationError(
@@ -168,23 +182,20 @@ class ProtocolMonteCarlo:
         self,
         p: float,
         trials: int = 400,
-        protocol: str | None = None,
         block: int = 0,
         rng=None,
     ) -> MCEstimate:
         """Fraction of (trial, stripe) reads of ``block`` that succeed.
 
-        ``protocol`` is a registered name (default: the spec's). Reads
-        do not mutate state, so the stripes stay synced across trials
-        (pure snapshot model). ``rng`` overrides the instance stream for
+        Reads do not mutate state, so the stripes stay synced across
+        trials (pure snapshot model). ``rng`` overrides the instance stream for
         this call — how the runner hands a trial chunk its own
         pre-spawned child stream (default: the instance stream).
         """
-        protocol = protocol or self.spec.protocol
-        self._check_call(p, trials, protocol, block)
-        engines = self.engines(protocol)
+        self._check_call(p, trials, block)
+        engines = self.engines()
         rng = self.rng if rng is None else make_rng(rng)
-        alive = rng.random((trials, len(self.cluster))) < p
+        alive = self._alive_matrix(p, trials, rng)
         successes = 0
         try:
             for t in range(trials):
@@ -200,7 +211,6 @@ class ProtocolMonteCarlo:
         self,
         p: float,
         trials: int = 200,
-        protocol: str | None = None,
         block: int = 0,
         rng=None,
     ) -> MCEstimate:
@@ -209,16 +219,14 @@ class ProtocolMonteCarlo:
         Writes mutate state (including partially-failed ones), so after
         every trial the records a write of ``block`` can reach are put
         back from the version-0 stripes, which keeps trials i.i.d. under
-        the snapshot model. ``protocol`` and ``rng`` are as in
-        :meth:`read_availability`; ``rng`` drives both the alive draw and
-        the per-trial payloads.
+        the snapshot model. ``rng`` is as in :meth:`read_availability`;
+        it drives both the alive draw and the per-trial payloads.
         """
-        protocol = protocol or self.spec.protocol
-        self._check_call(p, trials, protocol, block)
-        engines = self.engines(protocol)
+        self._check_call(p, trials, block)
+        engines = self.engines()
         rng = self.rng if rng is None else make_rng(rng)
         length = self.data.shape[2]
-        alive = rng.random((trials, len(self.cluster))) < p
+        alive = self._alive_matrix(p, trials, rng)
         successes = 0
         for t in range(trials):
             self.cluster.apply_alive_vector(alive[t])
@@ -230,5 +238,5 @@ class ProtocolMonteCarlo:
                     if engine.write_block(block, value).success:
                         successes += 1
             finally:
-                self._resync(protocol, block)
+                self._resync(block)
         return MCEstimate(successes, trials * len(engines))

@@ -9,6 +9,7 @@ import pytest
 
 from repro.api import (
     ClusterSpec,
+    MetadataSpec,
     PlacementSpec,
     ScenarioResult,
     ScenarioRunner,
@@ -139,6 +140,16 @@ class TestScenarioKinds:
         assert len(harness.cluster) == 12
         used = {node for engine in harness.engines() for node in engine.layout.node_ids}
         assert used == set(range(12))
+
+    def test_protocol_mc_keeps_the_metadata_tier_up(self):
+        # Failures cover the data nodes only: a metadata tier is not
+        # drawn, so its spec samples the data-node outcomes of the spec
+        # without it, and every read and write reaches a tier majority.
+        tiered = PROTOCOL_MC.replace(metadata=MetadataSpec(nodes=3))
+        runner = ScenarioRunner(tiered)
+        data = runner.run().data
+        assert len(runner._protocol_mc.cluster) == 9 + 3
+        assert data == run_spec(PROTOCOL_MC).data
 
     def test_trace_runs_and_reports_tally(self):
         spec = BASE.replace(

@@ -79,9 +79,11 @@ class TestMultiStripeProtocolMC:
 
     def test_single_stripe_backcompat(self):
         mc = ProtocolMonteCarlo(6, 4, quorum_for(6, 4), rng=3)
-        assert mc.engines() is mc.engines("trap-erc")
-        assert len(mc.engines("trap-fr")) == 1
-        est = mc.read_availability(0.9, trials=20, protocol="trap-fr")
+        assert mc.engines() is mc.engines()
+        assert len(mc.engines()) == 1
+        fr = ProtocolMonteCarlo.from_spec(mc.spec.replace(protocol="trap-fr"), rng=3)
+        assert len(fr.engines()) == 1
+        est = fr.read_availability(0.9, trials=20)
         assert est.trials == 20
 
     def test_all_down_fails(self):

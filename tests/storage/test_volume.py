@@ -110,6 +110,8 @@ class TestFailures:
         cluster, disk = make_disk()
         cluster.fail_many([6, 7, 8])
         assert disk.write(0, b"data") is False
+        # ... while a level-0 read of another block still succeeds
+        assert disk.read(1) == bytes(32)
 
     def test_repair_all_recovers_stale_nodes(self):
         cluster, disk = make_disk()
