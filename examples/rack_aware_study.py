@@ -32,18 +32,25 @@ def availability_for_assignment(
     """(write, read) availability of block 0 under a node assignment.
 
     ``assignment`` lists the cluster nodes hosting stripe blocks 0..n-1;
-    block 0's trapezoid group is [assignment[0]] + parity nodes.
+    block 0's trapezoid group is block 0 plus the parity blocks. The
+    alive matrix is drawn over the stripe's view of the racks (blocks
+    grouped by the rack of their node), one column per block, so two
+    assignments given the same seed share every rack and node coin
+    (common random numbers): they differ only in which blocks a rack
+    failure takes down, and at rack_q = 0 they give the same estimate.
     """
     node_q = topo.node_failure_for_marginal(rack_q, P_MARGINAL)
-    alive = topo.sample_alive(TRIALS, rack_q, node_q, rng=rng)
-    group = [assignment[0]] + [assignment[j] for j in range(FIG_K, FIG_N)]
+    blocks_by_rack = [
+        [block for block, node in enumerate(assignment) if node in rack]
+        for rack in topo.racks
+    ]
+    alive = RackTopology(blocks_by_rack).sample_alive(TRIALS, rack_q, node_q, rng=rng)
+    group = [0] + list(range(FIG_K, FIG_N))
     counts = alive[:, group] @ level_membership_matrix(QUORUM).T
     write_ok = np.all(counts >= np.asarray(QUORUM.w), axis=1)
     check_ok = np.any(counts >= np.asarray(QUORUM.read_thresholds), axis=1)
-    ni = alive[:, assignment[0]]
-    others = [assignment[j] for j in range(1, FIG_N)]
-    pool = alive[:, others].sum(axis=1)
-    read_ok = check_ok & (ni | (pool >= FIG_K))
+    pool = alive[:, 1:FIG_N].sum(axis=1)
+    read_ok = check_ok & (alive[:, 0] | (pool >= FIG_K))
     return float(write_ok.mean()), float(read_ok.mean())
 
 
@@ -65,13 +72,13 @@ def main() -> None:
 
     print(f"{'scenario':>28} {'write':>8} {'read':>8}")
     print("-" * 48)
-    for rack_q in (0.0, 0.05, 0.10):
+    for point, rack_q in enumerate((0.0, 0.05, 0.10)):
         for label, assignment in [
             ("rack-by-rack (worst)", rack_by_rack),
             ("rack-aware (spread)", aware),
         ]:
             w, r = availability_for_assignment(
-                topo, assignment, rack_q, make_rng(hash((label, rack_q)) % 2**31)
+                topo, assignment, rack_q, make_rng(point)
             )
             print(f"rack_q={rack_q:4.2f} {label:>20} {w:8.4f} {r:8.4f}")
         print()

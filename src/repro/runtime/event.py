@@ -72,10 +72,20 @@ push, in plain Python objects:
   ``latency.stream(rng, site)``; distribution-only models serve it from
   512-draw blocks, stream-identical to scalar draws because the
   coordinator owns ``rng`` (see ``LatencyModel.stream``).
-* **lazy traces** — the trace records ``(now, kind, node, method,
-  attempt)`` tuples and formats them only inside ``trace_hash()``. The
-  ``trace.append`` calls are the only difference between a traced and
-  an untraced run: there is one path.
+* **columnar traces** — a traced message costs two appends to one
+  :class:`_TraceBuffer`: its time as a raw double and one integer code
+  packing ``(kind, node, method, attempt)`` against the coordinator's
+  ``(node, method)`` table. Each wave looks its requests up in that
+  table once, so every later leg of an attempt reuses the wave's codes.
+  16 B per entry at rest (~17 with the arrays' over-allocation) where
+  a list of ``(now, kind, node, method, attempt)`` tuples holds ~107 B,
+  and no float or tuple object is kept per entry. The
+  buffer folds its lines into a running SHA-256 whenever it holds
+  2^20 entries (16 MiB), so a traced run's memory is bounded however
+  long it runs; ``trace_hash()`` folds the tail into a copy of that
+  digest. The lines are formatted only there, byte-identical to the
+  per-message reference, and the two appends are the only difference
+  between a traced and an untraced run: there is one path.
 
 Known measure-zero edge vs the reference path: a sampled one-way delay
 *exactly* equal to ``policy.timeout`` can order differently against
@@ -106,6 +116,7 @@ event insertion order, same trace).
 from __future__ import annotations
 
 import hashlib
+from array import array
 from collections import Counter, deque
 from typing import Any, Callable, Mapping
 
@@ -208,6 +219,85 @@ def make_service_queues(
     }
 
 
+#: trace kinds, the low three bits of a trace code (a send is 0)
+_DROP, _DELIVER, _REPLY, _DROP_REPLY, _TIMEOUT = range(1, 6)
+_KINDS = ("send", "drop", "deliver", "reply", "drop-reply", "timeout")
+
+
+class _TraceBuffer:
+    """The message trace: columnar, folded into a running SHA-256.
+
+    Entry ``i`` is ``times[i]`` (the virtual time, a raw double) and
+    ``codes[i] = attempt << 32 | pair << 3 | kind``, where ``pair``
+    (< 2^29) indexes the ``(node, method)`` table. It stands for the line
+    ``f"{now!r} {kind} node={node} method={method} attempt={attempt}\\n"``,
+    and the trace hash is the SHA-256 of all lines in order. When
+    ``fold`` entries are buffered, the next wave formats them into the
+    running digest and empties the buffer, so it never holds much more
+    than ``fold`` entries.
+    """
+
+    __slots__ = ("times", "codes", "_pairs", "_texts", "_digest", "_folded")
+
+    #: entries buffered before they fold into the digest (16 MiB)
+    fold = 1 << 20
+    #: entries formatted per digest update
+    batch = 1 << 12
+
+    def __init__(self) -> None:
+        self.times = array("d")
+        self.codes = array("q")
+        self._pairs: dict[tuple[int, str], int] = {}
+        #: code -> the line after its time, built when first folded
+        self._texts: dict[int, str] = {}
+        self._digest = hashlib.sha256()
+        self._folded = 0
+
+    def __len__(self) -> int:
+        return self._folded + len(self.times)
+
+    def wave(self, requests: list[Request], number: int) -> list[int]:
+        """The kind-0 codes of a new wave's attempts; folds a full buffer."""
+        if len(self.times) >= self.fold:
+            self._folded += len(self.times)
+            self._feed(self._digest)
+            del self.times[:], self.codes[:]
+        pairs = self._pairs
+        base = number << 32
+        codes = []
+        for request in requests:
+            key = (request.node_id, request.method)
+            pair = pairs.get(key)
+            if pair is None:
+                pair = pairs[key] = len(pairs)
+            codes.append(base | pair << 3)
+        return codes
+
+    def hexdigest(self) -> str:
+        """The hash of every entry so far; the buffer is left as it is."""
+        digest = self._digest.copy()
+        self._feed(digest)
+        return digest.hexdigest()
+
+    def _feed(self, digest) -> None:
+        times, codes, texts = self.times, self.codes, self._texts
+        new = set(codes).difference(texts)
+        if new:
+            keys = list(self._pairs)
+            for code in new:
+                node, method = keys[code >> 3 & 0x1FFFFFFF]
+                texts[code] = (
+                    f" {_KINDS[code & 7]} node={node} method={method} "
+                    f"attempt={code >> 32}\n"
+                )
+        for start in range(0, len(times), self.batch):
+            stop = start + self.batch
+            digest.update("".join([
+                f"{now!r}{texts[code]}"
+                for now, code in zip(times[start:stop], codes[start:stop])
+            ]).encode("ascii"))
+
+
 def _answer(nodes, stats, request: Request) -> Response:
     """One delivered request, answered against the node's current state.
 
@@ -256,15 +346,23 @@ class _Wave:
     ``number + 1``.
     """
 
-    __slots__ = ("state", "requests", "number", "resolved", "live", "timer")
+    __slots__ = ("state", "requests", "number", "resolved", "live", "timer", "codes")
 
-    def __init__(self, state: _RoundState, requests: list[Request], number: int) -> None:
+    def __init__(
+        self,
+        state: _RoundState,
+        requests: list[Request],
+        number: int,
+        codes: list[int] | None,
+    ) -> None:
         self.state = state
         self.requests = requests
         self.number = number
         self.resolved = [False] * len(requests)
         self.live = len(requests)
         self.timer: Timer | None = None
+        #: each attempt's kind-0 trace code (None when untraced)
+        self.codes = codes
 
 
 class _WaveSet:
@@ -367,9 +465,7 @@ class EventCoordinator:
         #: in-flight waves with live timeout timers (len() reports
         #: unresolved attempts, as on the async backend)
         self.outstanding = _WaveSet()
-        #: trace entries are lazy (now, kind, node, method, attempt)
-        #: tuples; ``trace_hash`` formats them
-        self._trace: list[tuple] | None = [] if record_trace else None
+        self._trace = _TraceBuffer() if record_trace else None
         self._draining = False
         self._draw = latency.stream(self.rng, site)
         #: constant timeout delay ⇒ deadlines arm in non-decreasing
@@ -418,14 +514,7 @@ class EventCoordinator:
         """SHA-256 over the recorded message trace (determinism check)."""
         if self._trace is None:
             raise SimulationError("trace recording is off (record_trace=False)")
-        digest = hashlib.sha256()
-        update = digest.update
-        for now, kind, node, method, attempt in self._trace:
-            update(
-                f"{now!r} {kind} node={node} method={method} "
-                f"attempt={attempt}\n".encode("ascii")
-            )
-        return digest.hexdigest()
+        return self._trace.hexdigest()
 
     @property
     def trace_length(self) -> int:
@@ -519,14 +608,16 @@ class EventCoordinator:
         trace = self._trace
         partitioned = net._partitioned
         by_kind = stats.by_kind
-        wave = _Wave(state, requests, number)
+        codes = trace.wave(requests, number) if trace is not None else None
+        wave = _Wave(state, requests, number, codes)
         n = len(requests)
         idxs = list(range(n))
         bytes_sent = 0
         for idx, request in enumerate(requests):
             node_id = request.node_id
             if trace is not None:
-                trace.append((now, "send", node_id, request.method, number))
+                trace.times.append(now)
+                trace.codes.append(codes[idx])
             by_kind[request.method] += 1
             # network._payload_bytes, inlined: one call per message adds
             # up under wide fan-outs
@@ -541,7 +632,8 @@ class EventCoordinator:
                 # Silent drop: only the timeout resolves this attempt.
                 stats.messages_dropped += 1
                 if trace is not None:
-                    trace.append((now, "drop", node_id, request.method, number))
+                    trace.times.append(now)
+                    trace.codes.append(codes[idx] | _DROP)
                 idxs.remove(idx)
         stats.messages += n
         stats.bytes_sent += bytes_sent
@@ -609,10 +701,12 @@ class EventCoordinator:
                     # Partition raced the message: dropped on the wire.
                     stats.messages_dropped += 1
                     if trace is not None:
-                        trace.append((now, "drop", node_id, request.method, wave.number))
+                        trace.times.append(now)
+                        trace.codes.append(wave.codes[idx] | _DROP)
                     continue
                 if trace is not None:
-                    trace.append((now, "deliver", node_id, request.method, wave.number))
+                    trace.times.append(now)
+                    trace.codes.append(wave.codes[idx] | _DELIVER)
                 if queues is not None and (queue := queues.get(node_id)) is not None:
                     # The request joins the node's FIFO backlog; it
                     # executes once the server reaches it (queue wait +
@@ -650,19 +744,17 @@ class EventCoordinator:
             for idx, response in zip(idxs, responses):
                 if resolved[idx]:
                     continue
-                request = response.request
-                node_id = request.node_id
-                if node_id in partitioned:
+                if response.request.node_id in partitioned:
                     # The reply leg is cut too: the coordinator hears
                     # nothing.
                     stats.messages_dropped += 1
                     if trace is not None:
-                        trace.append(
-                            (now, "drop-reply", node_id, request.method, wave.number)
-                        )
+                        trace.times.append(now)
+                        trace.codes.append(wave.codes[idx] | _DROP_REPLY)
                     continue
                 if trace is not None:
-                    trace.append((now, "reply", node_id, request.method, wave.number))
+                    trace.times.append(now)
+                    trace.codes.append(wave.codes[idx] | _REPLY)
                 resolved[idx] = True
                 heard += 1
                 if not state.done:
@@ -691,6 +783,7 @@ class EventCoordinator:
         state = wave.state
         stats = self.cluster.network.stats
         trace = self._trace
+        now = self.sim.now
         resolved = wave.resolved
         number = wave.number
         for idx, request in enumerate(wave.requests):
@@ -706,9 +799,8 @@ class EventCoordinator:
                 continue
             stats.timeouts += 1
             if trace is not None:
-                trace.append(
-                    (self.sim.now, "timeout", request.node_id, request.method, number)
-                )
+                trace.times.append(now)
+                trace.codes.append(wave.codes[idx] | _TIMEOUT)
             if number < self.policy.retries:
                 stats.retries += 1
                 self._send_wave(state, [request], number + 1)
