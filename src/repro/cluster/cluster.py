@@ -89,9 +89,22 @@ class Cluster:
     def failed_ids(self) -> list[int]:
         return [n.node_id for n in self.nodes if not n.alive]
 
+    # -- whole-store snapshots -------------------------------------------- #
+
+    def snapshot(self) -> list:
+        """Every node's records as of now, for :meth:`restore`."""
+        return [node.snapshot() for node in self.nodes]
+
+    def restore(self, snapshot: list) -> None:
+        """Every node up, reachable and holding exactly its ``snapshot``
+        records: what a Monte-Carlo trial reset needs, without an RPC."""
+        for node, records in zip(self.nodes, snapshot):
+            node.restore(records)
+        self.network.heal()
+
     def rpc(self, node_id: int, method: str, *args, **kwargs):
         """Issue an RPC to a node through the network fabric."""
-        return self.network.rpc(self.node(node_id), method, *args, **kwargs)
+        return self.network.rpc(self.node(node_id), method, args, kwargs)
 
     def reset_stats(self) -> None:
         self.network.stats.reset()

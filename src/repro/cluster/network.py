@@ -377,9 +377,11 @@ class Network:
 
     # -- RPC ------------------------------------------------------------ #
 
-    def rpc(self, node: StorageNode, method: str, *args, **kwargs):
+    def rpc(self, node: StorageNode, method: str, args: tuple, kwargs: dict):
         """Invoke ``node.method(*args, **kwargs)`` across the fabric.
 
+        Takes a request's argument tuple and keyword dict as they are, so
+        a round passes its requests through without repacking them.
         Counts one request/response pair; raises NodeUnavailableError when
         the destination is dead or partitioned (indistinguishable to the
         caller, as in a real timeout). The sampled round-trip delay is

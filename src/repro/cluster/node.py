@@ -513,6 +513,28 @@ class StorageNode:
     def has_key(self, key) -> bool:
         return key in self._data or key in self._parity
 
+    def snapshot(self) -> tuple[dict, dict]:
+        """The (data, parity) record stores as of now, for :meth:`restore`.
+
+        Shallow copies are exact: a stored record is never modified, and
+        every store installs a new record, so the snapshot keeps seeing
+        the records it was taken with.
+        """
+        return dict(self._data), dict(self._parity)
+
+    def restore(self, snapshot: tuple[dict, dict]) -> None:
+        """Hold exactly the records of ``snapshot`` again, and be up.
+
+        The stores are refilled in place; the restored records are the
+        snapshot's own (sealed) objects.
+        """
+        data, parity = snapshot
+        self._data.clear()
+        self._data.update(data)
+        self._parity.clear()
+        self._parity.update(parity)
+        self.alive = True
+
 
 def serve(node: StorageNode, method: str, args, kwargs):
     """Answer one RPC: the node side of Algorithms 1-2, defined once.

@@ -61,20 +61,11 @@ class _ReplicationBase:
         blocks = np.asarray(blocks)
         if blocks.ndim != 2:
             raise ConfigurationError("blocks must be (num_blocks, L)")
-        for b in range(blocks.shape[0]):
-            self.reload_block(b, blocks)
-
-    def reload_block(self, block: int, blocks: np.ndarray) -> None:
-        """Undo whatever writes of ``block`` did to the loaded ``blocks``.
-
-        A write only reaches the block's replicas, so re-putting them
-        (every replica node must be up) leaves the nodes exactly as
-        :meth:`initialize` would.
-        """
-        for nid in self.node_ids:
-            self.cluster.rpc(nid, "put_data", self.key(block), blocks[block], 0)
-        if self.verifier is not None:
-            self.verifier.bootstrap(block, blocks[block])
+        for block, value in enumerate(blocks):
+            for nid in self.node_ids:
+                self.cluster.rpc(nid, "put_data", self.key(block), value, 0)
+            if self.verifier is not None:
+                self.verifier.bootstrap(block, value)
 
     def _version_round(self, block: int) -> Round:
         """Gather-all version discovery across the replica set."""

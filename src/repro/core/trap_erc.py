@@ -170,29 +170,9 @@ class TrapErcProtocol:
         Bootstrap path (not a quorum write): requires all n nodes up, like
         a volume-creation step in a real deployment.
         """
-        self._load_records(self.code.encode(data), range(self.code.k))
-
-    def reload_block(self, i: int, stripe: np.ndarray) -> None:
-        """Undo whatever writes of block i did to the loaded (n, L) codeword.
-
-        Algorithm 1 touches N_i and the parity nodes and nothing else, so
-        re-putting those n - k + 1 records (all of them must be up)
-        leaves the nodes exactly as :meth:`initialize` would, provided
-        no other block was written since the load. Taking the codeword
-        lets a Monte-Carlo trial reset skip the encode.
-        """
-        self._check_block(i)
-        self._load_records(stripe, (i,))
-
-    def _load_records(self, stripe: np.ndarray, blocks) -> None:
-        """Put the data records of ``blocks`` and every parity record."""
-        stripe = np.asarray(stripe, dtype=self.code.field.dtype)
-        if stripe.ndim != 2 or stripe.shape[0] != self.code.n:
-            raise ConfigurationError(
-                f"stripe must have shape (n={self.code.n}, L), got {stripe.shape}"
-            )
+        stripe = self.code.encode(data)
         zero_versions = np.zeros(self.code.k, dtype=np.int64)
-        for i in blocks:
+        for i in range(self.code.k):
             node_id = self.layout.node_of_block(i)
             self.cluster.rpc(node_id, "put_data", self.data_key(i), stripe[i], 0)
         for j in range(self.code.k, self.code.n):
@@ -201,7 +181,7 @@ class TrapErcProtocol:
                 node_id, "put_parity", self.parity_key(), stripe[j], zero_versions
             )
         if self.verifier is not None:
-            for i in blocks:
+            for i in range(self.code.k):
                 self.verifier.bootstrap(i, stripe[i])
 
     # ------------------------------------------------------------------ #

@@ -106,25 +106,12 @@ class TrapFrProtocol:
 
     def initialize(self, data: np.ndarray) -> None:
         """Load version-0 replicas of every block on its whole group."""
-        self._load_replicas(data, range(self.k))
-
-    def reload_block(self, i: int, data: np.ndarray) -> None:
-        """Undo whatever writes of block i did to the loaded ``data``.
-
-        A write only reaches block i's replica group, so re-putting that
-        group (all of it must be up) leaves the nodes exactly as
-        :meth:`initialize` would.
-        """
-        self._check_block(i)
-        self._load_replicas(data, (i,))
-
-    def _load_replicas(self, data: np.ndarray, blocks) -> None:
         data = np.asarray(data)
         if data.ndim != 2 or data.shape[0] != self.k:
             raise ConfigurationError(
                 f"data must have shape (k={self.k}, L), got {data.shape}"
             )
-        for i in blocks:
+        for i in range(self.k):
             for node_id in self.placement.group_nodes(i):
                 self.cluster.rpc(node_id, "put_data", self.replica_key(i), data[i], 0)
             if self.verifier is not None:

@@ -119,9 +119,7 @@ class InstantCoordinator:
             if not 0 <= node_id < num_nodes:
                 self.cluster.node(node_id)  # raises ConfigurationError
             try:
-                value = rpc(
-                    nodes[node_id], request.method, *request.args, **request.kwargs
-                )
+                value = rpc(nodes[node_id], request.method, request.args, request.kwargs)
                 response = Response(request, True, value)
             except request.catches as exc:
                 response = Response(request, False, None, exc)

@@ -134,10 +134,11 @@ async def mirror_state(transports: dict[int, object], cluster) -> int:
         transport = transports.get(node.node_id)
         if transport is None:
             continue
-        for key, record in node._data.items():
+        data, parity = node.snapshot()
+        for key, record in data.items():
             await transport.call("put_data", (key, record.payload, record.version))
             pushed += 1
-        for key, record in node._parity.items():
+        for key, record in parity.items():
             await transport.call(
                 "put_parity", (key, record.payload, record.versions)
             )

@@ -23,12 +23,14 @@ harness around it is not):
   draw instead of one RNG dispatch per trial; failures cover the data
   nodes only, so a metadata tier stays up and a spec with one samples
   the same data-node outcomes as the spec without it;
-* the engines are built and loaded on first use;
-* a write trial is undone by re-putting only the records a write of
-  that block can reach (the engine's ``reload_block``: N_i and the
-  parity nodes for TRAP-ERC, from the version-0 codewords encoded once
-  when its engines are built; the replica group for the others, from
-  the data blocks);
+* the engines are built and loaded on first use, and the loaded store
+  is snapshotted (:meth:`Cluster.snapshot`);
+* a write trial is undone by :meth:`Cluster.restore` of that snapshot:
+  every node's record stores refilled in place with the version-0
+  records, no RPC and no engine hook. A shallow copy is exact because
+  stored records are never modified, and the reset covers the whole
+  store (a metadata tier, any block) whatever the protocol;
+* a write trial draws its (stripes, L) payloads in one call;
 * with ``stripes > 1`` one failure draw exercises every stripe's layout
   (under rotated placement, many survivor sets and the decode-plan
   cache), the way a volume-level sweep does.
@@ -45,7 +47,6 @@ from repro.api.build import _resolve, _stripe
 from repro.api.registry import protocol_entry
 from repro.api.spec import PlacementSpec, SystemSpec, WorkloadSpec
 from repro.cluster.rng import make_rng
-from repro.core.trap_erc import TrapErcProtocol
 from repro.errors import ConfigurationError
 from repro.quorum.trapezoid import TrapezoidQuorum
 from repro.sim.metrics import MCEstimate
@@ -109,8 +110,8 @@ class ProtocolMonteCarlo:
             np.uint8
         )
         self._engines: list | None = None
-        #: per stripe, what its engine's reload_block takes
-        self._sources: np.ndarray | None = None
+        #: every node's records at version 0, taken by :meth:`_load`
+        self._loaded: list | None = None
 
     def engines(self) -> list:
         """The spec protocol's per-stripe engines.
@@ -127,14 +128,6 @@ class ProtocolMonteCarlo:
                 _stripe(self.spec, entry, self.cluster, self.code, s)[1]
                 for s in range(self.spec.placement.stripes)
             ]
-            # TRAP-ERC resets from codewords encoded once: encoding the
-            # data on every write-trial reset made availability_study's
-            # write p50 a third slower (2-vCPU host).
-            self._sources = (
-                self.code.encode_batch(self.data)
-                if entry.engine_class is TrapErcProtocol
-                else self.data
-            )
             network = self.cluster.network
             down = self.cluster.failed_ids
             cut = [i for i in range(len(self.cluster)) if network.is_partitioned(i)]
@@ -144,16 +137,12 @@ class ProtocolMonteCarlo:
         return self._engines
 
     def _load(self) -> None:
-        """All nodes up, and every stripe at version 0."""
+        """All nodes up, every stripe at version 0, and that store
+        snapshotted for the write-trial reset."""
         self.cluster.recover_all()
         for engine, data in zip(self._engines, self.data):
             engine.initialize(data)
-
-    def _resync(self, block: int) -> None:
-        """What :meth:`_load` does, given only ``block`` was written since."""
-        self.cluster.recover_all()
-        for engine, source in zip(self._engines, self._sources):
-            engine.reload_block(block, source)
+        self._loaded = self.cluster.snapshot()
 
     def _alive_matrix(self, p: float, trials: int, rng) -> np.ndarray:
         """(trials, nodes) alive patterns: data nodes Bernoulli(p), the
@@ -217,26 +206,26 @@ class ProtocolMonteCarlo:
         """Fraction of (trial, stripe) writes of ``block`` that succeed.
 
         Writes mutate state (including partially-failed ones), so after
-        every trial the records a write of ``block`` can reach are put
-        back from the version-0 stripes, which keeps trials i.i.d. under
-        the snapshot model. ``rng`` is as in :meth:`read_availability`;
-        it drives both the alive draw and the per-trial payloads.
+        every trial the cluster is restored to the version-0 store taken
+        at load, which keeps trials i.i.d. under the snapshot model.
+        ``rng`` is as in :meth:`read_availability`; it drives both the
+        alive draw and the per-trial payloads.
         """
         self._check_call(p, trials, block)
         engines = self.engines()
         rng = self.rng if rng is None else make_rng(rng)
-        length = self.data.shape[2]
+        payloads = (len(engines), self.data.shape[2])
         alive = self._alive_matrix(p, trials, rng)
         successes = 0
         for t in range(trials):
             self.cluster.apply_alive_vector(alive[t])
             try:
-                for engine in engines:
-                    value = (
-                        rng.integers(0, 256, length, dtype=np.int64).astype(np.uint8)
-                    )
+                # one draw for every stripe: the same int64 stream as one
+                # draw per stripe
+                values = rng.integers(0, 256, payloads, dtype=np.int64).astype(np.uint8)
+                for engine, value in zip(engines, values):
                     if engine.write_block(block, value).success:
                         successes += 1
             finally:
-                self._resync(block)
+                self.cluster.restore(self._loaded)
         return MCEstimate(successes, trials * len(engines))

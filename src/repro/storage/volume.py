@@ -3,14 +3,22 @@
 "when users' data stored on virtual disks is accessed by several virtual
 machines, a strict consistency protocol is required in any case to avoid
 incoherent data" — this module is that use case: a logical block device
-whose blocks are erasure-coded across the cluster and kept strongly
-consistent by the trapezoid protocol.
+whose blocks are erasure-coded across the cluster and versioned by the
+trapezoid protocol.
 
 A :class:`VirtualDisk` of ``num_blocks`` logical blocks of ``block_size``
 bytes maps each group of k logical blocks onto one TRAP-ERC stripe.
 Logical block b lives in stripe ``b // k`` as data block ``b % k``; reads
-and writes go through Algorithms 2 and 1 respectively, so every logical
-block keeps linearizable semantics under node failures.
+and writes go through Algorithms 2 and 1 respectively.
+
+What holds today: a read refused for lack of a quorum returns ``None``
+and a write refused returns ``False``, and a successful read returns the
+latest version its quorum saw. That is not linearizability under node
+failures. A fail-stop write that fails part-way can leave a version
+number that a later write issues again with other bytes, and a decode
+read that groups the two as one version can return bytes never written
+to the block. ``tests/scenarios/version_reuse.json`` pins that witness;
+the fix (a write id beside the version) is ROADMAP item 1.
 """
 
 from __future__ import annotations
@@ -31,7 +39,8 @@ __all__ = ["VirtualDisk"]
 
 
 class VirtualDisk:
-    """A strongly consistent logical block device over an (n, k) code.
+    """A logical block device over an (n, k) code (what it guarantees:
+    the module docstring).
 
     Parameters
     ----------

@@ -247,6 +247,79 @@ class TestCluster:
             Cluster(3).apply_alive_vector(np.array([True, False]))
 
 
+def loaded_cluster() -> Cluster:
+    """Three nodes holding a data and a parity record each."""
+    cluster = Cluster(3)
+    for i in range(3):
+        cluster.rpc(i, "put_data", "d", payload(i), 0)
+        cluster.rpc(i, "put_parity", "p", payload(10 + i), np.zeros(2, dtype=np.int64))
+    return cluster
+
+
+def records(cluster: Cluster) -> list:
+    """Per node: the "d" payload and version, the "p" payload and versions."""
+    rows = []
+    for i in range(len(cluster)):
+        data, version = cluster.rpc(i, "read_data", "d")
+        parity, versions = cluster.rpc(i, "read_parity", "p")
+        rows.append((data.tobytes(), version, parity.tobytes(), versions.tolist()))
+    return rows
+
+
+class TestSnapshotRestore:
+    def test_failed_and_partitioned_nodes_come_back(self):
+        cluster = loaded_cluster()
+        snapshot = cluster.snapshot()
+        cluster.fail(1)
+        cluster.network.partition([2])
+        cluster.restore(snapshot)
+        assert cluster.failed_ids == []
+        assert not any(cluster.network.is_partitioned(i) for i in range(3))
+        assert cluster.rpc(2, "data_version", "d") == 0
+
+    def test_a_record_written_after_the_snapshot_is_gone(self):
+        cluster = loaded_cluster()
+        before = records(cluster)
+        snapshot = cluster.snapshot()
+        cluster.rpc(0, "write_data", "d", payload(7), 1)
+        cluster.rpc(1, "put_data", "new", payload(8), 0)
+        cluster.rpc(2, "apply_delta", "p", 0, payload(9), 0, 1)
+        cluster.restore(snapshot)
+        assert records(cluster) == before
+        assert not cluster.node(1).has_key("new")
+
+    def test_a_wipe_is_undone(self):
+        cluster = loaded_cluster()
+        before = records(cluster)
+        snapshot = cluster.snapshot()
+        cluster.fail(0)
+        cluster.recover(0, wipe=True)
+        assert cluster.node(0).keys() == set()
+        cluster.restore(snapshot)
+        assert records(cluster) == before
+
+    def test_restored_records_are_the_same_sealed_objects(self):
+        cluster = loaded_cluster()
+        stored = cluster.rpc(0, "read_data", "d")[0]
+        snapshot = cluster.snapshot()
+        cluster.rpc(0, "write_data", "d", payload(7), 1)
+        cluster.restore(snapshot)
+        restored = cluster.rpc(0, "read_data", "d")[0]
+        assert restored is stored
+        assert not restored.flags.writeable
+        # ... and a snapshot is not changed by what the nodes store later
+        cluster.rpc(0, "write_data", "d", payload(7), 1)
+        cluster.restore(snapshot)
+        assert cluster.rpc(0, "read_data", "d")[0] is stored
+
+    def test_restore_sends_no_message(self):
+        cluster = loaded_cluster()
+        snapshot = cluster.snapshot()
+        messages = cluster.network.stats.messages
+        cluster.restore(snapshot)
+        assert cluster.network.stats.messages == messages
+
+
 class TestBernoulliSnapshot:
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import exact_read_erc, read_availability_fr, write_availability
-from repro.api import PlacementSpec, SystemSpec, WorkloadSpec
+from repro.api import MetadataSpec, PlacementSpec, SystemSpec, WorkloadSpec
 from repro.errors import ConfigurationError
 from repro.quorum import TrapezoidQuorum, TrapezoidShape
 from repro.sim import ProtocolMonteCarlo
@@ -92,34 +92,71 @@ def node_records(mc: ProtocolMonteCarlo) -> list:
     ]
 
 
-class TestTouchedOnlyReset:
-    """After a write trial only the records a write of that block can
-    reach are re-put; the result must equal a full reload."""
+#: every registered protocol on the small harness, and TRAP-ERC with a
+#: metadata tier (whose records a write also changes)
+RESET_SPECS = [
+    *(harness(p, rng=3, stripes=3).spec for p in ("majority", "rowa", "trap-erc", "trap-fr")),
+    harness("trap-erc", rng=3, stripes=3).spec.replace(metadata=MetadataSpec(nodes=3)),
+]
 
-    @settings(max_examples=40, deadline=None)
+
+class TestSnapshotReset:
+    """A write trial is undone by restoring the store snapshotted at load;
+    the result must equal a fresh load, whatever the trial wrote."""
+
+    @settings(max_examples=60, deadline=None)
     @given(
-        protocol=st.sampled_from(["trap-erc", "trap-fr"]),
-        block=st.integers(0, 3),
-        alive_vectors=st.lists(
-            st.lists(st.booleans(), min_size=7, max_size=7), min_size=1, max_size=4
+        spec=st.sampled_from(RESET_SPECS),
+        trials=st.lists(
+            st.tuples(
+                st.lists(st.booleans(), min_size=10, max_size=10),  # alive
+                st.sets(st.integers(0, 9), max_size=3),  # partitioned
+                st.lists(st.integers(0, 3), min_size=1, max_size=3),  # blocks
+            ),
+            min_size=1,
+            max_size=3,
         ),
     )
-    def test_resync_equals_full_load(self, protocol, block, alive_vectors):
-        mc = harness(protocol, rng=3, stripes=3)
+    def test_restore_equals_a_fresh_load(self, spec, trials):
+        mc = ProtocolMonteCarlo.from_spec(spec, rng=3)
         engines = mc.engines()
-        loaded = node_records(mc)
+        fresh = ProtocolMonteCarlo.from_spec(spec, rng=3)
+        fresh.engines()
+        loaded = node_records(fresh)
+        width = len(mc.cluster)
         rng = np.random.default_rng(5)
-        for alive in alive_vectors:
-            # one trial: several writes of the block under one failure
-            # pattern (full, partial and refused ones all occur)
-            mc.cluster.apply_alive_vector(np.array(alive))
-            for engine in engines:
-                engine.write_block(block, rng.integers(0, 256, 8).astype(np.uint8))
-            mc._resync(block)
+        for alive, cut, blocks in trials:
+            # one trial: writes of any blocks under one failure pattern,
+            # partitions included (full, partial and refused writes occur)
+            mc.cluster.apply_alive_vector(np.array(alive[:width]))
+            mc.cluster.network.partition(i for i in cut if i < width)
+            for block in blocks:
+                for engine in engines:
+                    engine.write_block(block, rng.integers(0, 256, 8).astype(np.uint8))
+            mc.cluster.restore(mc._loaded)
             assert mc.cluster.failed_ids == []
+            assert not any(mc.cluster.network.is_partitioned(i) for i in range(width))
             assert node_records(mc) == loaded
         mc._load()
         assert node_records(mc) == loaded
+
+    def test_write_trials_send_no_reload_puts(self):
+        # The availability_study engine spec: after the first load a
+        # write trial costs only the writes' own RPCs, no put_*, 6.2016
+        # per stripe at this seed.
+        spec = SystemSpec.trapezoid(
+            9, 6, 2, 1, 1, 2,
+            placement=PlacementSpec(kind="rotating", stripes=8),
+            workload=WorkloadSpec(block_length=1024),
+        )
+        mc = ProtocolMonteCarlo.from_spec(spec, rng=7)
+        mc.engines()
+        stats = mc.cluster.network.stats
+        stats.reset()
+        est = mc.write_availability(0.8, trials=80, rng=8)
+        assert (est.successes, est.trials) == (484, 640)
+        assert stats.by_kind["put_data"] == stats.by_kind["put_parity"] == 0
+        assert stats.messages == 2 * 3969
 
     @pytest.mark.parametrize(
         "protocol, loaded",

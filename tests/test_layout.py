@@ -199,3 +199,40 @@ def test_module_imports_first_in_a_fresh_interpreter(module):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_no_engine_has_a_reload_hook():
+    """A Monte-Carlo trial resets through ``Cluster.restore``; no engine
+    carries its own undo."""
+    assert [
+        path.relative_to(SRC).as_posix()
+        for path in (SRC / "repro").rglob("*.py")
+        if "reload_block" in path.read_text(encoding="utf-8")
+    ] == []
+
+
+def test_protocol_monte_carlo_imports_no_engine_class():
+    """The harness runs whatever protocol its spec names, through the
+    stripe constructor: it has no engine to name."""
+    tree = ast.parse((SRC / "repro" / "sim" / "protocol_mc.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported & STRIPE_PARTS == set()
+    assert not any(name.startswith("repro.core") for name in imported if name)
+
+
+def test_node_record_stores_are_private_to_the_node_module():
+    """Only ``cluster/node.py`` reads or writes a node's ``_data`` and
+    ``_parity``: everything else goes through an RPC, ``keys`` /
+    ``has_key`` or ``snapshot`` / ``restore``."""
+    touched = set()
+    for path in (SRC / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_data", "_parity"):
+                touched.add(path.relative_to(SRC).as_posix())
+    assert touched == {"repro/cluster/node.py"}
