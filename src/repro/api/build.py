@@ -155,7 +155,7 @@ def _resolve(spec: SystemSpec):
     quorum = build_trapezoid_quorum(spec.quorum) if entry.needs_trapezoid else None
     metadata_nodes = spec.metadata.nodes if spec.metadata is not None else 0
     cluster = Cluster(spec.cluster.num_nodes, metadata_nodes=metadata_nodes)
-    code = MDSCode(spec.code.n, spec.code.k, construction=spec.code.construction)
+    code = MDSCode(spec.code.n, spec.code.k)
     return entry, quorum, cluster, code
 
 

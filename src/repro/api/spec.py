@@ -176,15 +176,10 @@ class CodeSpec(_SpecBase):
 
     n: int = 9
     k: int = 6
-    construction: str = "vandermonde"
 
     def __post_init__(self) -> None:
         _require(self.k >= 1, f"k must be >= 1, got {self.k}")
         _require(self.n >= self.k, f"need n >= k, got n={self.n}, k={self.k}")
-        _require(
-            self.construction in ("vandermonde", "cauchy"),
-            f"unknown construction {self.construction!r}",
-        )
 
     @property
     def group_size(self) -> int:

@@ -7,13 +7,7 @@ path that Algorithm 1 relies on.
 """
 
 from repro.erasure.code import DecodePlan, MDSCode
-from repro.erasure.generator import (
-    CONSTRUCTIONS,
-    build_generator,
-    systematic_cauchy,
-    systematic_vandermonde,
-    verify_mds,
-)
+from repro.erasure.generator import build_generator, verify_mds
 from repro.erasure.stripe import (
     StripeLayout,
     join_payload,
@@ -26,10 +20,7 @@ from repro.erasure.update import UpdatePlan, plan_update, update_io_cost
 __all__ = [
     "DecodePlan",
     "MDSCode",
-    "CONSTRUCTIONS",
     "build_generator",
-    "systematic_vandermonde",
-    "systematic_cauchy",
     "verify_mds",
     "StripeLayout",
     "split_payload",

@@ -86,8 +86,6 @@ class MDSCode:
         the code tolerates n - k erasures.
     field:
         The GF(2^w) instance; defaults to the shared GF(2^8).
-    construction:
-        ``"vandermonde"`` (default) or ``"cauchy"``.
 
     Examples
     --------
@@ -107,7 +105,6 @@ class MDSCode:
         n: int,
         k: int,
         field: GF2m | None = None,
-        construction: str = "vandermonde",
         plan_cache_size: int = 128,
     ) -> None:
         self.field = field if field is not None else GF256
@@ -122,8 +119,7 @@ class MDSCode:
         self.n = n
         self.k = k
         self.m = n - k
-        self.construction = construction
-        self.generator = build_generator(self.field, n, k, construction)
+        self.generator = build_generator(self.field, n, k)
         self.generator.setflags(write=False)
         self.plan_cache_size = plan_cache_size
         self._plan_cache: OrderedDict[tuple[int, ...], DecodePlan] = OrderedDict()
@@ -135,10 +131,7 @@ class MDSCode:
     # ------------------------------------------------------------------ #
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"MDSCode(n={self.n}, k={self.k}, "
-            f"field=GF(2^{self.field.width}), construction={self.construction!r})"
-        )
+        return f"MDSCode(n={self.n}, k={self.k}, field=GF(2^{self.field.width}))"
 
     @property
     def parity_matrix(self) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Systematic MDS generator-matrix constructions.
+"""The systematic MDS generator matrix.
 
 An (n, k) MDS code is represented by an n x k generator matrix G whose top
 k x k block is the identity (systematic: the original data blocks are stored
@@ -7,21 +7,34 @@ The MDS property is equivalent to *every* k x k row-submatrix of G being
 invertible, which guarantees "any k blocks chosen over the n may be used to
 reconstruct any of the k original blocks".
 
-Two classical constructions are provided:
+There is one construction: G = [I ; P] with P the Cauchy matrix
+``1 / (x_j + y_i)`` on parity points x = k..n-1 and data points
+y = 0..k-1, *normalised*: each column is scaled so the first parity row
+is all ones, then each row so column 0 is all ones (Plank & Xu,
+"Optimizing Cauchy Reed-Solomon Codes", NCA 2006).
 
-``systematic Vandermonde``
-    Build the n x k Vandermonde matrix V on n distinct field points and
-    post-multiply by the inverse of its top k x k block: G = V V_top^-1.
-    Any k rows of V are invertible (nonzero Vandermonde determinant), and
-    right-multiplication by a fixed invertible matrix preserves that.
+Why the code stays MDS
+    A mixed selection of identity and parity rows reduces, after column
+    elimination, to a square submatrix of P, so [I ; P] is MDS iff every
+    square submatrix of P is nonsingular. Every square submatrix of a
+    Cauchy matrix is. Scaling rows and columns by nonzero factors scales
+    each square submatrix's determinant by a nonzero product, so the
+    normalised P keeps the property.
 
-``Cauchy``
-    G = [I ; C] with C a Cauchy matrix. Every square submatrix of a Cauchy
-    matrix is invertible, and a mixed selection of identity and Cauchy rows
-    reduces (after column elimination) to a smaller Cauchy submatrix, so
-    the stack is MDS.
+Why the classical constructions coincide
+    Systematic Vandermonde on points 0..n-1, V V_top^-1, has a parity
+    block that is the same Cauchy matrix scaled by diagonal matrices on
+    both sides. The normalised form ``P[j,i] P[0,0] / (P[0,i] P[j,0])`` is
+    invariant under such scaling, so both normalise to this one matrix.
 
-Both are verified by :func:`verify_mds` (exhaustive for small parameters,
+Why normalise
+    Eq. 1 does not fix the alpha, and a coefficient of 1 costs the GF
+    kernels an XOR instead of a multiply (:mod:`repro.gf.kernels`). With
+    n - 1 of the k(n - k) parity coefficients equal to 1, every write
+    ships at least one parity delta unscaled, and a write to block 0 ships
+    all of them unscaled.
+
+:func:`verify_mds` checks the property (exhaustive for small parameters,
 sampled otherwise); the test suite runs the exhaustive check.
 """
 
@@ -34,18 +47,13 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.gf.field import GF2m
-from repro.gf.linalg import cauchy, identity, inverse, is_invertible, matmul, vandermonde
+from repro.gf.linalg import cauchy, identity, is_invertible
 
-__all__ = [
-    "systematic_vandermonde",
-    "systematic_cauchy",
-    "build_generator",
-    "verify_mds",
-    "CONSTRUCTIONS",
-]
+__all__ = ["build_generator", "verify_mds"]
 
 
-def _validate_nk(field: GF2m, n: int, k: int) -> None:
+def build_generator(field: GF2m, n: int, k: int) -> np.ndarray:
+    """The systematic generator ``[I ; P]`` of shape (n, k), P normalised."""
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
     if n < k:
@@ -55,49 +63,14 @@ def _validate_nk(field: GF2m, n: int, k: int) -> None:
             f"(n={n}, k={k}) needs {n} distinct points but GF(2^{field.width}) "
             f"has only {field.order} elements; use a wider field"
         )
-
-
-def systematic_vandermonde(field: GF2m, n: int, k: int) -> np.ndarray:
-    """Systematic Vandermonde generator matrix of shape (n, k)."""
-    _validate_nk(field, n, k)
-    v = vandermonde(field, n, k)
-    g = matmul(field, v, inverse(field, v[:k]))
-    return g
-
-
-def systematic_cauchy(field: GF2m, n: int, k: int) -> np.ndarray:
-    """Systematic Cauchy generator matrix [I ; C] of shape (n, k)."""
-    _validate_nk(field, n, k)
-    m = n - k
     g = np.zeros((n, k), dtype=field.dtype)
     g[:k] = identity(field, k)
-    if m:
-        xs = np.arange(k, k + m, dtype=field.dtype)
-        ys = np.arange(k, dtype=field.dtype)
-        g[k:] = cauchy(field, xs, ys)
-    return g
-
-
-CONSTRUCTIONS = {
-    "vandermonde": systematic_vandermonde,
-    "cauchy": systematic_cauchy,
-}
-
-
-def build_generator(field: GF2m, n: int, k: int, construction: str) -> np.ndarray:
-    """Build a systematic generator matrix by construction name."""
-    try:
-        builder = CONSTRUCTIONS[construction]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown construction {construction!r}; "
-            f"choose from {sorted(CONSTRUCTIONS)}"
-        ) from None
-    g = builder(field, n, k)
-    if not np.array_equal(g[:k], identity(field, k)):
-        raise ConfigurationError(
-            f"construction {construction!r} produced a non-systematic matrix"
+    if n > k:
+        p = cauchy(
+            field, np.arange(k, n, dtype=field.dtype), np.arange(k, dtype=field.dtype)
         )
+        p = field.div(p, p[0][None, :])
+        g[k:] = field.div(p, p[:, 0][:, None])
     return g
 
 

@@ -34,17 +34,16 @@ class UpdatePlan:
     ----------
     block_index:
         Data block being written (0-based, < k).
-    new_block:
-        The full new content for the data node.
     delta:
         ``new ^ old`` over GF(2^w).
     parity_deltas:
         Mapping global parity index j -> ``alpha_{j,i} * delta``, the exact
         buffer the parity node XORs into its stored block (Alg. 1 line 27).
+        Where alpha_{j,i} = 1 the buffer is ``delta`` itself, so neither
+        may be written to.
     """
 
     block_index: int
-    new_block: np.ndarray
     delta: np.ndarray
     parity_deltas: dict[int, np.ndarray]
 
@@ -66,11 +65,9 @@ def plan_update(
         raise ConfigurationError(
             f"data block index must be in [0, {code.k}), got {block_index}"
         )
-    old_block = np.asarray(old_block, dtype=code.field.dtype)
-    new_block = np.asarray(new_block, dtype=code.field.dtype)
     delta = code.delta(old_block, new_block)
-    # One byte image of the delta, scaled by column block_index of the
-    # parity matrix: all n - k buffers in a single kernel call.
+    # Column block_index of the parity matrix scales the delta: all n - k
+    # buffers in one kernel call, a unit coefficient's buffer unscaled.
     rows = gf_scaled_rows(
         code.field, code.parity_matrix[:, block_index], delta.reshape(-1)
     )
@@ -78,10 +75,7 @@ def plan_update(
         code.k + r: row.reshape(delta.shape) for r, row in enumerate(rows)
     }
     return UpdatePlan(
-        block_index=block_index,
-        new_block=new_block.copy(),
-        delta=delta,
-        parity_deltas=parity_deltas,
+        block_index=block_index, delta=delta, parity_deltas=parity_deltas
     )
 
 

@@ -35,6 +35,15 @@ enforce that):
   block scaled by every coefficient of a generator column, from a single
   byte image of the block (:func:`repro.erasure.update.plan_update`).
 
+Unit and zero coefficients: the streamed product and
+:func:`gf_scaled_rows` take a coefficient of 1 as the row itself and a
+coefficient of 0 as nothing — no byte image, no translate. A translate
+costs about ten times the XOR of the same block, and the normalised
+generator (:mod:`repro.erasure.generator`) puts a 1 in n - 1 of its
+k(n - k) parity coefficients, so this is where a write or an encode
+saves its multiplies. A unit row of :func:`gf_scaled_rows` is the input
+block itself, not a copy: no caller may write into either.
+
 All kernels take the field object explicitly (no global state), matching
 the conventions of :mod:`repro.gf.linalg`.
 """
@@ -117,20 +126,32 @@ def _matmul_small(field: GF2m, a: np.ndarray, b, cols: int) -> np.ndarray:
 def _matmul_stream(field: GF2m, a: np.ndarray, b, cols: int) -> np.ndarray:
     """GF(2^8) row kernel: translate each row image, fold as words.
 
-    Row t of ``b`` is imaged to bytes once; ``a[i, t] * b[t]`` is then
-    ``image.translate(row_table(a[i, t]))`` — no index array, no
-    widening — XORed into output row i eight bytes at a time. The row
-    tables encode ``0 * x = 0`` and ``1 * x = x``, so no coefficient is
-    special-cased.
+    ``a[i, t] * b[t]`` is ``image.translate(row_table(a[i, t]))`` of row
+    t's byte image — no index array, no widening — XORed into output row
+    i eight bytes at a time. A coefficient of 1 folds row t itself and a
+    coefficient of 0 folds nothing; a row is imaged to bytes only when a
+    coefficient other than 0 and 1 first needs it.
     """
     word = np.uint64 if cols % 8 == 0 else np.uint8
-    images = [bytearray(row.data) for row in b]
+    images: dict[int, bytearray] = {}
+
+    def term(t: int, c: int) -> np.ndarray:
+        if c == 1:
+            return np.ascontiguousarray(b[t]).view(word)
+        image = images.get(t)
+        if image is None:
+            image = images[t] = bytearray(b[t].data)
+        return np.frombuffer(image.translate(field._row_table(c)), word)
+
     out = np.empty((a.shape[0], cols), dtype=field.dtype)
     for coeffs, acc in zip(a.tolist(), out.view(word)):
-        acc[:] = np.frombuffer(images[0].translate(field._row_table(coeffs[0])), word)
-        for c, image in zip(coeffs[1:], images[1:]):
-            term = np.frombuffer(image.translate(field._row_table(c)), word)
-            np.bitwise_xor(acc, term, out=acc)
+        terms = [(t, c) for t, c in enumerate(coeffs) if c]
+        if not terms:
+            acc[:] = 0
+            continue
+        acc[:] = term(*terms[0])
+        for t, c in terms[1:]:
+            np.bitwise_xor(acc, term(t, c), out=acc)
     return out
 
 
@@ -191,31 +212,38 @@ def gf_matvec(field: GF2m, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return gf_matmul(field, a, x[:, None])[:, 0]
 
 
-def gf_scaled_rows(field: GF2m, coeffs, vec) -> np.ndarray:
+def gf_scaled_rows(field: GF2m, coeffs, vec) -> list[np.ndarray]:
     """Rows ``coeffs[i] * vec`` for a coefficient vector and one block.
 
-    Shape: coeffs (m,) x vec (L,) -> (m, L); the parity-delta fan-out of
-    Algorithm 1 is exactly this shape (one delta, the n - k coefficients
-    of a generator column). For w = 8 the block is imaged to bytes once
-    and each output row is one ``translate`` through that coefficient's
-    row table; for w < 8 it is a single 2-D gather out of the
-    multiplication table.
+    coeffs (m,) x vec (L,) -> a list of m (L,) rows; the parity-delta
+    fan-out of Algorithm 1 is exactly this shape (one delta, the n - k
+    coefficients of a generator column). A coefficient of 1 gives ``vec``
+    itself and 0 a zero row. For w = 8 the block is imaged to bytes once,
+    on the first other coefficient, and each such row is one
+    ``translate`` through that coefficient's row table, returned as
+    translate produced it (read-only); other widths scale by
+    :meth:`GF2m.scalar_mul`.
     """
     coeffs = np.asarray(coeffs, dtype=field.dtype)
     vec = np.asarray(vec, dtype=field.dtype)
     if coeffs.ndim != 1 or vec.ndim != 1:
         raise FieldError("gf_scaled_rows expects coeffs (m,) and vec (L,)")
-    if field.width == 8:
-        image = bytearray(vec.data)
-        out = np.empty((coeffs.shape[0], vec.shape[0]), dtype=field.dtype)
-        for c, row in zip(coeffs.tolist(), out):
-            row[:] = np.frombuffer(image.translate(field._row_table(c)), field.dtype)
-        return out
-    if field.width < 8:
-        field._check_range(coeffs)
-        field._check_range(vec)
-        return field.mul_table()[coeffs[:, None], vec[None, :]]
-    return field.mul(coeffs[:, None], vec[None, :])
+    field._check_range(coeffs)
+    field._check_range(vec)
+    image = None
+    rows = []
+    for c in coeffs.tolist():
+        if c == 1:
+            rows.append(vec)
+        elif c == 0 or field.width != 8:
+            rows.append(field.scalar_mul(c, vec))
+        else:
+            if image is None:
+                image = bytearray(vec.data)
+            rows.append(
+                np.frombuffer(image.translate(field._row_table(c)), field.dtype)
+            )
+    return rows
 
 
 # --------------------------------------------------------------------- #

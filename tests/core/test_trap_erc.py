@@ -9,6 +9,7 @@ from repro.cluster import Cluster
 from repro.core import ReadCase, TrapErcProtocol
 from repro.erasure import MDSCode, StripeLayout, update_io_cost
 from repro.errors import ConfigurationError
+from repro.gf import GF2m
 from repro.quorum import TrapezoidQuorum, TrapezoidShape
 from repro.runtime import WRITE_ROUND, Round
 from repro.runtime.verify import BlockVerifier, MetadataQuorum
@@ -539,3 +540,43 @@ class TestMultipleStripes:
         r2 = p2.read_block(0)
         assert r2.version == 0
         assert np.array_equal(r2.value, d2[0])
+
+
+class TestUnitCoefficientWork:
+    """Exact GF work on a (12, 8) stripe: one ``GF2m._row_table`` lookup
+    per translate, and a unit coefficient needs none."""
+
+    @pytest.fixture
+    def lookups(self, monkeypatch):
+        calls = []
+        real = GF2m._row_table
+        monkeypatch.setattr(GF2m, "_row_table", lambda f, c: calls.append(c) or real(f, c))
+        return calls
+
+    @staticmethod
+    def stripe(seed: int):
+        rng = np.random.default_rng(seed)
+        quorum = TrapezoidQuorum.uniform(TrapezoidShape(3, 1, 1))  # 5 nodes
+        cluster = Cluster(12)
+        proto = TrapErcProtocol(cluster, MDSCode(12, 8), quorum)
+        return cluster, proto, rng.integers(0, 256, (8, 4096), dtype=np.uint8), rng
+
+    def test_encode_costs_one_translate_per_non_unit_coefficient(self, lookups):
+        _, proto, data, _ = self.stripe(0)
+        del lookups[:]
+        proto.initialize(data)
+        assert len(lookups) == 8 * 4 - 11  # n - 1 of k(n - k) coefficients are 1
+
+    @pytest.mark.parametrize("block, translates", [(0, 0), (3, 3), (7, 3)])
+    def test_write_ships_unit_deltas_unscaled(self, lookups, block, translates):
+        cluster, proto, data, rng = self.stripe(block)
+        proto.initialize(data)
+        del lookups[:]
+        new = rng.integers(0, 256, 4096, dtype=np.uint8)
+        assert proto.write_block(block, new).success
+        assert len(lookups) == translates
+        data[block] = new
+        stripe = proto.code.encode(data)
+        for j in range(8, 12):
+            payload, _ = cluster.node(j).read_parity(proto.parity_key())
+            assert np.array_equal(payload, stripe[j])

@@ -1,17 +1,24 @@
-"""Polynomial (Lagrange) view of the systematic Vandermonde code: a test oracle.
+"""Polynomial (Lagrange) view of the systematic code: a test oracle.
 
-The systematic-Vandermonde generator G = V V_top^{-1} makes every stripe
-a Reed-Solomon codeword in the evaluation view: with evaluation points
-x_0..x_{n-1} (the Vandermonde points), the stripe is
+The systematic-Vandermonde generator on points 0..n-1 makes every stripe
+a Reed-Solomon codeword in the evaluation view: its parity coefficient
+alpha_{j,i} is the Lagrange basis polynomial L_i of the points 0..k-1
+evaluated at j, and the stripe is
 
-    c_j = f(x_j),   f = the unique degree-< k polynomial with
-                    f(x_i) = data_i for i < k.
+    c_j = f(j),   f = the unique degree-< k polynomial with
+                  f(i) = data_i for i < k.
 
-Reconstruction from any k fragments is therefore Lagrange interpolation —
-an *independent* decode algorithm from the Gauss-Jordan matrix path in
-:class:`~repro.erasure.code.MDSCode`. ``test_lagrange.py`` cross-checks
-the two on random stripes, which guards both implementations at once; the
-oracle lives beside it, not in the installed package.
+:class:`~repro.erasure.code.MDSCode`'s generator is that parity block
+normalised by diagonal scaling: alpha_{j,i} = r_j L_i(j) s_i with
+s_i = 1 / L_i(k) (parity row k all ones) and r_j = L_0(k) / L_0(j)
+(column 0 all ones). So block x times ``scale(x)`` — s_x for a data
+block, 1 / r_x for a parity block — is f(x) for f through the scaled
+data, and reconstruction from any k fragments is: unscale the
+fragments, interpolate, rescale. That is an *independent* decode
+algorithm from the Gauss-Jordan matrix path of ``MDSCode``;
+``test_lagrange.py`` cross-checks the two on random stripes, which
+guards both implementations at once. The oracle lives beside it, not in
+the installed package.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 from repro.errors import CodeError, DecodeError
 from repro.gf.field import GF2m
 
-__all__ = ["lagrange_coefficients", "lagrange_reconstruct"]
+__all__ = ["lagrange_coefficients", "lagrange_reconstruct", "scale"]
 
 
 def lagrange_coefficients(field: GF2m, xs, target: int) -> np.ndarray:
@@ -50,6 +57,14 @@ def lagrange_coefficients(field: GF2m, xs, target: int) -> np.ndarray:
     return coeffs
 
 
+def scale(field: GF2m, k: int, x: int) -> int:
+    """The factor that maps block x of a k-data-block stripe to f(x)."""
+    at_k = lagrange_coefficients(field, range(k), k)  # L_i(k), i < k
+    if x < k:
+        return int(field.inv(at_k[x]))
+    return int(field.div(lagrange_coefficients(field, range(k), x)[0], at_k[0]))
+
+
 def lagrange_reconstruct(
     field: GF2m, points, fragments, target: int
 ) -> np.ndarray:
@@ -66,8 +81,9 @@ def lagrange_reconstruct(
 
     Notes
     -----
-    Valid for the ``"vandermonde"`` construction of :class:`MDSCode`,
-    whose evaluation point for global block index j is simply j.
+    The evaluation point of global block index j is j, and k is the
+    number of points; the fragments are unscaled by :func:`scale`
+    before interpolation and the result rescaled after it.
     """
     fragments = np.asarray(fragments, dtype=field.dtype)
     points = [int(x) for x in points]
@@ -77,5 +93,7 @@ def lagrange_reconstruct(
         )
     if target in points:
         return fragments[points.index(target)].copy()
+    k = len(points)
     coeffs = lagrange_coefficients(field, points, target)
-    return field.dot(coeffs, fragments)
+    unscaled = field.mul(coeffs, [scale(field, k, x) for x in points])
+    return field.dot(field.div(unscaled, scale(field, k, target)), fragments)

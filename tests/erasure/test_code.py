@@ -19,16 +19,15 @@ def make_data(k: int, length: int = 32, seed: int = 0) -> np.ndarray:
     return rng.integers(0, 256, size=(k, length), dtype=np.int64).astype(np.uint8)
 
 
-@pytest.fixture(params=["vandermonde", "cauchy"])
-def code(request) -> MDSCode:
-    return MDSCode(9, 6, construction=request.param)
+@pytest.fixture
+def code() -> MDSCode:
+    return MDSCode(9, 6)
 
 
 class TestConstruction:
     def test_defaults(self):
         code = MDSCode(6, 4)
         assert code.field.width == 8
-        assert code.construction == "vandermonde"
         assert code.m == 2
 
     def test_invalid_nk(self):
@@ -122,9 +121,8 @@ class TestDecode:
         idx = list(range(code.k))[::-1]
         assert np.array_equal(code.decode(idx, stripe[idx]), data)
 
-    @pytest.mark.parametrize("construction", ["vandermonde", "cauchy"])
-    def test_every_k_subset_decodes(self, construction):
-        code = MDSCode(8, 4, construction=construction)
+    def test_every_k_subset_decodes(self):
+        code = MDSCode(8, 4)
         data = make_data(4, seed=6)
         stripe = code.encode(data)
         for subset in combinations(range(8), 4):
@@ -333,11 +331,10 @@ class TestProperties:
     @given(
         nk=st.tuples(st.integers(2, 10), st.integers(1, 10)).filter(lambda t: t[0] >= t[1]),
         seed=st.integers(0, 2**31 - 1),
-        construction=st.sampled_from(["vandermonde", "cauchy"]),
     )
-    def test_random_k_subset_roundtrip(self, nk, seed, construction):
+    def test_random_k_subset_roundtrip(self, nk, seed):
         n, k = nk
-        code = MDSCode(n, k, construction=construction)
+        code = MDSCode(n, k)
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 256, size=(k, 16), dtype=np.int64).astype(np.uint8)
         stripe = code.encode(data)

@@ -45,7 +45,7 @@ class TestReconstruct:
         """The independent polynomial path must agree with Gauss-Jordan."""
         from itertools import combinations
 
-        code = MDSCode(7, 4, construction="vandermonde")
+        code = MDSCode(7, 4)
         rng = np.random.default_rng(0)
         data = rng.integers(0, 256, size=(4, 16), dtype=np.int64).astype(np.uint8)
         stripe = code.encode(data)
@@ -87,7 +87,7 @@ class TestReconstruct:
     )
     def test_poly_matrix_agreement_property(self, seed, nk):
         n, k = nk
-        code = MDSCode(n, k, construction="vandermonde")
+        code = MDSCode(n, k)
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 256, size=(k, 8), dtype=np.int64).astype(np.uint8)
         stripe = code.encode(data)
@@ -107,7 +107,7 @@ class TestSupersetsDecodeTheSame:
 
     @staticmethod
     def _stripe(n, k, seed):
-        code = MDSCode(n, k, construction="vandermonde")
+        code = MDSCode(n, k)
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 256, size=(k, 8), dtype=np.int64).astype(np.uint8)
         return code, data, code.encode(data), rng

@@ -34,6 +34,18 @@ def random_bytes(seed: int, shape) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, 256, shape, dtype=np.uint8)
 
 
+def mixed_coefficients(seed: int, m: int, t: int) -> np.ndarray:
+    """GF(2^8) coefficients mixing 0, 1 and other values, like the
+    normalised generator: row 0 all ones, row 1 (if any) all zeros."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(2, 256, (m, t), dtype=np.uint8)
+    a[rng.random((m, t)) < 0.4] = 1
+    a[rng.random((m, t)) < 0.2] = 0
+    a[0] = 1
+    a[1:2] = 0
+    return a
+
+
 class TestGfMatmulIdentity:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -170,7 +182,7 @@ class TestRowKernel:
         vec = np.arange(16, dtype=np.uint8)
         assert np.array_equal(gf.scalar_mul(3, vec), gf.mul(3, vec))
         assert np.array_equal(
-            gf_scaled_rows(gf, [3, 9], vec), gf.mul(np.array([[3], [9]]), vec)
+            np.stack(gf_scaled_rows(gf, [3, 9], vec)), gf.mul(np.array([[3], [9]]), vec)
         )
         assert not gf._row_tables
 
@@ -200,7 +212,7 @@ class TestMatmulPathChoice:
     @pytest.mark.parametrize("m", [1, 2, 4, 7])
     def test_both_sides_of_the_threshold(self, m, streamed):
         edge = kernels._STREAM_MIN_COLS_PER_ROW * m
-        a = random_bytes(m, (m, 5))
+        a = mixed_coefficients(m, m, 5)
         for cols, expect_stream in [(edge - 1, False), (edge, True), (edge + 3, True)]:
             del streamed[:]
             b = random_bytes(cols, (5, cols))
@@ -275,9 +287,17 @@ class TestScaledRows:
         gf = GF2m(width)
         rng = np.random.default_rng(seed)
         coeffs = gf.random_elements(rng, m)
+        coeffs[rng.random(m) < 0.4] = 1
+        coeffs[rng.random(m) < 0.2] = 0
         vec = gf.random_elements(rng, length)
-        expect = gf.mul(coeffs[:, None], vec[None, :])
-        assert np.array_equal(gf_scaled_rows(gf, coeffs, vec), expect)
+        out = gf_scaled_rows(gf, coeffs, vec)
+        expect = matmul_reference(gf, coeffs[:, None], vec[None, :])
+        assert np.array_equal(np.stack(out), expect)
+        for c, row in zip(coeffs.tolist(), out):
+            if c == 1:
+                assert row is vec
+            else:
+                assert not any(np.shares_memory(row, r) for r in out + [vec] if r is not row)
 
     @pytest.mark.parametrize("length", ROW_LENGTHS)
     def test_equals_stacked_scalar_mul(self, length):
@@ -286,17 +306,33 @@ class TestScaledRows:
         vec.setflags(write=False)
         out = gf_scaled_rows(GF256, coeffs, vec)
         expect = np.stack([GF256.scalar_mul(int(c), vec) for c in coeffs])
-        assert out.shape == (5, length) and np.array_equal(out, expect)
-        assert out.flags.c_contiguous and out.flags.writeable
-        assert not np.shares_memory(out, vec)
+        assert isinstance(out, list) and len(out) == 5
+        assert all(row.shape == (length,) for row in out)
+        assert np.array_equal(np.stack(out), expect)
+        assert out[1] is vec  # the unit row is the block itself
+        for row in out[:1] + out[2:]:
+            assert row.flags.c_contiguous and not np.shares_memory(row, vec)
 
     def test_no_coefficients(self):
         out = gf_scaled_rows(GF256, np.empty(0, dtype=np.uint8), np.arange(8, dtype=np.uint8))
-        assert out.shape == (0, 8)
+        assert out == []
 
     def test_rejects_matrices(self):
         with pytest.raises(FieldError):
             gf_scaled_rows(GF256, np.zeros((2, 2), dtype=np.uint8), np.zeros(4, dtype=np.uint8))
+
+    def test_unit_coefficients_need_no_row_table(self, monkeypatch):
+        lookups = []
+        real = GF2m._row_table
+        monkeypatch.setattr(
+            GF2m, "_row_table", lambda f, c: lookups.append(c) or real(f, c)
+        )
+        vec = random_bytes(3, 4096)
+        assert all(row is vec for row in gf_scaled_rows(GF256, [1, 1, 1], vec))
+        a = np.array([[1, 0, 1], [0, 1, 0]], dtype=np.uint8)
+        b = random_bytes(4, (3, 4096))
+        assert np.array_equal(gf_matmul(GF256, a, b), matmul_reference(GF256, a, b))
+        assert lookups == []
 
 
 class TestXorFolds:

@@ -168,9 +168,7 @@ class TestDumpConfig:
         assert main(["run", "--config", str(dump), "--quiet"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == "optimize"
-        assert payload["spec"]["code"] == {
-            "n": 9, "k": 6, "construction": "vandermonde",
-        }
+        assert payload["spec"]["code"] == {"n": 9, "k": 6}
         # The replayed search reproduces the CLI's winners exactly.
         from repro.analysis import optimize_config
 

@@ -129,9 +129,9 @@ class TestVolumeSpans:
 
 class TestGeneratorNegativeSampling:
     def test_sampled_verify_detects_planted_defect(self):
-        from repro.erasure import systematic_vandermonde, verify_mds
+        from repro.erasure import build_generator, verify_mds
 
-        g = systematic_vandermonde(GF256, 20, 10).copy()
+        g = build_generator(GF256, 20, 10)
         g[15] = g[16]  # planted duplicate row
         rng = np.random.default_rng(0)
         assert not verify_mds(

@@ -91,12 +91,11 @@ class TestCodecProperties:
     @given(
         seed=st.integers(0, 2**31 - 1),
         nk=st.tuples(st.integers(2, 9), st.integers(1, 9)).filter(lambda t: t[0] >= t[1]),
-        construction=st.sampled_from(["vandermonde", "cauchy"]),
     )
-    def test_double_update_roundtrips(self, seed, nk, construction):
+    def test_double_update_roundtrips(self, seed, nk):
         """Applying an update then its inverse restores the exact stripe."""
         n, k = nk
-        code = MDSCode(n, k, construction=construction)
+        code = MDSCode(n, k)
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 256, size=(k, 8), dtype=np.int64).astype(np.uint8)
         stripe = code.encode(data)
