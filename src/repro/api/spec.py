@@ -180,6 +180,11 @@ class CodeSpec(_SpecBase):
     def __post_init__(self) -> None:
         _require(self.k >= 1, f"k must be >= 1, got {self.k}")
         _require(self.n >= self.k, f"need n >= k, got n={self.n}, k={self.k}")
+        _require(
+            self.n <= 256,
+            f"(n={self.n}, k={self.k}) needs n <= 256: the code's generator "
+            "takes one distinct point of GF(2^8) per block",
+        )
 
     @property
     def group_size(self) -> int:

@@ -535,7 +535,7 @@ class TrapErcProtocol:
                 continue
             if digest is None:
                 # reconstruct_block rides the decode-plan cache: trials and
-                # stripes that see the same survivor set skip Gauss-Jordan.
+                # stripes that see the same survivor set skip the solve.
                 indices = [idx for idx, _ in rows[: self.code.k]]
                 frags = [buf for _, buf in rows[: self.code.k]]
                 return self.code.reconstruct_block(i, indices, frags), messages

@@ -28,10 +28,10 @@ import numpy as np
 from repro.errors import ConfigurationError, DecodeError, FieldError
 from repro.gf.field import GF256, GF2m
 from repro.gf.kernels import gf_matmul
-from repro.gf.linalg import inverse
+from repro.gf.linalg import identity, solve_small
 from repro.erasure.generator import build_generator, verify_mds
 
-__all__ = ["DecodePlan", "MDSCode"]
+__all__ = ["DecodePlan", "MDSCode", "PLAN_CACHE_SIZE"]
 
 #: Stripes with blocks up to this many symbols are fused into one kernel
 #: dispatch by the batch APIs; beyond it the per-call dispatch is already
@@ -39,39 +39,79 @@ __all__ = ["DecodePlan", "MDSCode"]
 FUSE_MAX_BLOCK = 1 << 13
 
 
-@dataclass(frozen=True)
+#: Decode plans kept per code, shared by every MDSCode of that code. A
+#: survivor set is k of the n indices, so this holds every set of the
+#: paper's (12, 8) code (C(12, 8) = 495): decodes that cycle through more
+#: distinct sets than fit would re-solve a set each time it comes back.
+PLAN_CACHE_SIZE = 512
+
+
+@dataclass(frozen=True, slots=True)
 class DecodePlan:
     """A cached decode: everything derived from one survivor set.
 
-    Repeated decodes against the same k survivors (common across stripes
-    of one volume and across Monte-Carlo trials, where the same failure
-    pattern recurs) skip Gauss-Jordan entirely. Beyond the inverted
-    generator submatrix, the plan precomputes the systematic structure:
-    survivor *data* rows pass through decode verbatim (``present``), so
-    only the ``missing`` data rows pay for a kernel dispatch — against
-    the (|missing|, k) slice ``solve_rows`` instead of the full inverse.
-    Combined "re-encode" rows (``generator[target] @ inverse``) are
+    Survivor *data* rows pass through decode verbatim (``present``), so
+    only the ``missing`` data rows are solved. With D the survivor data
+    indices, P the r survivor parity rows and M the r missing data
+    columns, the parity fragments satisfy ``f_P = G[P, D] x_D + B x_M``
+    with B = G[P, M], so ``x_M = B^-1 G[P, D] f_D + B^-1 f_P``:
+    ``solve_rows`` is ``[B^-1 G[P, D] | B^-1]``, an (r, k) matrix over
+    the survivors in sorted order (data first), built from an r x r
+    solve instead of a k x k inversion. Combined "re-encode" rows are
     cached lazily so single-block repair never materializes the full
-    data matrix.
+    data matrix. Plans are shared by every :class:`MDSCode` of one code
+    and are read-only.
     """
 
     indices: tuple[int, ...]  # sorted survivor rows the plan solves from
-    matrix: np.ndarray  # (k, k) inverse of generator[indices]
     present: tuple[tuple[int, int], ...]  # (data index, row position) pairs
     missing: tuple[int, ...]  # data indices absent from the survivors
-    solve_rows: np.ndarray  # matrix[missing], the only rows decode multiplies
+    solve_rows: np.ndarray  # (|missing|, k): the only rows decode multiplies
     _recode_rows: dict = dataclass_field(default_factory=dict, repr=False)
 
     def recode_row(self, code: "MDSCode", target: int) -> np.ndarray:
-        """(k,) row r with ``block[target] = r @ fragments`` (cached)."""
+        """(k,) row r with ``block[target] = r @ fragments`` (cached).
+
+        ``block[target] = G[target, D] x_D + G[target, M] x_M``: the
+        survivor data rows carry their generator coefficients as they
+        are, and the missing ones fold in through ``solve_rows``.
+        """
         row = self._recode_rows.get(target)
         if row is None:
-            row = gf_matmul(
-                code.field, code.generator[target][None, :], self.matrix
-            )[0]
+            weights = code.generator[target]
+            row = np.zeros(code.k, dtype=code.field.dtype)
+            row[: len(self.present)] = weights[[i for i, _ in self.present]]
+            if self.missing:
+                row ^= gf_matmul(
+                    code.field, weights[list(self.missing)][None, :], self.solve_rows
+                )[0]
             row.setflags(write=False)
             self._recode_rows[target] = row
         return row
+
+
+class _CodeTable:
+    """What every MDSCode of one (field, n, k) shares: its generator and plans."""
+
+    __slots__ = ("generator", "plans")
+
+    def __init__(self, generator: np.ndarray) -> None:
+        self.generator = generator
+        #: sorted survivor tuple -> plan, least recently used first
+        self.plans: OrderedDict[tuple[int, ...], DecodePlan] = OrderedDict()
+
+
+#: (field, n, k) -> the code's shared table, built on first use
+_CODE_TABLES: dict[tuple[GF2m, int, int], _CodeTable] = {}
+
+
+def _code_table(field: GF2m, n: int, k: int) -> _CodeTable:
+    table = _CODE_TABLES.get((field, n, k))
+    if table is None:
+        generator = build_generator(field, n, k)
+        generator.setflags(write=False)
+        table = _CODE_TABLES[field, n, k] = _CodeTable(generator)
+    return table
 
 
 class MDSCode:
@@ -86,6 +126,11 @@ class MDSCode:
         the code tolerates n - k erasures.
     field:
         The GF(2^w) instance; defaults to the shared GF(2^8).
+
+    The generator and the decode plans are functions of (field, n, k)
+    alone, so every ``MDSCode`` of one code shares them: a plan solved by
+    one object is a hit for the next, as when each run builds a fresh
+    system. The hit/miss counters stay per object.
 
     Examples
     --------
@@ -105,24 +150,18 @@ class MDSCode:
         n: int,
         k: int,
         field: GF2m | None = None,
-        plan_cache_size: int = 128,
     ) -> None:
         self.field = field if field is not None else GF256
         if k < 1:
             raise ConfigurationError(f"k must be >= 1, got {k}")
         if n < k:
             raise ConfigurationError(f"need n >= k, got n={n}, k={k}")
-        if plan_cache_size < 0:
-            raise ConfigurationError(
-                f"plan_cache_size must be >= 0, got {plan_cache_size}"
-            )
         self.n = n
         self.k = k
         self.m = n - k
-        self.generator = build_generator(self.field, n, k)
-        self.generator.setflags(write=False)
-        self.plan_cache_size = plan_cache_size
-        self._plan_cache: OrderedDict[tuple[int, ...], DecodePlan] = OrderedDict()
+        table = _code_table(self.field, n, k)
+        self.generator = table.generator
+        self._plans = table.plans
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
 
@@ -268,57 +307,63 @@ class MDSCode:
 
         Only the first k indices are used (matching :meth:`decode`); the
         key is the *sorted* survivor tuple, so every ordering of the same
-        set shares one Gauss-Jordan inversion. An LRU of
-        ``plan_cache_size`` plans is kept (a volume with rotating
-        placements or a Monte-Carlo sweep cycles through a handful of
-        failure patterns, so hit rates are near 1 after warmup).
+        set shares one solve. Plans live in one LRU of
+        ``PLAN_CACHE_SIZE`` per code, shared by every object of that code,
+        so a set is solved once per process while the table holds it. A
+        decode-then-verify read searching k-subsets meets hundreds of
+        distinct sets, so hit rates depend on the table holding them all.
         """
-        use = sorted(int(i) for i in indices[: self.k])
-        if len(use) != self.k:
-            raise DecodeError(f"need at least k={self.k} fragments, got {len(use)}")
-        for i in use:
-            if not 0 <= i < self.n:
-                raise DecodeError(f"fragment index {i} out of range [0, {self.n})")
-        if len(set(use)) != self.k:
-            raise DecodeError(f"duplicate fragment indices: {use}")
-        key = tuple(use)
-        plan = self._plan_cache.get(key)
+        key = tuple(sorted(int(i) for i in indices[: self.k]))
+        plans = self._plans
+        plan = plans.get(key)
         if plan is not None:
             self.plan_cache_hits += 1
-            self._plan_cache.move_to_end(key)
+            plans.move_to_end(key)
             return plan
+        # Only valid keys are ever stored, so a hit needs no checks.
+        if len(key) != self.k:
+            raise DecodeError(f"need at least k={self.k} fragments, got {len(key)}")
+        for i in key:
+            if not 0 <= i < self.n:
+                raise DecodeError(f"fragment index {i} out of range [0, {self.n})")
+        if len(set(key)) != self.k:
+            raise DecodeError(f"duplicate fragment indices: {list(key)}")
         self.plan_cache_misses += 1
-        matrix = inverse(self.field, self.generator[use])
-        matrix.setflags(write=False)
-        present = tuple((i, pos) for pos, i in enumerate(use) if i < self.k)
-        missing = tuple(sorted(set(range(self.k)) - {i for i, _ in present}))
-        solve_rows = np.ascontiguousarray(matrix[list(missing)])
-        solve_rows.setflags(write=False)
-        plan = DecodePlan(
-            indices=key,
-            matrix=matrix,
-            present=present,
-            missing=missing,
-            solve_rows=solve_rows,
-        )
-        if self.plan_cache_size:
-            self._plan_cache[key] = plan
-            while len(self._plan_cache) > self.plan_cache_size:
-                self._plan_cache.popitem(last=False)
+        plan = plans[key] = self._build_plan(key)
+        while len(plans) > PLAN_CACHE_SIZE:
+            plans.popitem(last=False)
         return plan
 
+    def _build_plan(self, key: tuple[int, ...]) -> DecodePlan:
+        """Solve the r x r block ``G[P, M]`` for one sorted survivor set."""
+        data = [i for i in key if i < self.k]
+        missing = sorted(set(range(self.k)).difference(data))
+        weights = self.generator[list(key[len(data) :])]
+        rows = solve_small(
+            self.field,
+            weights[:, missing],
+            np.concatenate([weights[:, data], identity(self.field, len(missing))], axis=1),
+        )
+        rows.setflags(write=False)
+        return DecodePlan(
+            indices=key,
+            present=tuple((i, pos) for pos, i in enumerate(data)),
+            missing=tuple(missing),
+            solve_rows=rows,
+        )
+
     def plan_cache_info(self) -> dict[str, int]:
-        """Cache counters: hits / misses / current size / capacity."""
+        """This object's hits / misses, and the shared table's size / capacity."""
         return {
             "hits": self.plan_cache_hits,
             "misses": self.plan_cache_misses,
-            "size": len(self._plan_cache),
-            "maxsize": self.plan_cache_size,
+            "size": len(self._plans),
+            "maxsize": PLAN_CACHE_SIZE,
         }
 
     def clear_plan_cache(self) -> None:
-        """Drop every cached plan and reset the counters."""
-        self._plan_cache.clear()
+        """Drop every plan of this code (for every object) and reset the counters."""
+        self._plans.clear()
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
 
@@ -336,8 +381,8 @@ class MDSCode:
         ``indices`` are global block indices; ``fragments`` the matching
         rows. Exactly k of them are used (the first k given); the MDS
         property guarantees that any such square system is solvable. The
-        inverted system comes from the :meth:`decode_plan` cache, so only
-        the first decode of a given survivor set pays for Gauss-Jordan.
+        solved rows come from the :meth:`decode_plan` cache, so only the
+        first decode of a given survivor set pays for the solve.
         """
         indices, fragments = self._gather(indices, fragments)
         use, frag = self._sort_rows(indices[: self.k], fragments[: self.k])

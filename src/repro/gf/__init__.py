@@ -31,6 +31,7 @@ from repro.gf.linalg import (
     matvec_reference,
     rank,
     solve,
+    solve_small,
     vandermonde,
 )
 from repro.gf.polynomials import (
@@ -62,6 +63,7 @@ __all__ = [
     "inverse",
     "rank",
     "solve",
+    "solve_small",
     "is_invertible",
     "vandermonde",
     "cauchy",

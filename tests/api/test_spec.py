@@ -552,6 +552,11 @@ _EXPONENTIAL = {"failure": "exponential", "mtbf": 40.0, "mttr": 4.0}
 #: the cross-section and kind checks a spec makes when it loads, each with
 #: the message it raises
 LOAD_TIME_CHECKS = {
+    "code_too_wide": (
+        {"code": {"n": 300, "k": 8}},
+        "(n=300, k=8) needs n <= 256: the code's generator takes one distinct "
+        "point of GF(2^8) per block",
+    ),
     "protocol_mc_trials": (
         {"scenario": {"kind": "protocol_mc", "trials": 0}},
         "protocol_mc needs trials >= 1, got 0 (trials = 0 only disables the "

@@ -15,7 +15,7 @@ s_i = 1 / L_i(k) (parity row k all ones) and r_j = L_0(k) / L_0(j)
 block, 1 / r_x for a parity block — is f(x) for f through the scaled
 data, and reconstruction from any k fragments is: unscale the
 fragments, interpolate, rescale. That is an *independent* decode
-algorithm from the Gauss-Jordan matrix path of ``MDSCode``;
+algorithm from the matrix solve of ``MDSCode``'s decode plans;
 ``test_lagrange.py`` cross-checks the two on random stripes, which
 guards both implementations at once. The oracle lives beside it, not in
 the installed package.

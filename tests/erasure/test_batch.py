@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,8 +169,9 @@ class TestDecodePlanCache:
         info = code.plan_cache_info()
         assert info["misses"] == 1 and info["hits"] == 3 and info["size"] == 1
 
-    def test_lru_eviction(self):
-        code = MDSCode(8, 4, plan_cache_size=2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(code_mod, "PLAN_CACHE_SIZE", 2)
+        code = MDSCode(8, 4)
         data = make_batch(1, 4, seed=9)[0]
         stripe = code.encode(data)
         sets = [[1, 2, 3, 4], [2, 3, 4, 5], [3, 4, 5, 6]]
@@ -178,8 +183,9 @@ class TestDecodePlanCache:
         assert np.array_equal(code.decode(sets[0], stripe[sets[0]]), data)
         assert code.plan_cache_misses == 4
 
-    def test_cache_disabled(self):
-        code = MDSCode(8, 4, plan_cache_size=0)
+    def test_cache_disabled(self, monkeypatch):
+        monkeypatch.setattr(code_mod, "PLAN_CACHE_SIZE", 0)
+        code = MDSCode(8, 4)
         data = make_batch(1, 4, seed=10)[0]
         stripe = code.encode(data)
         keep = [1, 3, 5, 7]
@@ -196,7 +202,7 @@ class TestDecodePlanCache:
         code.decode(keep, stripe[keep])
         code.clear_plan_cache()
         assert code.plan_cache_info() == {
-            "hits": 0, "misses": 0, "size": 0, "maxsize": 128,
+            "hits": 0, "misses": 0, "size": 0, "maxsize": code_mod.PLAN_CACHE_SIZE,
         }
 
     def test_plan_requires_k_indices(self):
@@ -223,7 +229,58 @@ class TestDecodePlanCache:
         assert plan.missing == (0, 3)
         assert dict(plan.present) == {1: 0, 2: 1, 4: 2, 5: 3}
         assert plan.solve_rows.shape == (2, 6)
-        assert np.array_equal(plan.solve_rows, plan.matrix[[0, 3]])
+        full = inverse(code.field, code.generator[list(plan.indices)])
+        assert np.array_equal(plan.solve_rows, full[[0, 3]])
+
+    @pytest.mark.parametrize("n, k", [(6, 4), (9, 6), (12, 8)])
+    def test_every_survivor_set_solves_as_the_full_inverse(self, n, k):
+        # The r x r solve on the missing rows against the k x k inverse.
+        code = MDSCode(n, k)
+        for use in itertools.combinations(range(n), k):
+            plan = code.decode_plan(use)
+            full = inverse(code.field, code.generator[list(use)])
+            assert np.array_equal(plan.solve_rows, full[list(plan.missing)])
+        assert code.plan_cache_misses == comb(n, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_sampled_survivor_sets_of_wider_codes(self, data):
+        k = data.draw(st.integers(1, 8), label="k")
+        n = data.draw(st.integers(k, 22), label="n")
+        use = data.draw(st.permutations(range(n)), label="order")[:k]
+        code = MDSCode(n, k)
+        plan = code.decode_plan(use)
+        full = inverse(code.field, code.generator[sorted(use)])
+        assert np.array_equal(plan.solve_rows, full[list(plan.missing)])
+        for target in range(n):
+            assert np.array_equal(
+                plan.recode_row(code, target),
+                matmul_reference(code.field, code.generator[[target]], full)[0],
+            )
+
+    def test_codes_of_one_shape_share_plans(self):
+        first, second = MDSCode(12, 8), MDSCode(12, 8)
+        keep = [1, 2, 4, 5, 7, 8, 10, 11]
+        plan = first.decode_plan(keep)
+        assert second.decode_plan(keep) is plan
+        assert second.generator is first.generator
+        # counters stay per object; the table is the code's
+        assert first.plan_cache_info()["misses"] == 1
+        assert second.plan_cache_info() == {
+            "hits": 1, "misses": 0, "size": 1, "maxsize": code_mod.PLAN_CACHE_SIZE,
+        }
+        assert MDSCode(12, 8, field=GF2m(4)).decode_plan(keep) is not plan
+        assert MDSCode(13, 8).decode_plan(keep) is not plan
+
+    def test_shared_plans_are_read_only(self):
+        code = MDSCode(12, 8)
+        plan = code.decode_plan([0, 2, 3, 5, 6, 8, 9, 11])
+        row = plan.recode_row(code, 1)
+        for array in (plan.solve_rows, row, code.generator):
+            with pytest.raises(ValueError):
+                array[0] ^= 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.solve_rows = np.zeros_like(plan.solve_rows)
 
     def test_recode_rows_cached_and_correct(self):
         code = MDSCode(9, 6)

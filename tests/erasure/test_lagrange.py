@@ -42,7 +42,7 @@ class TestCoefficients:
 
 class TestReconstruct:
     def test_matches_matrix_decode_all_subsets(self):
-        """The independent polynomial path must agree with Gauss-Jordan."""
+        """The independent polynomial path must agree with the matrix decode."""
         from itertools import combinations
 
         code = MDSCode(7, 4)

@@ -111,11 +111,13 @@ class TestMultiplier:
         data = rng.integers(0, 256, size=(6, 48), dtype=np.int64).astype(np.uint8)
         stripe = code.encode(data)
         survivors = [1, 2, 4, 6, 7, 8]
-        matrix = code.decode_plan(survivors).matrix
+        plan = code.decode_plan(survivors)
         out = np.zeros((6, 48), dtype=np.uint8)
-        for row in range(6):
+        for i, pos in plan.present:
+            out[i] = stripe[survivors[pos]]
+        for row, i in enumerate(plan.missing):
             for col, index in enumerate(survivors):
-                mult.addmul_into(out[row], int(matrix[row, col]), stripe[index])
+                mult.addmul_into(out[i], int(plan.solve_rows[row, col]), stripe[index])
         assert np.array_equal(out, data)
         assert np.array_equal(out, code.decode(survivors, stripe[survivors]))
 

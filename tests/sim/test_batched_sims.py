@@ -104,7 +104,7 @@ class TestMultiStripeProtocolMC:
         assert first.success and second.success
         assert np.array_equal(first.value, second.value)
         info = mc.code.plan_cache_info()
-        # Same survivor set twice: one Gauss-Jordan, then cache hits.
+        # Same survivor set twice: one solve, then cache hits.
         assert info["misses"] == 1 and info["hits"] >= 1
 
 
