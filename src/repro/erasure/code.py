@@ -28,7 +28,7 @@ import numpy as np
 from repro.errors import ConfigurationError, DecodeError, FieldError
 from repro.gf.field import GF256, GF2m
 from repro.gf.kernels import gf_matmul
-from repro.gf.linalg import identity, solve_small
+from repro.gf.linalg import inverse
 from repro.erasure.generator import build_generator, verify_mds
 
 __all__ = ["DecodePlan", "MDSCode", "PLAN_CACHE_SIZE"]
@@ -56,10 +56,10 @@ class DecodePlan:
     columns, the parity fragments satisfy ``f_P = G[P, D] x_D + B x_M``
     with B = G[P, M], so ``x_M = B^-1 G[P, D] f_D + B^-1 f_P``:
     ``solve_rows`` is ``[B^-1 G[P, D] | B^-1]``, an (r, k) matrix over
-    the survivors in sorted order (data first), built from an r x r
-    solve instead of a k x k inversion. Combined "re-encode" rows are
-    cached lazily so single-block repair never materializes the full
-    data matrix. Plans are shared by every :class:`MDSCode` of one code
+    the survivors in sorted order (data first), built by inverting the
+    r x r block B instead of the k x k survivor rows. Combined
+    "re-encode" rows are cached lazily so single-block repair never
+    materializes the full data matrix. Plans are shared by every :class:`MDSCode` of one code
     and are read-only.
     """
 
@@ -101,16 +101,26 @@ class _CodeTable:
         self.plans: OrderedDict[tuple[int, ...], DecodePlan] = OrderedDict()
 
 
-#: (field, n, k) -> the code's shared table, built on first use
-_CODE_TABLES: dict[tuple[GF2m, int, int], _CodeTable] = {}
+#: Codes whose tables are kept, least recently used dropped first. A
+#: dropped table lives on in the MDSCode objects that hold it, unshared;
+#: the bound keeps a sweep over many code shapes from growing the process.
+_CODE_TABLES_KEPT = 8
+
+#: (field, n, k) -> the code's shared table, least recently used first
+_CODE_TABLES: OrderedDict[tuple[GF2m, int, int], _CodeTable] = OrderedDict()
 
 
 def _code_table(field: GF2m, n: int, k: int) -> _CodeTable:
-    table = _CODE_TABLES.get((field, n, k))
-    if table is None:
-        generator = build_generator(field, n, k)
-        generator.setflags(write=False)
-        table = _CODE_TABLES[field, n, k] = _CodeTable(generator)
+    key = (field, n, k)
+    table = _CODE_TABLES.get(key)
+    if table is not None:
+        _CODE_TABLES.move_to_end(key)
+        return table
+    generator = build_generator(field, n, k)
+    generator.setflags(write=False)
+    table = _CODE_TABLES[key] = _CodeTable(generator)
+    if len(_CODE_TABLES) > _CODE_TABLES_KEPT:
+        _CODE_TABLES.popitem(last=False)
     return table
 
 
@@ -130,7 +140,8 @@ class MDSCode:
     The generator and the decode plans are functions of (field, n, k)
     alone, so every ``MDSCode`` of one code shares them: a plan solved by
     one object is a hit for the next, as when each run builds a fresh
-    system. The hit/miss counters stay per object.
+    system. Tables of the 8 most recently used codes are kept. The
+    hit/miss counters stay per object.
 
     Examples
     --------
@@ -335,14 +346,13 @@ class MDSCode:
         return plan
 
     def _build_plan(self, key: tuple[int, ...]) -> DecodePlan:
-        """Solve the r x r block ``G[P, M]`` for one sorted survivor set."""
+        """Invert the r x r block ``G[P, M]`` for one sorted survivor set."""
         data = [i for i in key if i < self.k]
         missing = sorted(set(range(self.k)).difference(data))
         weights = self.generator[list(key[len(data) :])]
-        rows = solve_small(
-            self.field,
-            weights[:, missing],
-            np.concatenate([weights[:, data], identity(self.field, len(missing))], axis=1),
+        block_inv = inverse(self.field, weights[:, missing])
+        rows = np.concatenate(
+            [gf_matmul(self.field, block_inv, weights[:, data]), block_inv], axis=1
         )
         rows.setflags(write=False)
         return DecodePlan(

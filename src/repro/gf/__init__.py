@@ -31,7 +31,6 @@ from repro.gf.linalg import (
     matvec_reference,
     rank,
     solve,
-    solve_small,
     vandermonde,
 )
 from repro.gf.polynomials import (
@@ -63,7 +62,6 @@ __all__ = [
     "inverse",
     "rank",
     "solve",
-    "solve_small",
     "is_invertible",
     "vandermonde",
     "cauchy",

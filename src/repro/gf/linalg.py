@@ -1,10 +1,8 @@
 """Dense linear algebra over GF(2^w).
 
 Provides the matrix tools the erasure layer is built from: multiplication,
-Gauss-Jordan inversion, rank, solving (numpy, and :func:`solve_small` over
-Python ints for the few-row systems a decode plan solves), and the
-structured matrices used to build MDS generator matrices (Vandermonde,
-Cauchy).
+Gauss-Jordan inversion, rank, solving, and the structured matrices used to
+build MDS generator matrices (Vandermonde, Cauchy).
 
 All matrices are plain numpy arrays with the field's dtype; the field object
 is passed explicitly (no global state), which keeps the functions pure and
@@ -28,7 +26,6 @@ __all__ = [
     "inverse",
     "rank",
     "solve",
-    "solve_small",
     "is_invertible",
     "vandermonde",
     "cauchy",
@@ -143,51 +140,6 @@ def inverse(field: GF2m, a: np.ndarray) -> np.ndarray:
     if r < n or np.any(work[:, :n] != identity(field, n)):
         raise SingularMatrixError(f"matrix of shape {a.shape} is singular")
     return work[:, n:].copy()
-
-
-def solve_small(field: GF2m, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a^-1 @ b`` for a small square ``a``, as a new (r, c) array.
-
-    Built for the few rows a decode plan solves (at most n - k). In
-    GF(2^8) it is Gauss-Jordan on the augmented rows ``[a | b]``, each
-    row one Python int of its bytes: a row scales through a ``translate``
-    table (:meth:`GF2m._row_table`) and adds with one int XOR, where
-    :func:`inverse` pays several numpy dispatches per pivot. Other widths
-    take :func:`inverse` and :func:`matmul`.
-
-    Raises
-    ------
-    SingularMatrixError
-        If ``a`` is singular.
-    """
-    a = _check_matrix(field, a, "a")
-    b = _check_matrix(field, b, "b")
-    r, c = b.shape
-    if a.shape != (r, r):
-        raise FieldError(f"shape mismatch for solve: {a.shape} x {b.shape}")
-    if field.width != 8:
-        return matmul(field, inverse(field, a), b)
-    width = r + c
-    image = np.concatenate([a, b], axis=1).tobytes()
-    from_bytes, row_table = int.from_bytes, field._row_table
-    rows = [from_bytes(image[i * width : (i + 1) * width], "little") for i in range(r)]
-    for col in range(r):
-        shift = 8 * col
-        if not rows[col] >> shift & 0xFF:
-            p = next((i for i in range(col + 1, r) if rows[i] >> shift & 0xFF), None)
-            if p is None:
-                raise SingularMatrixError(f"matrix of shape {a.shape} is singular")
-            rows[col], rows[p] = rows[p], rows[col]
-        # The pivot's inverse is where its product row holds a 1.
-        inv_p = row_table(rows[col] >> shift & 0xFF).index(1)
-        pivot = rows[col].to_bytes(width, "little").translate(row_table(inv_p))
-        rows[col] = from_bytes(pivot, "little")
-        for i in range(r):
-            head = rows[i] >> shift & 0xFF
-            if head and i != col:
-                rows[i] ^= from_bytes(pivot.translate(row_table(head)), "little")
-    out = b"".join(row.to_bytes(width, "little")[r:] for row in rows)
-    return np.frombuffer(out, dtype=np.uint8).reshape(r, c).copy()
 
 
 def is_invertible(field: GF2m, a: np.ndarray) -> bool:

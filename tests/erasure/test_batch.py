@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from collections import OrderedDict
 from math import comb
 
 import numpy as np
@@ -271,6 +272,22 @@ class TestDecodePlanCache:
         }
         assert MDSCode(12, 8, field=GF2m(4)).decode_plan(keep) is not plan
         assert MDSCode(13, 8).decode_plan(keep) is not plan
+
+    def test_code_tables_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(code_mod, "_CODE_TABLES", OrderedDict())
+        monkeypatch.setattr(code_mod, "_CODE_TABLES_KEPT", 2)
+        keep = list(range(1, 9))
+        oldest = MDSCode(12, 8)
+        plan = oldest.decode_plan(keep)
+        MDSCode(13, 8)
+        MDSCode(12, 8)  # a use makes (12, 8) the most recent again
+        MDSCode(14, 8)
+        assert [key[1:] for key in code_mod._CODE_TABLES] == [(12, 8), (14, 8)]
+        MDSCode(15, 8)
+        assert [key[1:] for key in code_mod._CODE_TABLES] == [(14, 8), (15, 8)]
+        # a dropped table stays with the objects holding it, unshared
+        assert oldest.decode_plan(keep) is plan
+        assert MDSCode(12, 8).decode_plan(keep) is not plan
 
     def test_shared_plans_are_read_only(self):
         code = MDSCode(12, 8)

@@ -19,7 +19,6 @@ from repro.gf import (
     matvec,
     rank,
     solve,
-    solve_small,
     vandermonde,
 )
 
@@ -165,32 +164,6 @@ class TestRankSolve:
         x = gf.random_elements(rng, (4, 7))
         b = matmul(gf, a, x)
         assert np.array_equal(solve(gf, a, b), x)
-
-    @pytest.mark.parametrize("width", [4, 8, 16])
-    @pytest.mark.parametrize("r", [0, 1, 2, 5])
-    def test_solve_small_equals_inverse_times_b(self, width, r):
-        field = GF2m(width)
-        rng = np.random.default_rng(r)
-        a = random_invertible(field, r, rng) if r else np.zeros((0, 0), field.dtype)
-        if r > 1:
-            a[0, 0] = 0  # the first pivot needs a row swap
-            while not is_invertible(field, a):
-                a[0, 1:] = field.random_elements(rng, r - 1)
-        b = field.random_elements(rng, (r, 9))
-        out = solve_small(field, a, b)
-        assert out.shape == (r, 9) and out.flags.writeable
-        assert np.array_equal(out, matmul(field, inverse(field, a), b) if r else b)
-
-    @pytest.mark.parametrize("width", [4, 8])
-    def test_solve_small_singular_raises(self, width):
-        field = GF2m(width)
-        a = np.array([[1, 2], [2, field.mul(2, 2)]], dtype=field.dtype)
-        with pytest.raises(SingularMatrixError):
-            solve_small(field, a, np.eye(2, dtype=field.dtype))
-
-    def test_solve_small_shape_mismatch(self, gf):
-        with pytest.raises(FieldError):
-            solve_small(gf, np.eye(3, dtype=gf.dtype), np.eye(2, dtype=gf.dtype))
 
 
 class TestStructuredMatrices:
